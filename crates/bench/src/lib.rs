@@ -1,8 +1,9 @@
 //! Benchmark harness support code.
 //!
-//! The `fig*` and `table*` binaries in `src/bin/` regenerate every table
-//! and figure of the paper's evaluation section (they print CSV to stdout
-//! and a markdown summary to stderr); the Criterion benches in `benches/`
+//! The `fig` binary in `src/bin/` regenerates any table or figure of the
+//! paper's evaluation section by id (`fig fig5`, `fig table1`; CSV to
+//! stdout, a markdown summary to stderr) and `repro_all` runs them all;
+//! the Criterion benches in `benches/`
 //! measure the kernels and ablate the design choices listed in `DESIGN.md`.
 
 #![warn(missing_docs)]
@@ -13,9 +14,9 @@ pub mod distperf;
 
 /// Handles the shared command-line surface of every reproduction binary.
 ///
-/// All `fig*`/`table*`/`repro_all` binaries are configured through the
-/// `NOMAD_SCALE` environment variable rather than flags, so the only
-/// arguments they accept are `--help`/`-h` (print usage, exit 0). Any other
+/// The reproduction binaries are configured through the `NOMAD_SCALE`
+/// environment variable rather than flags, so the only arguments they
+/// accept are `--help`/`-h` (print usage, exit 0). Any other
 /// argument is rejected with exit code 2 so that typos are not silently
 /// ignored before a long experiment run.
 pub fn handle_cli_args(name: &str, about: &str) {
@@ -34,7 +35,17 @@ pub fn handle_cli_args(name: &str, about: &str) {
 /// Every binary still documents `NOMAD_SCALE`, which the smoke tests
 /// enforce, and still rejects unknown arguments with exit code 2.
 pub fn handle_cli_args_with(name: &str, about: &str, output: &str, extra_env: &[&str]) {
-    cli_core(name, about, output, extra_env, None, false);
+    cli_core(name, about, output, extra_env, None, false, None);
+}
+
+/// Like [`handle_cli_args`], but the binary additionally takes one
+/// positional `<id>` out of `ids` (the `fig` binary's figure/table id) and
+/// returns it.  A missing or unknown id exits 2 listing `ids`.
+pub fn handle_cli_args_id(name: &str, about: &str, ids: &[&str]) -> String {
+    let output = "Output: CSV series on stdout, a markdown summary on stderr.";
+    cli_core(name, about, output, &[], None, false, Some(ids))
+        .id
+        .expect("an id list was supplied")
 }
 
 /// Like [`handle_cli_args_with`], but the binary additionally accepts a
@@ -48,11 +59,14 @@ pub fn handle_cli_args_telemetry(
     output: &str,
     extra_env: &[&str],
 ) -> bool {
-    cli_core(name, about, output, extra_env, None, true).1
+    cli_core(name, about, output, extra_env, None, true, None).telemetry
 }
 
-/// Like [`handle_cli_args_engine`], but also accepts `--telemetry`;
-/// returns `(engine, telemetry)`.
+/// Like [`handle_cli_args_telemetry`], but the binary additionally accepts
+/// an `--engine <value>` / `--engine=<value>` selector from `allowed`;
+/// returns `(engine, telemetry)`, the engine being `default` when the flag
+/// is absent.  An `--engine` value outside `allowed` exits 2 like any other
+/// unrecognized argument, and `--help` documents the selector.
 pub fn handle_cli_args_engine_telemetry(
     name: &str,
     about: &str,
@@ -61,51 +75,25 @@ pub fn handle_cli_args_engine_telemetry(
     allowed: &[&str],
     default: &str,
 ) -> (String, bool) {
-    let (engine, telemetry) = cli_core(
+    let cli = cli_core(
         name,
         about,
         output,
         extra_env,
         Some((allowed, default)),
         true,
+        None,
     );
-    (engine.expect("a selector was supplied"), telemetry)
-}
-
-/// Like [`handle_cli_args_with`], but the binary additionally accepts an
-/// `--engine <value>` / `--engine=<value>` selector from `allowed`.
-/// Returns the selected engine (`default` when the flag is absent).
-///
-/// The shared CLI contract still holds: `--help` prints usage (now
-/// documenting the selector) and exits 0, anything unrecognized exits 2 —
-/// including an `--engine` value outside `allowed`.
-pub fn handle_cli_args_engine(
-    name: &str,
-    about: &str,
-    output: &str,
-    extra_env: &[&str],
-    allowed: &[&str],
-    default: &str,
-) -> String {
-    cli_core(
-        name,
-        about,
-        output,
-        extra_env,
-        Some((allowed, default)),
-        false,
-    )
-    .0
-    .expect("a selector was supplied")
+    (cli.engine.expect("a selector was supplied"), cli.telemetry)
 }
 
 /// The one implementation behind the whole reproduction-binary CLI
 /// contract: reject anything unrecognized with exit 2 (even alongside
 /// `--help`, so a typoed flag can never ride along with a valid one),
 /// answer `--help` with the usage/environment template and exit 0.
-/// `selector` optionally enables the `--engine` flag; the chosen value is
-/// returned.  `telemetry_flag` enables `--telemetry`; whether it was
-/// passed is the second return.
+/// `selector` optionally enables the `--engine` flag, `telemetry_flag`
+/// enables `--telemetry`, and `ids` enables one positional `<id>` that
+/// must be one of them; what was passed comes back as a [`Cli`].
 fn cli_core(
     name: &str,
     about: &str,
@@ -113,16 +101,21 @@ fn cli_core(
     extra_env: &[&str],
     selector: Option<(&[&str], &str)>,
     telemetry_flag: bool,
-) -> (Option<String>, bool) {
+    ids: Option<&[&str]>,
+) -> Cli {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut help = false;
     let mut telemetry = false;
     let mut engine: Option<String> = None;
+    let mut id: Option<String> = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match (arg.as_str(), selector) {
             ("--help" | "-h", _) => help = true,
             ("--telemetry", _) if telemetry_flag => telemetry = true,
+            (known, _) if id.is_none() && ids.is_some_and(|ids| ids.contains(&known)) => {
+                id = Some(known.to_string());
+            }
             ("--engine", Some((allowed, _))) => match iter.next() {
                 Some(value) => engine = Some(value.clone()),
                 None => {
@@ -137,7 +130,8 @@ fn cli_core(
                 engine = Some(other["--engine=".len()..].to_string());
             }
             (other, _) => {
-                eprintln!("{name}: unrecognized argument {other:?} (try --help)");
+                let hint = ids.map_or("try --help".to_string(), id_hint);
+                eprintln!("{name}: unrecognized argument {other:?} ({hint})");
                 std::process::exit(2);
             }
         }
@@ -155,11 +149,12 @@ fn cli_core(
     });
     if help {
         let telemetry_usage = if telemetry_flag { " [--telemetry]" } else { "" };
-        let usage_flags = match selector {
-            Some((allowed, _)) => {
+        let usage_flags = match (selector, ids) {
+            (Some((allowed, _)), _) => {
                 format!("[--help] [--engine {}]{telemetry_usage}", allowed.join("|"))
             }
-            None => format!("[--help]{telemetry_usage}"),
+            (None, Some(ids)) => format!("[--help] <{}>", ids.join("|")),
+            (None, None) => format!("[--help]{telemetry_usage}"),
         };
         let mut env_lines =
             String::from("  NOMAD_SCALE=quick|standard   experiment scale (default: quick)");
@@ -175,7 +170,29 @@ fn cli_core(
         );
         std::process::exit(0);
     }
-    (engine, telemetry)
+    if let (None, Some(ids)) = (&id, ids) {
+        eprintln!("{name}: missing argument ({})", id_hint(ids));
+        std::process::exit(2);
+    }
+    Cli {
+        engine,
+        telemetry,
+        id,
+    }
+}
+
+fn id_hint(ids: &[&str]) -> String {
+    format!("<id> is one of {}", ids.join(" "))
+}
+
+/// What [`cli_core`] parsed.
+struct Cli {
+    /// The `--engine` value (the default when absent), with a selector.
+    engine: Option<String>,
+    /// Whether `--telemetry` was passed.
+    telemetry: bool,
+    /// The positional `<id>`, with an id list.
+    id: Option<String>,
 }
 
 /// Writes one `nomad-telemetry-v1` JSONL line per scope to the path named

@@ -1,7 +1,7 @@
-//! Smoke tests for the reproduction binaries: every `fig*`/`table*`/
-//! `repro_all` binary must link, answer `--help` with a usage message and
-//! exit 0, and reject unknown arguments with exit 2 — all without starting
-//! an actual experiment run.
+//! Smoke tests for the reproduction binaries: `fig`, `repro_all` and the
+//! bench drivers must link, answer `--help` with a usage message and exit
+//! 0, and reject unknown arguments with exit 2 — all without starting an
+//! actual experiment run.
 
 use std::process::Command;
 
@@ -9,27 +9,7 @@ use std::process::Command;
 /// this crate when compiling its integration tests, so referencing it here
 /// also forces all binaries to build (the "link" half of the smoke test).
 const BINS: &[(&str, &str)] = &[
-    ("fig5", env!("CARGO_BIN_EXE_fig5")),
-    ("fig6", env!("CARGO_BIN_EXE_fig6")),
-    ("fig7", env!("CARGO_BIN_EXE_fig7")),
-    ("fig8", env!("CARGO_BIN_EXE_fig8")),
-    ("fig9", env!("CARGO_BIN_EXE_fig9")),
-    ("fig10", env!("CARGO_BIN_EXE_fig10")),
-    ("fig11", env!("CARGO_BIN_EXE_fig11")),
-    ("fig12", env!("CARGO_BIN_EXE_fig12")),
-    ("fig13", env!("CARGO_BIN_EXE_fig13")),
-    ("fig14", env!("CARGO_BIN_EXE_fig14")),
-    ("fig15", env!("CARGO_BIN_EXE_fig15")),
-    ("fig16", env!("CARGO_BIN_EXE_fig16")),
-    ("fig17", env!("CARGO_BIN_EXE_fig17")),
-    ("fig18", env!("CARGO_BIN_EXE_fig18")),
-    ("fig19", env!("CARGO_BIN_EXE_fig19")),
-    ("fig20", env!("CARGO_BIN_EXE_fig20")),
-    ("fig21", env!("CARGO_BIN_EXE_fig21")),
-    ("fig22", env!("CARGO_BIN_EXE_fig22")),
-    ("fig23", env!("CARGO_BIN_EXE_fig23")),
-    ("table1", env!("CARGO_BIN_EXE_table1")),
-    ("table2", env!("CARGO_BIN_EXE_table2")),
+    ("fig", env!("CARGO_BIN_EXE_fig")),
     ("streaming", env!("CARGO_BIN_EXE_streaming")),
     ("perf", env!("CARGO_BIN_EXE_perf")),
     ("distributed", env!("CARGO_BIN_EXE_distributed")),
@@ -85,5 +65,30 @@ fn every_bin_rejects_unknown_arguments() {
             stderr.contains("unrecognized argument"),
             "{name} printed no diagnostic:\n{stderr}"
         );
+    }
+}
+
+/// `fig` dispatches by id: a known one runs that reproduction (`table1`
+/// costs nothing), an unknown or missing one exits 2 and lists every known
+/// id, so a typo never starts — or silently skips — a run.
+#[test]
+fn fig_dispatches_by_id_and_lists_the_ids_when_it_cannot() {
+    let fig = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_fig")).args(args).output();
+        out.unwrap_or_else(|e| panic!("failed to launch fig: {e}"))
+    };
+    let table1 = fig(&["table1"]);
+    assert!(table1.status.success());
+    assert!(String::from_utf8_lossy(&table1.stdout).contains("Netflix,100,"));
+    for args in [&["fig4"][..], &[], &["fig4", "--help"]] {
+        let out = fig(args);
+        assert_eq!(out.status.code(), Some(2), "fig {args:?} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        for part in ["<id>", "table1", "table2", "fig5", "fig23"] {
+            assert!(
+                stderr.contains(part),
+                "fig {args:?} must print {part}:\n{stderr}"
+            );
+        }
     }
 }

@@ -78,11 +78,15 @@ pub struct NomadConfig {
     /// RNG seed for initialization, initial token placement and routing.
     pub seed: u64,
     /// Whether [`crate::ThreadedNomad`] logs its linearized schedule of
-    /// processing events (the simulated engine records via its explicit
-    /// `run_with_schedule` entry points instead).  Recording is what powers
-    /// the serializability replay tests, but it costs one `Vec` push per
-    /// token hop; throughput measurements turn it off so the steady state
-    /// stays allocation-free.
+    /// processing events: the flat ticket-ordered schedule of `run` /
+    /// `run_serving`, the per-segment one of `run_online` /
+    /// `run_online_serving` (segments come back empty with recording off).
+    /// No other engine reads this field — the serial engine's `run_online`
+    /// always records, the simulated engine has explicit `*_with_schedule`
+    /// entry points, the `nomad-net` rank worker never records.  Recording
+    /// powers the serializability replay tests but costs one `Vec` push per
+    /// token hop ([`crate::hop::HopContext::ticket`]); throughput
+    /// measurements turn it off so the steady state stays allocation-free.
     pub record_schedule: bool,
 }
 

@@ -1,0 +1,253 @@
+//! The NOMAD token hop, written once.
+//!
+//! The paper's whole algorithm is one idea (Algorithm 1, lines 12–22): pop
+//! a `(j, h_j)` token, sweep the locally stored column `Ω̄_j^{(q)}` with
+//! SGD, pass the token on.  Every engine runs that idea through this
+//! module and differs only in how the hop is *scheduled*:
+//!
+//! * [`sweep`] is lines 14–21.  All four engines and both serial replays
+//!   call it, so "same seed ⇒ same bits" holds by construction.
+//! * [`crate::routing::Router`] is line 22, the only routing-policy `match`.
+//! * [`HopKernel::hop`] is the concurrent hop around them — sched-fuzz
+//!   hooks, slab ownership ledger, linearization ticket, cooperative
+//!   snapshot tick, push ordering — over a [`HopContext`] that supplies
+//!   what genuinely differs between the threaded worker and the
+//!   `nomad-net` rank worker.
+//!
+//! The serial and simulated engines keep their own pop/push around
+//! [`sweep`] + `Router`: dense-model item rows, whole-model publishes and
+//! hybrid circulation would each need context methods only they use.
+
+use nomad_linalg::vec_ops::sgd_pair_update;
+use nomad_linalg::SmallRng64;
+use nomad_matrix::Idx;
+use nomad_serve::SnapshotPublisher;
+use nomad_sgd::{FactorMatrix, HyperParams, StepSchedule};
+
+use crate::routing::{Router, RoutingPolicy};
+use crate::slab::FactorSlab;
+use crate::worker::WorkerData;
+
+/// A nomadic token: the item index plus its total processing-pass count.
+///
+/// The factor vector itself lives in the engine's [`FactorSlab`]; holding
+/// the token for item `j` is what entitles a worker to touch slab row `j`.
+/// `pass` counts how many times the token has been processed anywhere — a
+/// diagnostic mirror of the paper's per-pair update counter (the step-size
+/// schedule itself stays keyed on per-*worker* pass counts, which is what
+/// the serial replay reproduces).  At every quiesce point the pass counts
+/// of all tokens must sum to the tickets drawn, which the engines assert
+/// as part of token conservation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token {
+    /// The item the token carries.
+    pub item: Idx,
+    /// How many times the token has been processed, by any worker.
+    pub pass: u64,
+}
+
+/// The user-factor rows a worker owns, addressed by *global* user index.
+pub trait UserRows {
+    /// The factor row of `user`, which this worker must own.
+    fn user_row_mut(&mut self, user: Idx) -> &mut [f64];
+
+    /// The rows as one block for the cooperative snapshot build: the
+    /// global index of the block's first row, and the rows.
+    fn block(&self) -> (usize, &FactorMatrix);
+}
+
+/// Full-height storage indexed globally: the dense model of the serial and
+/// simulated engines and the replays, and the rank worker's `nrows x k`
+/// matrix in which only the owned segments are live.
+impl UserRows for FactorMatrix {
+    #[inline]
+    fn user_row_mut(&mut self, user: Idx) -> &mut [f64] {
+        self.row_mut(user as usize)
+    }
+
+    #[inline]
+    fn block(&self) -> (usize, &FactorMatrix) {
+        (0, self)
+    }
+}
+
+/// Algorithm 1, lines 14–21: one pass of worker `wd` over item `item`.
+///
+/// Records the pass (the pre-increment count is the `t` of the step-size
+/// schedule, Eq. 11), then applies one SGD update per locally stored
+/// rating of the item, in ascending-user order — the order every engine
+/// and the serial replay share, which is what makes a serializable
+/// execution reproduce *bit for bit*.  Returns the number of updates.
+#[inline]
+pub fn sweep<U: UserRows + ?Sized>(
+    wd: &mut WorkerData,
+    users: &mut U,
+    item: Idx,
+    h: &mut [f64],
+    params: &HyperParams,
+) -> u64 {
+    let step = params.nomad_schedule().step(wd.record_pass(item));
+    let mut updates = 0u64;
+    for (user, rating) in wd.local_cols.col(item as usize) {
+        sgd_pair_update(users.user_row_mut(user), h, rating, step, params.lambda);
+        updates += 1;
+    }
+    updates
+}
+
+/// What differs between the workers that run [`HopKernel::hop`]: where
+/// tokens come from and go to, and how a hop is counted.
+///
+/// # Safety
+/// [`HopKernel::hop`] writes slab row `token.item` of every popped token
+/// without further checks.  An implementation must return from `pop` only
+/// tokens that index the kernel's slab and that were handed to this worker
+/// — each token is in one queue or one worker's hands at a time — and
+/// `push` must hand the token on exactly once, through a release/acquire
+/// edge (a queue push) after which this worker never touches the row.
+pub unsafe trait HopContext {
+    /// How this worker stores its user rows.
+    type Users: UserRows;
+
+    /// Takes the next token off this worker's queue, if any.
+    fn pop(&mut self) -> Option<Token>;
+
+    /// Draws the hop's linearization ticket for `item`.  Called after the
+    /// pop and before the sweep: the updates finish before the push, and
+    /// the next owner can only draw its ticket after popping — so ticket
+    /// order respects both the per-worker and the per-token order.
+    fn ticket(&mut self, item: Idx);
+
+    /// The worker's local rating slices and user rows.
+    fn shard(&mut self) -> (&mut WorkerData, &mut Self::Users);
+
+    /// Counts `updates` SGD updates done by this hop; returns the update
+    /// clock the snapshot publisher is driven by.
+    fn account(&mut self, updates: u64) -> u64;
+
+    /// The update clock as seen from an idle hop.
+    fn clock(&self) -> u64;
+
+    /// How many destinations routing chooses among.
+    fn destinations(&self) -> usize;
+
+    /// The (possibly stale) queue length of destination `choice`; only
+    /// consulted by [`RoutingPolicy::LeastLoaded`].
+    fn load(&self, choice: usize) -> usize;
+
+    /// The worker id behind destination `choice`.
+    fn resolve(&self, choice: usize) -> usize {
+        choice
+    }
+
+    /// Hands `token` — and with it slab row `token.item`, whose current
+    /// contents are `h` — to worker `dest`.
+    fn push(&mut self, dest: usize, token: Token, h: &[f64]);
+}
+
+/// The per-worker state every hop needs regardless of engine: identity,
+/// the shared slab and publisher, and the routing RNG and cursor.
+pub struct HopKernel<'a> {
+    /// Worker id as the schedule controller and the slab ledger know it.
+    #[cfg(feature = "sched-fuzz")]
+    id: usize,
+    /// This worker's contributor slot in the publisher.
+    slot: usize,
+    slab: &'a FactorSlab,
+    publisher: Option<&'a SnapshotPublisher>,
+    params: HyperParams,
+    router: Router,
+    rng: SmallRng64,
+}
+
+impl<'a> HopKernel<'a> {
+    /// The kernel of worker `id`.  Routing draws come from a per-worker
+    /// stream of `seed`, and the round-robin cursor is staggered so the
+    /// first destination is the next worker over.
+    pub fn new(
+        id: usize,
+        slot: usize,
+        params: HyperParams,
+        routing: RoutingPolicy,
+        seed: u64,
+        slab: &'a FactorSlab,
+        publisher: Option<&'a SnapshotPublisher>,
+    ) -> Self {
+        Self {
+            #[cfg(feature = "sched-fuzz")]
+            id,
+            slot,
+            slab,
+            publisher,
+            params,
+            router: Router::starting_at(routing, id.wrapping_add(1)),
+            rng: SmallRng64::new(seed ^ (id as u64).wrapping_mul(0x9E37_79B9)),
+        }
+    }
+
+    /// One token hop, with one [`SnapshotPublisher::coop_tick`] when a
+    /// publisher is attached.  Returns the number of SGD updates applied,
+    /// or `None` when the queue was empty (nothing is pushed then; the
+    /// caller decides whether to yield).
+    #[inline]
+    pub fn hop<C: HopContext>(&mut self, ctx: &mut C) -> Option<u64> {
+        // Hop boundary: a schedule controller may pause this worker here
+        // (and observe the pop outcome below) to steer the interleaving.
+        #[cfg(feature = "sched-fuzz")]
+        crate::sched::hooks::before_pop(self.id);
+        let Some(token) = ctx.pop() else {
+            #[cfg(feature = "sched-fuzz")]
+            crate::sched::hooks::after_pop(self.id, false);
+            if let Some(publisher) = self.publisher {
+                // An idle worker can still contribute its user block to an
+                // in-flight build (it owns no token, so no item row) — a
+                // starved worker cannot stall a publish.
+                let clock = ctx.clock();
+                let (offset, rows) = ctx.shard().1.block();
+                publisher.coop_tick(self.slot, clock, offset, rows, None);
+            }
+            return None;
+        };
+        #[cfg(feature = "sched-fuzz")]
+        {
+            crate::sched::hooks::after_pop(self.id, true);
+            self.slab.claim_row(token.item, self.id as u32);
+        }
+        ctx.ticket(token.item);
+        // SAFETY: we hold the token for `token.item` (the `HopContext`
+        // contract), so this worker is the row's unique owner until the
+        // token is pushed onward below; the queue's release/acquire pair
+        // hands the row between owners.
+        let h = unsafe { self.slab.owner_row_mut(token.item) };
+        let (wd, users) = ctx.shard();
+        let updates = sweep(wd, users, token.item, h, &self.params);
+        let clock = ctx.account(updates);
+        if let Some(publisher) = self.publisher {
+            // Must happen before the push below: this worker may only read
+            // slab row `token.item` while it still holds the token.
+            let (offset, rows) = ctx.shard().1.block();
+            publisher.coop_tick(self.slot, clock, offset, rows, Some((token.item, &*h)));
+        }
+
+        let n = ctx.destinations();
+        let rng = &mut self.rng;
+        let choice = self
+            .router
+            .next_destination(n, |i| ctx.load(i), |b| rng.next_below(b));
+        // The controller may override the routing decision (bias) and is
+        // told about the hand-off; the ledger release must precede the
+        // push — local or outbound, either is the hand-off edge after
+        // which the row belongs to the next owner.
+        #[cfg(feature = "sched-fuzz")]
+        let choice = crate::sched::hooks::route(self.id, token.item, choice, n);
+        let dest = ctx.resolve(choice);
+        #[cfg(feature = "sched-fuzz")]
+        {
+            self.slab.release_row(token.item, self.id as u32);
+            crate::sched::hooks::before_push(self.id, dest);
+        }
+        let pass = token.pass + 1;
+        ctx.push(dest, Token { pass, ..token }, h);
+        Some(updates)
+    }
+}

@@ -13,20 +13,25 @@
 //! serializable: there is an equivalent serial ordering of the updates
 //! (Section 1), which this crate's tests verify explicitly.
 //!
-//! Three execution engines are provided:
+//! The hop itself — pop a token, sweep the local column, pass it on
+//! (Algorithm 1, lines 12–22) — is written once, in [`hop`], and scheduled
+//! four ways.  Three of the schedulers live in this crate:
 //!
-//! * [`serial::SerialNomad`] — a single-worker reference implementation of
-//!   Algorithm 1; the ground truth for serializability tests.
+//! * [`serial::SerialNomad`] — Algorithm 1 on one thread, `p` virtual
+//!   workers taking turns; the ground truth for serializability tests.
 //! * [`threaded::ThreadedNomad`] — a real multi-threaded implementation on
 //!   `crossbeam` lock-free queues, one queue per worker thread, exactly as
 //!   the paper's shared-memory implementation uses Intel TBB's concurrent
-//!   queue (Section 3.5).
+//!   queue (Section 3.5).  Its workers run [`hop::HopKernel::hop`].
 //! * [`sim::SimNomad`] — a deterministic discrete-event implementation that
 //!   runs the identical arithmetic on the cluster simulator from
 //!   `nomad-cluster`, reproducing the multi-machine (Sections 5.3–5.5) and
 //!   hybrid (Section 3.4) configurations: per-machine intra-circulation,
 //!   two reserved communication threads, message batching (Section 3.5),
 //!   and both uniform and load-balanced token routing.
+//!
+//! The fourth is the `nomad-net` rank worker — real processes over TCP —
+//! running the same [`hop::HopKernel::hop`] over its own context.
 //!
 //! Every engine additionally has an **online mode** (`run_online`) that
 //! accepts mid-run ingestion of new ratings, users and items from an
@@ -45,6 +50,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
+pub mod hop;
 pub mod online;
 pub mod routing;
 pub mod sched;

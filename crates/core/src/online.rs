@@ -21,18 +21,18 @@
 //! canonical processing order exists, the three engines produce
 //! bit-identical factor matrices (asserted by the integration tests).
 
-use nomad_cluster::RunTrace;
-use nomad_matrix::{ArrivalBatch, ArrivalTrace, DynamicMatrix, Idx, RowPartition};
-use nomad_sgd::schedule::StepSchedule;
+use nomad_cluster::{RunTrace, TracePoint};
+use nomad_matrix::{ArrivalBatch, ArrivalTrace, DynamicMatrix, Idx, RowPartition, TripletMatrix};
 use nomad_sgd::{fresh_item_rows, fresh_user_rows, FactorMatrix, FactorModel, HyperParams};
 
+use crate::hop::sweep;
 use crate::serial::ProcessingEvent;
 use crate::worker::WorkerData;
 
 /// The data a unified engine loop trains on.
 ///
-/// The serial and simulated engines run batch and online workloads through
-/// one shared loop; this enum is what keeps the batch path zero-overhead —
+/// Every in-process engine runs batch and online workloads through one
+/// shared loop; this enum is what keeps the batch path zero-overhead —
 /// it borrows the caller's prebuilt views and never copies the data, while
 /// the streaming variant owns the growable matrix the ingestion block
 /// mutates.  The batch variant is always driven with an empty
@@ -46,6 +46,35 @@ pub(crate) enum OnlineData<'a> {
 }
 
 impl OnlineData<'_> {
+    /// The streaming variant, seeded from a warm start that must hold at
+    /// least one rating.
+    ///
+    /// Arrival batches are keyed by the cumulative update count, and
+    /// updates only happen when tokens meet local ratings — an empty warm
+    /// start can never advance the clock, so the engines would spin
+    /// (threaded/serial) or trip an internal assert (simulated) without
+    /// ever reaching the first batch.  Failing loudly and uniformly here
+    /// is kinder than three different hangs.
+    ///
+    /// # Panics
+    /// Panics if `warm` holds no ratings.
+    pub(crate) fn warm(warm: &TripletMatrix) -> OnlineData<'static> {
+        assert!(
+            warm.nnz() > 0,
+            "online runs need a non-empty warm start: the update-count arrival \
+             clock cannot advance without trainable ratings"
+        );
+        OnlineData::Stream(Box::new(DynamicMatrix::from_triplets(warm)))
+    }
+
+    /// `solver` for a batch run, `solver-online` for a streaming one.
+    pub(crate) fn label(&self, solver: &str) -> String {
+        match self {
+            OnlineData::Batch(_) => solver.to_string(),
+            OnlineData::Stream(_) => format!("{solver}-online"),
+        }
+    }
+
     /// The current CSR + CSC views.
     pub(crate) fn views(&self) -> &nomad_matrix::RatingMatrix {
         match self {
@@ -81,24 +110,21 @@ pub struct OnlineOutput {
     pub schedule: Option<Vec<Vec<ProcessingEvent>>>,
 }
 
-/// Shared precondition of every online entry point: the warm start must
-/// hold at least one rating.
-///
-/// Arrival batches are keyed by the cumulative update count, and updates
-/// only happen when tokens meet local ratings — an empty warm start can
-/// never advance the clock, so the engines would spin (threaded/serial) or
-/// trip an internal assert (simulated) without ever reaching the first
-/// batch.  Failing loudly and uniformly here is kinder than three
-/// different hangs.
-///
-/// # Panics
-/// Panics if `warm` holds no ratings.
-pub(crate) fn assert_warm_start(warm: &nomad_matrix::TripletMatrix) {
-    assert!(
-        warm.nnz() > 0,
-        "online runs need a non-empty warm start: the update-count arrival \
-         clock cannot advance without trainable ratings"
-    );
+/// Samples test RMSE into `trace`, over the test entries whose user and
+/// item have already arrived.
+pub(crate) fn sample_rmse(
+    trace: &mut RunTrace,
+    seconds: f64,
+    updates: u64,
+    model: &FactorModel,
+    test: &TripletMatrix,
+) {
+    trace.push(TracePoint {
+        seconds,
+        updates,
+        test_rmse: nomad_sgd::rmse_known(model, test),
+        objective: None,
+    });
 }
 
 /// Deterministic home queue for a token minted for `item` at an ingestion
@@ -182,7 +208,7 @@ pub fn apply_batch(
 /// Panics if `segments` is empty or has more than `arrivals.len() + 1`
 /// entries.
 pub fn replay_online(
-    warm: &nomad_matrix::TripletMatrix,
+    warm: &TripletMatrix,
     arrivals: &ArrivalTrace,
     params: HyperParams,
     seed: u64,
@@ -200,15 +226,13 @@ pub fn replay_online(
     let mut partition = RowPartition::contiguous(warm.nrows(), num_workers);
     let mut workers = WorkerData::build_all(dynamic.views(), &partition);
     let mut model = FactorModel::init(warm.nrows(), warm.ncols(), params.k, seed);
-    let schedule = params.nomad_schedule();
     for (s, segment) in segments.iter().enumerate() {
         for event in segment {
-            let q = event.worker;
-            let t = workers[q].record_pass(event.item);
-            let step = schedule.step(t);
-            for (user, rating) in workers[q].local_cols.col(event.item as usize) {
-                nomad_sgd::sgd_update(&mut model, user, event.item, rating, step, params.lambda);
-            }
+            let (worker, h) = (
+                &mut workers[event.worker],
+                model.h.row_mut(event.item as usize),
+            );
+            sweep(worker, &mut model.w, event.item, h, &params);
         }
         if s + 1 < segments.len() {
             let delta = apply_batch(
@@ -229,7 +253,7 @@ pub fn replay_online(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nomad_matrix::{Entry, TripletMatrix};
+    use nomad_matrix::Entry;
 
     fn warm() -> TripletMatrix {
         let mut t = TripletMatrix::new(4, 3);

@@ -23,7 +23,10 @@ pub enum RoutingPolicy {
     RoundRobin,
 }
 
-/// Stateful router: owns the per-policy bookkeeping (round-robin cursor).
+/// Stateful router: owns the per-policy bookkeeping (round-robin cursor)
+/// and the only routing-policy `match` in the workspace.  Callers bring
+/// their own RNG, load view and cursor start, so every engine keeps its
+/// own draw order.
 #[derive(Debug, Clone)]
 pub struct Router {
     policy: RoutingPolicy,
@@ -31,9 +34,17 @@ pub struct Router {
 }
 
 impl Router {
-    /// Creates a router with the given policy.
+    /// Creates a router with the given policy; round-robin starts at
+    /// worker 0.
     pub fn new(policy: RoutingPolicy) -> Self {
-        Self { policy, cursor: 0 }
+        Self::starting_at(policy, 0)
+    }
+
+    /// Creates a router whose round-robin cycle starts at `cursor` (taken
+    /// modulo the destination count at each call) — concurrent workers
+    /// stagger their cursors so they do not all target the same queue.
+    pub fn starting_at(policy: RoutingPolicy, cursor: usize) -> Self {
+        Self { policy, cursor }
     }
 
     /// The policy in use.
@@ -43,36 +54,30 @@ impl Router {
 
     /// Chooses the next destination among `num_workers` workers.
     ///
-    /// * `queue_lengths` — the sender's (possibly slightly stale) view of
-    ///   every worker's queue length; only consulted by
-    ///   [`RoutingPolicy::LeastLoaded`].
+    /// * `load` — the sender's (possibly slightly stale) view of a
+    ///   worker's queue length; only consulted by
+    ///   [`RoutingPolicy::LeastLoaded`], and only for the two drawn
+    ///   candidates.
     /// * `draw` — a closure returning a uniform draw in `[0, n)`; the
     ///   caller supplies its own RNG so the choice stays deterministic
     ///   under a fixed seed.
     ///
     /// # Panics
-    /// Panics if `num_workers == 0` or if `queue_lengths.len() != num_workers`.
-    pub fn next_destination<F>(
+    /// Panics if `num_workers == 0`.
+    #[inline]
+    pub fn next_destination(
         &mut self,
         num_workers: usize,
-        queue_lengths: &[usize],
-        mut draw: F,
-    ) -> usize
-    where
-        F: FnMut(usize) -> usize,
-    {
+        load: impl Fn(usize) -> usize,
+        mut draw: impl FnMut(usize) -> usize,
+    ) -> usize {
         assert!(num_workers > 0, "cannot route among zero workers");
-        assert_eq!(
-            queue_lengths.len(),
-            num_workers,
-            "queue length vector must cover every worker"
-        );
         match self.policy {
             RoutingPolicy::UniformRandom => draw(num_workers),
             RoutingPolicy::LeastLoaded => {
                 let a = draw(num_workers);
                 let b = draw(num_workers);
-                if queue_lengths[b] < queue_lengths[a] {
+                if load(b) < load(a) {
                     b
                 } else {
                     a
@@ -96,33 +101,36 @@ mod tests {
         move |n| iter.next().expect("enough scripted draws") % n
     }
 
+    /// Only `LeastLoaded` may look at queue lengths.
+    fn no_load(_: usize) -> usize {
+        unreachable!("this policy never reads the load")
+    }
+
     #[test]
-    fn uniform_uses_a_single_draw() {
+    fn uniform_uses_a_single_draw_and_never_reads_the_load() {
         let mut r = Router::new(RoutingPolicy::UniformRandom);
-        let lens = vec![0; 4];
-        let dest = r.next_destination(4, &lens, fixed_draws(vec![2]));
+        let dest = r.next_destination(4, no_load, fixed_draws(vec![2]));
         assert_eq!(dest, 2);
     }
 
     #[test]
     fn least_loaded_prefers_the_shorter_queue() {
         let mut r = Router::new(RoutingPolicy::LeastLoaded);
-        let lens = vec![10, 0, 5, 7];
+        let lens = [10, 0, 5, 7];
         // Draw workers 0 and 1: queue 0 has 10 pending, queue 1 has 0.
-        let dest = r.next_destination(4, &lens, fixed_draws(vec![0, 1]));
+        let dest = r.next_destination(4, |i| lens[i], fixed_draws(vec![0, 1]));
         assert_eq!(dest, 1);
         // Ties go to the first draw.
-        let lens_tied = vec![3, 3, 3, 3];
-        let dest = r.next_destination(4, &lens_tied, fixed_draws(vec![2, 0]));
+        let lens_tied = [3, 3, 3, 3];
+        let dest = r.next_destination(4, |i| lens_tied[i], fixed_draws(vec![2, 0]));
         assert_eq!(dest, 2);
     }
 
     #[test]
     fn round_robin_cycles_through_workers() {
         let mut r = Router::new(RoutingPolicy::RoundRobin);
-        let lens = vec![0; 3];
         let seq: Vec<usize> = (0..7)
-            .map(|_| r.next_destination(3, &lens, |_| unreachable!("round robin never draws")))
+            .map(|_| r.next_destination(3, no_load, |_| unreachable!("round robin never draws")))
             .collect();
         assert_eq!(seq, vec![0, 1, 2, 0, 1, 2, 0]);
     }
@@ -139,14 +147,16 @@ mod tests {
     #[should_panic(expected = "zero workers")]
     fn zero_workers_panics() {
         let mut r = Router::new(RoutingPolicy::UniformRandom);
-        let _ = r.next_destination(0, &[], |_| 0);
+        let _ = r.next_destination(0, no_load, |_| 0);
     }
 
     #[test]
-    #[should_panic(expected = "cover every worker")]
-    fn mismatched_queue_lengths_panics() {
-        let mut r = Router::new(RoutingPolicy::UniformRandom);
-        let _ = r.next_destination(3, &[0, 0], |_| 0);
+    fn a_staggered_cursor_shifts_the_cycle_and_survives_a_resize() {
+        let mut r = Router::starting_at(RoutingPolicy::RoundRobin, 2);
+        let mut next = |n| r.next_destination(n, no_load, |_| unreachable!());
+        assert_eq!([next(3), next(3), next(3)], [2, 0, 1]);
+        // The cursor (now 5) is reduced modulo the *current* count.
+        assert_eq!([next(2), next(4)], [1, 2]);
     }
 
     #[test]
@@ -162,7 +172,7 @@ mod tests {
             let mut queues = vec![0usize; n];
             let mut sent_to_slow = 0usize;
             for round in 0..tokens {
-                let dest = router.next_destination(n, &queues, |bound| rng.next_below(bound));
+                let dest = router.next_destination(n, |i| queues[i], |bound| rng.next_below(bound));
                 queues[dest] += 1;
                 if dest == 0 {
                     sent_to_slow += 1;

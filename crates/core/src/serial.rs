@@ -13,16 +13,16 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use nomad_cluster::{ComputeModel, RunTrace, SimTime, TracePoint};
-use nomad_matrix::{ArrivalTrace, DynamicMatrix, Idx, RatingMatrix, RowPartition, TripletMatrix};
+use nomad_cluster::{ComputeModel, RunTrace, SimTime};
+use nomad_matrix::{ArrivalTrace, Idx, RatingMatrix, RowPartition, TripletMatrix};
 use nomad_serve::SnapshotPublisher;
-use nomad_sgd::schedule::StepSchedule;
 use nomad_sgd::{FactorModel, HyperParams};
 
 use nomad_telemetry::Registry;
 
 use crate::config::{NomadConfig, StopCondition};
-use crate::online::{OnlineData, OnlineOutput};
+use crate::hop::sweep;
+use crate::online::{sample_rmse, OnlineData, OnlineOutput};
 use crate::routing::Router;
 use crate::telemetry::EngineTelemetry;
 use crate::worker::WorkerData;
@@ -84,16 +84,8 @@ impl SerialNomad {
         num_workers: usize,
         compute: &ComputeModel,
     ) -> (FactorModel, RunTrace) {
-        let out = self.run_loop(
-            OnlineData::Batch(data),
-            test,
-            num_workers,
-            compute,
-            &ArrivalTrace::empty(),
-            "NOMAD-serial",
-            false,
-            None,
-        );
+        let (data, none) = (OnlineData::Batch(data), ArrivalTrace::empty());
+        let out = self.run_loop(data, test, num_workers, compute, &none, None);
         (out.model, out.trace)
     }
 
@@ -116,16 +108,8 @@ impl SerialNomad {
         compute: &ComputeModel,
         publisher: &SnapshotPublisher,
     ) -> (FactorModel, RunTrace) {
-        let out = self.run_loop(
-            OnlineData::Batch(data),
-            test,
-            num_workers,
-            compute,
-            &ArrivalTrace::empty(),
-            "NOMAD-serial",
-            false,
-            Some(publisher),
-        );
+        let (data, none) = (OnlineData::Batch(data), ArrivalTrace::empty());
+        let out = self.run_loop(data, test, num_workers, compute, &none, Some(publisher));
         (out.model, out.trace)
     }
 
@@ -151,17 +135,8 @@ impl SerialNomad {
         compute: &ComputeModel,
         arrivals: &ArrivalTrace,
     ) -> OnlineOutput {
-        crate::online::assert_warm_start(warm);
-        self.run_loop(
-            OnlineData::Stream(Box::new(DynamicMatrix::from_triplets(warm))),
-            test,
-            num_workers,
-            compute,
-            arrivals,
-            "NOMAD-serial-online",
-            true,
-            None,
-        )
+        let data = OnlineData::warm(warm);
+        self.run_loop(data, test, num_workers, compute, arrivals, None)
     }
 
     /// Like [`SerialNomad::run_online`], but with live snapshot publication
@@ -177,23 +152,14 @@ impl SerialNomad {
         arrivals: &ArrivalTrace,
         publisher: &SnapshotPublisher,
     ) -> OnlineOutput {
-        crate::online::assert_warm_start(warm);
-        self.run_loop(
-            OnlineData::Stream(Box::new(DynamicMatrix::from_triplets(warm))),
-            test,
-            num_workers,
-            compute,
-            arrivals,
-            "NOMAD-serial-online",
-            true,
-            Some(publisher),
-        )
+        let data = OnlineData::warm(warm);
+        self.run_loop(data, test, num_workers, compute, arrivals, Some(publisher))
     }
 
     /// The one serial loop behind [`SerialNomad::run`] (batch data, empty
-    /// trace, no schedule recording), [`SerialNomad::run_online`], and
-    /// their `_serving` variants (`publisher` set).
-    #[allow(clippy::too_many_arguments)]
+    /// trace, no schedule recording), [`SerialNomad::run_online`] (streamed
+    /// data, schedule recorded), and their `_serving` variants (`publisher`
+    /// set).
     fn run_loop(
         &self,
         mut data: OnlineData,
@@ -201,18 +167,16 @@ impl SerialNomad {
         num_workers: usize,
         compute: &ComputeModel,
         arrivals: &ArrivalTrace,
-        solver_label: &str,
-        record: bool,
         serving: Option<&SnapshotPublisher>,
     ) -> OnlineOutput {
         assert!(num_workers > 0, "need at least one worker");
+        let record = matches!(data, OnlineData::Stream(_));
         let cfg = &self.config;
         let params = cfg.params;
         let views = data.views();
         let mut model = FactorModel::init(views.nrows(), views.ncols(), params.k, cfg.seed);
         let mut partition = RowPartition::contiguous(views.nrows(), num_workers);
         let mut workers = WorkerData::build_all(views, &partition);
-        let schedule = params.nomad_schedule();
         if let Some(publisher) = serving {
             publisher.begin_run(views.nrows(), views.ncols(), params.k, num_workers);
         }
@@ -230,7 +194,7 @@ impl SerialNomad {
             queues[q].push_back(j);
         }
 
-        let mut trace = RunTrace::new(solver_label, "", 1, 1, num_workers);
+        let mut trace = RunTrace::new(data.label("NOMAD-serial"), "", 1, 1, num_workers);
         let per_update = compute.sgd_update_time(params.k);
         let per_item = compute.per_item_overhead;
         let mut elapsed = 0.0f64;
@@ -272,12 +236,7 @@ impl SerialNomad {
                     }
                     next_batch += 1;
                     segments.push(Vec::new());
-                    trace.push(TracePoint {
-                        seconds: elapsed,
-                        updates: total_updates,
-                        test_rmse: nomad_sgd::rmse_known(&model, test),
-                        objective: None,
-                    });
+                    sample_rmse(&mut trace, elapsed, total_updates, &model, test);
                 }
                 if cfg.stop.reached(elapsed, total_updates) {
                     break 'outer;
@@ -286,13 +245,8 @@ impl SerialNomad {
                     continue;
                 };
                 any_processed = true;
-                let t = workers[q].record_pass(item);
-                let step = schedule.step(t);
-                let mut local_updates = 0u64;
-                for (user, rating) in workers[q].local_cols.col(item as usize) {
-                    nomad_sgd::sgd_update(&mut model, user, item, rating, step, params.lambda);
-                    local_updates += 1;
-                }
+                let h = model.h.row_mut(item as usize);
+                let local_updates = sweep(&mut workers[q], &mut model.w, item, h, &params);
                 if record {
                     segments
                         .last_mut()
@@ -315,19 +269,13 @@ impl SerialNomad {
                     .metrics
                     .record_busy(q, per_item + local_updates as f64 * per_update);
 
-                let queue_lens: Vec<usize> = queues.iter().map(|qu| qu.len()).collect();
-                let dest =
-                    router.next_destination(num_workers, &queue_lens, |n| rng.gen_range(0..n));
+                let load = |w: usize| queues[w].len();
+                let dest = router.next_destination(num_workers, load, |n| rng.gen_range(0..n));
                 queues[dest].push_back(item);
                 trace.metrics.record_message(0, true);
 
                 if elapsed >= next_snapshot {
-                    trace.push(TracePoint {
-                        seconds: elapsed,
-                        updates: total_updates,
-                        test_rmse: nomad_sgd::rmse_known(&model, test),
-                        objective: None,
-                    });
+                    sample_rmse(&mut trace, elapsed, total_updates, &model, test);
                     next_snapshot = elapsed + cfg.snapshot_every;
                 }
             }
@@ -345,12 +293,7 @@ impl SerialNomad {
                 telem.note_publisher(publisher);
             }
         }
-        trace.push(TracePoint {
-            seconds: elapsed,
-            updates: total_updates,
-            test_rmse: nomad_sgd::rmse_known(&model, test),
-            objective: None,
-        });
+        sample_rmse(&mut trace, elapsed, total_updates, &model, test);
         trace.metrics.finished_at = SimTime::from_secs(elapsed);
         OnlineOutput {
             model,
@@ -378,14 +321,15 @@ pub fn replay_schedule(
 ) -> FactorModel {
     let mut model = FactorModel::init(data.nrows(), data.ncols(), params.k, seed);
     let mut workers = WorkerData::build_all(data, partition);
-    let step_schedule = params.nomad_schedule();
     for event in schedule {
-        let q = event.worker;
-        let t = workers[q].record_pass(event.item);
-        let step = step_schedule.step(t);
-        for (user, rating) in workers[q].local_cols.col(event.item as usize) {
-            nomad_sgd::sgd_update(&mut model, user, event.item, rating, step, params.lambda);
-        }
+        let h = model.h.row_mut(event.item as usize);
+        sweep(
+            &mut workers[event.worker],
+            &mut model.w,
+            event.item,
+            h,
+            &params,
+        );
     }
     model
 }

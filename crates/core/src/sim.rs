@@ -24,15 +24,13 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use nomad_cluster::{
-    ClusterTopology, ComputeModel, EventQueue, NetworkModel, RunTrace, SimTime, TracePoint,
-};
-use nomad_matrix::{ArrivalTrace, DynamicMatrix, Idx, RatingMatrix, RowPartition, TripletMatrix};
-use nomad_sgd::schedule::StepSchedule;
+use nomad_cluster::{ClusterTopology, ComputeModel, EventQueue, NetworkModel, RunTrace, SimTime};
+use nomad_matrix::{ArrivalTrace, Idx, RatingMatrix, RowPartition, TripletMatrix};
 use nomad_sgd::FactorModel;
 
 use crate::config::NomadConfig;
-use crate::online::{apply_batch, token_home, OnlineData, OnlineOutput};
+use crate::hop::sweep;
+use crate::online::{apply_batch, sample_rmse, token_home, OnlineData, OnlineOutput};
 use crate::routing::Router;
 use crate::serial::ProcessingEvent;
 use crate::worker::WorkerData;
@@ -133,7 +131,6 @@ impl SimNomad {
             OnlineData::Batch(data),
             test,
             &ArrivalTrace::empty(),
-            "NOMAD",
             record,
         );
         SimOutput {
@@ -165,14 +162,7 @@ impl SimNomad {
         test: &TripletMatrix,
         arrivals: &ArrivalTrace,
     ) -> OnlineOutput {
-        crate::online::assert_warm_start(warm);
-        self.run_loop(
-            OnlineData::Stream(Box::new(DynamicMatrix::from_triplets(warm))),
-            test,
-            arrivals,
-            "NOMAD-online",
-            false,
-        )
+        self.run_loop(OnlineData::warm(warm), test, arrivals, false)
     }
 
     /// Like [`SimNomad::run_online`], but records the per-segment
@@ -184,14 +174,7 @@ impl SimNomad {
         test: &TripletMatrix,
         arrivals: &ArrivalTrace,
     ) -> OnlineOutput {
-        crate::online::assert_warm_start(warm);
-        self.run_loop(
-            OnlineData::Stream(Box::new(DynamicMatrix::from_triplets(warm))),
-            test,
-            arrivals,
-            "NOMAD-online",
-            true,
-        )
+        self.run_loop(OnlineData::warm(warm), test, arrivals, true)
     }
 
     /// The one discrete-event loop behind both the batch entry points
@@ -201,7 +184,6 @@ impl SimNomad {
         mut data: OnlineData,
         test: &TripletMatrix,
         arrivals: &ArrivalTrace,
-        solver_label: &str,
         record: bool,
     ) -> OnlineOutput {
         let cfg = &self.config;
@@ -215,12 +197,11 @@ impl SimNomad {
         let mut model = FactorModel::init(start_rows, start_cols, params.k, cfg.seed);
         let mut partition = RowPartition::contiguous(start_rows, p);
         let mut workers = WorkerData::build_all(views, &partition);
-        let step_schedule = params.nomad_schedule();
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x51_4D_4E_44);
         let mut router = Router::new(cfg.routing);
 
         let mut trace = RunTrace::new(
-            solver_label,
+            data.label("NOMAD"),
             self.dataset_name.clone(),
             self.topology.machines,
             self.topology.cores_per_machine(),
@@ -297,12 +278,7 @@ impl SimNomad {
                 }
                 next_batch += 1;
                 segments.push(Vec::new());
-                trace.push(TracePoint {
-                    seconds: now.as_secs(),
-                    updates: total_updates,
-                    test_rmse: nomad_sgd::rmse_known(&model, test),
-                    objective: None,
-                });
+                sample_rmse(&mut trace, now.as_secs(), total_updates, &model, test);
             }
             if let Some(budget) = cfg.stop.seconds() {
                 if event.time.as_secs() >= budget {
@@ -316,13 +292,8 @@ impl SimNomad {
             let TokenArrival { item, worker: q } = event.event;
             let start = event.time.max(worker_free[q]);
 
-            let t = workers[q].record_pass(item);
-            let step = step_schedule.step(t);
-            let mut local_updates = 0u64;
-            for (user, rating) in workers[q].local_cols.col(item as usize) {
-                nomad_sgd::sgd_update(&mut model, user, item, rating, step, params.lambda);
-                local_updates += 1;
-            }
+            let h = model.h.row_mut(item as usize);
+            let local_updates = sweep(&mut workers[q], &mut model.w, item, h, &params);
             if record {
                 segments
                     .last_mut()
@@ -351,18 +322,19 @@ impl SimNomad {
                 && self.topology.is_distributed()
                 && visited[item as usize] & full_mask != full_mask
             {
-                let unvisited: Vec<usize> = self
-                    .topology
-                    .workers_of_machine(machine)
-                    .filter(|&w| {
+                // One draw over the unvisited threads, in worker order.
+                let unvisited = || {
+                    self.topology.workers_of_machine(machine).filter(|&w| {
                         let bit = 1u64 << (self.topology.worker(w).thread as u64);
                         visited[item as usize] & bit == 0
                     })
-                    .collect();
-                unvisited[rng.gen_range(0..unvisited.len())]
+                };
+                let pick = rng.gen_range(0..unvisited().count());
+                unvisited().nth(pick).expect("pick < count")
             } else if self.topology.is_distributed() {
                 let dest = loop {
-                    let candidate = router.next_destination(p, &pending, |n| rng.gen_range(0..n));
+                    let candidate =
+                        router.next_destination(p, |w| pending[w], |n| rng.gen_range(0..n));
                     if self.topology.machine_of(candidate) != machine || self.topology.machines == 1
                     {
                         break candidate;
@@ -371,7 +343,7 @@ impl SimNomad {
                 visited[item as usize] = 0;
                 dest
             } else {
-                router.next_destination(p, &pending, |n| rng.gen_range(0..n))
+                router.next_destination(p, |w| pending[w], |n| rng.gen_range(0..n))
             };
 
             let same_machine = self.topology.same_machine(q, dest);
@@ -390,22 +362,12 @@ impl SimNomad {
             events.push(arrival, TokenArrival { item, worker: dest });
 
             if now.as_secs() >= next_snapshot {
-                trace.push(TracePoint {
-                    seconds: now.as_secs(),
-                    updates: total_updates,
-                    test_rmse: nomad_sgd::rmse_known(&model, test),
-                    objective: None,
-                });
+                sample_rmse(&mut trace, now.as_secs(), total_updates, &model, test);
                 next_snapshot = now.as_secs() + cfg.snapshot_every;
             }
         }
 
-        trace.push(TracePoint {
-            seconds: now.as_secs(),
-            updates: total_updates,
-            test_rmse: nomad_sgd::rmse_known(&model, test),
-            objective: None,
-        });
+        sample_rmse(&mut trace, now.as_secs(), total_updates, &model, test);
         trace.metrics.finished_at = now;
 
         OnlineOutput {

@@ -31,35 +31,18 @@ use std::time::Instant;
 use crossbeam::queue::SegQueue;
 use nomad_telemetry::Registry;
 
-use nomad_cluster::{RunTrace, SimTime, TracePoint};
-use nomad_matrix::{ArrivalTrace, DynamicMatrix, Idx, RatingMatrix, RowPartition, TripletMatrix};
+use nomad_cluster::{RunTrace, SimTime};
+use nomad_matrix::{ArrivalTrace, Idx, RatingMatrix, RowPartition, TripletMatrix};
 use nomad_serve::SnapshotPublisher;
-use nomad_sgd::schedule::StepSchedule;
 use nomad_sgd::{FactorMatrix, FactorModel};
 
 use crate::config::NomadConfig;
-use crate::online::{apply_batch, token_home, OnlineOutput};
-use crate::routing::RoutingPolicy;
+use crate::hop::{HopContext, HopKernel, Token, UserRows};
+use crate::online::{apply_batch, sample_rmse, token_home, OnlineData, OnlineOutput};
 use crate::serial::ProcessingEvent;
 use crate::slab::FactorSlab;
 use crate::telemetry::EngineTelemetry;
 use crate::worker::WorkerData;
-
-/// A nomadic token: the item index plus its total processing-pass count.
-///
-/// The factor vector itself lives in the engine's [`FactorSlab`]; holding
-/// the token for item `j` is what entitles a worker to touch slab row `j`.
-/// `pass` counts how many times the token has been processed anywhere — a
-/// diagnostic mirror of the paper's per-pair update counter (the step-size
-/// schedule itself stays keyed on per-*worker* pass counts, which is what
-/// the serial replay reproduces).  At every quiesce point the pass counts
-/// of all tokens must sum to the global ticket counter, which the engine
-/// asserts as part of token conservation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Token {
-    item: Idx,
-    pass: u64,
-}
 
 /// Output of a threaded run.
 #[derive(Debug, Clone)]
@@ -126,7 +109,7 @@ impl ThreadedNomad {
         num_threads: usize,
         snapshots: usize,
     ) -> ThreadedOutput {
-        self.run_inner(data, test, num_threads, snapshots, None)
+        self.run_batch(data, test, num_threads, snapshots, None)
     }
 
     /// Like [`ThreadedNomad::run`], but additionally publishes epoch
@@ -152,10 +135,12 @@ impl ThreadedNomad {
         snapshots: usize,
         publisher: &SnapshotPublisher,
     ) -> ThreadedOutput {
-        self.run_inner(data, test, num_threads, snapshots, Some(publisher))
+        self.run_batch(data, test, num_threads, snapshots, Some(publisher))
     }
 
-    fn run_inner(
+    /// Batch runs are the round loop on frozen data with an empty arrival
+    /// trace — one round loop, two kinds of entry point.
+    fn run_batch(
         &self,
         data: &RatingMatrix,
         test: &TripletMatrix,
@@ -163,136 +148,14 @@ impl ThreadedNomad {
         snapshots: usize,
         serving: Option<&SnapshotPublisher>,
     ) -> ThreadedOutput {
-        assert!(num_threads > 0, "need at least one thread");
-        assert!(snapshots > 0, "need at least one snapshot round");
-        let cfg = &self.config;
-        let params = cfg.params;
-        let total_budget = cfg
-            .stop
-            .updates()
-            .expect("ThreadedNomad requires an update budget in the stop condition");
-
-        // Initialize exactly like every other engine so that the replay in
-        // the serializability test starts from the same factors.
-        let init = FactorModel::init(data.nrows(), data.ncols(), params.k, cfg.seed);
-        let partition = RowPartition::contiguous(data.nrows(), num_threads);
-        let worker_data = WorkerData::build_all(data, &partition);
-
-        // Split the user factors into per-worker owned chunks; the item
-        // factors move into the shared slab.
-        let mut owned: Vec<OwnedUsers> = (0..num_threads)
-            .map(|q| OwnedUsers::from_partition(&init.w, &partition, q))
-            .collect();
-        let slab = FactorSlab::from_factors(&init.h);
-
-        // Queues and the initial token placement (Algorithm 1, lines 7-10).
-        let queues: Vec<SegQueue<Token>> = (0..num_threads).map(|_| SegQueue::new()).collect();
-        let mut placement_rng = nomad_linalg::SmallRng64::new(cfg.seed ^ 0x7007_BEEF);
-        for j in 0..data.ncols() {
-            let q = placement_rng.next_below(num_threads);
-            queues[q].push(Token {
-                item: j as Idx,
-                pass: 0,
-            });
-        }
-
-        if let Some(publisher) = serving {
-            publisher.begin_run(data.nrows(), data.ncols(), params.k, num_threads);
-        }
-
-        let telem = self.telemetry.as_deref().map(EngineTelemetry::register);
-        let mut trace = RunTrace::new("NOMAD-threaded", "", 1, num_threads, num_threads);
-        let mut all_events: Vec<(u64, ProcessingEvent)> = Vec::new();
-        let ticket = AtomicU64::new(0);
-        let updates_done = AtomicU64::new(0);
-        let mut elapsed_wall = 0.0f64;
-
-        // Shared, lock-free view of per-worker pass counts is not needed:
-        // each worker owns its own WorkerData.  Move them into per-round
-        // storage so they survive across rounds.
-        let mut per_worker: Vec<WorkerData> = worker_data;
-
-        for round in 1..=snapshots {
-            let round_target = total_budget * round as u64 / snapshots as u64;
-            let stop_flag = AtomicBool::new(false);
-            let round_start = Instant::now();
-
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(num_threads);
-                for (q, (wd, own)) in per_worker.iter_mut().zip(owned.iter_mut()).enumerate() {
-                    let queues = &queues;
-                    let slab = &slab;
-                    let ticket = &ticket;
-                    let updates_done = &updates_done;
-                    let stop_flag = &stop_flag;
-                    let schedule = params.nomad_schedule();
-                    let routing = cfg.routing;
-                    let seed = cfg.seed;
-                    let record = cfg.record_schedule;
-                    let telem = telem.as_ref();
-                    handles.push(scope.spawn(move || {
-                        worker_loop(
-                            q,
-                            num_threads,
-                            wd,
-                            own,
-                            queues,
-                            slab,
-                            ticket,
-                            updates_done,
-                            stop_flag,
-                            round_target,
-                            schedule,
-                            routing,
-                            params.lambda,
-                            seed,
-                            record,
-                            serving,
-                            telem,
-                        )
-                    }));
-                }
-                for handle in handles {
-                    let events = handle.join().expect("worker thread panicked");
-                    all_events.extend(events);
-                }
-            });
-            elapsed_wall += round_start.elapsed().as_secs_f64();
-
-            // Quiesced: evaluate RMSE on the assembled model.
-            if let Some(publisher) = serving {
-                // A cooperative build interrupted by the round end cannot
-                // complete (its contributors have joined); drop it and
-                // publish the exact quiesced model instead.
-                publisher.abort_build();
-            }
-            let model = assemble_model(data.nrows(), &owned, &queues, &slab, &ticket);
-            if let Some(publisher) = serving {
-                publisher.publish_model(&model, updates_done.load(Ordering::SeqCst));
-                if let Some(telem) = &telem {
-                    telem.note_publisher(publisher);
-                }
-            }
-            trace.push(TracePoint {
-                seconds: elapsed_wall,
-                updates: updates_done.load(Ordering::SeqCst),
-                test_rmse: nomad_sgd::rmse(&model, test),
-                objective: None,
-            });
-        }
-
-        trace.metrics.updates = updates_done.load(Ordering::SeqCst);
-        trace.metrics.tokens_processed = ticket.load(Ordering::SeqCst);
-        trace.metrics.finished_at = SimTime::from_secs(elapsed_wall.max(0.0));
-
-        all_events.sort_by_key(|(stamp, _)| *stamp);
-        let schedule: Vec<ProcessingEvent> = all_events.into_iter().map(|(_, e)| e).collect();
-        let model = assemble_model(data.nrows(), &owned, &queues, &slab, &ticket);
-
+        let (data, none) = (OnlineData::Batch(data), ArrivalTrace::empty());
+        let out = self.run_rounds(data, test, num_threads, &none, snapshots, serving);
         ThreadedOutput {
-            model,
-            trace,
-            schedule,
+            model: out.model,
+            trace: out.trace,
+            // With no arrivals there is exactly one segment: the flat
+            // linearization the batch replay tests consume.
+            schedule: out.schedule.unwrap_or_default().concat(),
         }
     }
 
@@ -303,7 +166,7 @@ impl ThreadedNomad {
     /// to a consistent state, and the batch is applied — new items extend
     /// the factor slab and are minted as fresh tokens, new users extend the
     /// last worker's owned block, and the per-worker rating slices are
-    /// rebuilt from the grown [`DynamicMatrix`].  A final round then runs
+    /// rebuilt from the grown [`nomad_matrix::DynamicMatrix`].  A final round then runs
     /// to the update budget.
     ///
     /// The returned per-segment schedules replay via
@@ -322,7 +185,7 @@ impl ThreadedNomad {
         num_threads: usize,
         arrivals: &ArrivalTrace,
     ) -> OnlineOutput {
-        self.run_online_inner(warm, test, num_threads, arrivals, None)
+        self.run_rounds(OnlineData::warm(warm), test, num_threads, arrivals, 1, None)
     }
 
     /// Like [`ThreadedNomad::run_online`], but with live snapshot
@@ -339,19 +202,27 @@ impl ThreadedNomad {
         arrivals: &ArrivalTrace,
         publisher: &SnapshotPublisher,
     ) -> OnlineOutput {
-        self.run_online_inner(warm, test, num_threads, arrivals, Some(publisher))
+        let data = OnlineData::warm(warm);
+        self.run_rounds(data, test, num_threads, arrivals, 1, Some(publisher))
     }
 
-    fn run_online_inner(
+    /// The one spawn-round-quiesce loop behind every entry point: one
+    /// round per arrival clock (capped at the budget so the run never
+    /// exceeds it), then `snapshots` evenly spaced rounds to the budget.
+    /// Every round ends quiesced — workers joined, every token in exactly
+    /// one queue — which is where a reached batch is ingested, the exact
+    /// model is assembled and published, and test RMSE is sampled.
+    fn run_rounds(
         &self,
-        warm: &TripletMatrix,
+        mut data: OnlineData,
         test: &TripletMatrix,
         num_threads: usize,
         arrivals: &ArrivalTrace,
+        snapshots: usize,
         serving: Option<&SnapshotPublisher>,
     ) -> OnlineOutput {
         assert!(num_threads > 0, "need at least one thread");
-        crate::online::assert_warm_start(warm);
+        assert!(snapshots > 0, "need at least one snapshot round");
         let cfg = &self.config;
         let params = cfg.params;
         let total_budget = cfg
@@ -359,173 +230,146 @@ impl ThreadedNomad {
             .updates()
             .expect("ThreadedNomad requires an update budget in the stop condition");
 
-        let mut dynamic = DynamicMatrix::from_triplets(warm);
-        let init = FactorModel::init(warm.nrows(), warm.ncols(), params.k, cfg.seed);
-        let mut partition = RowPartition::contiguous(warm.nrows(), num_threads);
-        let mut per_worker = WorkerData::build_all(dynamic.views(), &partition);
-        let mut owned: Vec<OwnedUsers> = (0..num_threads)
-            .map(|q| OwnedUsers::from_partition(&init.w, &partition, q))
-            .collect();
-        let mut slab = FactorSlab::from_factors(&init.h);
+        // Initialize exactly like every other engine so that the replay in
+        // the serializability test starts from the same factors.
+        let views = data.views();
+        let (start_rows, start_cols) = (views.nrows(), views.ncols());
+        let mut model = FactorModel::init(start_rows, start_cols, params.k, cfg.seed);
+        let mut partition = RowPartition::contiguous(start_rows, num_threads);
+        let mut per_worker = WorkerData::build_all(views, &partition);
 
+        // Split the user factors into per-worker owned chunks; the item
+        // factors move into the shared slab.
+        let mut owned: Vec<OwnedUsers> = (0..num_threads)
+            .map(|q| OwnedUsers::from_partition(&model.w, &partition, q))
+            .collect();
+        let mut slab = FactorSlab::from_factors(&model.h);
+
+        // Queues and the initial token placement (Algorithm 1, lines 7-10).
         let queues: Vec<SegQueue<Token>> = (0..num_threads).map(|_| SegQueue::new()).collect();
         let mut placement_rng = nomad_linalg::SmallRng64::new(cfg.seed ^ 0x7007_BEEF);
-        for j in 0..warm.ncols() {
+        for item in 0..start_cols as Idx {
             let q = placement_rng.next_below(num_threads);
-            queues[q].push(Token {
-                item: j as Idx,
-                pass: 0,
-            });
+            queues[q].push(Token { item, pass: 0 });
         }
 
         if let Some(publisher) = serving {
-            publisher.begin_run(warm.nrows(), warm.ncols(), params.k, num_threads);
+            publisher.begin_run(start_rows, start_cols, params.k, num_threads);
         }
 
         let telem = self.telemetry.as_deref().map(EngineTelemetry::register);
-        let mut trace = RunTrace::new("NOMAD-threaded-online", "", 1, num_threads, num_threads);
+        let label = data.label("NOMAD-threaded");
+        let mut trace = RunTrace::new(label, "", 1, num_threads, num_threads);
         let ticket = AtomicU64::new(0);
         let updates_done = AtomicU64::new(0);
         let mut elapsed_wall = 0.0f64;
-        let mut segments: Vec<Vec<ProcessingEvent>> = Vec::new();
+        let mut segments: Vec<Vec<ProcessingEvent>> = vec![Vec::new()];
 
-        // One quiesce round per arrival batch (capped at the budget so the
-        // run never exceeds it), then the final round to the budget.  A
-        // batch is applied only if its arrival clock was actually reached —
-        // the workers can overshoot a target by the updates of their last
+        // A batch is applied only if its arrival clock was actually reached
+        // — the workers can overshoot a target by the updates of their last
         // token, which is the same overshoot the serial engine exhibits.
-        let mut rounds: Vec<(u64, Option<usize>)> = arrivals
+        let batch_rounds = arrivals
             .batches()
             .iter()
-            .enumerate()
-            .map(|(idx, b)| (b.at.min(total_budget), Some(idx)))
-            .collect();
-        rounds.push((total_budget, None));
+            .map(|batch| (batch.at.min(total_budget), Some(batch)));
+        let snapshot_rounds =
+            (1..=snapshots as u64).map(|round| (total_budget * round / snapshots as u64, None));
 
-        for (round_target, batch_idx) in rounds {
+        for (round_target, batch) in batch_rounds.chain(snapshot_rounds) {
             let stop_flag = AtomicBool::new(false);
             let round_start = Instant::now();
             let mut round_events: Vec<(u64, ProcessingEvent)> = Vec::new();
-
             std::thread::scope(|scope| {
                 let mut handles = Vec::with_capacity(num_threads);
                 for (q, (wd, own)) in per_worker.iter_mut().zip(owned.iter_mut()).enumerate() {
-                    let queues = &queues;
-                    let slab = &slab;
-                    let ticket = &ticket;
-                    let updates_done = &updates_done;
+                    let worker = Worker {
+                        q,
+                        wd,
+                        own,
+                        queues: &queues,
+                        ticket: &ticket,
+                        updates_done: &updates_done,
+                        events: cfg.record_schedule.then(Vec::new),
+                        telem: telem.as_ref(),
+                    };
+                    let kernel =
+                        HopKernel::new(q, q, params, cfg.routing, cfg.seed, &slab, serving);
                     let stop_flag = &stop_flag;
-                    let schedule = params.nomad_schedule();
-                    let routing = cfg.routing;
-                    let seed = cfg.seed;
-                    let record = cfg.record_schedule;
-                    let telem = telem.as_ref();
-                    handles.push(scope.spawn(move || {
-                        worker_loop(
-                            q,
-                            num_threads,
-                            wd,
-                            own,
-                            queues,
-                            slab,
-                            ticket,
-                            updates_done,
-                            stop_flag,
-                            round_target,
-                            schedule,
-                            routing,
-                            params.lambda,
-                            seed,
-                            record,
-                            serving,
-                            telem,
-                        )
-                    }));
+                    handles.push(
+                        scope.spawn(move || worker_loop(worker, kernel, stop_flag, round_target)),
+                    );
                 }
                 for handle in handles {
-                    let events = handle.join().expect("worker thread panicked");
-                    round_events.extend(events);
+                    round_events.extend(handle.join().expect("worker thread panicked"));
                 }
             });
             elapsed_wall += round_start.elapsed().as_secs_f64();
             if let Some(publisher) = serving {
+                // A cooperative build interrupted by the round end cannot
+                // complete (its contributors have joined); drop it and
+                // publish the exact quiesced model instead.
                 publisher.abort_build();
             }
+            // Tickets are drawn from one counter across rounds, so sorting
+            // each round and appending keeps the whole segment in ticket
+            // order.
             round_events.sort_by_key(|(stamp, _)| *stamp);
+            segments
+                .last_mut()
+                .expect("segments is never empty")
+                .extend(round_events.into_iter().map(|(_, e)| e));
 
             let done = updates_done.load(Ordering::SeqCst);
-            match batch_idx {
-                Some(idx) if done >= arrivals.batches()[idx].at => {
-                    // Quiesced: every token sits in exactly one queue, every
-                    // worker has drained — safe to grow all shared state.
-                    let batch = &arrivals.batches()[idx];
-                    let delta = apply_batch(
-                        &mut dynamic,
-                        &mut partition,
-                        &mut per_worker,
-                        batch,
-                        params.k,
-                        cfg.seed,
-                    );
-                    let own_last = owned.last_mut().expect("num_threads > 0");
-                    if own_last.rows.rows() == 0 && batch.new_rows > 0 {
-                        // The last worker owned no users yet; its block now
-                        // starts at the first arriving user.
-                        own_last.offset = delta.first_new_user;
-                    }
-                    own_last.rows.append_rows(&delta.new_users);
-                    slab.append_rows(&delta.new_items);
-                    for offset in 0..batch.new_cols {
-                        let j = (delta.first_new_item + offset) as Idx;
-                        queues[token_home(cfg.seed, j, num_threads)]
-                            .push(Token { item: j, pass: 0 });
-                    }
-                    segments.push(round_events.into_iter().map(|(_, e)| e).collect());
-                    let model = assemble_model(dynamic.nrows(), &owned, &queues, &slab, &ticket);
-                    if let Some(publisher) = serving {
-                        // Serve the grown space from this quiesce onward.
-                        publisher.grow(dynamic.nrows(), dynamic.ncols());
-                        publisher.publish_model(&model, done);
-                        if let Some(telem) = &telem {
-                            telem.note_publisher(publisher);
-                        }
-                    }
-                    trace.push(TracePoint {
-                        seconds: elapsed_wall,
-                        updates: done,
-                        test_rmse: nomad_sgd::rmse_known(&model, test),
-                        objective: None,
-                    });
+            let ingest = batch.filter(|batch| done >= batch.at);
+            if let Some(batch) = ingest {
+                // Quiesced: every token sits in exactly one queue, every
+                // worker has drained — safe to grow all shared state.
+                let delta = apply_batch(
+                    data.dynamic_mut(),
+                    &mut partition,
+                    &mut per_worker,
+                    batch,
+                    params.k,
+                    cfg.seed,
+                );
+                let own_last = owned.last_mut().expect("num_threads > 0");
+                if own_last.rows.rows() == 0 && batch.new_rows > 0 {
+                    // The last worker owned no users yet; its block now
+                    // starts at the first arriving user.
+                    own_last.offset = delta.first_new_user;
                 }
-                _ => {
-                    // Final round, or a batch whose arrival clock lies
-                    // beyond the budget: fold the events into the last
-                    // segment and stop ingesting.
-                    segments.push(round_events.into_iter().map(|(_, e)| e).collect());
-                    if batch_idx.is_some() {
-                        break;
-                    }
+                own_last.rows.append_rows(&delta.new_users);
+                slab.append_rows(&delta.new_items);
+                for offset in 0..batch.new_cols {
+                    let j = (delta.first_new_item + offset) as Idx;
+                    queues[token_home(cfg.seed, j, num_threads)].push(Token { item: j, pass: 0 });
                 }
+                segments.push(Vec::new());
+            }
+
+            let views = data.views();
+            model = assemble_model(views.nrows(), &owned, &queues, &slab, &ticket);
+            if let Some(publisher) = serving {
+                if ingest.is_some() {
+                    // Serve the grown space from this quiesce onward.
+                    publisher.grow(views.nrows(), views.ncols());
+                }
+                publisher.publish_model(&model, done);
+                if let Some(telem) = &telem {
+                    telem.note_publisher(publisher);
+                }
+            }
+            sample_rmse(&mut trace, elapsed_wall, done, &model, test);
+            if batch.is_some() && ingest.is_none() {
+                // A batch whose arrival clock lies beyond the budget: the
+                // budget is spent, stop ingesting.
+                break;
             }
         }
 
         trace.metrics.updates = updates_done.load(Ordering::SeqCst);
         trace.metrics.tokens_processed = ticket.load(Ordering::SeqCst);
         trace.metrics.finished_at = SimTime::from_secs(elapsed_wall.max(0.0));
-
-        let model = assemble_model(dynamic.nrows(), &owned, &queues, &slab, &ticket);
-        if let Some(publisher) = serving {
-            publisher.publish_model(&model, trace.metrics.updates);
-            if let Some(telem) = &telem {
-                telem.note_publisher(publisher);
-            }
-        }
-        trace.push(TracePoint {
-            seconds: elapsed_wall,
-            updates: trace.metrics.updates,
-            test_rmse: nomad_sgd::rmse_known(&model, test),
-            objective: None,
-        });
         OnlineOutput {
             model,
             trace,
@@ -554,10 +398,17 @@ impl OwnedUsers {
         }
         Self { offset, rows }
     }
+}
+
+impl UserRows for OwnedUsers {
+    #[inline]
+    fn user_row_mut(&mut self, user: Idx) -> &mut [f64] {
+        self.rows.row_mut(user as usize - self.offset)
+    }
 
     #[inline]
-    fn row_mut(&mut self, global_user: Idx) -> &mut [f64] {
-        self.rows.row_mut(global_user as usize - self.offset)
+    fn block(&self) -> (usize, &FactorMatrix) {
+        (self.offset, &self.rows)
     }
 }
 
@@ -620,150 +471,103 @@ fn assemble_model(
     model
 }
 
-/// The per-worker processing loop for one round.
-///
-/// `serving` is the snapshot-publication hook of
-/// [`ThreadedNomad::run_serving`]: when set, the worker calls
-/// [`SnapshotPublisher::coop_tick`] once per token hop (two relaxed atomic
-/// loads when no build is in flight) while it still owns the popped token —
-/// the only moment it may legally read the token's slab row.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
+/// One worker thread's side of the hop: its queue among all the queues,
+/// its shard, and the run-wide ticket and update counters.
+struct Worker<'a> {
     q: usize,
-    num_threads: usize,
-    wd: &mut WorkerData,
-    own: &mut OwnedUsers,
-    queues: &[SegQueue<Token>],
-    slab: &FactorSlab,
-    ticket: &AtomicU64,
-    updates_done: &AtomicU64,
+    wd: &'a mut WorkerData,
+    own: &'a mut OwnedUsers,
+    queues: &'a [SegQueue<Token>],
+    ticket: &'a AtomicU64,
+    updates_done: &'a AtomicU64,
+    /// `(ticket, event)` log; `None` with schedule recording off, so the
+    /// steady state stays allocation-free.
+    events: Option<Vec<(u64, ProcessingEvent)>>,
+    telem: Option<&'a EngineTelemetry>,
+}
+
+// SAFETY: tokens enter the queues once per item (initial placement and
+// minting, both at quiesce) and move only by this `push`, so a popped token
+// is held by exactly this worker and indexes the run's slab.
+unsafe impl HopContext for Worker<'_> {
+    type Users = OwnedUsers;
+
+    fn pop(&mut self) -> Option<Token> {
+        self.queues[self.q].pop()
+    }
+
+    fn ticket(&mut self, item: Idx) {
+        // One global counter: ticket order is the linearization the
+        // serial replay re-executes.
+        let stamp = self.ticket.fetch_add(1, Ordering::SeqCst);
+        if let Some(events) = &mut self.events {
+            let worker = self.q;
+            events.push((stamp, ProcessingEvent { worker, item }));
+        }
+    }
+
+    fn shard(&mut self) -> (&mut WorkerData, &mut OwnedUsers) {
+        (self.wd, self.own)
+    }
+
+    fn account(&mut self, updates: u64) -> u64 {
+        let done_now = self.updates_done.fetch_add(updates, Ordering::Relaxed) + updates;
+        if let Some(telem) = self.telem {
+            // Three relaxed atomics — no locks, no allocation (the
+            // alloc-counting test runs with telemetry attached).
+            telem.note_hop(updates, self.queues[self.q].len());
+        }
+        done_now
+    }
+
+    fn clock(&self) -> u64 {
+        self.updates_done.load(Ordering::Relaxed)
+    }
+
+    fn destinations(&self) -> usize {
+        self.queues.len()
+    }
+
+    fn load(&self, choice: usize) -> usize {
+        self.queues[choice].len()
+    }
+
+    fn push(&mut self, dest: usize, token: Token, _h: &[f64]) {
+        self.queues[dest].push(token);
+    }
+}
+
+/// The per-worker processing loop for one round: the round's stop checks,
+/// then one [`HopKernel::hop`].  Returns the worker's `(ticket, event)`
+/// log.
+fn worker_loop(
+    mut worker: Worker<'_>,
+    mut kernel: HopKernel<'_>,
     stop_flag: &AtomicBool,
     round_target: u64,
-    schedule: nomad_sgd::NomadStep,
-    routing: RoutingPolicy,
-    lambda: f64,
-    seed: u64,
-    record: bool,
-    serving: Option<&SnapshotPublisher>,
-    telem: Option<&EngineTelemetry>,
 ) -> Vec<(u64, ProcessingEvent)> {
-    let mut rng = nomad_linalg::SmallRng64::new(seed ^ (q as u64).wrapping_mul(0x9E37_79B9));
-    // Round-robin cursor, staggered per worker so the first destination is
-    // the next thread over (mirrors `Router`'s deterministic cycling).
-    let mut rr_cursor = q;
-    let mut events = Vec::new();
     loop {
         if stop_flag.load(Ordering::Relaxed) {
             break;
         }
-        if updates_done.load(Ordering::Relaxed) >= round_target {
+        if worker.updates_done.load(Ordering::Relaxed) >= round_target {
             stop_flag.store(true, Ordering::Relaxed);
             break;
         }
-        // Hop boundary: a schedule controller may pause this worker here
-        // (and observe the pop outcome below) to steer the interleaving.
-        #[cfg(feature = "sched-fuzz")]
-        crate::sched::hooks::before_pop(q);
-        let Some(token) = queues[q].pop() else {
-            #[cfg(feature = "sched-fuzz")]
-            crate::sched::hooks::after_pop(q, false);
-            if let Some(publisher) = serving {
-                // An idle worker can still contribute its user block to an
-                // in-flight build (it owns no token, so no item row).
-                publisher.coop_tick(
-                    q,
-                    updates_done.load(Ordering::Relaxed),
-                    own.offset,
-                    &own.rows,
-                    None,
-                );
-            }
+        if kernel.hop(&mut worker).is_none() {
             std::thread::yield_now();
-            continue;
-        };
-        #[cfg(feature = "sched-fuzz")]
-        {
-            crate::sched::hooks::after_pop(q, true);
-            slab.claim_row(token.item, q as u32);
         }
-        // The ticket establishes the linearization order: it is taken
-        // before the updates, the updates finish before the push, and the
-        // next owner can only take its ticket after popping — so ticket
-        // order respects both the per-worker and the per-token order.
-        let stamp = ticket.fetch_add(1, Ordering::SeqCst);
-        let t = wd.record_pass(token.item);
-        let step = schedule.step(t);
-        // SAFETY: we hold the token for `token.item`, so this worker is
-        // the row's unique owner until the token is pushed onward below;
-        // the queue's release/acquire pair hands the row between owners.
-        let h = unsafe { slab.owner_row_mut(token.item) };
-        let mut count = 0u64;
-        for (user, rating) in wd.local_cols.col(token.item as usize) {
-            let wi = own.row_mut(user);
-            nomad_linalg::vec_ops::sgd_pair_update(wi, h, rating, step, lambda);
-            count += 1;
-        }
-        if record {
-            events.push((
-                stamp,
-                ProcessingEvent {
-                    worker: q,
-                    item: token.item,
-                },
-            ));
-        }
-        let done_now = updates_done.fetch_add(count, Ordering::Relaxed) + count;
-        if let Some(telem) = telem {
-            // Three relaxed atomics — no locks, no allocation (the
-            // alloc-counting test runs with telemetry attached).
-            telem.note_hop(count, queues[q].len());
-        }
-        if let Some(publisher) = serving {
-            // Must happen before the push below: this worker may only read
-            // slab row `token.item` while it still holds the token.
-            publisher.coop_tick(q, done_now, own.offset, &own.rows, Some((token.item, &*h)));
-        }
-
-        let dest = match routing {
-            RoutingPolicy::UniformRandom => rng.next_below(num_threads),
-            RoutingPolicy::RoundRobin => {
-                rr_cursor = rr_cursor.wrapping_add(1);
-                rr_cursor % num_threads
-            }
-            RoutingPolicy::LeastLoaded => {
-                let a = rng.next_below(num_threads);
-                let b = rng.next_below(num_threads);
-                if queues[b].len() < queues[a].len() {
-                    b
-                } else {
-                    a
-                }
-            }
-        };
-        // The controller may override the routing decision (bias) and is
-        // told about the hand-off; the ledger release must precede the
-        // push — after the push the row belongs to the next owner.
-        #[cfg(feature = "sched-fuzz")]
-        let dest = crate::sched::hooks::route(q, token.item, dest, num_threads);
-        #[cfg(feature = "sched-fuzz")]
-        {
-            slab.release_row(token.item, q as u32);
-            crate::sched::hooks::before_push(q, dest);
-        }
-        queues[dest].push(Token {
-            item: token.item,
-            pass: token.pass + 1,
-        });
     }
     #[cfg(feature = "sched-fuzz")]
-    crate::sched::hooks::done(q);
-    events
+    crate::sched::hooks::done(worker.q);
+    worker.events.unwrap_or_default()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::StopCondition;
+    use crate::routing::RoutingPolicy;
     use crate::serial::replay_schedule;
     use nomad_data::{named_dataset, SizeTier};
     use nomad_sgd::HyperParams;

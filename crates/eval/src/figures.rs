@@ -1,9 +1,9 @@
 //! One function per figure/table family of the paper's evaluation.
 //!
 //! Each function returns [`Figure`] values — labelled series of `(x, y)`
-//! points — that the `fig*` binaries in `crates/bench` render as CSV.  The
+//! points — that the `fig` binary in `crates/bench` renders as CSV.  The
 //! registry function [`by_id`] maps the paper's figure/table numbers to the
-//! corresponding generator so that the binaries stay one-liners.
+//! corresponding generator so that the binary stays a dispatch table.
 //!
 //! Datasets are the scaled synthetic stand-ins from `nomad-data`
 //! (`netflix-sim`, `yahoo-sim`, `hugewiki-sim`); the scale is controlled by
@@ -916,7 +916,7 @@ mod tests {
     #[test]
     fn registry_knows_every_figure() {
         // Only check the mapping exists; running all of them is the job of
-        // the fig* binaries (they take minutes at quick scale).
+        // the `fig` binary (they take minutes at quick scale).
         for id in all_figure_ids() {
             assert!(
                 matches!(id.strip_prefix("fig"), Some(n) if n.parse::<u32>().is_ok()),

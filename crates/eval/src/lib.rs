@@ -10,8 +10,8 @@
 //!   spec and returns its convergence trace,
 //! * [`figures`] — one function per paper figure/table family, each
 //!   producing a [`figures::Figure`] (a set of labelled traces),
-//! * [`report`] — CSV / markdown renderers used by the `fig*` and `table*`
-//!   binaries in `crates/bench`.
+//! * [`report`] — CSV / markdown renderers used by the `fig` and
+//!   `repro_all` binaries in `crates/bench`.
 
 #![warn(missing_docs)]
 

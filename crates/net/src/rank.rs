@@ -5,10 +5,12 @@
 //! *list* once evictions and joins move rows around), a [`FactorSlab`]
 //! with a slot for *every* item factor (only the rows whose tokens the
 //! rank currently holds are live), and one lock-free [`SegQueue`] of
-//! `(item, pass)` tokens.  The worker loop is the same allocation-free
-//! loop as `ThreadedNomad`'s: pop a token, update against the local
-//! rating slice through [`FactorSlab::owner_row_mut`], route it onward.
-//! A token routed to *this* rank is pushed straight back onto the local
+//! `(item, pass)` tokens.  The worker runs the same hop as
+//! `ThreadedNomad`'s workers — [`nomad_core::hop::HopKernel::hop`]: pop a
+//! token, sweep the local rating slice through
+//! [`FactorSlab::owner_row_mut`], route it onward — over its own
+//! [`HopContext`], so the two loops share their decision points by
+//! construction rather than by convention.  A token routed to *this* rank is pushed straight back onto the local
 //! queue; a token routed to another rank is handed to the communication
 //! thread together with a copy of its factor row (Section 2.3 of the
 //! paper: the factor travels with the token across address spaces).
@@ -60,12 +62,13 @@ use std::time::{Duration, Instant};
 
 use crossbeam::queue::SegQueue;
 
+use nomad_core::hop::{HopContext, HopKernel, Token};
 use nomad_core::slab::FactorSlab;
 use nomad_core::worker::WorkerData;
 use nomad_core::RoutingPolicy;
 use nomad_matrix::{Idx, RatingMatrix, RowPartition, TripletMatrix};
 use nomad_serve::{IvfIndex, IvfParams, ModelSnapshot, SnapshotPublisher};
-use nomad_sgd::{FactorMatrix, HyperParams, StepSchedule};
+use nomad_sgd::{FactorMatrix, HyperParams};
 
 use nomad_telemetry::{names, CounterHandle, GaugeHandle, HistogramHandle, Registry};
 
@@ -95,21 +98,11 @@ const QUERY_RERANK_BUDGET: Duration = Duration::from_millis(250);
 /// Largest mesh capacity the membership bitmaps can track.
 const MAX_CAPACITY: usize = 64;
 
-/// A nomadic token inside a rank: the item index plus its cumulative
-/// processing-pass count (same shape as the threaded engine's token).
-#[derive(Debug, Clone, Copy)]
-struct Token {
-    item: Idx,
-    pass: u64,
-}
-
 /// A token leaving the rank: destination plus the factor row that must
 /// travel with it across the address-space boundary.
 struct Outbound {
     dest: usize,
-    item: Idx,
-    pass: u64,
-    factor: Vec<f64>,
+    token: WireToken,
 }
 
 /// Membership changes applied by the worker at a hop boundary, where no
@@ -505,14 +498,6 @@ fn run_rank_inner<T: Transport>(
         "membership bitmaps support up to {MAX_CAPACITY} ranks"
     );
     let k = setup.k as usize;
-    let params = HyperParams {
-        k,
-        lambda: setup.lambda,
-        alpha: setup.alpha,
-        beta: setup.beta,
-    }; // field-by-field so new hyper-parameters force a wire change
-    let routing = routing_from_wire(setup.routing);
-
     let members = if setup.active_ranks.is_empty() {
         // Pre-elastic setups: everyone is active.
         (0..capacity).map(bit).fold(0, |a, b| a | b)
@@ -566,21 +551,8 @@ fn run_rank_inner<T: Transport>(
     }
 
     let mut tickets = 0u64;
-    let abort_after = setup.abort_after_updates;
     let outcome = std::thread::scope(|scope| -> Result<CommOutcome, NetError> {
-        let worker = scope.spawn(|| {
-            worker_loop(
-                rank,
-                &shared,
-                &state,
-                params,
-                routing,
-                setup.seed,
-                setup.budget,
-                abort_after,
-            )
-        });
-        let mut worker = Some(worker);
+        let mut worker = Some(scope.spawn(|| worker_loop(&shared, &state, &setup)));
         let run = comm_run(
             transport,
             &mut comm,
@@ -1052,21 +1024,10 @@ impl CommState {
                 // Raced a membership change: the worker staged this for
                 // a rank that is gone.  Re-inject locally — a staged
                 // token is never lost, only re-routed.
-                self.inject(
-                    shared,
-                    WireToken {
-                        item: out.item,
-                        pass: out.pass,
-                        factor: out.factor,
-                    },
-                )?;
+                self.inject(shared, out.token)?;
                 continue;
             }
-            self.buffers[dest].push(WireToken {
-                item: out.item,
-                pass: out.pass,
-                factor: out.factor,
-            });
+            self.buffers[dest].push(out.token);
             moved = true;
             if self.buffers[dest].len() >= self.message_batch {
                 self.send_buffer(t, shared, dest)?;
@@ -1076,11 +1037,7 @@ impl CommState {
         // parked in a half-full buffer would otherwise wait for future
         // traffic, and latency matters more than batching once idle.
         if !moved || shared.worker_exited.load(Ordering::Acquire) {
-            for dest in 0..self.capacity {
-                if !self.buffers[dest].is_empty() {
-                    self.send_buffer(t, shared, dest)?;
-                }
-            }
+            self.send_buffers(t, shared)?;
         }
         Ok(())
     }
@@ -1089,23 +1046,16 @@ impl CommState {
     fn flush_all<T: Transport>(&mut self, t: &T, shared: &Shared) -> Result<(), NetError> {
         while let Some(out) = shared.outbound.pop() {
             if !self.is_member(out.dest) {
-                self.inject(
-                    shared,
-                    WireToken {
-                        item: out.item,
-                        pass: out.pass,
-                        factor: out.factor,
-                    },
-                )?;
+                self.inject(shared, out.token)?;
                 continue;
             }
-            let dest = out.dest;
-            self.buffers[dest].push(WireToken {
-                item: out.item,
-                pass: out.pass,
-                factor: out.factor,
-            });
+            self.buffers[out.dest].push(out.token);
         }
+        self.send_buffers(t, shared)
+    }
+
+    /// Sends every non-empty per-destination buffer.
+    fn send_buffers<T: Transport>(&mut self, t: &T, shared: &Shared) -> Result<(), NetError> {
         for dest in 0..self.capacity {
             if !self.buffers[dest].is_empty() {
                 self.send_buffer(t, shared, dest)?;
@@ -1475,15 +1425,10 @@ impl CommState {
         // dead rank's stream are genuinely lost — the driver re-mints
         // them from the inventories.
         while let Some(out) = shared.outbound.pop() {
-            let token = WireToken {
-                item: out.item,
-                pass: out.pass,
-                factor: out.factor,
-            };
             if self.is_member(out.dest) {
-                self.buffers[out.dest].push(token);
+                self.buffers[out.dest].push(out.token);
             } else {
-                self.inject(shared, token)?;
+                self.inject(shared, out.token)?;
             }
         }
         let orphaned = std::mem::take(&mut self.buffers[dead]);
@@ -1492,11 +1437,7 @@ impl CommState {
         }
         // Flush survivors, then mark every surviving edge: FIFO means a
         // mark bounds all pre-census traffic from this rank.
-        for dest in 0..self.capacity {
-            if !self.buffers[dest].is_empty() {
-                self.send_buffer(t, shared, dest)?;
-            }
-        }
+        self.send_buffers(t, shared)?;
         let peers = self.member_peers();
         for peer in 0..self.capacity {
             if peers & bit(peer) != 0 {
@@ -1677,35 +1618,129 @@ impl CommState {
     }
 }
 
-/// The hot loop: identical decision points to `ThreadedNomad`'s
-/// `worker_loop` (stop-check before pop, ticket before update, push after
-/// update), with remote destinations staged for the communication thread.
-/// Returns the local ticket count.
+/// The rank worker's side of the hop: one queue, rank-local ticket and
+/// update counts mirrored into [`Shared`] for the comm thread, the active
+/// membership as the destination set, and remote destinations staged for
+/// the communication thread.
+struct RankWorker<'a> {
+    rank: usize,
+    shared: &'a Shared,
+    st: &'a mut WorkerState,
+    tickets: u64,
+    local_updates: u64,
+    /// Sorted active ranks — what routing chooses among.
+    active: Vec<usize>,
+}
+
+// SAFETY: the rank queue only receives tokens through `CommState::inject`
+// (which checks the item against the slab and writes the row before the
+// push) and this `push`; a token staged outbound is never touched again.
+unsafe impl HopContext for RankWorker<'_> {
+    type Users = FactorMatrix;
+
+    fn pop(&mut self) -> Option<Token> {
+        self.shared.queue.pop()
+    }
+
+    fn ticket(&mut self, _item: Idx) {
+        self.tickets += 1;
+        self.shared.tickets.store(self.tickets, Ordering::Release);
+    }
+
+    fn shard(&mut self) -> (&mut WorkerData, &mut FactorMatrix) {
+        (&mut self.st.wd, &mut self.st.own)
+    }
+
+    fn account(&mut self, updates: u64) -> u64 {
+        self.local_updates += updates;
+        let (done, mirror) = (self.local_updates, &self.shared.local_updates);
+        mirror.store(done, Ordering::Release);
+        done
+    }
+
+    fn clock(&self) -> u64 {
+        self.local_updates
+    }
+
+    fn destinations(&self) -> usize {
+        self.active.len()
+    }
+
+    fn load(&self, choice: usize) -> usize {
+        let peer = self.active[choice];
+        if peer == self.rank {
+            self.shared.queue.len()
+        } else {
+            self.shared.qlen_estimates[peer].load(Ordering::Relaxed) as usize
+        }
+    }
+
+    fn resolve(&self, choice: usize) -> usize {
+        self.active[choice]
+    }
+
+    /// A token routed to this rank goes straight back onto the local
+    /// queue; any other destination is staged for the communication
+    /// thread together with a copy of its factor row.
+    fn push(&mut self, dest: usize, token: Token, h: &[f64]) {
+        if dest == self.rank {
+            self.shared.queue.push(token);
+        } else {
+            let token = WireToken {
+                item: token.item,
+                pass: token.pass,
+                factor: h.to_vec(),
+            };
+            self.shared.outbound.push(Outbound { dest, token });
+        }
+    }
+}
+
+/// The hot loop: this rank's pre-hop checks (drain, budget, census park,
+/// membership commands, epoch), then the same [`HopKernel::hop`] the
+/// threaded engine's workers run — so the decision points (stop-check
+/// before pop, ticket before update, push after update) are identical to
+/// `ThreadedNomad`'s by construction.  Returns the local ticket count.
 ///
 /// The worker takes the state lock once and holds it for the whole run —
 /// zero per-hop locking cost; the comm thread only needs the lock after
 /// the worker has exited.  Membership is one relaxed epoch load per hop.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    rank: usize,
-    shared: &Shared,
-    state: &Mutex<WorkerState>,
-    params: HyperParams,
-    routing: RoutingPolicy,
-    seed: u64,
-    budget: u64,
-    abort_after: u64,
-) -> u64 {
+fn worker_loop(shared: &Shared, state: &Mutex<WorkerState>, setup: &SetupPayload) -> u64 {
+    let rank = setup.rank as usize;
+    let (budget, abort_after) = (setup.budget, setup.abort_after_updates);
+    let params = HyperParams {
+        k: setup.k as usize,
+        lambda: setup.lambda,
+        alpha: setup.alpha,
+        beta: setup.beta,
+    }; // field-by-field so new hyper-parameters force a wire change
+    let routing = routing_from_wire(setup.routing);
     let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
-    let st = &mut *st;
-    let mut rng = nomad_linalg::SmallRng64::new(seed ^ (rank as u64).wrapping_mul(0x9E37_79B9));
-    let mut rr_cursor = rank;
-    let schedule = params.nomad_schedule();
-    let mut tickets = 0u64;
-    let mut local_updates = 0u64;
+    // The publisher has one contributor slot (0): this rank's one worker.
+    let (slab, publisher) = (&shared.slab, shared.publisher.as_ref());
+    let mut kernel = HopKernel::new(rank, 0, params, routing, setup.seed, slab, publisher);
+    let mut worker = RankWorker {
+        rank,
+        shared,
+        st: &mut st,
+        tickets: 0,
+        local_updates: 0,
+        active: members_vec(shared.members.load(Ordering::Acquire)),
+    };
     let mut cached_epoch = shared.epoch.load(Ordering::Acquire);
-    let mut active: Vec<usize> = members_vec(shared.members.load(Ordering::Acquire));
     loop {
+        // Chaos knob: a real spawned child can be told to die abruptly
+        // after N updates — the kill-a-rank regression's deterministic
+        // SIGKILL stand-in.  Guarded by the child env var so an
+        // in-process test can never take the whole suite down.
+        if abort_after > 0
+            && worker.local_updates >= abort_after
+            && std::env::var_os(crate::process::RANK_ENV).is_some()
+        {
+            let done = worker.local_updates;
+            eprintln!("[nomad-net rank {rank}] chaos abort after {done} updates");
+            std::process::abort();
+        }
         if shared.drain.load(Ordering::Acquire) {
             break;
         }
@@ -1713,7 +1748,7 @@ fn worker_loop(
         // the whole budget alone can stop without waiting for the
         // driver's drain — and at one rank this reproduces the serial
         // engine's stop point exactly.
-        if local_updates >= budget {
+        if worker.local_updates >= budget {
             break;
         }
         // Census park: acknowledge and spin at the hop boundary (no
@@ -1728,122 +1763,21 @@ fn worker_loop(
         // Membership commands (segment transfers in or out) apply here,
         // where no token is mid-update.
         if shared.cmd_pending.load(Ordering::Acquire) {
-            st.apply_cmds(shared);
+            worker.st.apply_cmds(shared);
         }
         let epoch = shared.epoch.load(Ordering::Relaxed);
         if epoch != cached_epoch {
             cached_epoch = epoch;
-            active = members_vec(shared.members.load(Ordering::Acquire));
+            worker.active = members_vec(shared.members.load(Ordering::Acquire));
         }
-        // Hop boundary: a schedule controller may pause this rank's
-        // worker here, exactly like the threaded engine's hook.
-        #[cfg(feature = "sched-fuzz")]
-        nomad_core::sched::hooks::before_pop(rank);
-        let Some(token) = shared.queue.pop() else {
-            #[cfg(feature = "sched-fuzz")]
-            nomad_core::sched::hooks::after_pop(rank, false);
-            // Idle hop: still contribute the user block to an in-flight
-            // snapshot build, so a starved rank cannot stall a publish.
-            if let Some(p) = &shared.publisher {
-                p.coop_tick(0, local_updates, 0, &st.own, None);
-            }
+        if kernel.hop(&mut worker).is_none() {
             std::thread::yield_now();
-            continue;
-        };
-        #[cfg(feature = "sched-fuzz")]
-        {
-            nomad_core::sched::hooks::after_pop(rank, true);
-            shared.slab.claim_row(token.item, rank as u32);
-        }
-        tickets += 1;
-        shared.tickets.store(tickets, Ordering::Release);
-        let t = st.wd.record_pass(token.item);
-        let step = schedule.step(t);
-        // SAFETY: we hold the token for `token.item`; the row is ours
-        // until the token is pushed onward (locally or via the
-        // communication thread).
-        let h = unsafe { shared.slab.owner_row_mut(token.item) };
-        let mut count = 0u64;
-        for (user, rating) in st.wd.local_cols.col(token.item as usize) {
-            let wi = st.own.row_mut(user as usize);
-            nomad_linalg::vec_ops::sgd_pair_update(wi, h, rating, step, params.lambda);
-            count += 1;
-        }
-        local_updates += count;
-        shared.local_updates.store(local_updates, Ordering::Release);
-        // Serving hook: two relaxed loads when no build is due; during a
-        // build this contributes the user block once and item row
-        // `token.item` (still owned — the token has not been pushed on).
-        if let Some(p) = &shared.publisher {
-            p.coop_tick(0, local_updates, 0, &st.own, Some((token.item, &*h)));
-        }
-
-        // Chaos knob: a real spawned child can be told to die abruptly
-        // after N updates — the kill-a-rank regression's deterministic
-        // SIGKILL stand-in.  Guarded by the child env var so an
-        // in-process test can never take the whole suite down.
-        if abort_after > 0
-            && local_updates >= abort_after
-            && std::env::var_os(crate::process::RANK_ENV).is_some()
-        {
-            eprintln!("[nomad-net rank {rank}] chaos abort after {local_updates} updates");
-            std::process::abort();
-        }
-
-        let n = active.len();
-        let proposed = match routing {
-            RoutingPolicy::UniformRandom => rng.next_below(n),
-            RoutingPolicy::RoundRobin => {
-                rr_cursor = rr_cursor.wrapping_add(1);
-                rr_cursor % n
-            }
-            RoutingPolicy::LeastLoaded => {
-                let a = rng.next_below(n);
-                let b = rng.next_below(n);
-                let load = |i: usize| {
-                    if active[i] == rank {
-                        shared.queue.len() as u64
-                    } else {
-                        shared.qlen_estimates[active[i]].load(Ordering::Relaxed)
-                    }
-                };
-                if load(b) < load(a) {
-                    b
-                } else {
-                    a
-                }
-            }
-        };
-        // Route override + ledger release + push notification, mirroring
-        // the threaded engine's hop tail.  The release precedes both the
-        // local push and the outbound staging: either is the hand-off
-        // edge after which the row belongs to the next owner.
-        #[cfg(feature = "sched-fuzz")]
-        let proposed = nomad_core::sched::hooks::route(rank, token.item, proposed, n);
-        let dest = active[proposed];
-        #[cfg(feature = "sched-fuzz")]
-        {
-            shared.slab.release_row(token.item, rank as u32);
-            nomad_core::sched::hooks::before_push(rank, dest);
-        }
-        if dest == rank {
-            shared.queue.push(Token {
-                item: token.item,
-                pass: token.pass + 1,
-            });
-        } else {
-            shared.outbound.push(Outbound {
-                dest,
-                item: token.item,
-                pass: token.pass + 1,
-                factor: h.to_vec(),
-            });
         }
     }
     #[cfg(feature = "sched-fuzz")]
     nomad_core::sched::hooks::done(rank);
     shared.worker_exited.store(true, Ordering::Release);
-    tickets
+    worker.tickets
 }
 
 /// Expands a membership bitmap into the sorted rank list the routing
