@@ -31,6 +31,11 @@
 //! The operation counter increments on every send and every successful
 //! delivery, so a `crash@40` case kills the victim at its 40th
 //! interaction with the mesh regardless of wall-clock timing.
+//!
+//! A scripted plan can also make the endpoint a deterministic
+//! **straggler**: [`ChaosPlan::send_delay`] is slept before every send,
+//! holding up each token batch, progress report and `Fin` — a *slow*
+//! rank must never be taken for a dead one, nor wedge quiesce.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -49,6 +54,8 @@ pub struct ChaosPlan {
     pub kill_at: Option<u64>,
     /// Partition the endpoint for ops in `[start, start + len)`.
     pub partition: Option<(u64, u64)>,
+    /// Sleep this long before every send of the (live) endpoint.
+    pub send_delay: Duration,
 }
 
 impl ChaosPlan {
@@ -166,6 +173,9 @@ impl<T: Transport> Transport for ChaosTransport<T> {
             // keeps the wrapped loop running until a receive fails.
             return Ok(0);
         }
+        if let Source::Scripted(plan) = &self.source {
+            std::thread::sleep(plan.send_delay);
+        }
         match self.next_fault() {
             TransportFault::Kill => Ok(0),
             TransportFault::Drop => {
@@ -249,7 +259,7 @@ mod tests {
             ranks.remove(0),
             ChaosPlan {
                 kill_at: Some(1),
-                partition: None,
+                ..ChaosPlan::default()
             },
         );
         // Op 0: delivered.  Op 1+: dead.
@@ -272,8 +282,8 @@ mod tests {
         let chaotic = ChaosTransport::scripted(
             ranks.remove(0),
             ChaosPlan {
-                kill_at: None,
                 partition: Some((0, 2)),
+                ..ChaosPlan::default()
             },
         );
         // Ops 0 and 1 are partitioned: both sends are held.
@@ -335,8 +345,8 @@ mod tests {
         let chaotic = ChaosTransport::scripted(
             ranks.remove(0),
             ChaosPlan {
-                kill_at: None,
                 partition: Some((0, 1)),
+                ..ChaosPlan::default()
             },
         );
         driver.send(0, &Message::Drain).unwrap();
@@ -348,6 +358,23 @@ mod tests {
         // Op 1 heals: the held message surfaces.
         let got = chaotic.recv_timeout(Duration::from_millis(20)).unwrap();
         assert!(matches!(got, Some((1, Message::Drain))));
+    }
+
+    #[test]
+    fn a_send_delay_holds_every_send_and_still_delivers() {
+        let (driver, mut ranks) = Loopback::mesh(1);
+        let slow = ChaosTransport::scripted(
+            ranks.remove(0),
+            ChaosPlan {
+                send_delay: Duration::from_millis(2),
+                ..ChaosPlan::default()
+            },
+        );
+        let before = std::time::Instant::now();
+        slow.send(1, &Message::Fin { rank: 0 }).unwrap();
+        assert!(before.elapsed() >= Duration::from_millis(2));
+        let next = driver.recv_timeout(Duration::from_secs(1)).unwrap();
+        assert_eq!(next, Some((0, Message::Fin { rank: 0 })));
     }
 
     #[test]

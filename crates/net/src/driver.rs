@@ -78,7 +78,7 @@ use nomad_sgd::{fresh_item_rows, fresh_user_rows, FactorMatrix, FactorModel};
 use nomad_serve::ModelSnapshot;
 use nomad_telemetry::{names, CounterHandle, EventKind, EventRing, Registry, TelemetrySnapshot};
 
-use crate::rank::routing_to_wire;
+use crate::rank::{assert_capacity, bit};
 use crate::serve_router::{Route, RouterBackend, ServeRouter};
 use crate::transport::{Loopback, NetError, Transport};
 use crate::wire::{
@@ -239,10 +239,6 @@ pub struct DistOutput {
     pub model: FactorModel,
     /// Execution metrics.
     pub stats: NetStats,
-}
-
-fn bit(r: usize) -> u64 {
-    1u64 << r
 }
 
 /// An in-progress eviction census, driver side.
@@ -606,9 +602,10 @@ impl RouterBackend for DriverBackend<'_> {
 /// or the global deadline.
 ///
 /// # Panics
-/// Panics if the stop condition has no update budget, or if gather
-/// detects a token-conservation violation (an engine bug, not an input
-/// error).
+/// Panics if the mesh capacity exceeds the 64 slots the membership
+/// bitmaps can track, if the stop condition has no update budget, or if
+/// gather detects a token-conservation violation (an engine bug, not an
+/// input error).
 pub fn run_driver<T: Transport>(
     transport: &T,
     data: &RatingMatrix,
@@ -656,6 +653,7 @@ fn run_driver_impl<T: Transport>(
         capacity,
         "run_driver needs the driver endpoint"
     );
+    assert_capacity(capacity);
     let initial = if cfg.initial_ranks == 0 {
         capacity
     } else {
@@ -1094,7 +1092,7 @@ fn make_setup(
         lambda: nomad.params.lambda,
         alpha: nomad.params.alpha,
         beta: nomad.params.beta,
-        routing: routing_to_wire(nomad.routing),
+        routing: nomad.routing,
         budget,
         message_batch: nomad.message_batch as u32,
         progress_every: cfg.effective_progress_every(budget),
@@ -1588,22 +1586,21 @@ impl DistributedNomad {
     /// Creates the engine with every mesh slot active from the start.
     ///
     /// # Panics
-    /// Panics if `ranks == 0`.
+    /// Panics if `ranks == 0` or `ranks` exceeds the 64 slots the
+    /// membership bitmaps can track.
     pub fn new(nomad: NomadConfig, ranks: usize) -> Self {
-        assert!(ranks > 0, "need at least one rank");
-        Self {
-            cfg: NetConfig::new(nomad),
-            ranks,
-        }
+        Self::with_config(NetConfig::new(nomad), ranks)
     }
 
     /// Creates the engine from a full [`NetConfig`] with a mesh capacity
     /// of `capacity` slots (`cfg.initial_ranks` of them start active).
     ///
     /// # Panics
-    /// Panics if `capacity == 0` or `cfg.initial_ranks > capacity`.
+    /// Panics if `capacity == 0`, if `capacity` exceeds the 64 slots the
+    /// membership bitmaps can track, or if `cfg.initial_ranks > capacity`.
     pub fn with_config(cfg: NetConfig, capacity: usize) -> Self {
         assert!(capacity > 0, "need at least one rank");
+        assert_capacity(capacity);
         assert!(
             cfg.initial_ranks <= capacity,
             "initial_ranks exceeds capacity"

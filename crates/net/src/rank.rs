@@ -65,7 +65,6 @@ use crossbeam::queue::SegQueue;
 use nomad_core::hop::{HopContext, HopKernel, Token};
 use nomad_core::slab::FactorSlab;
 use nomad_core::worker::WorkerData;
-use nomad_core::RoutingPolicy;
 use nomad_matrix::{Idx, RatingMatrix, RowPartition, TripletMatrix};
 use nomad_serve::{IvfIndex, IvfParams, ModelSnapshot, SnapshotPublisher};
 use nomad_sgd::{FactorMatrix, HyperParams};
@@ -95,8 +94,17 @@ const DELTA_RESYNC_EVERY: u32 = 8;
 /// missed deadline.
 const QUERY_RERANK_BUDGET: Duration = Duration::from_millis(250);
 
-/// Largest mesh capacity the membership bitmaps can track.
+/// Largest mesh capacity the `u64` membership bitmaps (see [`bit`]) track.
 const MAX_CAPACITY: usize = 64;
+
+/// Refuses a mesh the membership bitmaps cannot track: past
+/// [`MAX_CAPACITY`], [`bit`] would alias rank 64 onto rank 0.
+pub(crate) fn assert_capacity(capacity: usize) {
+    assert!(
+        capacity <= MAX_CAPACITY,
+        "mesh capacity {capacity} exceeds the {MAX_CAPACITY} ranks the membership bitmaps track"
+    );
+}
 
 /// A token leaving the rank: destination plus the factor row that must
 /// travel with it across the address-space boundary.
@@ -164,26 +172,8 @@ fn full_replica_frame(
     }
 }
 
-/// Decodes the routing byte of a [`SetupPayload`].
-fn routing_from_wire(byte: u8) -> RoutingPolicy {
-    match byte {
-        0 => RoutingPolicy::UniformRandom,
-        1 => RoutingPolicy::LeastLoaded,
-        2 => RoutingPolicy::RoundRobin,
-        other => unreachable!("wire decode validated routing byte {other}"),
-    }
-}
-
-/// Encodes a routing policy for a [`SetupPayload`].
-pub(crate) fn routing_to_wire(policy: RoutingPolicy) -> u8 {
-    match policy {
-        RoutingPolicy::UniformRandom => 0,
-        RoutingPolicy::LeastLoaded => 1,
-        RoutingPolicy::RoundRobin => 2,
-    }
-}
-
-fn bit(r: usize) -> u64 {
+/// Rank `r`'s bit in a membership bitmap.
+pub(crate) fn bit(r: usize) -> u64 {
     1u64 << r
 }
 
@@ -493,10 +483,7 @@ fn run_rank_inner<T: Transport>(
     let driver = transport.ranks();
     assert_eq!(rank, transport.id(), "setup addressed to the wrong rank");
     assert_eq!(capacity, transport.ranks(), "mesh capacity mismatch");
-    assert!(
-        capacity <= MAX_CAPACITY,
-        "membership bitmaps support up to {MAX_CAPACITY} ranks"
-    );
+    assert_capacity(capacity);
     let k = setup.k as usize;
     let members = if setup.active_ranks.is_empty() {
         // Pre-elastic setups: everyone is active.
@@ -1714,11 +1701,10 @@ fn worker_loop(shared: &Shared, state: &Mutex<WorkerState>, setup: &SetupPayload
         alpha: setup.alpha,
         beta: setup.beta,
     }; // field-by-field so new hyper-parameters force a wire change
-    let routing = routing_from_wire(setup.routing);
     let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
     // The publisher has one contributor slot (0): this rank's one worker.
     let (slab, publisher) = (&shared.slab, shared.publisher.as_ref());
-    let mut kernel = HopKernel::new(rank, 0, params, routing, setup.seed, slab, publisher);
+    let mut kernel = HopKernel::new(rank, 0, params, setup.routing, setup.seed, slab, publisher);
     let mut worker = RankWorker {
         rank,
         shared,

@@ -140,8 +140,10 @@ fn spawn_reader(src: usize, stream: TcpStream, shared: Arc<Shared>) {
         .expect("spawn reader thread");
 }
 
+/// Writes `msg` as one frame.  A message no frame can carry fails with
+/// [`NetError::Wire`] before `stream` is touched: not a dead stream.
 fn send_on(stream: &mut TcpStream, msg: &Message) -> Result<usize, NetError> {
-    let payload = msg.encode()?;
+    let payload = msg.encode_frame()?;
     write_frame(stream, &payload)?;
     stream.flush()?;
     Ok(payload.len())
@@ -280,8 +282,7 @@ impl TcpTransport {
             ports: ports.clone(),
         };
         for stream in streams.iter_mut().flatten() {
-            let payload = peers.encode()?;
-            write_frame(stream, &payload)?;
+            send_on(stream, &peers)?;
         }
         let shared = Arc::new(Shared::new(capacity));
         *shared.ports.lock().expect("ports poisoned") = ports;
@@ -388,14 +389,11 @@ impl TcpTransport {
         let mut driver = TcpStream::connect(driver_addr)?;
         driver.set_read_timeout(Some(HANDSHAKE_DEADLINE))?;
         configure(&driver)?;
-        {
-            let payload = Message::Hello {
-                rank: rank as u32,
-                port: own_port,
-            }
-            .encode()?;
-            write_frame(&mut driver, &payload)?;
-        }
+        let hello = Message::Hello {
+            rank: rank as u32,
+            port: own_port,
+        };
+        send_on(&mut driver, &hello)?;
         let ports = match read_msg(&mut driver)? {
             Message::Peers { ports } => ports,
             other => return Err(NetError::Protocol(format!("expected Peers, got {other:?}"))),
@@ -417,8 +415,7 @@ impl TcpTransport {
             }
             let mut stream = TcpStream::connect(("127.0.0.1", port))?;
             configure(&stream)?;
-            let payload = Message::PeerHello { rank: rank as u32 }.encode()?;
-            write_frame(&mut stream, &payload)?;
+            send_on(&mut stream, &Message::PeerHello { rank: rank as u32 })?;
             peer_streams[s] = Some(stream);
         }
         // Accept from every occupied slot above us (initial handshake
@@ -696,6 +693,15 @@ mod tests {
                 }
             );
         }
+    }
+
+    #[test]
+    fn an_oversized_message_is_refused_and_the_writer_survives() {
+        let (driver, ranks) = tcp_mesh(1);
+        // Not taken for a dead stream: the writer slot outlives the refusal
+        // (the follow-up send is delivered) and no down-evidence is raised.
+        crate::transport::tests::assert_oversized_is_refused(&ranks[0], &driver);
+        assert!(!ranks[0].peer_down(1));
     }
 
     #[test]

@@ -81,7 +81,9 @@ pub trait Transport: Send {
     /// twice.
     ///
     /// # Errors
-    /// Fails if the destination is unreachable or encoding fails.
+    /// Fails if the destination is unreachable or encoding fails.  A
+    /// message too large for one frame fails with [`NetError::Wire`]
+    /// before anything is sent, and the edge stays usable.
     fn send(&self, dest: usize, msg: &Message) -> Result<usize, NetError>;
 
     /// Receives the next message from any endpoint, waiting up to
@@ -175,7 +177,7 @@ impl Transport for Loopback {
     fn send(&self, dest: usize, msg: &Message) -> Result<usize, NetError> {
         assert!(dest <= self.ranks, "destination {dest} out of mesh");
         assert_ne!(dest, self.id, "no self-edges in the mesh");
-        let bytes = msg.encode()?;
+        let bytes = msg.encode_frame()?;
         let len = bytes.len();
         let mailbox = &self.boxes[dest];
         let mut queue = mailbox.queue.lock().expect("mailbox poisoned");
@@ -205,58 +207,30 @@ impl Transport for Loopback {
     }
 }
 
-/// A transport wrapper that sleeps before every send — a deterministic
-/// straggler.
-///
-/// Wrapping one rank's endpoint makes that rank's communication thread
-/// maximally slow relative to the comm thread's poll interval without
-/// touching the engine: every outbound token batch, progress report and
-/// `Fin` is held up by `delay`.  The drain-barrier regression test uses
-/// this to pin that quiesce completes even when one comm thread lags
-/// orders of magnitude behind the others (today's protocol has no
-/// timeout — a dead rank hangs forever; a *slow* rank must not).
-pub struct DelayedTransport<T> {
-    inner: T,
-    send_delay: Duration,
-}
-
-impl<T: Transport> DelayedTransport<T> {
-    /// Wraps `inner`, delaying every send by `send_delay`.
-    pub fn new(inner: T, send_delay: Duration) -> Self {
-        Self { inner, send_delay }
-    }
-}
-
-impl<T: Transport> Transport for DelayedTransport<T> {
-    fn id(&self) -> usize {
-        self.inner.id()
-    }
-
-    fn ranks(&self) -> usize {
-        self.inner.ranks()
-    }
-
-    fn send(&self, dest: usize, msg: &Message) -> Result<usize, NetError> {
-        std::thread::sleep(self.send_delay);
-        self.inner.send(dest, msg)
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Option<(usize, Message)>, NetError> {
-        self.inner.recv_timeout(timeout)
-    }
-
-    fn peer_down(&self, peer: usize) -> bool {
-        self.inner.peer_down(peer)
-    }
-
-    fn close_peer(&self, peer: usize) {
-        self.inner.close_peer(peer);
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::wire::{ShardTransferPayload, MAX_FRAME_LEN};
+
+    /// Sends `to` a shard transfer whose factor rows alone fill a whole
+    /// frame: refused as a wire error, and the next send on the same edge
+    /// is delivered.  Shared with the TCP transport's tests.
+    pub(crate) fn assert_oversized_is_refused(from: &impl Transport, to: &impl Transport) {
+        let too_big = Message::ShardTransfer(Box::new(ShardTransferPayload {
+            row_start: 0,
+            k: 1,
+            rows: vec![0.0; (MAX_FRAME_LEN / 8) as usize],
+            entries: Vec::new(),
+        }));
+        let sent = from.send(to.id(), &too_big);
+        assert!(
+            matches!(sent, Err(NetError::Wire(WireError::BadLength(n))) if n > MAX_FRAME_LEN as u64),
+            "got {sent:?}"
+        );
+        from.send(to.id(), &Message::Fin { rank: 0 }).unwrap();
+        let next = to.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(next, Some((from.id(), Message::Fin { rank: 0 })));
+    }
 
     #[test]
     fn loopback_delivers_in_per_edge_fifo_order() {
@@ -306,18 +280,9 @@ mod tests {
     }
 
     #[test]
-    fn delayed_transport_delivers_after_its_delay() {
-        let (driver, mut ranks) = Loopback::mesh(1);
-        let slow = DelayedTransport::new(ranks.remove(0), Duration::from_millis(2));
-        let before = std::time::Instant::now();
-        slow.send(1, &Message::Fin { rank: 0 }).unwrap();
-        assert!(before.elapsed() >= Duration::from_millis(2));
-        let (src, msg) = driver
-            .recv_timeout(Duration::from_secs(1))
-            .unwrap()
-            .expect("delayed message still arrives");
-        assert_eq!(src, 0);
-        assert!(matches!(msg, Message::Fin { rank: 0 }));
+    fn an_oversized_message_is_refused_and_the_edge_survives() {
+        let (driver, ranks) = Loopback::mesh(1);
+        assert_oversized_is_refused(&ranks[0], &driver);
     }
 
     #[test]

@@ -1,14 +1,17 @@
-//! The wire codec: a compact, hand-rolled binary format for everything
-//! that crosses an address-space boundary.
+//! The wire codec: a compact binary format for everything that crosses
+//! an address-space boundary.
 //!
 //! Section 3.5 of the paper batches ~100 `(j, h_j)` pairs into a single
 //! network message to amortize latency; this module defines that message
 //! (and the control-plane messages around it) as length-prefixed frames of
-//! little-endian scalars.  No external serialization crate is involved —
-//! the format is small enough that a hand-rolled codec is both faster and
-//! easier to audit, and decoding is *total*: any truncated or corrupted
+//! little-endian scalars.  No external serialization crate is involved.
+//! The format is described once: a private `Wire` rule lays out each
+//! *kind* of value (scalar, sequence, array, tuple, name), and two tables
+//! list each payload struct's fields and each message's tag and fields
+//! in wire order — `encode`, `decode` and every pre-allocation bound are
+//! generated from those.  Decoding is *total*: any truncated or corrupted
 //! frame produces a [`WireError`], never a panic or an oversized
-//! allocation (a property the fuzz-ish tests pin down).
+//! allocation; `tests/wire_golden.rs` pins the bytes of every message.
 //!
 //! ## Frame format
 //!
@@ -23,8 +26,9 @@
 
 use std::io::{Read, Write};
 
+use nomad_core::RoutingPolicy;
 use nomad_matrix::Idx;
-use nomad_telemetry::{HistSnapshot, TelemetrySnapshot, HIST_BUCKETS};
+use nomad_telemetry::{HistSnapshot, TelemetrySnapshot};
 
 /// Hard cap on the byte length of a single frame payload (64 MiB).
 ///
@@ -108,8 +112,8 @@ pub struct SetupPayload {
     pub alpha: f64,
     /// Step-size decay β (Eq. 11).
     pub beta: f64,
-    /// Routing policy (0 = uniform, 1 = least-loaded, 2 = round-robin).
-    pub routing: u8,
+    /// Routing policy.
+    pub routing: RoutingPolicy,
     /// Global SGD-update budget; also each rank's local hard cap.
     pub budget: u64,
     /// Tokens per outbound network message (Section 3.5; ~100).
@@ -473,755 +477,307 @@ pub enum Message {
     Telemetry(Box<TelemetryPayload>),
 }
 
-const TAG_HELLO: u8 = 1;
-const TAG_PEER_HELLO: u8 = 2;
-const TAG_PEERS: u8 = 3;
-const TAG_SETUP: u8 = 4;
-const TAG_TOKEN_BATCH: u8 = 5;
-const TAG_PROGRESS: u8 = 6;
-const TAG_DRAIN: u8 = 7;
-const TAG_FIN: u8 = 8;
-const TAG_SHARD: u8 = 9;
-const TAG_PING: u8 = 10;
-const TAG_SUSPECT: u8 = 11;
-const TAG_EVICT: u8 = 12;
-const TAG_CENSUS_MARK: u8 = 13;
-const TAG_INVENTORY: u8 = 14;
-const TAG_RECONFIGURE: u8 = 15;
-const TAG_JOIN: u8 = 16;
-const TAG_ADD_RANK: u8 = 17;
-const TAG_REBALANCE: u8 = 18;
-const TAG_SHARD_TRANSFER: u8 = 19;
-const TAG_QUERY: u8 = 20;
-const TAG_QUERY_REPLY: u8 = 21;
-const TAG_REPLICA: u8 = 22;
-const TAG_TELEMETRY: u8 = 23;
-const TAG_REPLICA_DELTA: u8 = 24;
-
 // ---------------------------------------------------------------------------
-// Primitive writers/readers.
+// The wire rule: how one value is laid out, and the fewest bytes it takes.
 
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// How a value crosses the wire.  Implemented once per *kind* of value;
+/// every payload struct and message is then a list of fields (the tables).
+trait Wire: Sized {
+    /// The fewest bytes any value of this type encodes to (for a struct,
+    /// the sum over its fields).  A sequence decoder multiplies it by the
+    /// announced count and refuses, before allocating, a count the rest
+    /// of the frame cannot hold.
+    const MIN_BYTES: usize;
+
+    /// Appends the value's bytes.
+    fn put(&self, buf: &mut Vec<u8>) -> Result<(), WireError>;
+
+    /// Reads one value off the front of `r`, advancing it.
+    fn get(r: &mut &[u8]) -> Result<Self, WireError>;
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
+/// Scalars are little-endian.
+macro_rules! wire_le {
+    ($($ty:ty)+) => {$(
+        impl Wire for $ty {
+            const MIN_BYTES: usize = size_of::<$ty>();
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
+            fn put(&self, buf: &mut Vec<u8>) -> Result<(), WireError> {
+                buf.extend_from_slice(&self.to_le_bytes());
+                Ok(())
+            }
 
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64s(buf: &mut Vec<u8>, vs: &[f64]) -> Result<(), WireError> {
-    let n = seq_len(vs.len())?;
-    put_u32(buf, n);
-    for &v in vs {
-        put_f64(buf, v);
-    }
-    Ok(())
-}
-
-fn put_name(buf: &mut Vec<u8>, s: &str) -> Result<(), WireError> {
-    if s.len() > MAX_METRIC_NAME_LEN {
-        return Err(WireError::BadLength(s.len() as u64));
-    }
-    put_u16(buf, s.len() as u16);
-    buf.extend_from_slice(s.as_bytes());
-    Ok(())
-}
-
-fn seq_len(len: usize) -> Result<u32, WireError> {
-    if len as u64 > MAX_SEQ_LEN as u64 {
-        return Err(WireError::BadLength(len as u64));
-    }
-    Ok(len as u32)
-}
-
-/// Cursor over a received payload; every getter is bounds-checked.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated);
+            fn get(r: &mut &[u8]) -> Result<Self, WireError> {
+                let (head, tail) = r.split_first_chunk().ok_or(WireError::Truncated)?;
+                *r = tail;
+                Ok(<$ty>::from_le_bytes(*head))
+            }
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+    )+};
+}
+wire_le!(u8 u16 u32 u64 i64 f64);
+
+/// A sequence is a `u32` element count, then the elements.  The only
+/// place a count is checked: against [`MAX_SEQ_LEN`] both ways, and on
+/// decode against the bytes left in the frame.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = u32::MIN_BYTES;
+
+    fn put(&self, buf: &mut Vec<u8>) -> Result<(), WireError> {
+        if self.len() as u64 > MAX_SEQ_LEN as u64 {
+            return Err(WireError::BadLength(self.len() as u64));
+        }
+        (self.len() as u32).put(buf)?;
+        self.iter().try_for_each(|v| v.put(buf))
     }
 
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads a `u32` sequence length and validates it against the cap
-    /// *and* the bytes remaining for `elem_bytes`-sized elements, so a
-    /// corrupted length can never trigger a huge allocation.
-    fn seq(&mut self, elem_bytes: usize) -> Result<usize, WireError> {
-        let n = self.u32()?;
+    fn get(r: &mut &[u8]) -> Result<Self, WireError> {
+        // An element that could take no bytes would leave the allocation
+        // below bounded by the cap alone.
+        const { assert!(T::MIN_BYTES > 0) };
+        let n = u32::get(r)?;
         if n > MAX_SEQ_LEN {
             return Err(WireError::BadLength(n as u64));
         }
         let need = (n as usize)
-            .checked_mul(elem_bytes)
+            .checked_mul(T::MIN_BYTES)
             .ok_or(WireError::BadLength(n as u64))?;
-        if self.remaining() < need {
+        if r.len() < need {
             return Err(WireError::Truncated);
         }
-        Ok(n as usize)
-    }
-
-    /// Reads a length-prefixed UTF-8 metric name (see [`put_name`]).
-    fn name(&mut self) -> Result<String, WireError> {
-        let n = self.u16()? as usize;
-        if n > MAX_METRIC_NAME_LEN {
-            return Err(WireError::BadLength(n as u64));
-        }
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadValue(n as u64))
-    }
-
-    fn f64s(&mut self) -> Result<Vec<f64>, WireError> {
-        let n = self.seq(8)?;
-        let mut out = Vec::with_capacity(n);
+        let mut out = Vec::with_capacity(n as usize);
         for _ in 0..n {
-            out.push(self.f64()?);
+            out.push(T::get(r)?);
         }
         Ok(out)
     }
+}
 
-    fn finish(self) -> Result<(), WireError> {
-        if self.remaining() != 0 {
-            return Err(WireError::Trailing(self.remaining()));
+/// A fixed-size array is its elements, no count.
+impl<T: Wire + Copy + Default, const N: usize> Wire for [T; N] {
+    const MIN_BYTES: usize = N * T::MIN_BYTES;
+
+    fn put(&self, buf: &mut Vec<u8>) -> Result<(), WireError> {
+        self.iter().try_for_each(|v| v.put(buf))
+    }
+
+    fn get(r: &mut &[u8]) -> Result<Self, WireError> {
+        let mut out = [T::default(); N];
+        for slot in &mut out {
+            *slot = T::get(r)?;
         }
+        Ok(out)
+    }
+}
+
+/// A tuple is its elements in order.
+macro_rules! wire_tuple {
+    ($($v:ident: $T:ident),+) => {
+        impl<$($T: Wire),+> Wire for ($($T,)+) {
+            const MIN_BYTES: usize = 0 $(+ $T::MIN_BYTES)+;
+
+            fn put(&self, buf: &mut Vec<u8>) -> Result<(), WireError> {
+                let ($($v,)+) = self;
+                $($v.put(buf)?;)+
+                Ok(())
+            }
+
+            fn get(r: &mut &[u8]) -> Result<Self, WireError> {
+                Ok(($($T::get(r)?,)+))
+            }
+        }
+    };
+}
+wire_tuple!(a: A, b: B);
+wire_tuple!(a: A, b: B, c: C);
+
+/// A string is a metric name: a `u16` byte length of at most
+/// [`MAX_METRIC_NAME_LEN`], then UTF-8.
+impl Wire for String {
+    const MIN_BYTES: usize = u16::MIN_BYTES;
+
+    fn put(&self, buf: &mut Vec<u8>) -> Result<(), WireError> {
+        if self.len() > MAX_METRIC_NAME_LEN {
+            return Err(WireError::BadLength(self.len() as u64));
+        }
+        (self.len() as u16).put(buf)?;
+        buf.extend_from_slice(self.as_bytes());
         Ok(())
+    }
+
+    fn get(r: &mut &[u8]) -> Result<Self, WireError> {
+        let n = u16::get(r)? as usize;
+        if n > MAX_METRIC_NAME_LEN {
+            return Err(WireError::BadLength(n as u64));
+        }
+        let (name, tail) = r.split_at_checked(n).ok_or(WireError::Truncated)?;
+        *r = tail;
+        String::from_utf8(name.to_vec()).map_err(|_| WireError::BadValue(n as u64))
+    }
+}
+
+/// A routing policy is one byte — 0 = uniform, 1 = least-loaded,
+/// 2 = round-robin — and any other byte is refused where it is read.
+impl Wire for RoutingPolicy {
+    const MIN_BYTES: usize = u8::MIN_BYTES;
+
+    fn put(&self, buf: &mut Vec<u8>) -> Result<(), WireError> {
+        let byte: u8 = match self {
+            RoutingPolicy::UniformRandom => 0,
+            RoutingPolicy::LeastLoaded => 1,
+            RoutingPolicy::RoundRobin => 2,
+        };
+        byte.put(buf)
+    }
+
+    fn get(r: &mut &[u8]) -> Result<Self, WireError> {
+        match u8::get(r)? {
+            0 => Ok(RoutingPolicy::UniformRandom),
+            1 => Ok(RoutingPolicy::LeastLoaded),
+            2 => Ok(RoutingPolicy::RoundRobin),
+            other => Err(WireError::BadValue(other as u64)),
+        }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Message encode/decode.
+// The tables, in wire order.  Adding a message is a variant on `Message`
+// plus one line here; `tests/wire_golden.rs` pins the bytes of every line.
 
-fn put_token(buf: &mut Vec<u8>, t: &WireToken) -> Result<(), WireError> {
-    put_u32(buf, t.item);
-    put_u64(buf, t.pass);
-    put_f64s(buf, &t.factor)
+/// `F::MIN_BYTES` of the field a projection returns, so `wire_structs!`
+/// can sum a struct's minimum from its field names alone.
+const fn min_bytes_of<S, F: Wire>(_field: fn(&S) -> &F) -> usize {
+    F::MIN_BYTES
 }
 
-fn get_token(r: &mut Reader<'_>) -> Result<WireToken, WireError> {
-    let item = r.u32()?;
-    let pass = r.u64()?;
-    let factor = r.f64s()?;
-    Ok(WireToken { item, pass, factor })
+macro_rules! wire_structs {
+    ($($ty:ident { $($field:ident),+ })+) => {$(
+        impl Wire for $ty {
+            const MIN_BYTES: usize = 0 $(+ min_bytes_of(|s: &$ty| &s.$field))+;
+
+            #[inline] // a token's fields are written in its batch's loop, not behind a call
+            fn put(&self, buf: &mut Vec<u8>) -> Result<(), WireError> {
+                $(self.$field.put(buf)?;)+
+                Ok(())
+            }
+
+            fn get(r: &mut &[u8]) -> Result<Self, WireError> {
+                Ok($ty { $($field: Wire::get(r)?),+ })
+            }
+        }
+    )+};
 }
 
-fn put_tokens(buf: &mut Vec<u8>, tokens: &[WireToken]) -> Result<(), WireError> {
-    put_u32(buf, seq_len(tokens.len())?);
-    for t in tokens {
-        put_token(buf, t)?;
+wire_structs! {
+    WireToken { item, pass, factor }
+    WireSegment { row_start, rows }
+    WireDeltaRow { row, factors }
+    HistSnapshot { count, sum, max, buckets }
+    TelemetrySnapshot { counters, gauges, hists }
+    SetupPayload {
+        rank, ranks, nrows, ncols, row_start, row_count, k, seed, lambda, alpha, beta, routing,
+        budget, message_batch, progress_every, heartbeat_timeout_ms, abort_after_updates,
+        serve_publish_every, serve_nprobe, epoch, active_ranks, w_rows, entries
     }
-    Ok(())
+    ShardPayload { rank, k, segments, tokens, tickets, updates, remote_sends }
+    ShardTransferPayload { row_start, k, rows, entries }
+    ReplicaPayload { rank, k, epoch, updates_at, segments, items }
+    ReplicaDeltaPayload { rank, k, epoch, base_epoch, updates_at, w_rows, h_rows }
+    TelemetryPayload { rank, seq, snapshot }
 }
 
-fn get_tokens(r: &mut Reader<'_>) -> Result<Vec<WireToken>, WireError> {
-    // Minimum 16 bytes per token (item + pass + empty factor length).
-    let n = r.seq(16)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(get_token(r)?);
-    }
-    Ok(out)
-}
-
-fn put_entries(buf: &mut Vec<u8>, entries: &[(u32, u32, f64)]) -> Result<(), WireError> {
-    put_u32(buf, seq_len(entries.len())?);
-    for &(i, j, v) in entries {
-        put_u32(buf, i);
-        put_u32(buf, j);
-        put_f64(buf, v);
-    }
-    Ok(())
-}
-
-fn get_entries(r: &mut Reader<'_>) -> Result<Vec<(u32, u32, f64)>, WireError> {
-    let n = r.seq(16)?;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        entries.push((r.u32()?, r.u32()?, r.f64()?));
-    }
-    Ok(entries)
-}
-
-impl Message {
-    /// Encodes the message payload (tag byte + fields, no length prefix).
-    ///
-    /// # Errors
-    /// Fails only if a sequence exceeds [`MAX_SEQ_LEN`] — impossible for
-    /// messages the engine itself builds.
-    pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        let mut buf = Vec::new();
-        match self {
-            Message::Hello { rank, port } => {
-                buf.push(TAG_HELLO);
-                put_u32(&mut buf, *rank);
-                put_u16(&mut buf, *port);
-            }
-            Message::PeerHello { rank } => {
-                buf.push(TAG_PEER_HELLO);
-                put_u32(&mut buf, *rank);
-            }
-            Message::Peers { ports } => {
-                buf.push(TAG_PEERS);
-                put_u32(&mut buf, seq_len(ports.len())?);
-                for &p in ports {
-                    put_u16(&mut buf, p);
-                }
-            }
-            Message::Setup(s) => {
-                buf.push(TAG_SETUP);
-                put_u32(&mut buf, s.rank);
-                put_u32(&mut buf, s.ranks);
-                put_u64(&mut buf, s.nrows);
-                put_u64(&mut buf, s.ncols);
-                put_u64(&mut buf, s.row_start);
-                put_u64(&mut buf, s.row_count);
-                put_u32(&mut buf, s.k);
-                put_u64(&mut buf, s.seed);
-                put_f64(&mut buf, s.lambda);
-                put_f64(&mut buf, s.alpha);
-                put_f64(&mut buf, s.beta);
-                buf.push(s.routing);
-                put_u64(&mut buf, s.budget);
-                put_u32(&mut buf, s.message_batch);
-                put_u64(&mut buf, s.progress_every);
-                put_u32(&mut buf, s.heartbeat_timeout_ms);
-                put_u64(&mut buf, s.abort_after_updates);
-                put_u64(&mut buf, s.serve_publish_every);
-                put_u32(&mut buf, s.serve_nprobe);
-                put_u64(&mut buf, s.epoch);
-                put_u32(&mut buf, seq_len(s.active_ranks.len())?);
-                for &r in &s.active_ranks {
-                    put_u32(&mut buf, r);
-                }
-                put_f64s(&mut buf, &s.w_rows)?;
-                put_entries(&mut buf, &s.entries)?;
-            }
-            Message::TokenBatch { qlen, tokens } => {
-                buf.push(TAG_TOKEN_BATCH);
-                put_u64(&mut buf, *qlen);
-                put_tokens(&mut buf, tokens)?;
-            }
-            Message::Progress {
-                rank,
-                updates,
-                staleness,
-                publish_gap,
-            } => {
-                buf.push(TAG_PROGRESS);
-                put_u32(&mut buf, *rank);
-                put_u64(&mut buf, *updates);
-                put_u64(&mut buf, *staleness);
-                put_u64(&mut buf, *publish_gap);
-            }
-            Message::Drain => buf.push(TAG_DRAIN),
-            Message::Fin { rank } => {
-                buf.push(TAG_FIN);
-                put_u32(&mut buf, *rank);
-            }
-            Message::Shard(s) => {
-                buf.push(TAG_SHARD);
-                put_u32(&mut buf, s.rank);
-                put_u32(&mut buf, s.k);
-                put_u32(&mut buf, seq_len(s.segments.len())?);
-                for seg in &s.segments {
-                    put_u64(&mut buf, seg.row_start);
-                    put_f64s(&mut buf, &seg.rows)?;
-                }
-                put_tokens(&mut buf, &s.tokens)?;
-                put_u64(&mut buf, s.tickets);
-                put_u64(&mut buf, s.updates);
-                put_u64(&mut buf, s.remote_sends);
-            }
-            Message::Ping { rank } => {
-                buf.push(TAG_PING);
-                put_u32(&mut buf, *rank);
-            }
-            Message::Suspect { rank, peer } => {
-                buf.push(TAG_SUSPECT);
-                put_u32(&mut buf, *rank);
-                put_u32(&mut buf, *peer);
-            }
-            Message::Evict { epoch, rank } => {
-                buf.push(TAG_EVICT);
-                put_u64(&mut buf, *epoch);
-                put_u32(&mut buf, *rank);
-            }
-            Message::CensusMark { epoch, rank } => {
-                buf.push(TAG_CENSUS_MARK);
-                put_u64(&mut buf, *epoch);
-                put_u32(&mut buf, *rank);
-            }
-            Message::Inventory {
-                epoch,
-                rank,
-                tickets,
-                held,
-            } => {
-                buf.push(TAG_INVENTORY);
-                put_u64(&mut buf, *epoch);
-                put_u32(&mut buf, *rank);
-                put_u64(&mut buf, *tickets);
-                put_u32(&mut buf, seq_len(held.len())?);
-                for &(item, pass) in held {
-                    put_u32(&mut buf, item);
-                    put_u64(&mut buf, pass);
-                }
-            }
-            Message::Reconfigure { epoch } => {
-                buf.push(TAG_RECONFIGURE);
-                put_u64(&mut buf, *epoch);
-            }
-            Message::Join { rank } => {
-                buf.push(TAG_JOIN);
-                put_u32(&mut buf, *rank);
-            }
-            Message::AddRank { epoch, rank } => {
-                buf.push(TAG_ADD_RANK);
-                put_u64(&mut buf, *epoch);
-                put_u32(&mut buf, *rank);
-            }
-            Message::Rebalance {
-                epoch,
-                to,
-                row_start,
-                row_count,
-            } => {
-                buf.push(TAG_REBALANCE);
-                put_u64(&mut buf, *epoch);
-                put_u32(&mut buf, *to);
-                put_u64(&mut buf, *row_start);
-                put_u64(&mut buf, *row_count);
-            }
-            Message::ShardTransfer(t) => {
-                buf.push(TAG_SHARD_TRANSFER);
-                put_u64(&mut buf, t.row_start);
-                put_u32(&mut buf, t.k);
-                put_f64s(&mut buf, &t.rows)?;
-                put_entries(&mut buf, &t.entries)?;
-            }
-            Message::Query { id, user, k, seen } => {
-                buf.push(TAG_QUERY);
-                put_u64(&mut buf, *id);
-                put_u32(&mut buf, *user);
-                put_u32(&mut buf, *k);
-                put_u32(&mut buf, seq_len(seen.len())?);
-                for &s in seen {
-                    put_u32(&mut buf, s);
-                }
-            }
-            Message::QueryReply {
-                id,
-                status,
-                epoch,
-                updates_at,
-                staleness,
-                recs,
-            } => {
-                buf.push(TAG_QUERY_REPLY);
-                put_u64(&mut buf, *id);
-                buf.push(*status);
-                put_u64(&mut buf, *epoch);
-                put_u64(&mut buf, *updates_at);
-                put_u64(&mut buf, *staleness);
-                put_u32(&mut buf, seq_len(recs.len())?);
-                for &(item, score) in recs {
-                    put_u32(&mut buf, item);
-                    put_f64(&mut buf, score);
-                }
-            }
-            Message::Replica(p) => {
-                buf.push(TAG_REPLICA);
-                put_u32(&mut buf, p.rank);
-                put_u32(&mut buf, p.k);
-                put_u64(&mut buf, p.epoch);
-                put_u64(&mut buf, p.updates_at);
-                put_u32(&mut buf, seq_len(p.segments.len())?);
-                for seg in &p.segments {
-                    put_u64(&mut buf, seg.row_start);
-                    put_f64s(&mut buf, &seg.rows)?;
-                }
-                put_f64s(&mut buf, &p.items)?;
-            }
-            Message::ReplicaDelta(p) => {
-                buf.push(TAG_REPLICA_DELTA);
-                put_u32(&mut buf, p.rank);
-                put_u32(&mut buf, p.k);
-                put_u64(&mut buf, p.epoch);
-                put_u64(&mut buf, p.base_epoch);
-                put_u64(&mut buf, p.updates_at);
-                for rows in [&p.w_rows, &p.h_rows] {
-                    put_u32(&mut buf, seq_len(rows.len())?);
-                    for row in rows.iter() {
-                        put_u64(&mut buf, row.row);
-                        put_f64s(&mut buf, &row.factors)?;
+/// `tag Variant { fields }`, `tag Variant(boxed payload)` or `tag Variant`;
+/// `field <= MAX` refuses a larger value where the field is read.
+macro_rules! wire_messages {
+    ($(
+        $tag:literal $variant:ident
+        $({ $($field:ident $(<= $max:ident)?),+ })?
+        $(($payload:ident))?
+    )+) => {
+        impl Message {
+            /// Encodes the message payload (tag byte + fields, no length prefix).
+            ///
+            /// # Errors
+            /// Fails only if a sequence exceeds [`MAX_SEQ_LEN`] or a metric
+            /// name [`MAX_METRIC_NAME_LEN`] — impossible for messages the
+            /// engine itself builds.
+            pub fn encode(&self) -> Result<Vec<u8>, WireError> {
+                let mut buf = Vec::new();
+                match self {$(
+                    Message::$variant $({ $($field),+ })? $(($payload))? => {
+                        buf.push($tag);
+                        $($($field.put(&mut buf)?;)+)?
+                        $($payload.put(&mut buf)?;)?
                     }
-                }
+                )+}
+                Ok(buf)
             }
-            Message::Telemetry(p) => {
-                buf.push(TAG_TELEMETRY);
-                put_u32(&mut buf, p.rank);
-                put_u64(&mut buf, p.seq);
-                put_u32(&mut buf, seq_len(p.snapshot.counters.len())?);
-                for (name, v) in &p.snapshot.counters {
-                    put_name(&mut buf, name)?;
-                    put_u64(&mut buf, *v);
-                }
-                put_u32(&mut buf, seq_len(p.snapshot.gauges.len())?);
-                for (name, v) in &p.snapshot.gauges {
-                    put_name(&mut buf, name)?;
-                    put_u64(&mut buf, *v as u64);
-                }
-                put_u32(&mut buf, seq_len(p.snapshot.hists.len())?);
-                for (name, h) in &p.snapshot.hists {
-                    put_name(&mut buf, name)?;
-                    put_u64(&mut buf, h.count);
-                    put_u64(&mut buf, h.sum);
-                    put_u64(&mut buf, h.max);
-                    for &b in &h.buckets {
-                        put_u64(&mut buf, b);
-                    }
+
+            /// Decodes one payload produced by [`Message::encode`].
+            ///
+            /// Total: truncated, oversized, or garbage input returns a
+            /// [`WireError`]; it never panics and never allocates more than the
+            /// input could legitimately describe.
+            pub fn decode(payload: &[u8]) -> Result<Message, WireError> {
+                let r = &mut &*payload;
+                let msg = match u8::get(r)? {
+                    $($tag => {
+                        $($(
+                            let $field = Wire::get(r)?;
+                            $(if $field > $max {
+                                return Err(WireError::BadValue($field as u64));
+                            })?
+                        )+)?
+                        $(let $payload = Box::new(Wire::get(r)?);)?
+                        Message::$variant $({ $($field),+ })? $(($payload))?
+                    })+
+                    other => return Err(WireError::BadTag(other)),
+                };
+                match r.len() {
+                    0 => Ok(msg),
+                    left => Err(WireError::Trailing(left)),
                 }
             }
         }
-        Ok(buf)
-    }
+    };
+}
 
-    /// Decodes one payload produced by [`Message::encode`].
-    ///
-    /// Total: truncated, oversized, or garbage input returns a
-    /// [`WireError`]; it never panics and never allocates more than the
-    /// input could legitimately describe.
-    pub fn decode(payload: &[u8]) -> Result<Message, WireError> {
-        let mut r = Reader::new(payload);
-        let tag = r.u8()?;
-        let msg = match tag {
-            TAG_HELLO => Message::Hello {
-                rank: r.u32()?,
-                port: r.u16()?,
-            },
-            TAG_PEER_HELLO => Message::PeerHello { rank: r.u32()? },
-            TAG_PEERS => {
-                let n = r.seq(2)?;
-                let mut ports = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ports.push(r.u16()?);
-                }
-                Message::Peers { ports }
-            }
-            TAG_SETUP => {
-                let rank = r.u32()?;
-                let ranks = r.u32()?;
-                let nrows = r.u64()?;
-                let ncols = r.u64()?;
-                let row_start = r.u64()?;
-                let row_count = r.u64()?;
-                let k = r.u32()?;
-                let seed = r.u64()?;
-                let lambda = r.f64()?;
-                let alpha = r.f64()?;
-                let beta = r.f64()?;
-                let routing = r.u8()?;
-                if routing > 2 {
-                    return Err(WireError::BadValue(routing as u64));
-                }
-                let budget = r.u64()?;
-                let message_batch = r.u32()?;
-                let progress_every = r.u64()?;
-                let heartbeat_timeout_ms = r.u32()?;
-                let abort_after_updates = r.u64()?;
-                let serve_publish_every = r.u64()?;
-                let serve_nprobe = r.u32()?;
-                let epoch = r.u64()?;
-                let n = r.seq(4)?;
-                let mut active_ranks = Vec::with_capacity(n);
-                for _ in 0..n {
-                    active_ranks.push(r.u32()?);
-                }
-                let w_rows = r.f64s()?;
-                let entries = get_entries(&mut r)?;
-                Message::Setup(Box::new(SetupPayload {
-                    rank,
-                    ranks,
-                    nrows,
-                    ncols,
-                    row_start,
-                    row_count,
-                    k,
-                    seed,
-                    lambda,
-                    alpha,
-                    beta,
-                    routing,
-                    budget,
-                    message_batch,
-                    progress_every,
-                    heartbeat_timeout_ms,
-                    abort_after_updates,
-                    serve_publish_every,
-                    serve_nprobe,
-                    epoch,
-                    active_ranks,
-                    w_rows,
-                    entries,
-                }))
-            }
-            TAG_TOKEN_BATCH => Message::TokenBatch {
-                qlen: r.u64()?,
-                tokens: get_tokens(&mut r)?,
-            },
-            TAG_PROGRESS => Message::Progress {
-                rank: r.u32()?,
-                updates: r.u64()?,
-                staleness: r.u64()?,
-                publish_gap: r.u64()?,
-            },
-            TAG_DRAIN => Message::Drain,
-            TAG_FIN => Message::Fin { rank: r.u32()? },
-            TAG_SHARD => {
-                let rank = r.u32()?;
-                let k = r.u32()?;
-                // Minimum 12 bytes per segment (row_start + empty rows).
-                let n = r.seq(12)?;
-                let mut segments = Vec::with_capacity(n);
-                for _ in 0..n {
-                    segments.push(WireSegment {
-                        row_start: r.u64()?,
-                        rows: r.f64s()?,
-                    });
-                }
-                Message::Shard(Box::new(ShardPayload {
-                    rank,
-                    k,
-                    segments,
-                    tokens: get_tokens(&mut r)?,
-                    tickets: r.u64()?,
-                    updates: r.u64()?,
-                    remote_sends: r.u64()?,
-                }))
-            }
-            TAG_PING => Message::Ping { rank: r.u32()? },
-            TAG_SUSPECT => Message::Suspect {
-                rank: r.u32()?,
-                peer: r.u32()?,
-            },
-            TAG_EVICT => Message::Evict {
-                epoch: r.u64()?,
-                rank: r.u32()?,
-            },
-            TAG_CENSUS_MARK => Message::CensusMark {
-                epoch: r.u64()?,
-                rank: r.u32()?,
-            },
-            TAG_INVENTORY => {
-                let epoch = r.u64()?;
-                let rank = r.u32()?;
-                let tickets = r.u64()?;
-                let n = r.seq(12)?;
-                let mut held = Vec::with_capacity(n);
-                for _ in 0..n {
-                    held.push((r.u32()?, r.u64()?));
-                }
-                Message::Inventory {
-                    epoch,
-                    rank,
-                    tickets,
-                    held,
-                }
-            }
-            TAG_RECONFIGURE => Message::Reconfigure { epoch: r.u64()? },
-            TAG_JOIN => Message::Join { rank: r.u32()? },
-            TAG_ADD_RANK => Message::AddRank {
-                epoch: r.u64()?,
-                rank: r.u32()?,
-            },
-            TAG_REBALANCE => Message::Rebalance {
-                epoch: r.u64()?,
-                to: r.u32()?,
-                row_start: r.u64()?,
-                row_count: r.u64()?,
-            },
-            TAG_SHARD_TRANSFER => Message::ShardTransfer(Box::new(ShardTransferPayload {
-                row_start: r.u64()?,
-                k: r.u32()?,
-                rows: r.f64s()?,
-                entries: get_entries(&mut r)?,
-            })),
-            TAG_QUERY => {
-                let id = r.u64()?;
-                let user = r.u32()?;
-                let k = r.u32()?;
-                let n = r.seq(4)?;
-                let mut seen = Vec::with_capacity(n);
-                for _ in 0..n {
-                    seen.push(r.u32()?);
-                }
-                Message::Query { id, user, k, seen }
-            }
-            TAG_QUERY_REPLY => {
-                let id = r.u64()?;
-                let status = r.u8()?;
-                if status > QUERY_UNKNOWN_USER {
-                    return Err(WireError::BadValue(status as u64));
-                }
-                let epoch = r.u64()?;
-                let updates_at = r.u64()?;
-                let staleness = r.u64()?;
-                let n = r.seq(12)?;
-                let mut recs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    recs.push((r.u32()?, r.f64()?));
-                }
-                Message::QueryReply {
-                    id,
-                    status,
-                    epoch,
-                    updates_at,
-                    staleness,
-                    recs,
-                }
-            }
-            TAG_REPLICA => {
-                let rank = r.u32()?;
-                let k = r.u32()?;
-                let epoch = r.u64()?;
-                let updates_at = r.u64()?;
-                // Minimum 12 bytes per segment (row_start + empty rows).
-                let n = r.seq(12)?;
-                let mut segments = Vec::with_capacity(n);
-                for _ in 0..n {
-                    segments.push(WireSegment {
-                        row_start: r.u64()?,
-                        rows: r.f64s()?,
-                    });
-                }
-                Message::Replica(Box::new(ReplicaPayload {
-                    rank,
-                    k,
-                    epoch,
-                    updates_at,
-                    segments,
-                    items: r.f64s()?,
-                }))
-            }
-            TAG_REPLICA_DELTA => {
-                let rank = r.u32()?;
-                let k = r.u32()?;
-                let epoch = r.u64()?;
-                let base_epoch = r.u64()?;
-                let updates_at = r.u64()?;
-                // Minimum 12 bytes per row (row index + empty factors).
-                let mut lists = [Vec::new(), Vec::new()];
-                for rows in lists.iter_mut() {
-                    let n = r.seq(12)?;
-                    rows.reserve_exact(n);
-                    for _ in 0..n {
-                        rows.push(WireDeltaRow {
-                            row: r.u64()?,
-                            factors: r.f64s()?,
-                        });
-                    }
-                }
-                let [w_rows, h_rows] = lists;
-                Message::ReplicaDelta(Box::new(ReplicaDeltaPayload {
-                    rank,
-                    k,
-                    epoch,
-                    base_epoch,
-                    updates_at,
-                    w_rows,
-                    h_rows,
-                }))
-            }
-            TAG_TELEMETRY => {
-                let rank = r.u32()?;
-                let seq = r.u64()?;
-                let mut snapshot = TelemetrySnapshot::default();
-                // Minimum 10 bytes per entry (empty name + u64 value).
-                let n = r.seq(10)?;
-                for _ in 0..n {
-                    let name = r.name()?;
-                    let v = r.u64()?;
-                    snapshot.counters.push((name, v));
-                }
-                let n = r.seq(10)?;
-                for _ in 0..n {
-                    let name = r.name()?;
-                    let v = r.u64()? as i64;
-                    snapshot.gauges.push((name, v));
-                }
-                // Minimum bytes per histogram: empty name + count/sum/max
-                // + the fixed bucket array.
-                let n = r.seq(2 + 3 * 8 + 8 * HIST_BUCKETS)?;
-                for _ in 0..n {
-                    let name = r.name()?;
-                    let count = r.u64()?;
-                    let sum = r.u64()?;
-                    let max = r.u64()?;
-                    let mut buckets = [0u64; HIST_BUCKETS];
-                    for b in buckets.iter_mut() {
-                        *b = r.u64()?;
-                    }
-                    snapshot.hists.push((
-                        name,
-                        HistSnapshot {
-                            count,
-                            sum,
-                            max,
-                            buckets,
-                        },
-                    ));
-                }
-                Message::Telemetry(Box::new(TelemetryPayload {
-                    rank,
-                    seq,
-                    snapshot,
-                }))
-            }
-            other => return Err(WireError::BadTag(other)),
-        };
-        r.finish()?;
-        Ok(msg)
+wire_messages! {
+    1 Hello { rank, port }
+    2 PeerHello { rank }
+    3 Peers { ports }
+    4 Setup(payload)
+    5 TokenBatch { qlen, tokens }
+    6 Progress { rank, updates, staleness, publish_gap }
+    7 Drain
+    8 Fin { rank }
+    9 Shard(payload)
+    10 Ping { rank }
+    11 Suspect { rank, peer }
+    12 Evict { epoch, rank }
+    13 CensusMark { epoch, rank }
+    14 Inventory { epoch, rank, tickets, held }
+    15 Reconfigure { epoch }
+    16 Join { rank }
+    17 AddRank { epoch, rank }
+    18 Rebalance { epoch, to, row_start, row_count }
+    19 ShardTransfer(payload)
+    20 Query { id, user, k, seen }
+    21 QueryReply { id, status <= QUERY_UNKNOWN_USER, epoch, updates_at, staleness, recs }
+    22 Replica(payload)
+    23 Telemetry(payload)
+    24 ReplicaDelta(payload)
+}
+
+impl Message {
+    /// [`Message::encode`] for a transport: also refuses, before any
+    /// stream is touched, a payload no frame can carry ([`MAX_FRAME_LEN`]).
+    pub(crate) fn encode_frame(&self) -> Result<Vec<u8>, WireError> {
+        let payload = self.encode()?;
+        if payload.len() as u64 > MAX_FRAME_LEN as u64 {
+            return Err(WireError::BadLength(payload.len() as u64));
+        }
+        Ok(payload)
     }
 }
 
@@ -1288,6 +844,51 @@ mod tests {
         assert_eq!(*msg, back);
     }
 
+    fn setup() -> SetupPayload {
+        SetupPayload {
+            rank: 2,
+            ranks: 4,
+            nrows: 1000,
+            ncols: 500,
+            row_start: 500,
+            row_count: 250,
+            k: 8,
+            seed: 0xDEAD_BEEF,
+            lambda: 0.05,
+            alpha: 0.012,
+            beta: 0.05,
+            routing: RoutingPolicy::LeastLoaded,
+            budget: 400_000,
+            message_batch: 100,
+            progress_every: 4096,
+            heartbeat_timeout_ms: 10_000,
+            abort_after_updates: 0,
+            serve_publish_every: 2_000,
+            serve_nprobe: 8,
+            epoch: 3,
+            active_ranks: vec![0, 1, 3],
+            w_rows: vec![0.125; 16],
+            entries: vec![(500, 3, 4.5), (749, 499, 1.0)],
+        }
+    }
+
+    /// The literals are the hand-computed sizes the decoders used to be handed.
+    #[test]
+    fn derived_min_bytes_match_the_literals_they_replace() {
+        use nomad_telemetry::HIST_BUCKETS;
+        assert_eq!(WireToken::MIN_BYTES, 16); // item + pass + empty factor
+        assert_eq!(<(u32, u32, f64)>::MIN_BYTES, 16); // a rating triplet
+        assert_eq!(WireSegment::MIN_BYTES, 12); // row_start + empty rows
+        assert_eq!(WireDeltaRow::MIN_BYTES, 12); // row + empty factors
+        assert_eq!(<(u32, u64)>::MIN_BYTES, 12); // a held (item, pass)
+        assert_eq!(<(u32, f64)>::MIN_BYTES, 12); // a recommendation
+        assert_eq!(<(String, u64)>::MIN_BYTES, 10); // empty name + counter
+        assert_eq!(
+            <(String, HistSnapshot)>::MIN_BYTES,
+            2 + 3 * 8 + 8 * HIST_BUCKETS // empty name + count/sum/max + buckets
+        );
+    }
+
     #[test]
     fn control_messages_round_trip() {
         roundtrip(&Message::Hello {
@@ -1329,31 +930,7 @@ mod tests {
 
     #[test]
     fn setup_and_shard_round_trip() {
-        roundtrip(&Message::Setup(Box::new(SetupPayload {
-            rank: 2,
-            ranks: 4,
-            nrows: 1000,
-            ncols: 500,
-            row_start: 500,
-            row_count: 250,
-            k: 8,
-            seed: 0xDEAD_BEEF,
-            lambda: 0.05,
-            alpha: 0.012,
-            beta: 0.05,
-            routing: 1,
-            budget: 400_000,
-            message_batch: 100,
-            progress_every: 4096,
-            heartbeat_timeout_ms: 10_000,
-            abort_after_updates: 0,
-            serve_publish_every: 2_000,
-            serve_nprobe: 8,
-            epoch: 3,
-            active_ranks: vec![0, 1, 3],
-            w_rows: vec![0.125; 16],
-            entries: vec![(500, 3, 4.5), (749, 499, 1.0)],
-        })));
+        roundtrip(&Message::Setup(Box::new(setup())));
         roundtrip(&Message::Shard(Box::new(ShardPayload {
             rank: 0,
             k: 2,
@@ -1531,7 +1108,7 @@ mod tests {
 
     #[test]
     fn non_utf8_metric_name_is_rejected() {
-        let mut bytes = vec![TAG_TELEMETRY];
+        let mut bytes = vec![23]; // the Telemetry tag
         bytes.extend_from_slice(&0u32.to_le_bytes()); // rank
         bytes.extend_from_slice(&0u64.to_le_bytes()); // seq
         bytes.extend_from_slice(&1u32.to_le_bytes()); // one counter
@@ -1598,7 +1175,7 @@ mod tests {
     #[test]
     fn corrupt_length_prefix_cannot_cause_a_huge_allocation() {
         // A token batch claiming 2^31 tokens in a 16-byte payload.
-        let mut bytes = vec![TAG_TOKEN_BATCH];
+        let mut bytes = vec![5]; // the TokenBatch tag
         bytes.extend_from_slice(&0u64.to_le_bytes());
         bytes.extend_from_slice(&(u32::MAX).to_le_bytes());
         let err = Message::decode(&bytes).unwrap_err();
@@ -1610,33 +1187,7 @@ mod tests {
 
     #[test]
     fn invalid_routing_policy_is_rejected() {
-        let mut bytes = Message::Setup(Box::new(SetupPayload {
-            rank: 0,
-            ranks: 1,
-            nrows: 1,
-            ncols: 1,
-            row_start: 0,
-            row_count: 1,
-            k: 1,
-            seed: 0,
-            lambda: 0.0,
-            alpha: 0.1,
-            beta: 0.0,
-            routing: 0,
-            budget: 1,
-            message_batch: 1,
-            progress_every: 1,
-            heartbeat_timeout_ms: 0,
-            abort_after_updates: 0,
-            serve_publish_every: 0,
-            serve_nprobe: 0,
-            epoch: 0,
-            active_ranks: vec![0],
-            w_rows: vec![0.0],
-            entries: vec![],
-        }))
-        .encode()
-        .unwrap();
+        let mut bytes = Message::Setup(Box::new(setup())).encode().unwrap();
         // The routing byte sits right after tag + 2*u32 + 4*u64 + u32 + u64
         // + 3*f64.
         let routing_off = 1 + 4 + 4 + 8 + 8 + 8 + 8 + 4 + 8 + 8 + 8 + 8;

@@ -13,7 +13,8 @@ use nomad_cluster::ComputeModel;
 use nomad_core::{NomadConfig, RoutingPolicy, SerialNomad, StopCondition};
 use nomad_data::{named_dataset, SizeTier};
 use nomad_matrix::{RatingMatrix, TripletMatrix};
-use nomad_net::DistributedNomad;
+use nomad_net::driver::run_driver;
+use nomad_net::{DistributedNomad, Loopback, NetConfig};
 use nomad_sgd::HyperParams;
 
 fn tiny() -> (RatingMatrix, TripletMatrix) {
@@ -175,4 +176,29 @@ fn wall_clock_budget_is_rejected() {
 #[should_panic(expected = "at least one rank")]
 fn zero_ranks_rejected() {
     let _ = DistributedNomad::new(quick_config(4, 10), 0);
+}
+
+/// So is a mesh the `u64` membership bitmaps cannot track: 64 ranks is the
+/// largest mesh, and 65 fails where the caller configures it — not as a
+/// rank thread panicking mid-handshake, and not by aliasing rank 64 onto
+/// rank 0 in the driver's bitmaps.
+#[test]
+fn sixty_four_ranks_is_the_largest_mesh() {
+    let _ = DistributedNomad::new(quick_config(4, 10), 64);
+}
+
+#[test]
+#[should_panic(expected = "mesh capacity 65 exceeds the 64 ranks")]
+fn sixty_five_ranks_rejected_at_construction() {
+    let _ = DistributedNomad::new(quick_config(4, 10), 65);
+}
+
+/// A caller that builds its own mesh meets the same check at the top of
+/// `run_driver`, before any rank has been contacted.
+#[test]
+#[should_panic(expected = "mesh capacity 65 exceeds the 64 ranks")]
+fn run_driver_rejects_a_sixty_five_rank_mesh() {
+    let (data, _) = tiny();
+    let (driver, _ranks) = Loopback::mesh(65);
+    let _ = run_driver(&driver, &data, &NetConfig::new(quick_config(4, 10)));
 }

@@ -16,9 +16,7 @@ use nomad_data::{named_dataset, SizeTier};
 use nomad_matrix::{RatingMatrix, TripletMatrix};
 use nomad_net::driver::run_driver;
 use nomad_net::rank::run_rank;
-use nomad_net::{
-    ChaosPlan, ChaosTransport, DelayedTransport, DistributedNomad, Loopback, NetConfig,
-};
+use nomad_net::{ChaosPlan, ChaosTransport, DistributedNomad, Loopback, NetConfig};
 use nomad_sgd::HyperParams;
 
 /// Serializes the tests whose assertions depend on wall-clock margins.
@@ -110,7 +108,13 @@ fn a_slow_rank_under_the_heartbeat_timeout_is_not_evicted() {
     // (sent every timeout/4) alone keep the rank comfortably audible.
     cfg.heartbeat_timeout_ms = 500;
     let (driver, mut endpoints) = Loopback::mesh(2);
-    let slow = DelayedTransport::new(endpoints.pop().unwrap(), Duration::from_millis(2));
+    let slow = ChaosTransport::scripted(
+        endpoints.pop().unwrap(),
+        ChaosPlan {
+            send_delay: Duration::from_millis(2),
+            ..ChaosPlan::default()
+        },
+    );
     let fast = endpoints.pop().unwrap();
     let out = std::thread::scope(|scope| {
         let s = scope.spawn(|| run_rank(&slow));
@@ -143,7 +147,13 @@ fn a_rank_over_the_heartbeat_timeout_is_evicted_and_survivors_finish() {
     // declares rank 1 dead before its first frame ever lands.
     cfg.heartbeat_timeout_ms = 200;
     let (driver, mut endpoints) = Loopback::mesh(2);
-    let slow = DelayedTransport::new(endpoints.pop().unwrap(), Duration::from_millis(800));
+    let slow = ChaosTransport::scripted(
+        endpoints.pop().unwrap(),
+        ChaosPlan {
+            send_delay: Duration::from_millis(800),
+            ..ChaosPlan::default()
+        },
+    );
     let fast = endpoints.pop().unwrap();
     let out = std::thread::scope(|scope| {
         let s = scope.spawn(|| run_rank(&slow));
@@ -196,7 +206,7 @@ fn a_scripted_transport_kill_is_detected_and_survived() {
         ep1,
         ChaosPlan {
             kill_at: Some(40),
-            partition: None,
+            ..ChaosPlan::default()
         },
     );
     let out = std::thread::scope(|scope| {

@@ -22,7 +22,7 @@ use nomad_matrix::{RatingMatrix, TripletMatrix};
 use nomad_net::driver::run_driver;
 use nomad_net::fuzz::fuzz_loopback;
 use nomad_net::rank::run_rank;
-use nomad_net::{DelayedTransport, Loopback, NetConfig};
+use nomad_net::{ChaosPlan, ChaosTransport, Loopback, NetConfig};
 use nomad_sgd::HyperParams;
 
 fn tiny() -> (RatingMatrix, TripletMatrix) {
@@ -81,9 +81,8 @@ fn fuzzed_seeds_long_conserve_and_match_serial() {
 
 /// Drain-barrier regression: one rank's comm thread is maximally delayed
 /// (every send sleeps 10× the comm poll), and quiesce must still
-/// complete with the full budget — today's protocol has no timeout, so a
-/// *slow* rank must never wedge the barrier.  Pins the behavior the
-/// fault-tolerance work will later relax for *dead* ranks.
+/// complete with the full budget — a *slow* rank, far under the default
+/// heartbeat timeout, must never wedge the barrier or be evicted.
 #[test]
 fn drain_barrier_completes_with_a_maximally_delayed_comm_thread() {
     let (data, _test) = tiny();
@@ -91,7 +90,13 @@ fn drain_barrier_completes_with_a_maximally_delayed_comm_thread() {
     let (driver, mut endpoints) = Loopback::mesh(2);
     // COMM_POLL is 200µs; a 2ms send delay makes rank 1's comm thread
     // the straggler on every token batch, progress report and Fin.
-    let slow = DelayedTransport::new(endpoints.pop().expect("rank 1"), Duration::from_millis(2));
+    let slow = ChaosTransport::scripted(
+        endpoints.pop().expect("rank 1"),
+        ChaosPlan {
+            send_delay: Duration::from_millis(2),
+            ..ChaosPlan::default()
+        },
+    );
     let fast = endpoints.pop().expect("rank 0");
     let started = std::time::Instant::now();
     let out = std::thread::scope(|scope| {

@@ -17,8 +17,8 @@ use nomad_matrix::RatingMatrix;
 use nomad_net::driver::run_driver_serving;
 use nomad_net::rank::run_rank;
 use nomad_net::{
-    Answer, DelayedTransport, DistributedNomad, Loopback, NetConfig, RouterConfig, ServeError,
-    ServeRouter,
+    Answer, ChaosPlan, ChaosTransport, DistributedNomad, Loopback, NetConfig, RouterConfig,
+    ServeError, ServeRouter,
 };
 use nomad_sgd::HyperParams;
 
@@ -118,7 +118,13 @@ fn an_undersized_deadline_times_out_promptly_instead_of_hanging() {
     let cfg = serving_config(20_000, 200);
     let nrows = data.nrows() as u32;
     let (driver, mut endpoints) = Loopback::mesh(1);
-    let slow = DelayedTransport::new(endpoints.pop().unwrap(), Duration::from_millis(60));
+    let slow = ChaosTransport::scripted(
+        endpoints.pop().unwrap(),
+        ChaosPlan {
+            send_delay: Duration::from_millis(60),
+            ..ChaosPlan::default()
+        },
+    );
     std::thread::scope(|scope| {
         let rank = scope.spawn(|| run_rank(&slow));
         let queries = scope.spawn(|| {

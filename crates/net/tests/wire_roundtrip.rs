@@ -9,6 +9,7 @@
 
 use proptest::prelude::*;
 
+use nomad_core::RoutingPolicy;
 use nomad_net::{
     Message, ReplicaDeltaPayload, ReplicaPayload, SetupPayload, ShardPayload, TelemetryPayload,
     WireDeltaRow, WireError, WireSegment, WireToken, QUERY_UNKNOWN_USER,
@@ -145,7 +146,7 @@ proptest! {
         ranks in 1u32..8,
         dims in (1u64..2000, 1u64..2000),
         seed in any::<u64>(),
-        routing in 0u8..3,
+        routing in 0usize..3,
         budget in any::<u64>(),
         entries in proptest::collection::vec((any::<u32>(), any::<u32>(), -5.0f64..5.0), 0..40),
         w in proptest::collection::vec(-1.0f64..1.0, 0..32),
@@ -162,7 +163,11 @@ proptest! {
             lambda: 0.05,
             alpha: 0.012,
             beta: 0.05,
-            routing,
+            routing: [
+                RoutingPolicy::UniformRandom,
+                RoutingPolicy::LeastLoaded,
+                RoutingPolicy::RoundRobin,
+            ][routing],
             budget,
             message_batch: 100,
             progress_every: 4096,
