@@ -683,6 +683,9 @@ struct RankTelemetry {
     /// Posting lists probed answering queries through the IVF index
     /// ([`names::SERVE_IVF_PROBES`]); stays 0 on the exact path.
     ivf_probes: CounterHandle,
+    /// `Query` off the inbox → `QueryReply` handed to the transport
+    /// ([`names::SERVE_RANK_SERVICE_US`]).
+    rank_service_us: HistogramHandle,
     /// Report sequence number (first frame is 1); the driver drops
     /// frames arriving out of order.
     seq: u64,
@@ -706,6 +709,7 @@ impl RankTelemetry {
             bytes_sent: registry.counter(names::BYTES_SENT),
             retries: registry.counter(names::RETRIES),
             ivf_probes: registry.counter(names::SERVE_IVF_PROBES),
+            rank_service_us: registry.histogram(names::SERVE_RANK_SERVICE_US),
             seq: 0,
             synced_updates: 0,
             synced_tokens: 0,
@@ -1579,8 +1583,12 @@ impl CommState {
                 shared.cmd_pending.store(true, Ordering::Release);
             }
             Message::Query { id, user, k, seen } => {
+                let taken = Instant::now();
                 let reply = self.answer_query(shared, id, user, k, seen);
                 self.post_ctrl(t, self.driver, &reply)?;
+                self.telemetry
+                    .rank_service_us
+                    .record(taken.elapsed().as_micros() as u64);
             }
             Message::ShardTransfer(transfer) => {
                 shared

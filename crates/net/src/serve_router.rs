@@ -272,8 +272,9 @@ struct RouterState {
     finished: bool,
 }
 
-/// The router's registered metrics: one counter per terminal outcome
-/// plus the answer-latency histogram the hedge-delay estimator reads.
+/// The router's registered metrics: one counter per terminal outcome,
+/// the answer-latency histogram the hedge-delay estimator reads, and its
+/// admission-wait stage.
 struct ServeMetrics {
     submitted: CounterHandle,
     fresh: CounterHandle,
@@ -285,6 +286,7 @@ struct ServeMetrics {
     retries: CounterHandle,
     hedges: CounterHandle,
     latency_us: HistogramHandle,
+    admission_wait_us: HistogramHandle,
 }
 
 impl ServeMetrics {
@@ -300,6 +302,7 @@ impl ServeMetrics {
             retries: registry.counter(names::SERVE_RETRIES),
             hedges: registry.counter(names::SERVE_HEDGES),
             latency_us: registry.histogram(names::SERVE_LATENCY_US),
+            admission_wait_us: registry.histogram(names::SERVE_ADMISSION_WAIT_US),
         }
     }
 }
@@ -540,6 +543,13 @@ impl ServeRouter {
                 continue;
             };
             let (user, k) = (p.user, p.k);
+            if p.attempts == 0 {
+                // Never sent: this is the first pump to see the query, and
+                // every arm below either sends it or resolves it.
+                self.metrics
+                    .admission_wait_us
+                    .record(now.saturating_duration_since(p.submitted).as_micros() as u64);
+            }
             if now >= p.deadline {
                 let attempts = p.attempts;
                 self.resolve_locked(
@@ -906,6 +916,9 @@ mod tests {
                 Answer::Stale { staleness: 42, .. }
             ));
         });
+        // One admission-wait sample per query, however many pumps (the
+        // not-ready one was pumped at least twice) it took to resolve.
+        assert_eq!(router.metrics.admission_wait_us.count(), 2);
     }
 
     #[test]

@@ -21,6 +21,7 @@ use nomad_net::{
     ServeError, ServeRouter,
 };
 use nomad_sgd::HyperParams;
+use nomad_telemetry::names;
 
 /// Serializes the tests whose assertions depend on wall-clock margins.
 static TIMING: Mutex<()> = Mutex::new(());
@@ -97,6 +98,29 @@ fn a_generous_deadline_never_times_out_and_goes_fresh() {
         "fleet staleness must be reported once serving is on"
     );
     assert!(out.stats.max_publish_gap > 0);
+    // Stage attribution: every answered query waited for admission exactly
+    // once (router scope), and every fresh answer was timed on its rank —
+    // the rank histogram rides the telemetry frames into the fleet fold.
+    let answered = stats.fresh + stats.stale;
+    let admitted = router
+        .telemetry()
+        .histogram(names::SERVE_ADMISSION_WAIT_US)
+        .map_or(0, |h| h.count);
+    assert!(
+        (answered..=stats.submitted).contains(&admitted),
+        "{admitted} admission samples for {answered} answers of {} submitted",
+        stats.submitted
+    );
+    let served = out
+        .stats
+        .telemetry()
+        .histogram(names::SERVE_RANK_SERVICE_US)
+        .map_or(0, |h| h.count);
+    assert!(
+        served >= stats.fresh,
+        "{served} rank-service samples for {} fresh answers",
+        stats.fresh
+    );
 }
 
 /// Over-deadline margin: queries against a rank whose *sends* (so its

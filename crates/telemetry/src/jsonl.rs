@@ -155,6 +155,8 @@ mod tests {
         r.counter("engine.updates").add(1000);
         r.gauge("engine.publish_gap").set(52);
         r.histogram("serve.latency_us").record(250);
+        r.histogram("serve.admission_wait_us").record(40);
+        r.histogram("serve.rank_service_us").record(180);
         r.snapshot()
     }
 
@@ -163,6 +165,8 @@ mod tests {
         let line = render_jsonl_line("rank-0", &sample(), None);
         validate_jsonl_line(&line).expect("well-formed line validates");
         assert!(line.contains("\"engine.updates\":1000"));
+        assert!(line.contains("\"serve.admission_wait_us\":"));
+        assert!(line.contains("\"serve.rank_service_us\":"));
         assert!(line.contains("\"scope\":\"rank-0\""));
         assert!(!line.contains("\"events\""));
     }

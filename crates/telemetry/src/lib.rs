@@ -111,6 +111,14 @@ pub mod names {
     /// End-to-end query latency in microseconds (log-scale histogram;
     /// successful answers only).
     pub const SERVE_LATENCY_US: &str = "serve.latency_us";
+    /// First stage of [`SERVE_LATENCY_US`]: microseconds from a query's
+    /// submission to the first router pump that sends or resolves it
+    /// (log-scale histogram; router scope).
+    pub const SERVE_ADMISSION_WAIT_US: &str = "serve.admission_wait_us";
+    /// Rank-side stage of [`SERVE_LATENCY_US`]: microseconds from the
+    /// comm thread taking a `Query` off its inbox to the `QueryReply`
+    /// being handed to the transport (log-scale histogram; rank scope).
+    pub const SERVE_RANK_SERVICE_US: &str = "serve.rank_service_us";
     /// Centroid posting lists probed by approximate (IVF) top-k answers
     /// (counter; `nprobe` per IVF-served query).
     pub const SERVE_IVF_PROBES: &str = "serve.ivf_probes";
