@@ -44,7 +44,7 @@ use std::time::Duration;
 
 use nomad_core::sched::{hooks, TransportFault};
 
-use crate::transport::{NetError, Transport};
+use crate::transport::{NetError, Transport, Waker};
 use crate::wire::Message;
 
 /// A fixed fault script for one endpoint (see [`ChaosTransport::scripted`]).
@@ -238,6 +238,13 @@ impl<T: Transport> Transport for ChaosTransport<T> {
         }
     }
 
+    /// Wakes the wrapped endpoint: the early return then takes the idle
+    /// poll path above, so it still draws a fault and releases a healed
+    /// partition's backlog.
+    fn waker(&self) -> Waker {
+        self.inner.waker()
+    }
+
     fn peer_down(&self, peer: usize) -> bool {
         self.inner.peer_down(peer)
     }
@@ -375,6 +382,16 @@ mod tests {
         assert!(before.elapsed() >= Duration::from_millis(2));
         let next = driver.recv_timeout(Duration::from_secs(1)).unwrap();
         assert_eq!(next, Some((0, Message::Fin { rank: 0 })));
+    }
+
+    #[test]
+    fn a_wake_passes_through_to_the_wrapped_endpoint() {
+        let (driver, mut ranks) = Loopback::mesh(1);
+        let chaotic = ChaosTransport::scripted(ranks.remove(0), ChaosPlan::default());
+        crate::transport::tests::assert_wake_contract(&chaotic, &driver, || ());
+        let (driver, ranks) = Loopback::mesh(1);
+        let chaotic = ChaosTransport::hooked(driver);
+        crate::transport::tests::assert_wake_contract(&chaotic, &ranks[0], || ());
     }
 
     #[test]

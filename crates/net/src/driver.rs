@@ -114,6 +114,14 @@ pub const DEFAULT_HEARTBEAT_TIMEOUT_MS: u32 = 10_000;
 /// so prompt eviction is what keeps the surviving model trained.
 const EOF_EVICT_GRACE: Duration = Duration::from_millis(250);
 
+/// The longest the driver loop sleeps in `recv_timeout` with nothing to
+/// do, and so the granularity of everything it decides *by the clock*:
+/// heartbeat-silence and settled-EOF eviction, the census and run
+/// deadlines, and the router's retry, hedge and pump-side timeout
+/// verdicts.  It is not a latency term: work that *arrives* — a frame, a
+/// submitted query, a peer's EOF — wakes the receive at once.
+const DRIVER_TICK: Duration = Duration::from_millis(10);
+
 /// Configuration of a distributed run: the shared NOMAD configuration
 /// plus the transport-level knobs.
 #[derive(Debug, Clone, Copy)]
@@ -615,7 +623,9 @@ pub fn run_driver<T: Transport>(
 }
 
 /// [`run_driver`] plus a serving front-end: the driver pumps `router`
-/// once per loop iteration, answers [`Message::QueryReply`] traffic, and
+/// at the top of every loop iteration — and `router` wakes the driver's
+/// endpoint on every submission, so a query is routed when it arrives,
+/// not at the next tick — answers [`Message::QueryReply`] traffic, and
 /// maintains the stale failover replica from [`Message::Replica`] frames.
 /// With `router = None` (or `cfg.serve_publish_every == 0`) this is
 /// exactly [`run_driver`].
@@ -631,6 +641,9 @@ pub fn run_driver_serving<T: Transport>(
     cfg: &NetConfig,
     router: Option<&ServeRouter>,
 ) -> Result<DistOutput, NetError> {
+    if let Some(router) = router {
+        router.attach(transport.waker());
+    }
     let out = run_driver_impl(transport, data, cfg, router);
     // The run is over — cleanly or not, nothing will answer queries
     // anymore: resolve everything in flight (and everything submitted
@@ -795,8 +808,12 @@ fn run_driver_impl<T: Transport>(
 
         // Serving pump: route fresh submissions, resolve overdue ones,
         // re-send retries/hedges, fail evicted owners over to the
-        // replica.  Once per loop iteration bounds query latency by the
-        // 10ms receive timeout below.
+        // replica.  A submission does not wait for the receive below to
+        // time out: `ServeRouter::query` wakes this endpoint, the receive
+        // returns `None`, and the loop comes back here.  The pump takes
+        // the router's state mutex and sends to rank inboxes under it;
+        // our own inbox mutex is only ever taken in `recv_timeout`, with
+        // the router's released.
         if let Some(router) = router {
             let mut backend = DriverBackend {
                 st: &st,
@@ -805,7 +822,7 @@ fn run_driver_impl<T: Transport>(
             router.pump(transport, &mut backend)?;
         }
 
-        let Some((src, msg)) = transport.recv_timeout(Duration::from_millis(10))? else {
+        let Some((src, msg)) = transport.recv_timeout(DRIVER_TICK)? else {
             continue;
         };
         // A dead rank's messages are dropped wholesale: its inventory

@@ -70,7 +70,7 @@ pub use process::{child_entry, CHILD_FAILURE_EXIT, DRIVER_ENV, RANK_ENV};
 pub use rank::{join_rank, run_rank};
 pub use serve_router::{Answer, RouterConfig, RouterStats, ServeError, ServeRouter};
 pub use tcp::TcpTransport;
-pub use transport::{Loopback, NetError, Transport};
+pub use transport::{Loopback, NetError, Transport, Waker};
 pub use wire::{
     Message, ReplicaDeltaPayload, ReplicaPayload, SetupPayload, ShardPayload, ShardTransferPayload,
     TelemetryPayload, WireDeltaRow, WireError, WireSegment, WireToken, QUERY_NOT_READY, QUERY_OK,

@@ -137,6 +137,48 @@ fn rows_differ(a: &[f64], b: &[f64]) -> bool {
     a.len() != b.len() || a.iter().zip(b).any(|(x, y)| x.to_bits() != y.to_bits())
 }
 
+/// The owned user rows and the candidate item rows of `snap` that differ
+/// from `prev`, or `None` once they reach 70% of the rows a full frame
+/// would carry — a delta that large saves nothing.
+///
+/// Rows are found before any is copied, and the search stops at the
+/// threshold: under heavy churn most publishes end in a full frame, and
+/// the comm thread (with queries queued behind it) should learn that from
+/// a row count, not from a delta it builds and throws away.
+fn changed_rows(
+    snap: &ModelSnapshot,
+    prev: &ModelSnapshot,
+    owned: &[(usize, usize)],
+    candidates: &[Idx],
+) -> Option<(Vec<usize>, Vec<Idx>)> {
+    let full_rows = owned.iter().map(|&(_, c)| c).sum::<usize>() + snap.num_items();
+    if full_rows == 0 {
+        return None;
+    }
+    let mostly_changed = |changed: usize| changed * 10 >= full_rows * 7;
+    let mut users = Vec::new();
+    for &(start, count) in owned {
+        for r in start..start + count {
+            if rows_differ(snap.user_factor(r as Idx), prev.user_factor(r as Idx)) {
+                users.push(r);
+                if mostly_changed(users.len()) {
+                    return None;
+                }
+            }
+        }
+    }
+    let mut items = Vec::new();
+    for &j in candidates {
+        if rows_differ(snap.item_factor(j), prev.item_factor(j)) {
+            items.push(j);
+            if mostly_changed(users.len() + items.len()) {
+                return None;
+            }
+        }
+    }
+    Some((users, items))
+}
+
 /// Assembles a full replica frame: the owned user segments plus the
 /// complete item matrix of `snap`.
 fn full_replica_frame(
@@ -1223,30 +1265,20 @@ impl CommState {
         {
             return None;
         }
+        let candidates = publisher.changed_items_since(prev.updates_at());
+        let (w_changed, h_changed) = changed_rows(snap, prev, owned, &candidates)?;
         let delta_row = |row: usize, factors: &[f64]| WireDeltaRow {
             row: row as u64,
             factors: factors.to_vec(),
         };
-        let mut w_rows = Vec::new();
-        for &(start, count) in owned {
-            for r in start..start + count {
-                let row = snap.user_factor(r as Idx);
-                if rows_differ(row, prev.user_factor(r as Idx)) {
-                    w_rows.push(delta_row(r, row));
-                }
-            }
-        }
-        let mut h_rows = Vec::new();
-        for j in publisher.changed_items_since(prev.updates_at()) {
-            let row = snap.item_factor(j);
-            if rows_differ(row, prev.item_factor(j)) {
-                h_rows.push(delta_row(j as usize, row));
-            }
-        }
-        let full_rows = owned.iter().map(|&(_, c)| c).sum::<usize>() + snap.num_items();
-        if (w_rows.len() + h_rows.len()) * 10 >= full_rows * 7 {
-            return None;
-        }
+        let w_rows = w_changed
+            .into_iter()
+            .map(|r| delta_row(r, snap.user_factor(r as Idx)))
+            .collect();
+        let h_rows = h_changed
+            .into_iter()
+            .map(|j| delta_row(j as usize, snap.item_factor(j)))
+            .collect();
         Some(ReplicaDeltaPayload {
             rank: self.rank as u32,
             k: snap.k() as u32,
@@ -1780,4 +1812,59 @@ fn members_vec(members: u64) -> Vec<usize> {
     (0..MAX_CAPACITY)
         .filter(|&r| members & bit(r) != 0)
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nomad_sgd::FactorModel;
+
+    /// A 10-user, 10-item snapshot pair in which the given user and item
+    /// rows differ (one by a sign-of-zero flip only `to_bits` can see).
+    fn pair(users: &[usize], items: &[usize]) -> (ModelSnapshot, ModelSnapshot) {
+        let mut base = FactorModel::init(10, 10, 4, 3);
+        if let Some(&j) = items.first() {
+            base.h.row_mut(j)[1] = 0.0;
+        }
+        let mut next = base.clone();
+        for &r in users {
+            next.w.row_mut(r)[0] += 1.0;
+        }
+        for (n, &j) in items.iter().enumerate() {
+            let cell = &mut next.h.row_mut(j)[1];
+            *cell = if n == 0 { -0.0 } else { *cell + 1.0 };
+        }
+        (
+            ModelSnapshot::from_model(&next, 2, 200),
+            ModelSnapshot::from_model(&base, 1, 100),
+        )
+    }
+
+    #[test]
+    fn changed_rows_are_exactly_the_differing_owned_and_candidate_rows() {
+        let (snap, prev) = pair(&[1, 4, 8], &[0, 7]);
+        // Rows 0..5 are owned (user 8 is someone else's); item 9 is a
+        // candidate by its clock but bit-identical to the base.
+        let got = changed_rows(&snap, &prev, &[(0, 5)], &[0, 7, 9]);
+        assert_eq!(got, Some((vec![1, 4], vec![0, 7])));
+    }
+
+    #[test]
+    fn changed_rows_gives_up_at_seventy_percent_of_a_full_frame() {
+        // 10 owned + 10 item rows: 13 changed rows is 65%, 14 is 70%.
+        let all: Vec<usize> = (0..10).collect();
+        let candidates: Vec<Idx> = (0..10).collect();
+        let (snap, prev) = pair(&all, &[0, 1, 2]);
+        let got = changed_rows(&snap, &prev, &[(0, 10)], &candidates).expect("65% is a delta");
+        assert_eq!((got.0.len(), got.1.len()), (10, 3));
+        let (snap, prev) = pair(&all, &[0, 1, 2, 3]);
+        assert_eq!(changed_rows(&snap, &prev, &[(0, 10)], &candidates), None);
+        // Nothing changed is an (empty) delta; a frame with no rows at all
+        // has nothing to be a delta of.
+        let (snap, prev) = pair(&[], &[]);
+        let unchanged = changed_rows(&snap, &prev, &[(0, 10)], &[]);
+        assert_eq!(unchanged, Some((vec![], vec![])));
+        let empty = ModelSnapshot::from_model(&FactorModel::init(0, 0, 4, 3), 1, 0);
+        assert_eq!(changed_rows(&empty, &empty, &[], &[]), None);
+    }
 }

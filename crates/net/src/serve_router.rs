@@ -3,8 +3,26 @@
 //!
 //! A [`ServeRouter`] sits between query threads and the driver loop.
 //! Callers block in [`ServeRouter::query`]; the driver *pumps* the
-//! router once per loop iteration, which is where every routing decision
-//! happens:
+//! router at the top of every loop iteration, which is where every
+//! routing decision happens.
+//!
+//! **The wake contract.**  Nobody waits on a clock for work another
+//! party has already produced: for the duration of a run the driver
+//! hands the router a [`Waker`] for its own endpoint, and `query`
+//! raises it right after inserting into the pending table and before it
+//! blocks on its result.  The wake cuts the driver's blocked
+//! `recv_timeout` short, the loop comes round, and the pump at its top
+//! routes the query — so admission costs a thread hand-off, not a share
+//! of the driver's receive timeout.  A wake is never lost (see
+//! [`Waker`]): either the pump that follows the insert sees the query,
+//! or the receive that follows that pump sees the wake.  What the
+//! driver's tick still decides is how promptly *timed* events fire —
+//! retries, hedges, pump-side deadline verdicts.
+//!
+//! **Lock order.**  The router state mutex is always released before
+//! the driver's inbox mutex is taken: `query` drops its guard before it
+//! wakes, and the pump — which sends to *rank* inboxes under the state
+//! mutex — never receives under it, so it never holds both.
 //!
 //! * **Routing** — a per-user query goes to the rank whose shard owns
 //!   the user, over the same [`Transport`] the training traffic uses.
@@ -42,7 +60,7 @@ use std::time::{Duration, Instant};
 
 use nomad_telemetry::{names, CounterHandle, HistogramHandle, Registry, TelemetrySnapshot};
 
-use crate::transport::{NetError, Transport};
+use crate::transport::{NetError, Transport, Waker};
 use crate::wire::{Message, QUERY_OK, QUERY_RUN_OVER, QUERY_UNKNOWN_USER};
 
 /// How long past its deadline a caller waits for the pump to resolve a
@@ -270,6 +288,9 @@ struct RouterState {
     pending: HashMap<u64, Pending>,
     results: HashMap<u64, Result<Answer, ServeError>>,
     finished: bool,
+    /// The pumping driver's endpoint, from [`ServeRouter::attach`] to
+    /// [`ServeRouter::finish`].
+    waker: Option<Waker>,
 }
 
 /// The router's registered metrics: one counter per terminal outcome,
@@ -343,6 +364,7 @@ impl ServeRouter {
                 pending: HashMap::new(),
                 results: HashMap::new(),
                 finished: false,
+                waker: None,
             }),
             done: Condvar::new(),
             registry,
@@ -385,7 +407,7 @@ impl ServeRouter {
     pub fn query(&self, user: u32, k: usize, seen: Vec<u32>) -> Result<Answer, ServeError> {
         let now = Instant::now();
         let deadline = now + self.cfg.deadline;
-        let id;
+        let (id, waker);
         {
             let mut st = self.lock();
             self.metrics.submitted.inc();
@@ -419,6 +441,12 @@ impl ServeRouter {
                     failover: false,
                 },
             );
+            waker = st.waker.clone();
+        }
+        // Outside the state lock (see the module docs): get the driver
+        // out of its receive and into the pump.
+        if let Some(waker) = waker {
+            waker.wake();
         }
         let hard = deadline + CLIENT_GRACE;
         let mut st = self.lock();
@@ -525,6 +553,14 @@ impl ServeRouter {
             .max(Duration::from_micros(p99.saturating_mul(2)))
     }
 
+    /// Connects the router to the driver about to pump it: from here to
+    /// [`finish`](Self::finish), every admitted query wakes `waker`'s
+    /// endpoint.  Queries admitted earlier need no wake — the driver
+    /// pumps before its first receive.
+    pub(crate) fn attach(&self, waker: Waker) {
+        self.lock().waker = Some(waker);
+    }
+
     /// One driver-loop pump: routes new queries, resolves overdue ones,
     /// re-sends due retries and hedges, and serves stale failovers.
     /// Re-classifies every in-flight query so an owner evicted
@@ -534,8 +570,12 @@ impl ServeRouter {
         t: &T,
         backend: &mut dyn RouterBackend,
     ) -> Result<(), NetError> {
-        let now = Instant::now();
         let mut st = self.lock();
+        // Runs on every frame and every wake: an idle pump is one lock.
+        if st.pending.is_empty() {
+            return Ok(());
+        }
+        let now = Instant::now();
         let mut ids: Vec<u64> = st.pending.keys().copied().collect();
         ids.sort_unstable(); // deterministic pump order
         for id in ids {
@@ -720,11 +760,12 @@ impl ServeRouter {
     }
 
     /// The run is over: resolves everything in flight as
-    /// [`Answer::RunOver`] and makes every later submission resolve the
-    /// same way immediately.
+    /// [`Answer::RunOver`], makes every later submission resolve the
+    /// same way immediately, and lets go of the driver's endpoint.
     pub(crate) fn finish(&self) {
         let mut st = self.lock();
         st.finished = true;
+        st.waker = None;
         let ids: Vec<u64> = st.pending.keys().copied().collect();
         for id in ids {
             self.resolve_locked(&mut st, id, Ok(Answer::RunOver));
@@ -745,6 +786,8 @@ mod tests {
     use super::*;
     use crate::transport::Loopback;
     use crate::wire::QUERY_NOT_READY;
+    use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+    use std::sync::mpsc;
 
     struct ScriptedBackend {
         route: Route,
@@ -764,6 +807,121 @@ mod tests {
             seen.sort_unstable();
             (7, 42, vec![(user + 1, 0.5)])
         }
+    }
+
+    /// A loop shaped like `run_driver_impl`'s: pump, then block in a
+    /// receive far longer than any test may take, feeding replies back.
+    /// Reports on `idle` before every receive; a wake with `stop` set ends
+    /// it.
+    fn drive(
+        router: &ServeRouter,
+        driver: &Loopback,
+        route: Route,
+        idle: &mpsc::Sender<()>,
+        stop: &AtomicBool,
+    ) {
+        let mut backend = ScriptedBackend { route };
+        router.attach(driver.waker());
+        while !stop.load(SeqCst) {
+            router.pump(driver, &mut backend).unwrap();
+            let _ = idle.send(());
+            let Some((_, msg)) = driver.recv_timeout(Duration::from_secs(5)).unwrap() else {
+                continue;
+            };
+            let Message::QueryReply {
+                id,
+                status,
+                epoch,
+                updates_at,
+                staleness,
+                recs,
+            } = msg
+            else {
+                panic!("driver got non-reply");
+            };
+            router.on_reply(id, status, epoch, updates_at, staleness, recs);
+        }
+    }
+
+    #[test]
+    fn a_submission_wakes_a_driver_blocked_in_its_receive() {
+        let (driver, _ranks) = Loopback::mesh(1);
+        let router = ServeRouter::new(RouterConfig::default());
+        let stop = AtomicBool::new(false);
+        let (idle_tx, idle) = mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| drive(&router, &driver, Route::Stale, &idle_tx, &stop));
+            // The driver has pumped an empty router and is in (or about to
+            // enter) a five-second receive: only a wake gets it out.
+            idle.recv().unwrap();
+            let before = Instant::now();
+            let got = router.query(6, 3, vec![]);
+            let took = before.elapsed();
+            stop.store(true, SeqCst);
+            driver.waker().wake();
+            assert!(matches!(got, Ok(Answer::Stale { staleness: 42, .. })));
+            assert!(
+                took < Duration::from_secs(1),
+                "the query waited out the driver's receive ({took:?})"
+            );
+        });
+    }
+
+    #[test]
+    fn concurrent_submitters_all_resolve_through_a_blocking_driver() {
+        let (driver, ranks) = Loopback::mesh(1);
+        let router = ServeRouter::new(RouterConfig::default());
+        let stop = AtomicBool::new(false);
+        let (idle_tx, idle) = mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| drive(&router, &driver, Route::Owner(0), &idle_tx, &stop));
+            // The owning rank: answers every query with its own user id.
+            scope.spawn(|| {
+                while !stop.load(SeqCst) {
+                    let Some((_, msg)) = ranks[0].recv_timeout(Duration::from_secs(5)).unwrap()
+                    else {
+                        continue;
+                    };
+                    let Message::Query { id, user, .. } = msg else {
+                        panic!("rank got non-query");
+                    };
+                    let reply = Message::QueryReply {
+                        id,
+                        status: QUERY_OK,
+                        epoch: 1,
+                        updates_at: 10,
+                        staleness: 0,
+                        recs: vec![(user, 1.0)],
+                    };
+                    ranks[0].send(1, &reply).unwrap();
+                }
+            });
+            idle.recv().unwrap();
+            let before = Instant::now();
+            let submitters: Vec<_> = (0..64u32)
+                .map(|user| {
+                    let router = &router;
+                    scope.spawn(move || router.query(user, 1, vec![]))
+                })
+                .collect();
+            let answers: Vec<_> = submitters
+                .into_iter()
+                .map(|handle| handle.join().expect("query thread"))
+                .collect();
+            let took = before.elapsed();
+            stop.store(true, SeqCst);
+            driver.waker().wake();
+            ranks[0].waker().wake();
+            for (user, got) in answers.into_iter().enumerate() {
+                assert!(
+                    matches!(&got, Ok(Answer::Fresh { recs, .. }) if recs[0].0 == user as u32),
+                    "user {user} got {got:?}"
+                );
+            }
+            assert!(took < Duration::from_secs(2), "64 queries took {took:?}");
+            assert_eq!(router.in_flight(), 0);
+            assert_eq!(router.stats().fresh, 64);
+        });
     }
 
     #[test]

@@ -45,37 +45,14 @@
 //! threads inside one process, used by tests to exercise the socket path
 //! without `fork`).
 
-use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::transport::{NetError, Transport};
+use crate::transport::{Inbox, NetError, Transport, Waker};
 use crate::wire::{read_frame, write_frame, Message};
-
-/// Shared inbox: decoded messages tagged with the source endpoint.
-struct Inbox {
-    queue: Mutex<VecDeque<(usize, Message)>>,
-    ready: Condvar,
-}
-
-impl Inbox {
-    fn new() -> Self {
-        Self {
-            queue: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn push(&self, src: usize, msg: Message) {
-        let mut queue = self.queue.lock().expect("inbox poisoned");
-        queue.push_back((src, msg));
-        drop(queue);
-        self.ready.notify_one();
-    }
-}
 
 /// Endpoint state shared with the detached reader/acceptor threads.
 struct Shared {
@@ -88,7 +65,8 @@ struct Shared {
     down: Vec<AtomicBool>,
     /// Known peer-listener ports by mesh slot (driver only; `0` = empty).
     ports: Mutex<Vec<u16>>,
-    inbox: Inbox,
+    /// Decoded messages tagged with the source endpoint.
+    inbox: Inbox<(usize, Message)>,
     /// Tells the acceptor thread to exit (set on drop).
     stop: AtomicBool,
 }
@@ -130,12 +108,12 @@ fn spawn_reader(src: usize, stream: TcpStream, shared: Arc<Shared>) {
                 let Ok(msg) = Message::decode(&payload) else {
                     break;
                 };
-                shared.inbox.push(src, msg);
+                shared.inbox.push((src, msg));
             }
             shared.down[src].store(true, Ordering::Release);
-            // Wake any receiver blocked on an empty inbox so it re-polls
-            // promptly and notices the down flag.
-            shared.inbox.ready.notify_all();
+            // Wake the receiver so it re-polls promptly and notices the
+            // down flag.
+            shared.inbox.wake();
         })
         .expect("spawn reader thread");
 }
@@ -333,7 +311,7 @@ impl TcpTransport {
                     spawn_reader(r, stream, Arc::clone(&shared));
                     // Writer registered: the driver's Setup reply to this
                     // synthetic Join will find the stream.
-                    sh.inbox.push(r, Message::Join { rank });
+                    sh.inbox.push((r, Message::Join { rank }));
                 },
             );
         }
@@ -539,17 +517,12 @@ impl Transport for TcpTransport {
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<(usize, Message)>, NetError> {
-        let mut queue = self.shared.inbox.queue.lock().expect("inbox poisoned");
-        if queue.is_empty() {
-            let (guard, _) = self
-                .shared
-                .inbox
-                .ready
-                .wait_timeout(queue, timeout)
-                .expect("inbox poisoned");
-            queue = guard;
-        }
-        Ok(queue.pop_front())
+        Ok(self.shared.inbox.pop_timeout(timeout))
+    }
+
+    fn waker(&self) -> Waker {
+        let shared = Arc::clone(&self.shared);
+        Waker::new(move || shared.inbox.wake())
     }
 
     fn peer_down(&self, peer: usize) -> bool {
@@ -702,6 +675,19 @@ mod tests {
         // (the follow-up send is delivered) and no down-evidence is raised.
         crate::transport::tests::assert_oversized_is_refused(&ranks[0], &driver);
         assert!(!ranks[0].peer_down(1));
+    }
+
+    #[test]
+    fn tcp_honours_the_wake_contract() {
+        let (driver, ranks) = tcp_mesh(1);
+        // A frame is in the inbox once the reader thread has queued it.
+        crate::transport::tests::assert_wake_contract(&driver, &ranks[0], || {
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while driver.shared.inbox.len() == 0 {
+                assert!(std::time::Instant::now() < deadline, "frame never arrived");
+                std::thread::yield_now();
+            }
+        });
     }
 
     #[test]

@@ -13,9 +13,15 @@
 //! every message through the wire codec, so the byte format is exercised
 //! even when no socket exists; `nomad_net::tcp` implements the same trait
 //! over real `std::net` streams.
+//!
+//! Both keep one receive queue per endpoint, and it is written once: the
+//! crate-private `Inbox` holds the frames *and* a `woken` flag under one
+//! mutex, which is what lets a [`Waker`] cut a blocked
+//! [`Transport::recv_timeout`] short from another thread without a lost
+//! wake-up and without touching the queue.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use crate::wire::{Message, WireError};
@@ -87,12 +93,17 @@ pub trait Transport: Send {
     fn send(&self, dest: usize, msg: &Message) -> Result<usize, NetError>;
 
     /// Receives the next message from any endpoint, waiting up to
-    /// `timeout`.  `Ok(None)` means the timeout elapsed with nothing to
-    /// deliver.
+    /// `timeout`.  `Ok(None)` means there was nothing to deliver: the
+    /// timeout elapsed, or a [`Waker`] cut the wait short.
     ///
     /// # Errors
     /// Fails if the mesh is closed or a received frame fails to decode.
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<(usize, Message)>, NetError>;
+
+    /// A handle with which any thread can make this endpoint's
+    /// [`recv_timeout`](Transport::recv_timeout) return early; see
+    /// [`Waker`] for the contract.
+    fn waker(&self) -> Waker;
 
     /// Whether the transport has *hard* evidence that `peer` is gone
     /// (e.g. its TCP stream hit EOF).  Loopback meshes have no such
@@ -110,32 +121,110 @@ pub trait Transport: Send {
     }
 }
 
-/// A mailbox shared by every endpoint of a loopback mesh: encoded frames
-/// tagged with their sender, plus a condvar so receivers can block.
-struct Mailbox {
-    queue: Mutex<VecDeque<(usize, Vec<u8>)>>,
+/// One endpoint's receive queue: the queued items plus a wake flag, both
+/// under one mutex, and the condvar receivers block on.  [`Loopback`]
+/// queues encoded frames in it, the TCP transport decoded messages.
+pub(crate) struct Inbox<T> {
+    state: Mutex<InboxState<T>>,
     ready: Condvar,
 }
 
-impl Mailbox {
-    fn new() -> Self {
+struct InboxState<T> {
+    queue: VecDeque<T>,
+    /// Raised by [`Inbox::wake`], cleared by the next [`Inbox::pop_timeout`]
+    /// to return.  Read and written only under the mutex: a wake can
+    /// land before the receiver checks or after it started waiting, but
+    /// never between the two.
+    woken: bool,
+}
+
+impl<T> Inbox<T> {
+    pub(crate) fn new() -> Self {
         Self {
-            queue: Mutex::new(VecDeque::new()),
+            state: Mutex::new(InboxState {
+                queue: VecDeque::new(),
+                woken: false,
+            }),
             ready: Condvar::new(),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, InboxState<T>> {
+        self.state.lock().expect("inbox poisoned")
+    }
+
+    pub(crate) fn push(&self, item: T) {
+        self.lock().queue.push_back(item);
+        self.ready.notify_one();
+    }
+
+    /// Pops the oldest item, waiting up to `timeout` for one unless a
+    /// wake is pending.  Any return consumes the pending wake, so `n`
+    /// wakes cost at most one empty return; a queued item is never
+    /// skipped or reordered by one.
+    pub(crate) fn pop_timeout(&self, timeout: Duration) -> Option<T> {
+        let mut state = self.lock();
+        if state.queue.is_empty() && !state.woken {
+            state = self
+                .ready
+                .wait_timeout(state, timeout)
+                .expect("inbox poisoned")
+                .0;
+        }
+        state.woken = false;
+        state.queue.pop_front()
+    }
+
+    pub(crate) fn wake(&self) {
+        self.lock().woken = true;
+        self.ready.notify_all();
+    }
+
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.lock().queue.len()
+    }
+}
+
+/// Cuts a blocked [`Transport::recv_timeout`] short from another thread.
+///
+/// [`wake`](Waker::wake) makes the endpoint's current `recv_timeout` —
+/// or, if none is blocked, its next one — return at once: with the
+/// oldest queued frame if there is one, with `Ok(None)` otherwise.  No
+/// frame is lost or reordered, wakes raised before that return coalesce
+/// into it, and a wake is never lost: the flag behind it lives under the
+/// same mutex as the queue the receiver checks before it waits.
+///
+/// The handle is cheap to clone and outlives the endpoint harmlessly
+/// (waking a dropped endpoint wakes nobody).
+#[derive(Clone)]
+pub struct Waker(Arc<dyn Fn() + Send + Sync>);
+
+impl Waker {
+    pub(crate) fn new(wake: impl Fn() + Send + Sync + 'static) -> Self {
+        Self(Arc::new(wake))
+    }
+
+    /// Raises the wake; see the type docs.
+    pub fn wake(&self) {
+        (self.0)();
     }
 }
 
 /// In-memory transport: the whole mesh lives in one process and messages
 /// hop between endpoints as encoded byte frames.
 ///
-/// Per-edge FIFO holds because each mailbox is a single queue protected by
+/// Per-edge FIFO holds because each inbox is a single queue protected by
 /// one mutex: two sends from the same sender are pushed in program order.
 pub struct Loopback {
     id: usize,
     ranks: usize,
-    boxes: Arc<Vec<Mailbox>>,
+    /// One inbox per endpoint.
+    boxes: Arc<Vec<Inbox<SentFrame>>>,
 }
+
+/// An encoded frame tagged with its sender.
+type SentFrame = (usize, Vec<u8>);
 
 impl Loopback {
     /// Builds a mesh of `ranks` rank endpoints plus one driver endpoint.
@@ -148,7 +237,7 @@ impl Loopback {
     /// Panics if `ranks == 0`.
     pub fn mesh(ranks: usize) -> (Loopback, Vec<Loopback>) {
         assert!(ranks > 0, "need at least one rank");
-        let boxes: Arc<Vec<Mailbox>> = Arc::new((0..=ranks).map(|_| Mailbox::new()).collect());
+        let boxes = Arc::new((0..=ranks).map(|_| Inbox::new()).collect());
         let driver = Loopback {
             id: ranks,
             ranks,
@@ -179,31 +268,20 @@ impl Transport for Loopback {
         assert_ne!(dest, self.id, "no self-edges in the mesh");
         let bytes = msg.encode_frame()?;
         let len = bytes.len();
-        let mailbox = &self.boxes[dest];
-        let mut queue = mailbox.queue.lock().expect("mailbox poisoned");
-        queue.push_back((self.id, bytes));
-        drop(queue);
-        mailbox.ready.notify_one();
+        self.boxes[dest].push((self.id, bytes));
         Ok(len)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<(usize, Message)>, NetError> {
-        let mailbox = &self.boxes[self.id];
-        let mut queue = mailbox.queue.lock().expect("mailbox poisoned");
-        if queue.is_empty() {
-            let (guard, _) = mailbox
-                .ready
-                .wait_timeout(queue, timeout)
-                .expect("mailbox poisoned");
-            queue = guard;
-        }
-        match queue.pop_front() {
-            Some((src, bytes)) => {
-                drop(queue);
-                Ok(Some((src, Message::decode(&bytes)?)))
-            }
+        match self.boxes[self.id].pop_timeout(timeout) {
+            Some((src, bytes)) => Ok(Some((src, Message::decode(&bytes)?))),
             None => Ok(None),
         }
+    }
+
+    fn waker(&self) -> Waker {
+        let (boxes, id) = (Arc::clone(&self.boxes), self.id);
+        Waker::new(move || boxes[id].wake())
     }
 }
 
@@ -230,6 +308,82 @@ pub(crate) mod tests {
         from.send(to.id(), &Message::Fin { rank: 0 }).unwrap();
         let next = to.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(next, Some((from.id(), Message::Fin { rank: 0 })));
+    }
+
+    const LONG: Duration = Duration::from_secs(5);
+    const PROMPT: Duration = Duration::from_secs(1);
+
+    /// Times one `recv_timeout(LONG)`.
+    fn timed_recv(rx: &impl Transport) -> (Option<(usize, Message)>, Duration) {
+        let before = std::time::Instant::now();
+        let got = rx.recv_timeout(LONG).unwrap();
+        (got, before.elapsed())
+    }
+
+    /// The [`Waker`] contract, checked from outside through `rx`'s waker
+    /// with `tx` as the one sender.  `delivered` must block until what
+    /// `tx` sent last sits in `rx`'s inbox (a no-op where `send` is
+    /// synchronous).  Every receive here waits up to five seconds, so a
+    /// missed wake fails an elapsed-time check instead of hanging.  Shared
+    /// with the TCP and chaos transports' tests.
+    pub(crate) fn assert_wake_contract<R: Transport + Sync>(
+        rx: &R,
+        tx: &impl Transport,
+        delivered: impl Fn(),
+    ) {
+        let waker = rx.waker();
+        let ping = |n: u32| Message::Ping { rank: n };
+
+        // (a) Raised before the receive: not lost, returns at once.
+        waker.wake();
+        let (got, took) = timed_recv(rx);
+        assert_eq!(got, None);
+        assert!(took < PROMPT, "a wake raised early was lost ({took:?})");
+
+        // (b) Raised around the start of a blocked receive: on whichever
+        // side of the wait it lands, the receive returns promptly.
+        std::thread::scope(|scope| {
+            let (started, go) = std::sync::mpsc::channel();
+            let blocked = scope.spawn(move || {
+                started.send(()).unwrap();
+                timed_recv(rx)
+            });
+            go.recv().unwrap();
+            waker.wake();
+            let (got, took) = blocked.join().unwrap();
+            assert_eq!(got, None);
+            assert!(took < PROMPT, "a blocked receive slept through ({took:?})");
+        });
+
+        // (c) A queued frame goes first and arrives intact, and the wake is
+        // spent on it; later frames still come in FIFO order.
+        tx.send(rx.id(), &ping(1)).unwrap();
+        delivered();
+        waker.wake();
+        assert_eq!(timed_recv(rx).0, Some((tx.id(), ping(1))));
+        tx.send(rx.id(), &ping(2)).unwrap();
+        tx.send(rx.id(), &ping(3)).unwrap();
+        assert_eq!(timed_recv(rx).0, Some((tx.id(), ping(2))));
+        assert_eq!(timed_recv(rx).0, Some((tx.id(), ping(3))));
+
+        // (d) Any number of wakes buys one empty return: the second
+        // receive sleeps out its whole timeout.
+        for _ in 0..5 {
+            waker.clone().wake();
+        }
+        let (got, took) = timed_recv(rx);
+        assert_eq!(got, None);
+        assert!(took < PROMPT);
+        let nap = Duration::from_millis(30);
+        let before = std::time::Instant::now();
+        assert_eq!(rx.recv_timeout(nap).unwrap(), None);
+        assert!(before.elapsed() >= nap, "wakes must coalesce");
+    }
+
+    #[test]
+    fn loopback_honours_the_wake_contract() {
+        let (driver, ranks) = Loopback::mesh(1);
+        assert_wake_contract(&driver, &ranks[0], || ());
     }
 
     #[test]
