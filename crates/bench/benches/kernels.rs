@@ -3,15 +3,25 @@
 //! coordinate update (Eq. 6), and the step-size schedule evaluation.
 //!
 //! These are the constants `a` (compute cost per update) of the paper's
-//! complexity analysis, measured on the host machine.
+//! complexity analysis, measured on the host machine — with both rows in
+//! L1.  `sweep_cold` is the same update as the engines actually run it:
+//! one hot `h_j` against user rows gathered from a `W` far larger than L2,
+//! through `nomad_core::hop::sweep` and through a plain loop that does not
+//! look ahead, so the share of a workload's update time that is load
+//! stall rather than arithmetic can be read off per `k`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 
+use nomad_core::hop::sweep;
+use nomad_core::WorkerData;
 use nomad_linalg::vec_ops::sgd_pair_update;
+use nomad_matrix::{Idx, RatingMatrix, RowPartition, TripletMatrix};
 use nomad_sgd::schedule::StepSchedule;
-use nomad_sgd::{als_solve_row, ccd_coordinate_update, NomadStep};
+use nomad_sgd::{
+    als_solve_row, ccd_coordinate_update, FactorMatrix, HyperParams, InitStrategy, NomadStep,
+};
 
 fn bench_sgd_update(c: &mut Criterion) {
     let mut group = c.benchmark_group("sgd_pair_update");
@@ -29,6 +39,69 @@ fn bench_sgd_update(c: &mut Criterion) {
                     1e-3,
                     0.05,
                 )
+            });
+        });
+    }
+    group.finish();
+}
+
+/// Ratings per column of the `sweep_cold` matrix: one iteration is one
+/// sweep of one column, so ns/iter ÷ this is ns per update.
+const COLD_COLUMN_RATINGS: usize = 1024;
+/// Columns cycled through, so consecutive iterations gather different rows.
+const COLD_COLUMNS: usize = 128;
+/// Least size of `W`: 16× this box's 4 MiB L2, about `train-local`'s 69 MB.
+const COLD_W_BYTES: usize = 64 << 20;
+
+/// One worker's view of a `nrows × COLD_COLUMNS` matrix whose every column
+/// rates one user out of each `nrows / COLD_COLUMN_RATINGS` consecutive
+/// ones: ascending like any CSC column, irregular, and spread over all of
+/// `W`.
+fn cold_columns(nrows: usize) -> WorkerData {
+    let stride = nrows / COLD_COLUMN_RATINGS;
+    let mut t = TripletMatrix::new(nrows, COLD_COLUMNS);
+    for j in 0..COLD_COLUMNS {
+        for i in 0..COLD_COLUMN_RATINGS {
+            let jitter = (j * 0x9E37 + i * 0x79B9) % stride;
+            t.push((i * stride + jitter) as Idx, j as Idx, 3.0);
+        }
+    }
+    let data = RatingMatrix::from_triplets(&t);
+    WorkerData::build_all(&data, &RowPartition::contiguous(nrows, 1)).remove(0)
+}
+
+fn bench_sweep_cold(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sweep_cold");
+    group.warm_up_time(Duration::from_millis(500));
+    group.measurement_time(Duration::from_secs(2));
+    group.sample_size(20);
+    for &k in &[8usize, 32, 100] {
+        let nrows = (COLD_W_BYTES / (k * size_of::<f64>())).next_multiple_of(COLD_COLUMN_RATINGS);
+        let params = HyperParams::netflix().with_k(k);
+        let mut wd = cold_columns(nrows);
+        let mut w = FactorMatrix::init(nrows, k, InitStrategy::UniformScaled, 5);
+        let mut h = vec![0.1f64; k];
+        let mut next = 0usize;
+        group.bench_function(BenchmarkId::new("sweep", format!("k{k}")), |b| {
+            b.iter(|| {
+                next = (next + 1) % COLD_COLUMNS;
+                sweep(&mut wd, &mut w, black_box(next as Idx), &mut h, &params)
+            });
+        });
+        // The reference: Algorithm 1, lines 14-21, written out with the
+        // `col()` iterator and no look-ahead.
+        group.bench_function(BenchmarkId::new("plain_loop", format!("k{k}")), |b| {
+            b.iter(|| {
+                next = (next + 1) % COLD_COLUMNS;
+                let item = black_box(next as Idx);
+                let step = params.nomad_schedule().step(wd.record_pass(item));
+                let mut updates = 0u64;
+                for (user, rating) in wd.local_cols.col(item as usize) {
+                    let row = w.row_mut(user as usize);
+                    sgd_pair_update(row, &mut h, rating, step, params.lambda);
+                    updates += 1;
+                }
+                updates
             });
         });
     }
@@ -85,6 +158,7 @@ fn bench_step_schedule(c: &mut Criterion) {
 criterion_group!(
     kernels,
     bench_sgd_update,
+    bench_sweep_cold,
     bench_als_row_solve,
     bench_ccd_coordinate,
     bench_step_schedule

@@ -18,7 +18,7 @@
 //! [`sweep`] + `Router`: dense-model item rows, whole-model publishes and
 //! hybrid circulation would each need context methods only they use.
 
-use nomad_linalg::vec_ops::sgd_pair_update;
+use nomad_linalg::vec_ops::{prefetch_row, prefetch_rows_ahead, sgd_pair_update};
 use nomad_linalg::SmallRng64;
 use nomad_matrix::Idx;
 use nomad_serve::SnapshotPublisher;
@@ -51,6 +51,10 @@ pub trait UserRows {
     /// The factor row of `user`, which this worker must own.
     fn user_row_mut(&mut self, user: Idx) -> &mut [f64];
 
+    /// The same row read-only — what [`sweep`] prefetches a few ratings
+    /// before it updates it.
+    fn user_row(&self, user: Idx) -> &[f64];
+
     /// The rows as one block for the cooperative snapshot build: the
     /// global index of the block's first row, and the rows.
     fn block(&self) -> (usize, &FactorMatrix);
@@ -66,6 +70,11 @@ impl UserRows for FactorMatrix {
     }
 
     #[inline]
+    fn user_row(&self, user: Idx) -> &[f64] {
+        self.row(user as usize)
+    }
+
+    #[inline]
     fn block(&self) -> (usize, &FactorMatrix) {
         (0, self)
     }
@@ -78,6 +87,13 @@ impl UserRows for FactorMatrix {
 /// rating of the item, in ascending-user order — the order every engine
 /// and the serial replay share, which is what makes a serializable
 /// execution reproduce *bit for bit*.  Returns the number of updates.
+///
+/// `h` stays in L1 for the whole pass; each `w_i` is a different row of a
+/// matrix that need not fit any cache.  The column has listed those rows
+/// since the token was popped, so the pass walks it as slices and
+/// prefetches the row [`prefetch_rows_ahead`] ratings on while it updates
+/// the current one — a hint, so arithmetic and order are what they would
+/// be without it.
 #[inline]
 pub fn sweep<U: UserRows + ?Sized>(
     wd: &mut WorkerData,
@@ -87,12 +103,15 @@ pub fn sweep<U: UserRows + ?Sized>(
     params: &HyperParams,
 ) -> u64 {
     let step = params.nomad_schedule().step(wd.record_pass(item));
-    let mut updates = 0u64;
-    for (user, rating) in wd.local_cols.col(item as usize) {
+    let (rows, ratings) = wd.local_cols.col_slices(item as usize);
+    let ahead = prefetch_rows_ahead(h.len());
+    for (at, (&user, &rating)) in rows.iter().zip(ratings).enumerate() {
+        if let Some(&next) = rows.get(at + ahead) {
+            prefetch_row(users.user_row(next));
+        }
         sgd_pair_update(users.user_row_mut(user), h, rating, step, params.lambda);
-        updates += 1;
     }
-    updates
+    rows.len() as u64
 }
 
 /// What differs between the workers that run [`HopKernel::hop`]: where
@@ -249,5 +268,95 @@ impl<'a> HopKernel<'a> {
         let pass = token.pass + 1;
         ctx.push(dest, Token { pass, ..token }, h);
         Some(updates)
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use nomad_matrix::{RatingMatrix, RowPartition, TripletMatrix};
+
+    /// Lines 14–21 as a plain loop over `col()`, no look-ahead: what
+    /// [`sweep`] must equal bit for bit.
+    fn reference_sweep(
+        wd: &mut WorkerData,
+        w: &mut FactorMatrix,
+        item: Idx,
+        h: &mut [f64],
+        params: &HyperParams,
+    ) -> u64 {
+        let step = params.nomad_schedule().step(wd.record_pass(item));
+        let mut updates = 0;
+        for (user, rating) in wd.local_cols.col(item as usize) {
+            sgd_pair_update(w.row_mut(user as usize), h, rating, step, params.lambda);
+            updates += 1;
+        }
+        updates
+    }
+
+    /// Sweeps columns whose local length is 0, 1, `ahead − 1`, `ahead`,
+    /// `ahead + 1`, and one that ends on the last row of the worker's
+    /// block (for the last worker, the last row of `W`), through the user
+    /// storage `make` builds for each of `parts` workers; update count,
+    /// `h` and every owned row must match [`reference_sweep`] exactly.
+    pub(crate) fn check_sweep_at_column_and_block_edges<U: UserRows>(
+        parts: usize,
+        make: impl Fn(&FactorMatrix, &RowPartition, usize) -> U,
+    ) {
+        let k = 100;
+        let params = HyperParams::netflix().with_k(k);
+        let ahead = prefetch_rows_ahead(k);
+        assert!(ahead >= 2, "the edge lengths below need a distance of 2+");
+        let block = ahead + 3;
+        // Per item, the rows of a block that rate it, relative to its start.
+        let columns = [0..0, 2..3, 0..ahead - 1, 0..ahead, 0..ahead + 1, 1..block];
+        let nrows = parts * block;
+        let mut t = TripletMatrix::new(nrows, columns.len());
+        for q in 0..parts {
+            for (j, rows) in columns.iter().enumerate() {
+                for i in rows.clone() {
+                    let rating = 1.0 + ((i * 7 + j * 3 + q) % 5) as f64;
+                    t.push((q * block + i) as Idx, j as Idx, rating);
+                }
+            }
+        }
+        let data = RatingMatrix::from_triplets(&t);
+        let partition = RowPartition::contiguous(nrows, parts);
+        let model = nomad_sgd::FactorModel::init(nrows, columns.len(), k, 17);
+
+        for (q, wd) in WorkerData::build_all(&data, &partition)
+            .into_iter()
+            .enumerate()
+        {
+            let mut users = make(&model.w, &partition, q);
+            let (mut wd, mut ref_wd) = (wd.clone(), wd);
+            let mut ref_w = model.w.clone();
+            for (j, rows) in columns.iter().enumerate() {
+                let item = j as Idx;
+                assert_eq!(wd.local_count(item), rows.len());
+                let (mut h, mut ref_h) = (model.h.row(j).to_vec(), model.h.row(j).to_vec());
+                let updates = sweep(&mut wd, &mut users, item, &mut h, &params);
+                let expect = reference_sweep(&mut ref_wd, &mut ref_w, item, &mut ref_h, &params);
+                assert_eq!(updates, expect, "worker {q} item {j}");
+                assert_eq!(updates, rows.len() as u64);
+                assert_eq!(h, ref_h, "worker {q} item {j}");
+            }
+            assert_eq!(wd.item_passes, ref_wd.item_passes);
+            let last = *partition.members(q).last().expect("a non-empty block");
+            assert_eq!(last as usize, (q + 1) * block - 1);
+            for &i in partition.members(q) {
+                assert_eq!(users.user_row(i), ref_w.row(i as usize), "row {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_matches_a_plain_loop_at_column_and_matrix_edges() {
+        // Dense storage of the serial/simulated engines (one worker owns
+        // all of `W`, so the last column ends on its last row) ...
+        check_sweep_at_column_and_block_edges(1, |w, _, _| w.clone());
+        // ... and the rank worker's full-height matrix, swept by two
+        // workers that each touch only their own segment.
+        check_sweep_at_column_and_block_edges(2, |w, _, _| w.clone());
     }
 }

@@ -392,10 +392,13 @@ impl OwnedUsers {
     fn from_partition(w: &FactorMatrix, partition: &RowPartition, q: usize) -> Self {
         let members = partition.members(q);
         let offset = members.first().map_or(0, |&i| i as usize);
-        let mut rows = FactorMatrix::zeros(members.len(), w.k());
-        for (local, &global) in members.iter().enumerate() {
-            rows.set_row(local, w.row(global as usize));
-        }
+        assert!(
+            members
+                .last()
+                .is_none_or(|&i| i as usize + 1 == offset + members.len()),
+            "worker {q}'s users must be one contiguous block"
+        );
+        let rows = w.copy_rows(offset..offset + members.len());
         Self { offset, rows }
     }
 }
@@ -404,6 +407,11 @@ impl UserRows for OwnedUsers {
     #[inline]
     fn user_row_mut(&mut self, user: Idx) -> &mut [f64] {
         self.rows.row_mut(user as usize - self.offset)
+    }
+
+    #[inline]
+    fn user_row(&self, user: Idx) -> &[f64] {
+        self.rows.row(user as usize - self.offset)
     }
 
     #[inline]
@@ -428,15 +436,21 @@ fn assemble_model(
 ) -> FactorModel {
     let ncols = slab.rows();
     let k = slab.k();
+    // The owned blocks are contiguous and in offset order, so `W` is their
+    // concatenation: one copy per worker into memory nothing has touched.
+    let mut w = FactorMatrix::with_capacity(nrows, k);
+    for own in owned {
+        assert!(
+            own.rows.rows() == 0 || own.offset == w.rows(),
+            "owned user blocks must tile the rows in order"
+        );
+        w.append_rows(&own.rows);
+    }
+    assert_eq!(w.rows(), nrows, "owned user blocks must cover every row");
     let mut model = FactorModel {
-        w: FactorMatrix::zeros(nrows, k),
+        w,
         h: FactorMatrix::zeros(ncols, k),
     };
-    for own in owned {
-        for local in 0..own.rows.rows() {
-            model.w.set_row(own.offset + local, own.rows.row(local));
-        }
-    }
     // Drain every queue to check token conservation (every item in exactly
     // one queue, total passes equal to the tickets drawn), then push the
     // tokens back in the same order so the run can continue afterwards.
@@ -583,6 +597,16 @@ mod tests {
         NomadConfig::new(HyperParams::netflix().with_k(8))
             .with_stop(StopCondition::Updates(updates))
             .with_seed(33)
+    }
+
+    #[test]
+    fn owned_blocks_sweep_like_a_plain_loop_up_to_their_last_row() {
+        for parts in [1, 3] {
+            crate::hop::tests::check_sweep_at_column_and_block_edges(
+                parts,
+                OwnedUsers::from_partition,
+            );
+        }
     }
 
     #[test]

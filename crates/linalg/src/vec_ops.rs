@@ -1,12 +1,23 @@
-//! BLAS-1 style kernels over plain slices.
+//! BLAS-1 style kernels over plain slices, and the prefetch hint for the
+//! loops that gather factor rows by index.
 //!
 //! Every SGD-family solver in this workspace spends essentially all of its
-//! time in the rank-1 update of Eqs. (9)–(10) of the paper, which decomposes
-//! into dot products and `axpy` operations over `k`-dimensional factor rows.
-//! These kernels are deliberately written as straightforward indexed loops:
-//! with slices of equal length the bounds checks are hoisted and the loops
-//! auto-vectorize, which is the idiom recommended by the Rust performance
-//! guidelines this project follows.
+//! arithmetic in the rank-1 update of Eqs. (9)–(10) of the paper, which
+//! decomposes into a dot product and two `axpy`-like passes over
+//! `k`-dimensional factor rows.  The two hot kernels, [`dot`] and
+//! [`sgd_pair_update`], are unrolled four ways over `chunks_exact`: the
+//! constant chunk length lets the compiler drop every bounds check and keep
+//! four independent lanes in flight, and the fixed association of the four
+//! partial sums keeps results deterministic (the workspace's bit-identity
+//! anchors all go through these two functions).  The remaining kernels
+//! (`axpy`, `scale`, …) are plain loops that auto-vectorize as written.
+//!
+//! With both rows in L1 that arithmetic is the whole cost.  Over a factor
+//! matrix larger than the caches it is not: a loop that visits rows in a
+//! data-dependent order (the NOMAD sweep over `w_i`, the IVF probe over
+//! `h_j`) takes a demand miss per row unless it says early which row comes
+//! next.  [`prefetch_row`] is that hint, and [`prefetch_rows_ahead`] is how
+//! far ahead to give it.
 
 use std::fmt::Debug;
 use std::iter::Sum;
@@ -217,6 +228,60 @@ pub fn sgd_pair_update<T: Real>(w: &mut [T], h: &mut [T], rating: T, step: T, la
     e
 }
 
+/// Bytes of one cache line, the unit a prefetch hint fetches.
+const CACHE_LINE: usize = 64;
+
+/// How far ahead of the row being worked on a gathering loop prefetches,
+/// in bytes of factor rows.
+///
+/// Bytes rather than rows because the work done per row grows with the
+/// row's length, so a fixed number of bytes ahead is a roughly fixed lead
+/// time whatever `k` is.  The value sits on the plateau measured for both
+/// callers; DESIGN.md ("Memory behaviour of the hop") has the table.
+pub const PREFETCH_BYTES_AHEAD: usize = 3072;
+
+/// [`PREFETCH_BYTES_AHEAD`] in rows of `k` `f64`s, at least one.
+#[inline]
+pub fn prefetch_rows_ahead(k: usize) -> usize {
+    (PREFETCH_BYTES_AHEAD / (k * size_of::<f64>()).max(1)).max(1)
+}
+
+/// The address of every cache line that the `bytes` bytes starting at
+/// `addr` touch, ascending: from the line holding the first byte to the
+/// line holding the last, so a row that starts mid-line is covered to its
+/// end.  Nothing for `bytes == 0`.
+#[inline]
+fn cache_lines(addr: usize, bytes: usize) -> impl Iterator<Item = usize> {
+    let first = addr & !(CACHE_LINE - 1);
+    let end = if bytes == 0 { first } else { addr + bytes };
+    (first..end).step_by(CACHE_LINE)
+}
+
+/// Hints that `row` is about to be read or written: one prefetch into all
+/// cache levels per line the slice touches.
+///
+/// A hint only.  It never faults, never changes a value and is not ordered
+/// with any load or store, so a program with the calls removed computes
+/// the same bits — which is also what targets other than `x86_64` compile
+/// this to.
+#[inline]
+pub fn prefetch_row(row: &[f64]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64 as arch;
+        let start = row.as_ptr().cast::<i8>();
+        for line in cache_lines(start.addr(), size_of_val(row)) {
+            // SAFETY: the instruction is baseline SSE on `x86_64` and does
+            // not access memory architecturally.  The pointer is derived
+            // from the live slice `row` and addresses a line that holds at
+            // least one of its bytes.
+            unsafe { arch::_mm_prefetch::<{ arch::_MM_HINT_T0 }>(start.with_addr(line)) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = row;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,5 +400,77 @@ mod tests {
             (pred - a).abs() < 1e-3,
             "prediction {pred} should approach {a}"
         );
+    }
+
+    /// `cache_lines` for `len` `f64`s starting `offset` bytes into a line.
+    fn lines_of_row(offset: usize, len: usize) -> Vec<usize> {
+        const BASE: usize = 0x7f00_0000_1000;
+        cache_lines(BASE + offset, len * size_of::<f64>())
+            .map(|line| line - BASE)
+            .collect()
+    }
+
+    #[test]
+    fn cache_lines_of_an_empty_slice_is_nothing() {
+        for offset in [0, 8, 56] {
+            assert!(lines_of_row(offset, 0).is_empty());
+        }
+        // A real empty slice (dangling pointer) issues no hint and does no
+        // arithmetic on its pointer.
+        prefetch_row(&[]);
+    }
+
+    #[test]
+    fn cache_lines_of_one_element_is_its_line() {
+        assert_eq!(lines_of_row(0, 1), [0]);
+        assert_eq!(lines_of_row(8, 1), [0]);
+        assert_eq!(lines_of_row(56, 1), [0]);
+        assert_eq!(lines_of_row(64, 1), [64]);
+    }
+
+    #[test]
+    fn cache_lines_of_an_aligned_k8_row_is_one_line() {
+        assert_eq!(lines_of_row(0, 8), [0]);
+        // ... and two as soon as it is not aligned.
+        assert_eq!(lines_of_row(8, 8), [0, 64]);
+    }
+
+    #[test]
+    fn cache_lines_of_a_k100_row_include_the_last_elements_line() {
+        // 800 bytes = 12.5 lines: 13 lines from an offset of up to 32
+        // bytes, 14 beyond — stepping 64 bytes from the *start* of the row
+        // would stop one line short there.
+        for (offset, expect) in [(0, 13), (8, 13), (32, 13), (56, 14)] {
+            let lines = lines_of_row(offset, 100);
+            assert_eq!(lines.len(), expect, "offset {offset}");
+            assert_eq!(lines[0], 0);
+            assert!(lines.windows(2).all(|w| w[1] == w[0] + CACHE_LINE));
+            let last_byte = offset + 100 * size_of::<f64>() - 1;
+            assert_eq!(*lines.last().unwrap(), last_byte & !(CACHE_LINE - 1));
+        }
+    }
+
+    #[test]
+    fn prefetch_distance_is_constant_in_bytes_and_at_least_one_row() {
+        assert_eq!(prefetch_rows_ahead(8) * 8 * 8, PREFETCH_BYTES_AHEAD);
+        assert_eq!(prefetch_rows_ahead(32) * 32 * 8, PREFETCH_BYTES_AHEAD);
+        assert_eq!(prefetch_rows_ahead(100), PREFETCH_BYTES_AHEAD / 800);
+        // Rows longer than the distance still look one row ahead, and an
+        // empty row does not divide by zero.
+        assert_eq!(prefetch_rows_ahead(PREFETCH_BYTES_AHEAD), 1);
+        assert!(prefetch_rows_ahead(0) >= 1);
+    }
+
+    #[test]
+    fn prefetch_row_changes_nothing() {
+        let rows: Vec<f64> = (0..300).map(|i| i as f64 * 0.5).collect();
+        let before = rows.clone();
+        for start in 0..8 {
+            prefetch_row(&rows[start..start + 100]);
+            prefetch_row(&rows[start..start + 1]);
+            prefetch_row(&rows[start..start]);
+        }
+        prefetch_row(&rows[200..]);
+        assert_eq!(rows, before);
     }
 }

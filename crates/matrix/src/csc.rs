@@ -126,11 +126,12 @@ impl CscMatrix {
     /// Row indices and rating values of column `j` as two parallel slices
     /// of equal length, in ascending row order.
     ///
-    /// The raw-slice form of [`CscMatrix::col`], for callers that want the
-    /// column as plain data (bulk copies, reference implementations, FFI)
-    /// rather than as an iterator.  In the engines' inner loops the zipped
-    /// iterator of `col` measured as fast or faster, so prefer `col` there
-    /// and reach for this only when slices are genuinely needed.
+    /// The raw-slice form of [`CscMatrix::col`], for callers that need the
+    /// column as indexable data rather than as an iterator: bulk copies,
+    /// and above all the engines' inner loop (`nomad_core::hop::sweep`),
+    /// which reads the row index a fixed distance *ahead* of the rating it
+    /// is applying so it can prefetch that user's factor row.  A loop that
+    /// only walks the column front to back is as fast over `col`.
     #[inline]
     pub fn col_slices(&self, j: usize) -> (&[Idx], &[Rating]) {
         (self.col_rows(j), self.col_values(j))

@@ -46,6 +46,7 @@
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
+use nomad_linalg::vec_ops::{prefetch_row, prefetch_rows_ahead};
 use nomad_linalg::SmallRng64;
 use nomad_matrix::Idx;
 
@@ -256,8 +257,15 @@ impl IvfIndex {
         let probes = self.probe_order(wu, nprobe);
         let mut heap: BinaryHeap<Weakest> = BinaryHeap::with_capacity(k.min(self.items) + 1);
         let mut scored = 0usize;
+        // A posting lists items in index order, so scoring it is a gather
+        // over `H`; tell the cache which row comes a fixed distance on.
+        let ahead = prefetch_rows_ahead(self.k);
         for &(_, c) in &probes {
-            for &item in &self.postings[c] {
+            let posting = &self.postings[c];
+            for (at, &item) in posting.iter().enumerate() {
+                if let Some(&next) = posting.get(at + ahead) {
+                    prefetch_row(snap.item_factor(next));
+                }
                 if !seen.is_empty() && seen.binary_search(&item).is_ok() {
                     continue;
                 }
@@ -440,6 +448,37 @@ mod tests {
                     assert_eq!(e.score.to_bits(), a.score.to_bits());
                 }
             }
+        }
+    }
+
+    #[test]
+    fn postings_at_the_edges_of_the_prefetch_distance_rank_like_the_exact_scan() {
+        // Postings one row short of the prefetch distance, exactly that
+        // long, and longer with the catalog's last item at the end: the
+        // look-ahead must stop at each posting's end and, probing them
+        // all, rank exactly what the scan ranks, `seen` filter included.
+        let s = snap(3, 200, 64, 5);
+        let ahead = prefetch_rows_ahead(64);
+        let mut idx = IvfIndex::build(&s, params(4));
+        for j in 0..200 {
+            idx.assign[j] = match j {
+                _ if j < ahead - 1 => 0,
+                _ if j < 2 * ahead - 1 => 1,
+                _ if j >= 200 - (ahead + 1) => 2,
+                _ => 3,
+            };
+        }
+        idx.rebuild_postings();
+        let lens: Vec<usize> = idx.postings.iter().map(Vec::len).collect();
+        assert_eq!(lens, [ahead - 1, ahead, ahead + 1, 200 - 3 * ahead]);
+        assert_eq!(idx.postings[2].last(), Some(&199));
+        let seen = [0, 57, 198];
+        for user in 0..3 {
+            let exact = s.top_k(user, 10, &seen);
+            let (approx, reranked) = idx.top_k_within(&s, user, 10, 4, &seen, None);
+            assert!(reranked);
+            assert_eq!(exact, approx, "user {user}");
+            assert!(approx.recs.iter().all(|r| !seen.contains(&r.item)));
         }
     }
 
