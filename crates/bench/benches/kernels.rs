@@ -8,15 +8,20 @@
 //! one hot `h_j` against user rows gathered from a `W` far larger than L2,
 //! through `nomad_core::hop::sweep` and through a plain loop that does not
 //! look ahead, so the share of a workload's update time that is load
-//! stall rather than arithmetic can be read off per `k`.
+//! stall rather than arithmetic can be read off per `k`.  `sweep_hot` is
+//! the other end: the same `sweep` over a `W` that stays in cache, in the
+//! widest kernel form the CPU has and in the portable one, so the compute
+//! floor of a sweep — which `sgd_pair_update` on one hot `(w, h)` pair
+//! overstates, because there every update waits for the previous one's
+//! `w` as well as its `h` — can be read off per `k` and per form.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 
-use nomad_core::hop::sweep;
+use nomad_core::hop::{sweep, sweep_on};
 use nomad_core::WorkerData;
-use nomad_linalg::vec_ops::sgd_pair_update;
+use nomad_linalg::vec_ops::{sgd_pair_update, Portable};
 use nomad_matrix::{Idx, RatingMatrix, RowPartition, TripletMatrix};
 use nomad_sgd::schedule::StepSchedule;
 use nomad_sgd::{
@@ -45,23 +50,32 @@ fn bench_sgd_update(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ratings per column of the `sweep_cold` matrix: one iteration is one
+/// Ratings per column of the `sweep_*` matrices: one iteration is one
 /// sweep of one column, so ns/iter ÷ this is ns per update.
-const COLD_COLUMN_RATINGS: usize = 1024;
+const COLUMN_RATINGS: usize = 1024;
 /// Columns cycled through, so consecutive iterations gather different rows.
-const COLD_COLUMNS: usize = 128;
-/// Least size of `W`: 16× this box's 4 MiB L2, about `train-local`'s 69 MB.
+const COLUMNS: usize = 128;
+/// Least size of the cold `W`: 16× this box's 4 MiB L2, about
+/// `train-local`'s 69 MB.
 const COLD_W_BYTES: usize = 64 << 20;
+/// Least size of the hot `W`: a quarter of that L2, so after the warm-up
+/// every row is a cache hit and what is left is the kernel.
+const HOT_W_BYTES: usize = 1 << 20;
 
-/// One worker's view of a `nrows × COLD_COLUMNS` matrix whose every column
-/// rates one user out of each `nrows / COLD_COLUMN_RATINGS` consecutive
-/// ones: ascending like any CSC column, irregular, and spread over all of
-/// `W`.
-fn cold_columns(nrows: usize) -> WorkerData {
-    let stride = nrows / COLD_COLUMN_RATINGS;
-    let mut t = TripletMatrix::new(nrows, COLD_COLUMNS);
-    for j in 0..COLD_COLUMNS {
-        for i in 0..COLD_COLUMN_RATINGS {
+/// Rows of a `W` of at least `bytes` bytes at dimension `k`, a multiple of
+/// the column length.
+fn rows_for(bytes: usize, k: usize) -> usize {
+    (bytes / (k * size_of::<f64>())).next_multiple_of(COLUMN_RATINGS)
+}
+
+/// One worker's view of a `nrows × COLUMNS` matrix whose every column
+/// rates one user out of each `nrows / COLUMN_RATINGS` consecutive ones:
+/// ascending like any CSC column, irregular, and spread over all of `W`.
+fn scattered_columns(nrows: usize) -> WorkerData {
+    let stride = nrows / COLUMN_RATINGS;
+    let mut t = TripletMatrix::new(nrows, COLUMNS);
+    for j in 0..COLUMNS {
+        for i in 0..COLUMN_RATINGS {
             let jitter = (j * 0x9E37 + i * 0x79B9) % stride;
             t.push((i * stride + jitter) as Idx, j as Idx, 3.0);
         }
@@ -76,15 +90,15 @@ fn bench_sweep_cold(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(2));
     group.sample_size(20);
     for &k in &[8usize, 32, 100] {
-        let nrows = (COLD_W_BYTES / (k * size_of::<f64>())).next_multiple_of(COLD_COLUMN_RATINGS);
+        let nrows = rows_for(COLD_W_BYTES, k);
         let params = HyperParams::netflix().with_k(k);
-        let mut wd = cold_columns(nrows);
+        let mut wd = scattered_columns(nrows);
         let mut w = FactorMatrix::init(nrows, k, InitStrategy::UniformScaled, 5);
         let mut h = vec![0.1f64; k];
         let mut next = 0usize;
         group.bench_function(BenchmarkId::new("sweep", format!("k{k}")), |b| {
             b.iter(|| {
-                next = (next + 1) % COLD_COLUMNS;
+                next = (next + 1) % COLUMNS;
                 sweep(&mut wd, &mut w, black_box(next as Idx), &mut h, &params)
             });
         });
@@ -92,7 +106,7 @@ fn bench_sweep_cold(c: &mut Criterion) {
         // `col()` iterator and no look-ahead.
         group.bench_function(BenchmarkId::new("plain_loop", format!("k{k}")), |b| {
             b.iter(|| {
-                next = (next + 1) % COLD_COLUMNS;
+                next = (next + 1) % COLUMNS;
                 let item = black_box(next as Idx);
                 let step = params.nomad_schedule().step(wd.record_pass(item));
                 let mut updates = 0u64;
@@ -102,6 +116,36 @@ fn bench_sweep_cold(c: &mut Criterion) {
                     updates += 1;
                 }
                 updates
+            });
+        });
+    }
+    group.finish();
+}
+
+fn bench_sweep_hot(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sweep_hot");
+    group.warm_up_time(Duration::from_millis(500));
+    group.measurement_time(Duration::from_secs(2));
+    group.sample_size(20);
+    for &k in &[8usize, 32, 100] {
+        let nrows = rows_for(HOT_W_BYTES, k);
+        let params = HyperParams::netflix().with_k(k);
+        let mut wd = scattered_columns(nrows);
+        let mut w = FactorMatrix::init(nrows, k, InitStrategy::UniformScaled, 5);
+        let mut h = vec![0.1f64; k];
+        let mut next = 0usize;
+        // What the engines call: the widest form this CPU has.
+        group.bench_function(BenchmarkId::new("wide", format!("k{k}")), |b| {
+            b.iter(|| {
+                next = (next + 1) % COLUMNS;
+                sweep(&mut wd, &mut w, black_box(next as Idx), &mut h, &params)
+            });
+        });
+        group.bench_function(BenchmarkId::new("portable", format!("k{k}")), |b| {
+            b.iter(|| {
+                next = (next + 1) % COLUMNS;
+                let item = black_box(next as Idx);
+                sweep_on(Portable, &mut wd, &mut w, item, &mut h, &params)
             });
         });
     }
@@ -159,6 +203,7 @@ criterion_group!(
     kernels,
     bench_sgd_update,
     bench_sweep_cold,
+    bench_sweep_hot,
     bench_als_row_solve,
     bench_ccd_coordinate,
     bench_step_schedule

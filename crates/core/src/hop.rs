@@ -18,7 +18,9 @@
 //! [`sweep`] + `Router`: dense-model item rows, whole-model publishes and
 //! hybrid circulation would each need context methods only they use.
 
-use nomad_linalg::vec_ops::{prefetch_row, prefetch_rows_ahead, sgd_pair_update};
+#[cfg(target_arch = "x86_64")]
+use nomad_linalg::vec_ops::Avx2;
+use nomad_linalg::vec_ops::{prefetch_row, prefetch_rows_ahead, Kernels, Portable};
 use nomad_linalg::SmallRng64;
 use nomad_matrix::Idx;
 use nomad_serve::SnapshotPublisher;
@@ -94,8 +96,47 @@ impl UserRows for FactorMatrix {
 /// prefetches the row [`prefetch_rows_ahead`] ratings on while it updates
 /// the current one — a hint, so arithmetic and order are what they would
 /// be without it.
+///
+/// This is the dispatcher: it asks once per hop which form of the kernel
+/// the CPU has and runs the one loop, [`sweep_on`], in it.  Same bits
+/// either way.
 #[inline]
 pub fn sweep<U: UserRows + ?Sized>(
+    wd: &mut WorkerData,
+    users: &mut U,
+    item: Idx,
+    h: &mut [f64],
+    params: &HyperParams,
+) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(avx2) = Avx2::detect() {
+        // SAFETY: `avx2` is the proof that this CPU has the feature.
+        return unsafe { sweep_avx2(avx2, wd, users, item, h, params) };
+    }
+    sweep_on(Portable, wd, users, item, h, params)
+}
+
+/// [`sweep_on`] compiled with AVX2 enabled, so the wide kernel inlines
+/// into the loop.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn sweep_avx2<U: UserRows + ?Sized>(
+    avx2: Avx2,
+    wd: &mut WorkerData,
+    users: &mut U,
+    item: Idx,
+    h: &mut [f64],
+    params: &HyperParams,
+) -> u64 {
+    sweep_on(avx2, wd, users, item, h, params)
+}
+
+/// The body of [`sweep`], the only copy of lines 14–21, over the kernel
+/// form `kernels`.  Public for the benches and tests that pin one form;
+/// engines call [`sweep`].
+#[inline(always)]
+pub fn sweep_on<K: Kernels, U: UserRows + ?Sized>(
+    kernels: K,
     wd: &mut WorkerData,
     users: &mut U,
     item: Idx,
@@ -109,7 +150,7 @@ pub fn sweep<U: UserRows + ?Sized>(
         if let Some(&next) = rows.get(at + ahead) {
             prefetch_row(users.user_row(next));
         }
-        sgd_pair_update(users.user_row_mut(user), h, rating, step, params.lambda);
+        kernels.sgd_pair_update(users.user_row_mut(user), h, rating, step, params.lambda);
     }
     rows.len() as u64
 }
@@ -274,10 +315,11 @@ impl<'a> HopKernel<'a> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use nomad_linalg::vec_ops::sgd_pair_update;
     use nomad_matrix::{RatingMatrix, RowPartition, TripletMatrix};
 
-    /// Lines 14–21 as a plain loop over `col()`, no look-ahead: what
-    /// [`sweep`] must equal bit for bit.
+    /// Lines 14–21 as a plain loop over `col()` and the portable kernel,
+    /// no look-ahead and no dispatch: what [`sweep`] must equal bit for bit.
     fn reference_sweep(
         wd: &mut WorkerData,
         w: &mut FactorMatrix,
@@ -299,11 +341,29 @@ pub(crate) mod tests {
     /// block (for the last worker, the last row of `W`), through the user
     /// storage `make` builds for each of `parts` workers; update count,
     /// `h` and every owned row must match [`reference_sweep`] exactly.
+    ///
+    /// At k = 3 (all tail), 10 (4n + 2) and 100 (4n), and twice each: through
+    /// [`sweep`], which runs the widest form this CPU has, and through
+    /// `sweep_on(Portable, …)`, so the portable instantiation stays tested
+    /// where `sweep` never picks it.
     pub(crate) fn check_sweep_at_column_and_block_edges<U: UserRows>(
         parts: usize,
         make: impl Fn(&FactorMatrix, &RowPartition, usize) -> U,
     ) {
-        let k = 100;
+        for k in [3, 10, 100] {
+            check_edges_with(k, parts, &make, sweep);
+            check_edges_with(k, parts, &make, |wd, users, item, h, params| {
+                sweep_on(Portable, wd, users, item, h, params)
+            });
+        }
+    }
+
+    fn check_edges_with<U: UserRows>(
+        k: usize,
+        parts: usize,
+        make: &impl Fn(&FactorMatrix, &RowPartition, usize) -> U,
+        sweep: impl Fn(&mut WorkerData, &mut U, Idx, &mut [f64], &HyperParams) -> u64,
+    ) {
         let params = HyperParams::netflix().with_k(k);
         let ahead = prefetch_rows_ahead(k);
         assert!(ahead >= 2, "the edge lengths below need a distance of 2+");
@@ -337,15 +397,15 @@ pub(crate) mod tests {
                 let (mut h, mut ref_h) = (model.h.row(j).to_vec(), model.h.row(j).to_vec());
                 let updates = sweep(&mut wd, &mut users, item, &mut h, &params);
                 let expect = reference_sweep(&mut ref_wd, &mut ref_w, item, &mut ref_h, &params);
-                assert_eq!(updates, expect, "worker {q} item {j}");
+                assert_eq!(updates, expect, "k {k} worker {q} item {j}");
                 assert_eq!(updates, rows.len() as u64);
-                assert_eq!(h, ref_h, "worker {q} item {j}");
+                assert_eq!(h, ref_h, "k {k} worker {q} item {j}");
             }
             assert_eq!(wd.item_passes, ref_wd.item_passes);
             let last = *partition.members(q).last().expect("a non-empty block");
             assert_eq!(last as usize, (q + 1) * block - 1);
             for &i in partition.members(q) {
-                assert_eq!(users.user_row(i), ref_w.row(i as usize), "row {i}");
+                assert_eq!(users.user_row(i), ref_w.row(i as usize), "k {k} row {i}");
             }
         }
     }

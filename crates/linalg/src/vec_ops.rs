@@ -1,16 +1,45 @@
-//! BLAS-1 style kernels over plain slices, and the prefetch hint for the
-//! loops that gather factor rows by index.
+//! The vector kernels over plain `f64` slices, in two forms, and the
+//! prefetch hint for the loops that gather factor rows by index.
 //!
 //! Every SGD-family solver in this workspace spends essentially all of its
-//! arithmetic in the rank-1 update of Eqs. (9)–(10) of the paper, which
-//! decomposes into a dot product and two `axpy`-like passes over
-//! `k`-dimensional factor rows.  The two hot kernels, [`dot`] and
-//! [`sgd_pair_update`], are unrolled four ways over `chunks_exact`: the
-//! constant chunk length lets the compiler drop every bounds check and keep
-//! four independent lanes in flight, and the fixed association of the four
-//! partial sums keeps results deterministic (the workspace's bit-identity
-//! anchors all go through these two functions).  The remaining kernels
-//! (`axpy`, `scale`, …) are plain loops that auto-vectorize as written.
+//! arithmetic in the rank-1 update of Eqs. (9)–(10) of the paper: one inner
+//! product and two scaled row updates over `k`-dimensional factor rows.
+//! [`dot`] and [`sgd_pair_update`] are that arithmetic and its *definition*:
+//! four partial sums `s0..s3` over `chunks_exact(4)`, combined as
+//! `(s0 + s1) + (s2 + s3)`, then a scalar tail.  The association is fixed
+//! because every bit-identity anchor of the workspace (p=1 ≡ serial, the
+//! golden factor hashes, full-probe IVF ≡ exact scan) goes through it.
+//!
+//! # Two forms, one association
+//!
+//! Built for baseline `x86_64` those two functions compile to 128-bit SSE2,
+//! two lanes at a time, on CPUs that have four.  So each kernel has a second
+//! *form*, written with AVX2 intrinsics, that computes the same IEEE
+//! operations in the same order and therefore the same bits: one `__m256d`
+//! accumulator *is* `s0..s3`, the reduction extracts the lanes and adds them
+//! as `(s0 + s1) + (s2 + s3)`, the tail is the same scalar loop.  Two wider
+//! things the hardware offers are deliberately not used.  **No FMA**: a
+//! fused multiply-add rounds once where `a * b + c` rounds twice, so it
+//! changes bits.  **No AVX-512**: eight lanes are eight partial sums, a
+//! different association, and every golden hash would have to be re-pinned.
+//!
+//! [`Kernels`] is the choice of form: [`Portable`] calls the functions
+//! above, [`Avx2`] the intrinsic ones.  `Avx2` is a zero-sized *proof
+//! token* whose only constructor is [`Avx2::detect`], so the `unsafe` of
+//! every call into code compiled with AVX2 enabled, here and in the loops
+//! that use it, rests on one fact: an `Avx2` value exists.
+//!
+//! A hot loop does not choose per call.  It is written once as an
+//! `#[inline(always)]` body generic over `K: Kernels`, and its public entry
+//! point detects once, then runs the body instantiated with the token inside
+//! a small wrapper that enables the feature (where the wide kernel inlines
+//! into the loop) or with `Portable`: one branch per hop, query or build —
+//! `nomad_core::hop::sweep`, `nomad_serve`'s exact scan, IVF probe and
+//! k-means assignment.  Everything else (RMSE evaluation, `predict`, ALS,
+//! the baselines) calls the portable functions; the bits are the same
+//! either way.  Targets other than `x86_64` have only the portable form.
+//!
+//! # Gathered rows
 //!
 //! With both rows in L1 that arithmetic is the whole cost.  Over a factor
 //! matrix larger than the caches it is not: a loop that visits rows in a
@@ -18,84 +47,6 @@
 //! `h_j`) takes a demand miss per row unless it says early which row comes
 //! next.  [`prefetch_row`] is that hint, and [`prefetch_rows_ahead`] is how
 //! far ahead to give it.
-
-use std::fmt::Debug;
-use std::iter::Sum;
-use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
-
-/// Floating-point scalar abstraction so kernels work for both `f32`
-/// (single-precision runs, Section 5.2 of the paper) and `f64`.
-pub trait Real:
-    Copy
-    + Debug
-    + PartialOrd
-    + Add<Output = Self>
-    + Sub<Output = Self>
-    + Mul<Output = Self>
-    + Div<Output = Self>
-    + Neg<Output = Self>
-    + AddAssign
-    + SubAssign
-    + MulAssign
-    + Sum
-    + Default
-    + 'static
-{
-    /// Additive identity.
-    const ZERO: Self;
-    /// Multiplicative identity.
-    const ONE: Self;
-    /// Lossy conversion from `f64` (used for step sizes and constants).
-    fn from_f64(x: f64) -> Self;
-    /// Lossless widening to `f64` (used when accumulating metrics).
-    fn to_f64(self) -> f64;
-    /// Square root.
-    fn sqrt(self) -> Self;
-    /// Absolute value.
-    fn abs(self) -> Self;
-}
-
-impl Real for f32 {
-    const ZERO: Self = 0.0;
-    const ONE: Self = 1.0;
-    #[inline]
-    fn from_f64(x: f64) -> Self {
-        x as f32
-    }
-    #[inline]
-    fn to_f64(self) -> f64 {
-        self as f64
-    }
-    #[inline]
-    fn sqrt(self) -> Self {
-        f32::sqrt(self)
-    }
-    #[inline]
-    fn abs(self) -> Self {
-        f32::abs(self)
-    }
-}
-
-impl Real for f64 {
-    const ZERO: Self = 0.0;
-    const ONE: Self = 1.0;
-    #[inline]
-    fn from_f64(x: f64) -> Self {
-        x
-    }
-    #[inline]
-    fn to_f64(self) -> f64 {
-        self
-    }
-    #[inline]
-    fn sqrt(self) -> Self {
-        f64::sqrt(self)
-    }
-    #[inline]
-    fn abs(self) -> Self {
-        f64::abs(self)
-    }
-}
 
 /// Euclidean inner product `⟨x, y⟩`.
 ///
@@ -105,31 +56,38 @@ impl Real for f64 {
 /// Four independent partial sums break the chain, so the compiler emits
 /// SIMD adds and the loop runs at load bandwidth instead of add latency.
 /// The partial sums are combined as `(s0 + s1) + (s2 + s3)` — a fixed
-/// association, so results stay deterministic (every engine uses this same
-/// kernel, preserving the workspace's bit-identity invariants).
+/// association, so results stay deterministic (every engine uses this
+/// arithmetic, in this form or the [`Avx2`] one, preserving the workspace's
+/// bit-identity invariants).
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
 #[inline]
-pub fn dot<T: Real>(x: &[T], y: &[T]) -> T {
+pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "dot: length mismatch");
     // `chunks_exact` (rather than manual indexing) is what lets LLVM elide
     // every bounds check: the chunk length is a compile-time constant, so
     // the four lanes compile to packed loads/multiplies/adds.
     let mut cx = x.chunks_exact(4);
     let mut cy = y.chunks_exact(4);
-    let mut s0 = T::ZERO;
-    let mut s1 = T::ZERO;
-    let mut s2 = T::ZERO;
-    let mut s3 = T::ZERO;
+    let mut s0 = 0.0;
+    let mut s1 = 0.0;
+    let mut s2 = 0.0;
+    let mut s3 = 0.0;
     for (a, b) in (&mut cx).zip(&mut cy) {
         s0 += a[0] * b[0];
         s1 += a[1] * b[1];
         s2 += a[2] * b[2];
         s3 += a[3] * b[3];
     }
-    let mut acc = (s0 + s1) + (s2 + s3);
-    for (a, b) in cx.remainder().iter().zip(cy.remainder()) {
+    dot_tail((s0 + s1) + (s2 + s3), cx.remainder(), cy.remainder())
+}
+
+/// The last `len % 4` terms of a dot product, added one at a time to the
+/// reduced partial sums — scalar in both forms.
+#[inline(always)]
+fn dot_tail(mut acc: f64, x: &[f64], y: &[f64]) -> f64 {
+    for (a, b) in x.iter().zip(y) {
         acc += *a * *b;
     }
     acc
@@ -140,42 +98,18 @@ pub fn dot<T: Real>(x: &[T], y: &[T]) -> T {
 /// # Panics
 /// Panics if the slices have different lengths.
 #[inline]
-pub fn axpy<T: Real>(alpha: T, x: &[T], y: &mut [T]) {
+pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
     for i in 0..x.len() {
         y[i] += alpha * x[i];
     }
 }
 
-/// `x ← alpha * x`.
-#[inline]
-pub fn scale<T: Real>(alpha: T, x: &mut [T]) {
-    for v in x.iter_mut() {
-        *v *= alpha;
-    }
-}
-
-/// Euclidean norm `‖x‖₂`.
-#[inline]
-pub fn nrm2<T: Real>(x: &[T]) -> T {
-    dot(x, x).sqrt()
-}
-
 /// Squared Euclidean norm `‖x‖₂²`; avoids the square root when the caller
 /// only needs the regularizer value.
 #[inline]
-pub fn nrm2_sq<T: Real>(x: &[T]) -> T {
+pub fn nrm2_sq(x: &[f64]) -> f64 {
     dot(x, x)
-}
-
-/// Copies `src` into `dst`.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn copy_from<T: Real>(dst: &mut [T], src: &[T]) {
-    assert_eq!(dst.len(), src.len(), "copy_from: length mismatch");
-    dst.copy_from_slice(src);
 }
 
 /// The fused SGD step used by every stochastic solver in the workspace:
@@ -200,31 +134,182 @@ pub fn copy_from<T: Real>(dst: &mut [T], src: &[T]) {
 /// product, the update is purely element-wise, so unrolling cannot change
 /// its results.
 #[inline]
-pub fn sgd_pair_update<T: Real>(w: &mut [T], h: &mut [T], rating: T, step: T, lambda: T) -> T {
+pub fn sgd_pair_update(w: &mut [f64], h: &mut [f64], rating: f64, step: f64, lambda: f64) -> f64 {
     debug_assert_eq!(w.len(), h.len());
     let e = dot(w, h) - rating;
-    #[inline(always)]
-    fn lane<T: Real>(w: &mut T, h: &mut T, e: T, step: T, lambda: T) {
-        let wl = *w;
-        let hl = *h;
-        *w = wl - step * (e * hl + lambda * wl);
-        *h = hl - step * (e * wl + lambda * hl);
-    }
     let mut cw = w.chunks_exact_mut(4);
     let mut ch = h.chunks_exact_mut(4);
     for (a, b) in (&mut cw).zip(&mut ch) {
-        lane(&mut a[0], &mut b[0], e, step, lambda);
-        lane(&mut a[1], &mut b[1], e, step, lambda);
-        lane(&mut a[2], &mut b[2], e, step, lambda);
-        lane(&mut a[3], &mut b[3], e, step, lambda);
+        sgd_lane(&mut a[0], &mut b[0], e, step, lambda);
+        sgd_lane(&mut a[1], &mut b[1], e, step, lambda);
+        sgd_lane(&mut a[2], &mut b[2], e, step, lambda);
+        sgd_lane(&mut a[3], &mut b[3], e, step, lambda);
     }
-    for (a, b) in cw
-        .into_remainder()
-        .iter_mut()
-        .zip(ch.into_remainder().iter_mut())
-    {
-        lane(a, b, e, step, lambda);
+    sgd_tail(cw.into_remainder(), ch.into_remainder(), e, step, lambda);
+    e
+}
+
+/// One coordinate of the SGD step, both rows updated from their old values.
+#[inline(always)]
+fn sgd_lane(w: &mut f64, h: &mut f64, e: f64, step: f64, lambda: f64) {
+    let wl = *w;
+    let hl = *h;
+    *w = wl - step * (e * hl + lambda * wl);
+    *h = hl - step * (e * wl + lambda * hl);
+}
+
+/// The last `len % 4` coordinates of the SGD step — scalar in both forms.
+#[inline(always)]
+fn sgd_tail(w: &mut [f64], h: &mut [f64], e: f64, step: f64, lambda: f64) {
+    for (a, b) in w.iter_mut().zip(h) {
+        sgd_lane(a, b, e, step, lambda);
     }
+}
+
+/// One instruction-set form of the two hot kernels.  Every implementation
+/// returns the bits [`dot`] and [`sgd_pair_update`] return; a loop generic
+/// over `K: Kernels` is therefore one algorithm, whichever form it runs in.
+pub trait Kernels: Copy {
+    /// [`dot`] in this form.
+    fn dot(self, x: &[f64], y: &[f64]) -> f64;
+
+    /// [`sgd_pair_update`] in this form.
+    fn sgd_pair_update(
+        self,
+        w: &mut [f64],
+        h: &mut [f64],
+        rating: f64,
+        step: f64,
+        lambda: f64,
+    ) -> f64;
+}
+
+/// The form every target has: [`dot`] and [`sgd_pair_update`] as written.
+#[derive(Debug, Clone, Copy)]
+pub struct Portable;
+
+impl Kernels for Portable {
+    #[inline(always)]
+    fn dot(self, x: &[f64], y: &[f64]) -> f64 {
+        dot(x, y)
+    }
+
+    #[inline(always)]
+    fn sgd_pair_update(
+        self,
+        w: &mut [f64],
+        h: &mut [f64],
+        rating: f64,
+        step: f64,
+        lambda: f64,
+    ) -> f64 {
+        sgd_pair_update(w, h, rating, step, lambda)
+    }
+}
+
+/// Proof that this CPU executes AVX2, and with it the 256-bit form of the
+/// kernels.  Zero-sized; [`Avx2::detect`] is the only way to get one.
+#[cfg(target_arch = "x86_64")]
+#[derive(Debug, Clone, Copy)]
+pub struct Avx2(());
+
+#[cfg(target_arch = "x86_64")]
+impl Avx2 {
+    /// The token, if the CPU this runs on has AVX2.  The standard library
+    /// caches the `cpuid` answer, so this is one relaxed load and a branch —
+    /// cheap enough to ask once per hop or per query, which is where the
+    /// callers ask it.
+    #[inline]
+    pub fn detect() -> Option<Self> {
+        is_x86_feature_detected!("avx2").then_some(Self(()))
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Kernels for Avx2 {
+    #[inline(always)]
+    fn dot(self, x: &[f64], y: &[f64]) -> f64 {
+        // SAFETY: `self` exists, so `Avx2::detect` saw the feature.
+        unsafe { dot_avx2(x, y) }
+    }
+
+    #[inline(always)]
+    fn sgd_pair_update(
+        self,
+        w: &mut [f64],
+        h: &mut [f64],
+        rating: f64,
+        step: f64,
+        lambda: f64,
+    ) -> f64 {
+        // SAFETY: `self` exists, so `Avx2::detect` saw the feature.
+        unsafe { sgd_pair_update_avx2(w, h, rating, step, lambda) }
+    }
+}
+
+/// [`dot`] four lanes at a time: the accumulator's lanes are `s0..s3`.
+///
+/// # Safety
+/// The CPU must support AVX2 — hold an [`Avx2`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn dot_avx2(x: &[f64], y: &[f64]) -> f64 {
+    use std::arch::x86_64::*;
+    assert_eq!(x.len(), y.len(), "dot: length mismatch");
+    let mut cx = x.chunks_exact(4);
+    let mut cy = y.chunks_exact(4);
+    let mut s = _mm256_setzero_pd();
+    for (a, b) in (&mut cx).zip(&mut cy) {
+        // SAFETY: `a` and `b` are four `f64`s each, and an unaligned load
+        // asks nothing of the address.
+        let (a, b) = unsafe { (_mm256_loadu_pd(a.as_ptr()), _mm256_loadu_pd(b.as_ptr())) };
+        // A multiply, then an add: two roundings, as in `s0 += a[0] * b[0]`.
+        s = _mm256_add_pd(s, _mm256_mul_pd(a, b));
+    }
+    let mut lanes = [0.0; 4];
+    // SAFETY: `lanes` is four `f64`s, the width of the store.
+    unsafe { _mm256_storeu_pd(lanes.as_mut_ptr(), s) };
+    let [s0, s1, s2, s3] = lanes;
+    dot_tail((s0 + s1) + (s2 + s3), cx.remainder(), cy.remainder())
+}
+
+/// [`sgd_pair_update`] four lanes at a time; per coordinate the same five
+/// multiplies, adds and subtracts in the same order as the scalar lane.
+///
+/// # Safety
+/// The CPU must support AVX2 — hold an [`Avx2`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn sgd_pair_update_avx2(
+    w: &mut [f64],
+    h: &mut [f64],
+    rating: f64,
+    step: f64,
+    lambda: f64,
+) -> f64 {
+    use std::arch::x86_64::*;
+    debug_assert_eq!(w.len(), h.len());
+    // SAFETY: the caller's guarantee is this function's own.
+    let e = unsafe { dot_avx2(w, h) } - rating;
+    let ve = _mm256_set1_pd(e);
+    let vstep = _mm256_set1_pd(step);
+    let vlambda = _mm256_set1_pd(lambda);
+    let mut cw = w.chunks_exact_mut(4);
+    let mut ch = h.chunks_exact_mut(4);
+    for (a, b) in (&mut cw).zip(&mut ch) {
+        // SAFETY: `a` and `b` are four `f64`s each, distinct slices, and
+        // unaligned loads and stores ask nothing of the address.
+        unsafe {
+            let (wl, hl) = (_mm256_loadu_pd(a.as_ptr()), _mm256_loadu_pd(b.as_ptr()));
+            let gw = _mm256_add_pd(_mm256_mul_pd(ve, hl), _mm256_mul_pd(vlambda, wl));
+            let gh = _mm256_add_pd(_mm256_mul_pd(ve, wl), _mm256_mul_pd(vlambda, hl));
+            _mm256_storeu_pd(a.as_mut_ptr(), _mm256_sub_pd(wl, _mm256_mul_pd(vstep, gw)));
+            _mm256_storeu_pd(b.as_mut_ptr(), _mm256_sub_pd(hl, _mm256_mul_pd(vstep, gh)));
+        }
+    }
+    sgd_tail(cw.into_remainder(), ch.into_remainder(), e, step, lambda);
     e
 }
 
@@ -342,26 +427,8 @@ mod tests {
     }
 
     #[test]
-    fn scale_and_norm() {
-        let mut x = [3.0_f64, 4.0];
-        assert_eq!(nrm2(&x), 5.0);
-        scale(2.0, &mut x);
-        assert_eq!(x, [6.0, 8.0]);
-        assert_eq!(nrm2_sq(&x), 100.0);
-    }
-
-    #[test]
-    fn copy_from_copies() {
-        let src = [1.0_f32, 2.0, 3.0];
-        let mut dst = [0.0; 3];
-        copy_from(&mut dst, &src);
-        assert_eq!(dst, src);
-    }
-
-    #[test]
-    fn f32_real_roundtrip() {
-        assert_eq!(f32::from_f64(0.5).to_f64(), 0.5);
-        assert_eq!(<f32 as Real>::ONE + <f32 as Real>::ZERO, 1.0);
+    fn nrm2_sq_is_the_dot_with_itself() {
+        assert_eq!(nrm2_sq(&[3.0, 4.0]), 25.0);
     }
 
     #[test]
@@ -400,6 +467,87 @@ mod tests {
             (pred - a).abs() < 1e-3,
             "prediction {pred} should approach {a}"
         );
+    }
+
+    /// The same bits — or both NaN, whose sign and payload follow operand
+    /// order, which neither form promises.
+    #[cfg(target_arch = "x86_64")]
+    fn same_bits(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// `dot` and one `sgd_pair_update` on `(x, y)` through both forms.
+    #[cfg(target_arch = "x86_64")]
+    fn check_forms_agree(avx2: Avx2, x: &[f64], y: &[f64], rating: f64) {
+        let n = x.len();
+        let (wide, portable) = (avx2.dot(x, y), Portable.dot(x, y));
+        assert!(
+            same_bits(wide, portable),
+            "dot, n={n}: {wide:e} vs {portable:e}"
+        );
+        let (mut w, mut h) = (x.to_vec(), y.to_vec());
+        let (mut ref_w, mut ref_h) = (x.to_vec(), y.to_vec());
+        let e = avx2.sgd_pair_update(&mut w, &mut h, rating, 0.01, 0.05);
+        let ref_e = Portable.sgd_pair_update(&mut ref_w, &mut ref_h, rating, 0.01, 0.05);
+        assert!(same_bits(e, ref_e), "e, n={n}: {e:e} vs {ref_e:e}");
+        for l in 0..n {
+            assert!(same_bits(w[l], ref_w[l]), "w[{l}], n={n}");
+            assert!(same_bits(h[l], ref_h[l]), "h[{l}], n={n}");
+        }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn avx2_and_portable_forms_return_the_same_bits() {
+        let Some(avx2) = Avx2::detect() else {
+            println!("NOTICE: this CPU has no AVX2 — only the portable form can be tested here");
+            return;
+        };
+        // Values where a different rounding, order or flush-to-zero mode
+        // would show: signed zeros, subnormals, infinities, near-overflow.
+        let special = [
+            0.0,
+            -0.0,
+            5e-324,
+            -f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            -f64::MAX / 2.0,
+            f64::NAN,
+        ];
+        let mut rng = crate::SmallRng64::new(0xA5A5);
+        // Every length up to 130: all-tail rows, every `len % 4`, and more
+        // chunks than k=100 has.
+        for n in 0..=130usize {
+            let row = |rng: &mut crate::SmallRng64| -> Vec<f64> {
+                (0..n).map(|_| rng.next_range(-2.0, 2.0)).collect()
+            };
+            for _ in 0..20 {
+                let (x, y) = (row(&mut rng), row(&mut rng));
+                check_forms_agree(avx2, &x, &y, rng.next_range(0.5, 5.0));
+            }
+            // One special value in an otherwise ordinary row, in either
+            // operand, so most of these stay finite and compare exactly ...
+            for &v in &special {
+                if n == 0 {
+                    break; // nowhere to put it
+                }
+                let (mut x, y) = (row(&mut rng), row(&mut rng));
+                x[rng.next_below(n)] = v;
+                check_forms_agree(avx2, &x, &y, 3.0);
+                check_forms_agree(avx2, &y, &x, 3.0);
+            }
+            // ... and rows where a quarter of the coordinates are special.
+            let (mut x, mut y) = (row(&mut rng), row(&mut rng));
+            for v in x.iter_mut().chain(&mut y) {
+                if rng.next_below(4) == 0 {
+                    *v = special[rng.next_below(special.len())];
+                }
+            }
+            check_forms_agree(avx2, &x, &y, 3.0);
+        }
     }
 
     /// `cache_lines` for `len` `f64`s starting `offset` bytes into a line.

@@ -46,7 +46,9 @@
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
-use nomad_linalg::vec_ops::{prefetch_row, prefetch_rows_ahead};
+#[cfg(target_arch = "x86_64")]
+use nomad_linalg::vec_ops::Avx2;
+use nomad_linalg::vec_ops::{prefetch_row, prefetch_rows_ahead, Kernels, Portable};
 use nomad_linalg::SmallRng64;
 use nomad_matrix::Idx;
 
@@ -149,10 +151,10 @@ impl IvfIndex {
             postings: vec![Vec::new(); n],
         };
         for _ in 0..KMEANS_ITERS {
-            index.assign_all(snap);
+            index.assign_items(snap, 0..items as Idx);
             index.refit_centroids(snap);
         }
-        index.assign_all(snap);
+        index.assign_items(snap, 0..items as Idx);
         index.rebuild_postings();
         index
     }
@@ -185,20 +187,20 @@ impl IvfIndex {
             *self = Self::build(snap, self.params);
             return true;
         }
-        for &j in changed {
-            debug_assert!((j as usize) < self.items);
-            let new_c = self.nearest_centroid(snap.item_factor(j));
-            let old_c = self.assign[j as usize] as usize;
+        debug_assert!(changed.iter().all(|&j| (j as usize) < self.items));
+        let before: Vec<u32> = changed.iter().map(|&j| self.assign[j as usize]).collect();
+        self.assign_items(snap, changed.iter().copied());
+        for (&j, old_c) in changed.iter().zip(before) {
+            let new_c = self.assign[j as usize];
             if new_c != old_c {
-                let old = &mut self.postings[old_c];
+                let old = &mut self.postings[old_c as usize];
                 if let Ok(pos) = old.binary_search(&j) {
                     old.remove(pos);
                 }
-                let new = &mut self.postings[new_c];
+                let new = &mut self.postings[new_c as usize];
                 if let Err(pos) = new.binary_search(&j) {
                     new.insert(pos, j);
                 }
-                self.assign[j as usize] = new_c as u32;
             }
         }
         false
@@ -241,6 +243,46 @@ impl IvfIndex {
         seen: &[Idx],
         deadline: Option<Instant>,
     ) -> (TopK, bool) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(avx2) = Avx2::detect() {
+            // SAFETY: `avx2` is the proof that this CPU has the feature.
+            return unsafe { self.top_k_within_avx2(avx2, snap, user, k, nprobe, seen, deadline) };
+        }
+        self.top_k_within_on(Portable, snap, user, k, nprobe, seen, deadline)
+    }
+
+    /// [`Self::top_k_within_on`] compiled with AVX2 enabled, so the wide
+    /// `dot` inlines into the centroid scoring and the rerank.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn top_k_within_avx2(
+        &self,
+        avx2: Avx2,
+        snap: &ModelSnapshot,
+        user: Idx,
+        k: usize,
+        nprobe: usize,
+        seen: &[Idx],
+        deadline: Option<Instant>,
+    ) -> (TopK, bool) {
+        self.top_k_within_on(avx2, snap, user, k, nprobe, seen, deadline)
+    }
+
+    /// The probe and rerank behind [`Self::top_k_within`], over the kernel
+    /// form `kernels`.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn top_k_within_on<K: Kernels>(
+        &self,
+        kernels: K,
+        snap: &ModelSnapshot,
+        user: Idx,
+        k: usize,
+        nprobe: usize,
+        seen: &[Idx],
+        deadline: Option<Instant>,
+    ) -> (TopK, bool) {
         assert!(
             !self.dims_mismatch(snap),
             "index over {}×{} queried against a {}×{} snapshot",
@@ -254,7 +296,7 @@ impl IvfIndex {
             "seen must be sorted ascending without duplicates"
         );
         let wu = snap.user_factor(user);
-        let probes = self.probe_order(wu, nprobe);
+        let probes = self.probe_order(kernels, wu, nprobe);
         let mut heap: BinaryHeap<Weakest> = BinaryHeap::with_capacity(k.min(self.items) + 1);
         let mut scored = 0usize;
         // A posting lists items in index order, so scoring it is a gather
@@ -275,7 +317,7 @@ impl IvfIndex {
                     }
                 }
                 scored += 1;
-                let score = nomad_linalg::dot(wu, snap.item_factor(item));
+                let score = kernels.dot(wu, snap.item_factor(item));
                 let cand = Recommendation { item, score };
                 if heap.len() < k {
                     heap.push(Weakest(cand));
@@ -299,16 +341,16 @@ impl IvfIndex {
     /// The centroids to probe for this user, best first: descending
     /// proxy score `⟨w_user, centroid⟩`, ties broken by ascending
     /// centroid index (total order via `total_cmp`).
-    fn probe_order(&self, wu: &[f64], nprobe: usize) -> Vec<(f64, usize)> {
+    #[inline(always)]
+    fn probe_order<K: Kernels>(&self, kernels: K, wu: &[f64], nprobe: usize) -> Vec<(f64, usize)> {
         let n = self.n_centroids();
-        let mut scored: Vec<(f64, usize)> = (0..n)
-            .map(|c| {
-                (
-                    nomad_linalg::dot(wu, &self.centroids[c * self.k..(c + 1) * self.k]),
-                    c,
-                )
-            })
-            .collect();
+        // A loop, not `map`: the wide `dot` can only inline into code
+        // compiled with its target feature, which a closure here is not.
+        let mut scored = Vec::with_capacity(n);
+        for c in 0..n {
+            let cent = &self.centroids[c * self.k..(c + 1) * self.k];
+            scored.push((kernels.dot(wu, cent), c));
+        }
         scored.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         scored.truncate(nprobe.clamp(1, n));
         scored
@@ -342,27 +384,62 @@ impl IvfIndex {
         }
     }
 
-    /// The centroid nearest to `row` in L2, ties to the lowest index.
-    /// `argmin ‖row − c‖²` = `argmin ‖c‖² − 2⟨row, c⟩` (the `‖row‖²`
-    /// term is constant across centroids).
-    fn nearest_centroid(&self, row: &[f64]) -> usize {
-        let n = self.n_centroids();
-        let mut best = 0usize;
-        let mut best_d = f64::INFINITY;
-        for c in 0..n {
-            let cent = &self.centroids[c * self.k..(c + 1) * self.k];
-            let d = nomad_linalg::dot(cent, cent) - 2.0 * nomad_linalg::dot(row, cent);
-            if d.total_cmp(&best_d) == std::cmp::Ordering::Less {
-                best_d = d;
-                best = c;
-            }
+    /// The k-means assignment step: `assign[j] ←` the centroid nearest to
+    /// item `j`'s row, for each `j` of `items`.  Postings are the caller's
+    /// to bring in line.
+    fn assign_items(&mut self, snap: &ModelSnapshot, items: impl Iterator<Item = Idx>) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(avx2) = Avx2::detect() {
+            // SAFETY: `avx2` is the proof that this CPU has the feature.
+            return unsafe { self.assign_items_avx2(avx2, snap, items) };
         }
-        best
+        self.assign_items_on(Portable, snap, items)
     }
 
-    fn assign_all(&mut self, snap: &ModelSnapshot) {
-        for j in 0..self.items {
-            self.assign[j] = self.nearest_centroid(snap.item_factor(j as Idx)) as u32;
+    /// [`Self::assign_items_on`] compiled with AVX2 enabled, so the wide
+    /// `dot` inlines into the items × centroids loop.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn assign_items_avx2(
+        &mut self,
+        avx2: Avx2,
+        snap: &ModelSnapshot,
+        items: impl Iterator<Item = Idx>,
+    ) {
+        self.assign_items_on(avx2, snap, items)
+    }
+
+    /// The loop behind [`Self::assign_items`], over the kernel form
+    /// `kernels`.  Nearest in L2, ties to the lowest index:
+    /// `argmin ‖row − c‖²` = `argmin ‖c‖² − 2⟨row, c⟩` (the `‖row‖²` term
+    /// is constant across centroids), with each `‖c‖²` computed once for
+    /// the whole batch — the centroids do not move during an assignment.
+    #[inline(always)]
+    fn assign_items_on<K: Kernels>(
+        &mut self,
+        kernels: K,
+        snap: &ModelSnapshot,
+        items: impl Iterator<Item = Idx>,
+    ) {
+        let n = self.n_centroids();
+        let mut norms = Vec::with_capacity(n);
+        for c in 0..n {
+            let cent = &self.centroids[c * self.k..(c + 1) * self.k];
+            norms.push(kernels.dot(cent, cent));
+        }
+        for j in items {
+            let row = snap.item_factor(j);
+            let mut best = 0usize;
+            let mut best_d = f64::INFINITY;
+            for (c, norm) in norms.iter().enumerate() {
+                let cent = &self.centroids[c * self.k..(c + 1) * self.k];
+                let d = norm - 2.0 * kernels.dot(row, cent);
+                if d.total_cmp(&best_d) == std::cmp::Ordering::Less {
+                    best_d = d;
+                    best = c;
+                }
+            }
+            self.assign[j as usize] = best as u32;
         }
     }
 
@@ -483,6 +560,30 @@ mod tests {
     }
 
     #[test]
+    fn both_kernel_forms_probe_to_the_same_answer() {
+        // `top_k_within` runs the widest form this CPU has;
+        // `top_k_within_on(Portable)` keeps the other instantiation tested
+        // there.  Probing everything, both are the exact scan.  k = 6 is
+        // one chunk and a tail, k = 32 chunks only.
+        for k in [6, 32] {
+            let s = snap(3, 90, k, 13);
+            let idx = IvfIndex::build(&s, params(7));
+            let seen = [4, 40, 89];
+            for user in 0..3 {
+                let exact = s.top_k(user, 10, &seen);
+                let wide = idx.top_k_within(&s, user, 10, 7, &seen, None);
+                let portable = idx.top_k_within_on(Portable, &s, user, 10, 7, &seen, None);
+                assert_eq!(wide, (exact.clone(), true), "k {k} user {user}");
+                assert_eq!(portable, (exact, true), "k {k} user {user}");
+            }
+            // The assignment loop likewise: same centroids, same postings.
+            let mut portable = idx.clone();
+            portable.assign_items_on(Portable, &s, 0..90);
+            assert_eq!(portable.assign, idx.assign, "k {k}");
+        }
+    }
+
+    #[test]
     fn partial_probe_returns_real_scores_bounded_by_the_winner() {
         let s = snap(4, 64, 6, 3);
         let idx = IvfIndex::build(&s, params(8));
@@ -513,10 +614,12 @@ mod tests {
         let approx = idx.top_k(&s2, 0, 8, idx.n_centroids(), &[]);
         assert_eq!(exact.recs, approx.recs);
         // And the assignment matches a from-scratch assignment pass.
+        let mut fresh = idx.clone();
+        fresh.assign_items(&s2, 0..30);
         for &j in &[3u32, 17, 28] {
-            let fresh = idx.nearest_centroid(s2.item_factor(j));
-            assert_eq!(idx.assign[j as usize] as usize, fresh);
-            assert!(idx.postings[fresh].binary_search(&j).is_ok());
+            assert_eq!(idx.assign[j as usize], fresh.assign[j as usize]);
+            let c = idx.assign[j as usize] as usize;
+            assert!(idx.postings[c].binary_search(&j).is_ok());
         }
     }
 

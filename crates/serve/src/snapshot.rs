@@ -10,10 +10,11 @@
 //! maximum density, not isolation.
 //!
 //! Scoring reuses the 4-accumulator [`nomad_linalg::dot`] kernel with its
-//! pinned `(s0 + s1) + (s2 + s3)` association, which is what makes the
-//! workspace-wide bit-identity checks possible: a quiesced snapshot scores
-//! every `(user, item)` pair to exactly the same bits as
-//! [`FactorModel::predict`] on the assembled model.
+//! pinned `(s0 + s1) + (s2 + s3)` association — the scan in whichever of
+//! its two bit-identical forms the CPU has ([`nomad_linalg::vec_ops`]) —
+//! which is what makes the workspace-wide bit-identity checks possible: a
+//! quiesced snapshot scores every `(user, item)` pair to exactly the same
+//! bits as [`FactorModel::predict`] on the assembled model.
 //!
 //! # Interior mutability and the publish contract
 //!
@@ -36,6 +37,9 @@ use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
+#[cfg(target_arch = "x86_64")]
+use nomad_linalg::vec_ops::Avx2;
+use nomad_linalg::vec_ops::{Kernels, Portable};
 use nomad_matrix::Idx;
 use nomad_sgd::{FactorMatrix, FactorModel};
 
@@ -237,6 +241,25 @@ impl ModelSnapshot {
     /// search misses them), so the O(len) precondition check is enforced
     /// in release builds too; it is noise next to the O(items·k) scan.
     pub fn top_k(&self, user: Idx, k: usize, seen: &[Idx]) -> TopK {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(avx2) = Avx2::detect() {
+            // SAFETY: `avx2` is the proof that this CPU has the feature.
+            return unsafe { self.top_k_avx2(avx2, user, k, seen) };
+        }
+        self.top_k_on(Portable, user, k, seen)
+    }
+
+    /// [`Self::top_k_on`] compiled with AVX2 enabled, so the wide `dot`
+    /// inlines into the scan.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn top_k_avx2(&self, avx2: Avx2, user: Idx, k: usize, seen: &[Idx]) -> TopK {
+        self.top_k_on(avx2, user, k, seen)
+    }
+
+    /// The scan behind [`Self::top_k`], over the kernel form `kernels`.
+    #[inline(always)]
+    fn top_k_on<K: Kernels>(&self, kernels: K, user: Idx, k: usize, seen: &[Idx]) -> TopK {
         assert!(
             seen.windows(2).all(|w| w[0] < w[1]),
             "seen must be sorted ascending without duplicates"
@@ -253,7 +276,7 @@ impl ModelSnapshot {
             if !seen.is_empty() && seen.binary_search(&item).is_ok() {
                 continue;
             }
-            let score = nomad_linalg::dot(wu, &h[j * self.k..(j + 1) * self.k]);
+            let score = kernels.dot(wu, &h[j * self.k..(j + 1) * self.k]);
             let cand = Recommendation { item, score };
             if heap.len() < k {
                 heap.push(Weakest(cand));
@@ -472,6 +495,26 @@ mod tests {
         assert_eq!(filtered.recs.len(), 10);
         assert!(filtered.recs.iter().all(|r| !seen.contains(&r.item)));
         assert_eq!(filtered.recs, naive_top_k(&m, 1, 12, &seen_sorted));
+    }
+
+    #[test]
+    fn both_kernel_forms_scan_to_the_same_answer() {
+        // `top_k` runs the widest form this CPU has; `top_k_on(Portable)`
+        // keeps the other instantiation tested there.  k = 6 is one chunk
+        // and a tail, k = 32 chunks only.
+        for k in [6, 32] {
+            let m = model(3, 50, k, 21);
+            let snap = ModelSnapshot::from_model(&m, 1, 0);
+            let seen = [2, 17, 49];
+            for user in 0..3 {
+                let top = snap.top_k(user, 10, &seen);
+                assert_eq!(top, snap.top_k_on(Portable, user, 10, &seen));
+                assert_eq!(top.recs, naive_top_k(&m, user, 10, &seen));
+                for r in &top.recs {
+                    assert_eq!(r.score.to_bits(), m.predict(user, r.item).to_bits());
+                }
+            }
+        }
     }
 
     #[test]
