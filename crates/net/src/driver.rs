@@ -76,7 +76,9 @@ use nomad_matrix::{RatingMatrix, RowPartition};
 use nomad_sgd::{fresh_item_rows, fresh_user_rows, FactorMatrix, FactorModel};
 
 use nomad_serve::ModelSnapshot;
-use nomad_telemetry::{names, CounterHandle, EventKind, EventRing, Registry, TelemetrySnapshot};
+use nomad_telemetry::{
+    names, CounterHandle, EventKind, EventRing, HistogramHandle, Registry, TelemetrySnapshot,
+};
 
 use crate::rank::{assert_capacity, bit};
 use crate::serve_router::{Route, RouterBackend, ServeRouter};
@@ -221,7 +223,8 @@ pub struct NetStats {
     /// totals enter the fleet fold exactly once.
     pub rank_telemetry: Vec<Option<TelemetrySnapshot>>,
     /// The driver's own scope: membership arbitration counters
-    /// (`net.evictions`, `net.joins`).
+    /// (`net.evictions`, `net.joins`) and the scatter stage
+    /// (`net.driver.scatter_us`).
     pub driver_telemetry: TelemetrySnapshot,
     /// Driver-scope event trace (`kind@a@b@t<micros>` lines, oldest
     /// first): evictions, censuses, joins, replica publishes.
@@ -308,6 +311,9 @@ struct DriverTelemetry {
     /// Rows applied from [`Message::ReplicaDelta`] frames
     /// ([`names::SNAPSHOT_DELTA_ROWS`]).
     delta_rows: CounterHandle,
+    /// Driver entry → last initial `Setup` handed to the transport, once
+    /// per run ([`names::DRIVER_SCATTER_US`]).
+    scatter_us: HistogramHandle,
     events: EventRing,
     /// Latest `(seq, snapshot)` accepted per mesh slot.  Frames are
     /// cumulative, so keeping only the highest `seq` per rank — and
@@ -322,11 +328,13 @@ impl DriverTelemetry {
         let evictions = registry.counter(names::EVICTIONS);
         let joins = registry.counter(names::JOINS);
         let delta_rows = registry.counter(names::SNAPSHOT_DELTA_ROWS);
+        let scatter_us = registry.histogram(names::DRIVER_SCATTER_US);
         Self {
             registry,
             evictions,
             joins,
             delta_rows,
+            scatter_us,
             events: EventRing::new(256),
             rank_snaps: (0..capacity).map(|_| None).collect(),
         }
@@ -660,6 +668,7 @@ fn run_driver_impl<T: Transport>(
     cfg: &NetConfig,
     router: Option<&ServeRouter>,
 ) -> Result<DistOutput, NetError> {
+    let entered = Instant::now();
     let capacity = transport.ranks();
     assert_eq!(
         transport.id(),
@@ -717,6 +726,9 @@ fn run_driver_impl<T: Transport>(
         };
         transport.send(r, &Message::Setup(Box::new(setup)))?;
     }
+    st.telemetry
+        .scatter_us
+        .record(entered.elapsed().as_micros() as u64);
 
     // Mint the initial tokens in ascending item order per home rank (at
     // one rank this reproduces the serial engine's initial queue order).

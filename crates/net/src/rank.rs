@@ -520,6 +520,8 @@ fn run_rank_inner<T: Transport>(
     setup: SetupPayload,
     stashed: Vec<(usize, Message)>,
 ) -> Result<(), NetError> {
+    // `Setup` just came off the inbox: the rank's fixed cost starts here.
+    let setup_taken = Instant::now();
     let rank = setup.rank as usize;
     let capacity = setup.ranks as usize;
     let driver = transport.ranks();
@@ -582,6 +584,9 @@ fn run_rank_inner<T: Transport>(
     let mut tickets = 0u64;
     let outcome = std::thread::scope(|scope| -> Result<CommOutcome, NetError> {
         let mut worker = Some(scope.spawn(|| worker_loop(&shared, &state, &setup)));
+        comm.telemetry
+            .setup_us
+            .record(setup_taken.elapsed().as_micros() as u64);
         let run = comm_run(
             transport,
             &mut comm,
@@ -728,6 +733,9 @@ struct RankTelemetry {
     /// `Query` off the inbox → `QueryReply` handed to the transport
     /// ([`names::SERVE_RANK_SERVICE_US`]).
     rank_service_us: HistogramHandle,
+    /// `Setup` off the inbox → worker thread spawned, once per rank
+    /// ([`names::RANK_SETUP_US`]).
+    setup_us: HistogramHandle,
     /// Report sequence number (first frame is 1); the driver drops
     /// frames arriving out of order.
     seq: u64,
@@ -752,6 +760,7 @@ impl RankTelemetry {
             retries: registry.counter(names::RETRIES),
             ivf_probes: registry.counter(names::SERVE_IVF_PROBES),
             rank_service_us: registry.histogram(names::SERVE_RANK_SERVICE_US),
+            setup_us: registry.histogram(names::RANK_SETUP_US),
             seq: 0,
             synced_updates: 0,
             synced_tokens: 0,

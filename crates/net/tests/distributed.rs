@@ -16,6 +16,7 @@ use nomad_matrix::{RatingMatrix, TripletMatrix};
 use nomad_net::driver::run_driver;
 use nomad_net::{DistributedNomad, Loopback, NetConfig};
 use nomad_sgd::HyperParams;
+use nomad_telemetry::{names, TelemetrySnapshot};
 
 fn tiny() -> (RatingMatrix, TripletMatrix) {
     let ds = named_dataset("netflix-sim", SizeTier::Tiny)
@@ -106,6 +107,30 @@ fn two_and_four_ranks_complete_the_budget_over_loopback() {
             "{ranks}-rank model RMSE {rmse} is not a trained model"
         );
     }
+}
+
+/// The run's fixed cost is attributed stage by stage: every rank times its
+/// own setup exactly once (the sample rides its cumulative telemetry frames
+/// into the fleet fold), and the driver times its scatter exactly once.
+#[test]
+fn setup_and_scatter_are_each_timed_once() {
+    let (data, _) = tiny();
+    let ranks = 3;
+    let out = DistributedNomad::new(quick_config(8, 5_000), ranks)
+        .run_loopback(&data)
+        .expect("loopback run");
+    let count = |snap: &TelemetrySnapshot, name| snap.histogram(name).map_or(0, |h| h.count);
+    for (r, snap) in out.stats.rank_telemetry.iter().enumerate() {
+        let snap = snap.as_ref().expect("every rank reports");
+        assert_eq!(count(snap, names::RANK_SETUP_US), 1, "rank {r}");
+        assert_eq!(count(snap, names::DRIVER_SCATTER_US), 0, "rank {r}");
+    }
+    let driver = &out.stats.driver_telemetry;
+    assert_eq!(count(driver, names::DRIVER_SCATTER_US), 1);
+    assert_eq!(count(driver, names::RANK_SETUP_US), 0);
+    let fleet = out.stats.telemetry();
+    assert_eq!(count(&fleet, names::RANK_SETUP_US), ranks as u64);
+    assert_eq!(count(&fleet, names::DRIVER_SCATTER_US), 1);
 }
 
 /// Multi-rank over real sockets: same invariants, full wire path.

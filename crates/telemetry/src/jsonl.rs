@@ -157,6 +157,8 @@ mod tests {
         r.histogram("serve.latency_us").record(250);
         r.histogram("serve.admission_wait_us").record(40);
         r.histogram("serve.rank_service_us").record(180);
+        r.histogram("net.rank.setup_us").record(21_000);
+        r.histogram("net.driver.scatter_us").record(9_000);
         r.snapshot()
     }
 
@@ -167,6 +169,8 @@ mod tests {
         assert!(line.contains("\"engine.updates\":1000"));
         assert!(line.contains("\"serve.admission_wait_us\":"));
         assert!(line.contains("\"serve.rank_service_us\":"));
+        assert!(line.contains("\"net.rank.setup_us\":"));
+        assert!(line.contains("\"net.driver.scatter_us\":"));
         assert!(line.contains("\"scope\":\"rank-0\""));
         assert!(!line.contains("\"events\""));
     }

@@ -89,6 +89,14 @@ pub mod names {
     pub const EVICTIONS: &str = "net.evictions";
     /// Ranks admitted mid-run (counter; driver scope).
     pub const JOINS: &str = "net.joins";
+    /// Rank-side fixed cost of a run: microseconds from the comm thread
+    /// taking `Setup` off its inbox to the worker thread being spawned
+    /// (log-scale histogram; rank scope, one sample per rank).
+    pub const RANK_SETUP_US: &str = "net.rank.setup_us";
+    /// Driver-side fixed cost of a run: microseconds from entering the
+    /// driver to the last initial `Setup` handed to the transport
+    /// (log-scale histogram; driver scope, one sample per run).
+    pub const DRIVER_SCATTER_US: &str = "net.driver.scatter_us";
 
     /// Queries submitted to the serve router (counter).
     pub const SERVE_SUBMITTED: &str = "serve.submitted";
