@@ -55,10 +55,10 @@ fn bench_sgd_update(c: &mut Criterion) {
 const COLUMN_RATINGS: usize = 1024;
 /// Columns cycled through, so consecutive iterations gather different rows.
 const COLUMNS: usize = 128;
-/// Least size of the cold `W`: 16× this box's 4 MiB L2, about
-/// `train-local`'s 69 MB.
+/// Least size of the cold `W`: 32× the 2 MiB per-core L2 of the box the
+/// numbers in DESIGN.md come from, about `train-local`'s 69 MB.
 const COLD_W_BYTES: usize = 64 << 20;
-/// Least size of the hot `W`: a quarter of that L2, so after the warm-up
+/// Least size of the hot `W`: half of that L2, so after the warm-up
 /// every row is a cache hit and what is left is the kernel.
 const HOT_W_BYTES: usize = 1 << 20;
 

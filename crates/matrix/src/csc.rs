@@ -5,6 +5,8 @@
 //! its own users `I_q`.  [`CscMatrix::restrict_rows`] materializes exactly
 //! those per-worker local slices.
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
 use crate::{Entry, Idx, Rating, RowPartition, TripletMatrix};
@@ -56,6 +58,144 @@ impl CscMatrix {
         };
         csc.sort_cols();
         csc
+    }
+
+    /// Builds the matrix from its columns laid end to end — `counts[j]`
+    /// entries of `row_idx`/`values` per column `j` — or returns `None` if
+    /// they do not describe a matrix whose rows all lie in `rows`.
+    ///
+    /// This is the one way a rating slice that crossed an address space
+    /// becomes a matrix, so it checks everything indexing relies on:
+    /// `counts` has one entry per column or none at all (no ratings),
+    /// the counts add up to the number of entries, `rows` ends inside the
+    /// matrix, and within each column the rows lie in `rows` and strictly
+    /// ascend — the order [`CscMatrix::from_triplets`] produces for data
+    /// with no repeated coordinate.
+    pub fn from_cols(
+        nrows: usize,
+        ncols: usize,
+        counts: &[u32],
+        row_idx: Vec<Idx>,
+        values: Vec<Rating>,
+        rows: Range<usize>,
+    ) -> Option<Self> {
+        if !(counts.is_empty() || counts.len() == ncols)
+            || row_idx.len() != values.len()
+            || rows.end > nrows
+        {
+            return None;
+        }
+        let mut col_ptr = Vec::with_capacity(ncols + 1);
+        col_ptr.push(0);
+        let mut total = 0usize;
+        for j in 0..ncols {
+            total += counts.get(j).map_or(0, |&c| c as usize);
+            col_ptr.push(total);
+        }
+        if total != row_idx.len() {
+            return None;
+        }
+        let valid = col_ptr.windows(2).all(|span| {
+            let col = &row_idx[span[0]..span[1]];
+            col.windows(2).all(|pair| pair[0] < pair[1])
+                && col.first().is_none_or(|&i| i as usize >= rows.start)
+                && col.last().is_none_or(|&i| (i as usize) < rows.end)
+        });
+        valid.then_some(Self {
+            nrows,
+            ncols,
+            col_ptr,
+            row_idx,
+            values,
+        })
+    }
+
+    /// Cuts the rows `rows` out of the matrix: they are removed from
+    /// `self` and returned as a matrix of the same shape holding only
+    /// them.  Both keep their columns in ascending row order, and
+    /// [`CscMatrix::add_rows`] of the result gives back the original.
+    /// O(nnz), in place for `self`.
+    pub fn extract_rows(&mut self, rows: Range<usize>) -> CscMatrix {
+        let mut cut = CscMatrix {
+            nrows: self.nrows,
+            ncols: self.ncols,
+            col_ptr: Vec::with_capacity(self.ncols + 1),
+            row_idx: Vec::new(),
+            values: Vec::new(),
+        };
+        cut.col_ptr.push(0);
+        let mut kept = 0;
+        for j in 0..self.ncols {
+            let (start, end) = (self.col_ptr[j], self.col_ptr[j + 1]);
+            let col = &self.row_idx[start..end];
+            let lo = start + col.partition_point(|&i| (i as usize) < rows.start);
+            let hi = start + col.partition_point(|&i| (i as usize) < rows.end);
+            cut.row_idx.extend_from_slice(&self.row_idx[lo..hi]);
+            cut.values.extend_from_slice(&self.values[lo..hi]);
+            cut.col_ptr.push(cut.row_idx.len());
+            // Compact what stays towards the front: column `j` now starts
+            // at `kept`, which never passes `start`.
+            self.col_ptr[j] = kept;
+            for span in [start..lo, hi..end] {
+                let len = span.len();
+                self.row_idx.copy_within(span.clone(), kept);
+                self.values.copy_within(span, kept);
+                kept += len;
+            }
+        }
+        self.col_ptr[self.ncols] = kept;
+        self.row_idx.truncate(kept);
+        self.values.truncate(kept);
+        cut
+    }
+
+    /// Merges `other`'s entries into this matrix, keeping every column in
+    /// ascending row order.  `other` must have the same shape, and its
+    /// rows should be disjoint from `self`'s (a repeated coordinate is
+    /// kept twice, `self`'s first).  O(nnz of both).
+    ///
+    /// # Panics
+    /// Panics if the shapes differ.
+    pub fn add_rows(&mut self, other: &CscMatrix) {
+        assert_eq!(
+            (self.nrows, self.ncols),
+            (other.nrows, other.ncols),
+            "add_rows needs matrices of the same shape"
+        );
+        let total = self.nnz() + other.nnz();
+        let mut merged = CscMatrix {
+            nrows: self.nrows,
+            ncols: self.ncols,
+            col_ptr: Vec::with_capacity(self.ncols + 1),
+            row_idx: Vec::with_capacity(total),
+            values: Vec::with_capacity(total),
+        };
+        merged.col_ptr.push(0);
+        for j in 0..self.ncols {
+            let (mut a_rows, mut a_vals) = self.col_slices(j);
+            let (mut b_rows, mut b_vals) = other.col_slices(j);
+            // Alternate runs: everything of one side below the other's
+            // next row goes in one copy.
+            while let (Some(&a), Some(&b)) = (a_rows.first(), b_rows.first()) {
+                if a <= b {
+                    let run = a_rows.partition_point(|&i| i <= b);
+                    merged.row_idx.extend_from_slice(&a_rows[..run]);
+                    merged.values.extend_from_slice(&a_vals[..run]);
+                    (a_rows, a_vals) = (&a_rows[run..], &a_vals[run..]);
+                } else {
+                    let run = b_rows.partition_point(|&i| i < a);
+                    merged.row_idx.extend_from_slice(&b_rows[..run]);
+                    merged.values.extend_from_slice(&b_vals[..run]);
+                    (b_rows, b_vals) = (&b_rows[run..], &b_vals[run..]);
+                }
+            }
+            for (rows, vals) in [(a_rows, a_vals), (b_rows, b_vals)] {
+                merged.row_idx.extend_from_slice(rows);
+                merged.values.extend_from_slice(vals);
+            }
+            merged.col_ptr.push(merged.row_idx.len());
+        }
+        *self = merged;
     }
 
     fn sort_cols(&mut self) {
@@ -290,6 +430,92 @@ mod tests {
         let m = CscMatrix::from_triplets(&toy());
         let partition = RowPartition::new(5, 2, PartitionStrategy::Contiguous);
         let _ = m.restrict_rows(&partition);
+    }
+
+    /// 9 × 7 with columns 0 and 4 empty, row 0 and row 8 rated, and values
+    /// whose bits `==` cannot tell apart (`-0.0`, NaN payloads).
+    fn sparse() -> CscMatrix {
+        let mut t = TripletMatrix::new(9, 7);
+        for i in 0..9u32 {
+            for j in [1u32, 2, 3, 5, 6] {
+                if (i * 5 + j * 3) % 4 != 0 {
+                    let v = match (i + j) % 3 {
+                        0 => -0.0,
+                        1 => f64::from_bits(0x7ff8_0000_0000_0000 | u64::from(i * 7 + j)),
+                        _ => f64::from(i) - 0.5 * f64::from(j),
+                    };
+                    t.push(i, j, v);
+                }
+            }
+        }
+        CscMatrix::from_triplets(&t)
+    }
+
+    fn bits(m: &CscMatrix) -> (usize, usize, Vec<usize>, Vec<Idx>, Vec<u64>) {
+        let values = m.values.iter().map(|v| v.to_bits()).collect();
+        (
+            m.nrows,
+            m.ncols,
+            m.col_ptr.clone(),
+            m.row_idx.clone(),
+            values,
+        )
+    }
+
+    #[test]
+    fn cut_then_merge_gives_back_the_original_bits() {
+        let original = sparse();
+        assert_eq!(original.col_nnz(0) + original.col_nnz(4), 0);
+        for rows in [0..0, 4..4, 9..9, 0..1, 8..9, 3..6, 2..8, 0..9] {
+            let mut kept = original.clone();
+            let cut = kept.extract_rows(rows.clone());
+            assert_eq!(cut.nnz() + kept.nnz(), original.nnz(), "{rows:?}");
+            for j in 0..original.ncols() {
+                assert!(cut
+                    .col_rows(j)
+                    .iter()
+                    .all(|&i| rows.contains(&(i as usize))));
+                assert!(kept
+                    .col_rows(j)
+                    .iter()
+                    .all(|&i| !rows.contains(&(i as usize))));
+            }
+            let mut back = kept.clone();
+            back.add_rows(&cut);
+            assert_eq!(bits(&back), bits(&original), "kept + cut of {rows:?}");
+            let mut back = cut;
+            back.add_rows(&kept);
+            assert_eq!(bits(&back), bits(&original), "cut + kept of {rows:?}");
+        }
+    }
+
+    #[test]
+    fn from_cols_accepts_exactly_well_formed_columns() {
+        let m = sparse();
+        let counts: Vec<u32> = m.col_counts().iter().map(|&c| c as u32).collect();
+        let build = |counts: &[u32], rows: Vec<Idx>, values: Vec<Rating>, segment| {
+            CscMatrix::from_cols(9, 7, counts, rows, values, segment)
+        };
+        let rebuilt = build(&counts, m.row_idx.clone(), m.values.clone(), 0..9);
+        assert_eq!(rebuilt.as_ref().map(bits), Some(bits(&m)));
+        let empty = build(&[], vec![], vec![], 0..0).expect("no ratings at all");
+        assert_eq!((empty.nrows(), empty.ncols(), empty.nnz()), (9, 7, 0));
+        assert_eq!(empty.col_counts(), vec![0; 7]);
+
+        // Column 1 of `sparse` holds rows 0, 1, 3, 4, 5, 7, 8.
+        let refused = |counts: &[u32], rows: Vec<Idx>, segment| {
+            let values = vec![1.0; rows.len()];
+            assert!(build(counts, rows, values, segment).is_none());
+        };
+        refused(&[0, 2, 0, 0, 0, 0, 0], vec![3, 4, 5], 0..9); // counts short of the rows
+        refused(&[0, 2, 0, 0, 0, 0, 0], vec![3, 4], 4..9); // row 3 outside the segment
+        refused(&[0, 2, 0, 0, 0, 0, 0], vec![3, 4], 0..4); // row 4 outside the segment
+        refused(&[0, 2, 0, 0, 0, 0, 0], vec![4, 3], 0..9); // descending
+        refused(&[0, 2, 0, 0, 0, 0, 0], vec![4, 4], 0..9); // repeated row
+        refused(&[2], vec![3, 4], 0..9); // one count for seven columns
+        refused(&[0; 8], vec![], 0..9); // eight counts for seven columns
+        refused(&[], vec![], 0..10); // segment past the last row
+        assert!(build(&[0, 1, 0, 0, 0, 0, 0], vec![3], vec![], 0..9).is_none());
     }
 
     #[test]

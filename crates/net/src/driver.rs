@@ -85,7 +85,7 @@ use crate::serve_router::{Route, RouterBackend, ServeRouter};
 use crate::transport::{Loopback, NetError, Transport};
 use crate::wire::{
     Message, ReplicaDeltaPayload, ReplicaPayload, SetupPayload, ShardPayload, ShardTransferPayload,
-    WireSegment, WireToken,
+    WireCols, WireSegment, WireToken,
 };
 
 /// Hard deadline for a distributed run; a mesh that cannot finish a test
@@ -704,24 +704,17 @@ fn run_driver_impl<T: Transport>(
     let active_ranks: Vec<u32> = (0..initial as u32).collect();
     for r in 0..initial {
         let members = partition.members(r);
-        let row_start = members.first().map_or(0, |&i| i as u64);
-        let mut w_rows = Vec::with_capacity(members.len() * k);
-        let mut entries = Vec::new();
-        for &i in members {
-            w_rows.extend_from_slice(init.w.row(i as usize));
-            for (j, v) in data.by_rows().row(i as usize) {
-                entries.push((i, j, v));
-            }
-        }
+        let row_start = members.first().map_or(0, |&i| i as usize);
+        let rows = row_start..row_start + members.len();
         if !members.is_empty() {
-            st.owned[r].push((row_start as usize, members.len()));
+            st.owned[r].push((row_start, members.len()));
         }
         let setup = make_setup(cfg, data, budget, r, capacity, &active_ranks, 0);
         let setup = SetupPayload {
-            row_start,
+            row_start: row_start as u64,
             row_count: members.len() as u64,
-            w_rows,
-            entries,
+            w_rows: init.w.as_slice()[rows.start * k..rows.end * k].to_vec(),
+            cols: WireCols::cut(data.by_cols(), rows),
             ..setup
         };
         transport.send(r, &Message::Setup(Box::new(setup)))?;
@@ -1132,7 +1125,7 @@ fn make_setup(
         epoch,
         active_ranks: active_ranks.to_vec(),
         w_rows: Vec::new(),
-        entries: Vec::new(),
+        cols: WireCols::default(),
     }
 }
 
@@ -1413,17 +1406,9 @@ fn finish_census<T: Transport>(
             .min_by_key(|&&r| st.owned[r].iter().map(|&(_, c)| c).sum::<usize>())
             .expect("at least one survivor");
         for (start, count) in segments {
-            let fresh = fresh_user_rows(count, k, start, nomad.seed);
-            let mut rows = Vec::with_capacity(count * k);
-            for local in 0..count {
-                rows.extend_from_slice(fresh.row(local));
-            }
-            let mut entries = Vec::new();
-            for i in start..start + count {
-                for (j, v) in data.by_rows().row(i) {
-                    entries.push((i as u32, j, v));
-                }
-            }
+            let rows = fresh_user_rows(count, k, start, nomad.seed)
+                .as_slice()
+                .to_vec();
             send_lenient(
                 transport,
                 taker,
@@ -1431,7 +1416,7 @@ fn finish_census<T: Transport>(
                     row_start: start as u64,
                     k: k as u32,
                     rows,
-                    entries,
+                    cols: WireCols::cut(data.by_cols(), start..start + count),
                 })),
             )?;
             st.owned[taker].push((start, count));

@@ -73,6 +73,6 @@ pub use tcp::TcpTransport;
 pub use transport::{Loopback, NetError, Transport, Waker};
 pub use wire::{
     Message, ReplicaDeltaPayload, ReplicaPayload, SetupPayload, ShardPayload, ShardTransferPayload,
-    TelemetryPayload, WireDeltaRow, WireError, WireSegment, WireToken, QUERY_NOT_READY, QUERY_OK,
-    QUERY_RUN_OVER, QUERY_UNKNOWN_USER,
+    TelemetryPayload, WireCols, WireDeltaRow, WireError, WireSegment, WireToken, QUERY_NOT_READY,
+    QUERY_OK, QUERY_RUN_OVER, QUERY_UNKNOWN_USER,
 };

@@ -51,11 +51,16 @@
 //!   the requested rows out of its shard (live factors + ratings) and
 //!   ships them to the newcomer as a [`Message::ShardTransfer`].
 //!   Inbound transfers (takeover or rebalance) are queued as worker
-//!   commands and merged at a hop boundary, rebuilding the local rating
-//!   view while transplanting `item_passes` so the step-size schedule
-//!   is unperturbed.
+//!   commands and merged at a hop boundary: the transferred columns are
+//!   merged into the local ones and `item_passes` is left as it is, so
+//!   the step-size schedule is unperturbed.
+//!
+//! Ratings arrive as the columns the worker sweeps ([`WireCols`]), are
+//! checked once (`Shape::adopt`) and kept as they came: a membership
+//! change is one [`CscMatrix::extract_rows`] or [`CscMatrix::add_rows`].
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -65,7 +70,7 @@ use crossbeam::queue::SegQueue;
 use nomad_core::hop::{HopContext, HopKernel, Token};
 use nomad_core::slab::FactorSlab;
 use nomad_core::worker::WorkerData;
-use nomad_matrix::{Idx, RatingMatrix, RowPartition, TripletMatrix};
+use nomad_matrix::{CscMatrix, Idx};
 use nomad_serve::{IvfIndex, IvfParams, ModelSnapshot, SnapshotPublisher};
 use nomad_sgd::{FactorMatrix, HyperParams};
 
@@ -74,7 +79,7 @@ use nomad_telemetry::{names, CounterHandle, GaugeHandle, HistogramHandle, Regist
 use crate::transport::{NetError, Transport};
 use crate::wire::{
     Message, ReplicaDeltaPayload, ReplicaPayload, SetupPayload, ShardPayload, ShardTransferPayload,
-    TelemetryPayload, WireDeltaRow, WireSegment, WireToken, QUERY_NOT_READY, QUERY_OK,
+    TelemetryPayload, WireCols, WireDeltaRow, WireSegment, WireToken, QUERY_NOT_READY, QUERY_OK,
     QUERY_RUN_OVER, QUERY_UNKNOWN_USER,
 };
 
@@ -116,11 +121,12 @@ struct Outbound {
 /// Membership changes applied by the worker at a hop boundary, where no
 /// token is mid-update.
 enum WorkerCmd {
-    /// Merge a transferred segment (takeover or rebalance receipt).
+    /// Merge a transferred segment (takeover or rebalance receipt),
+    /// already checked by [`Shape::adopt`].
     AddRows {
-        row_start: usize,
+        segment: Range<usize>,
         rows: Vec<f64>,
-        entries: Vec<(u32, u32, f64)>,
+        cols: CscMatrix,
     },
     /// Carve out a segment and ship it to `to` (rebalance donation).
     ShipRows {
@@ -325,11 +331,60 @@ struct Shared {
     serve_owned: Mutex<Vec<(usize, usize)>>,
 }
 
+/// What every shipped segment must fit: the global matrix and the latent
+/// dimension, from the rank's `Setup`.
+#[derive(Clone, Copy)]
+struct Shape {
+    nrows: usize,
+    ncols: usize,
+    k: usize,
+}
+
+impl Shape {
+    /// Adopts a shipped segment — `row_count` user rows from `row_start`,
+    /// their factor rows `w_rows` and their rating columns — or refuses a
+    /// frame that does not describe one inside this matrix.  The codec
+    /// only lays frames out; this is where their shape is checked, once,
+    /// for `Setup` and `ShardTransfer` alike, so a malformed frame ends
+    /// the rank with [`NetError::Protocol`] instead of a panic.
+    fn adopt(
+        &self,
+        frame: &str,
+        row_start: u64,
+        row_count: u64,
+        w_rows: &[f64],
+        cols: WireCols,
+    ) -> Result<(Range<usize>, CscMatrix), NetError> {
+        let refuse = |why: &str| NetError::Protocol(format!("{frame} refused: {why}"));
+        let end = row_start
+            .checked_add(row_count)
+            .filter(|&end| end <= self.nrows as u64);
+        let segment =
+            row_start as usize..end.ok_or_else(|| refuse("rows outside the matrix"))? as usize;
+        if w_rows.len() != segment.len() * self.k {
+            return Err(refuse("factor values are not k per row"));
+        }
+        let (counts, rows, values) = (&cols.counts, cols.rows, cols.values);
+        CscMatrix::from_cols(
+            self.nrows,
+            self.ncols,
+            counts,
+            rows,
+            values,
+            segment.clone(),
+        )
+        .map(|cols| (segment, cols))
+        .ok_or_else(|| refuse("rating columns are not ascending rows of the segment"))
+    }
+}
+
 /// The worker's mutable model state, lockable so the comm thread can
 /// finish pending segment transfers after the worker has exited.
 /// During the run the worker holds the lock for the whole loop — the
 /// comm thread only touches it at quiesce, when the worker is gone.
 struct WorkerState {
+    /// The rating columns as shipped, merged or cut, and the pass counts
+    /// (ownership is `owned`; `wd.owned_users` stays empty).
     wd: WorkerData,
     /// Full-height user factors (`nrows x k`); only rows inside `owned`
     /// segments are live.  Full height keeps row indexing global, which
@@ -338,78 +393,41 @@ struct WorkerState {
     own: FactorMatrix,
     /// Owned user rows as sorted, disjoint `(start, count)` segments.
     owned: Vec<(usize, usize)>,
-    /// Local rating triplets (global coordinates) backing `wd`.
-    entries: Vec<(u32, u32, f64)>,
-    nrows: usize,
-    ncols: usize,
     k: usize,
 }
 
 impl WorkerState {
-    fn new(setup: &SetupPayload) -> Self {
-        let nrows = setup.nrows as usize;
-        let ncols = setup.ncols as usize;
-        let k = setup.k as usize;
-        let row_start = setup.row_start as usize;
-        let row_count = setup.row_count as usize;
-        assert_eq!(
-            setup.w_rows.len(),
-            row_count * k,
-            "w_rows must be row_count x k"
-        );
-        let mut own = FactorMatrix::zeros(nrows, k);
-        for r in 0..row_count {
-            own.set_row(row_start + r, &setup.w_rows[r * k..(r + 1) * k]);
-        }
-        let owned = if row_count > 0 {
-            vec![(row_start, row_count)]
-        } else {
-            Vec::new()
-        };
+    /// The worker's state over the segment [`Shape::adopt`] accepted:
+    /// factor rows `w_rows` and rating columns `local_cols`.
+    fn new(shape: Shape, segment: Range<usize>, w_rows: &[f64], local_cols: CscMatrix) -> Self {
         let mut state = Self {
-            wd: WorkerData::build_all(
-                &RatingMatrix::from_triplets(&TripletMatrix::new(nrows, ncols)),
-                &RowPartition::contiguous(nrows, 1),
-            )
-            .swap_remove(0),
-            own,
-            owned,
-            entries: setup.entries.clone(),
-            nrows,
-            ncols,
-            k,
+            wd: WorkerData {
+                worker: 0,
+                owned_users: Vec::new(),
+                item_passes: vec![0; shape.ncols],
+                local_nnz: local_cols.nnz(),
+                local_cols,
+            },
+            own: FactorMatrix::zeros(shape.nrows, shape.k),
+            owned: Vec::new(),
+            k: shape.k,
         };
-        state.rebuild(vec![0; ncols]);
+        state.set_rows(segment, w_rows);
         state
     }
 
-    /// Rebuilds the CSC rating view from `entries`, transplanting the
-    /// given per-item pass counts so the step-size schedule (Eq. 11)
-    /// keeps its position across membership changes.
-    fn rebuild(&mut self, item_passes: Vec<u64>) {
-        debug_assert_eq!(item_passes.len(), self.ncols);
-        let mut t = TripletMatrix::new(self.nrows, self.ncols);
-        for &(i, j, v) in &self.entries {
-            t.push(i, j, v);
+    /// Makes `segment` owned, with factor rows `rows`, keeping `owned`
+    /// sorted with adjacent segments merged.
+    fn set_rows(&mut self, segment: Range<usize>, rows: &[f64]) {
+        let k = self.k;
+        for (r, i) in segment.clone().enumerate() {
+            self.own.set_row(i, &rows[r * k..(r + 1) * k]);
         }
-        let local = RatingMatrix::from_triplets(&t);
-        let mut wd =
-            WorkerData::build_all(&local, &RowPartition::contiguous(self.nrows, 1)).swap_remove(0);
-        wd.item_passes = item_passes;
-        self.wd = wd;
-    }
-
-    /// Merges a transferred segment into the shard.
-    fn add_rows(&mut self, row_start: usize, rows: &[f64], entries: Vec<(u32, u32, f64)>) {
-        assert_eq!(rows.len() % self.k, 0, "segment rows must be n x k");
-        let count = rows.len() / self.k;
-        for r in 0..count {
-            self.own
-                .set_row(row_start + r, &rows[r * self.k..(r + 1) * self.k]);
+        if segment.is_empty() {
+            return;
         }
-        self.owned.push((row_start, count));
+        self.owned.push((segment.start, segment.len()));
         self.owned.sort_unstable();
-        // Merge adjacent/overlapping segments so `owned` stays canonical.
         let mut merged: Vec<(usize, usize)> = Vec::with_capacity(self.owned.len());
         for &(s, c) in &self.owned {
             match merged.last_mut() {
@@ -418,49 +436,36 @@ impl WorkerState {
             }
         }
         self.owned = merged;
-        self.entries.extend(entries);
-        let passes = std::mem::take(&mut self.wd.item_passes);
-        self.rebuild(passes);
     }
 
-    /// Carves `[row_start, row_start + row_count)` out of the shard,
-    /// returning the live factor rows and the rating triplets that go
-    /// with them.
-    fn extract_rows(
-        &mut self,
-        row_start: usize,
-        row_count: usize,
-    ) -> (Vec<f64>, Vec<(u32, u32, f64)>) {
-        let end = row_start + row_count;
-        let mut rows = Vec::with_capacity(row_count * self.k);
-        for r in row_start..end {
-            rows.extend_from_slice(self.own.row(r));
-        }
-        let mut moved = Vec::new();
-        self.entries.retain(|&(i, j, v)| {
-            let inside = (i as usize) >= row_start && (i as usize) < end;
-            if inside {
-                moved.push((i, j, v));
-            }
-            !inside
-        });
+    /// Merges a transferred segment into the shard.
+    fn add_rows(&mut self, segment: Range<usize>, rows: &[f64], cols: &CscMatrix) {
+        self.set_rows(segment, rows);
+        self.wd.local_cols.add_rows(cols);
+        self.wd.local_nnz = self.wd.local_cols.nnz();
+    }
+
+    /// Carves `segment` out of the shard, returning the live factor rows
+    /// and the rating columns that go with them.
+    fn extract_rows(&mut self, segment: Range<usize>) -> (Vec<f64>, CscMatrix) {
+        let rows = self.own.as_slice()[segment.start * self.k..segment.end * self.k].to_vec();
+        let moved = self.wd.local_cols.extract_rows(segment.clone());
+        self.wd.local_nnz = self.wd.local_cols.nnz();
         let mut owned = Vec::with_capacity(self.owned.len() + 1);
         for &(s, c) in &self.owned {
             let seg_end = s + c;
-            if seg_end <= row_start || s >= end {
+            if seg_end <= segment.start || s >= segment.end || segment.is_empty() {
                 owned.push((s, c));
                 continue;
             }
-            if s < row_start {
-                owned.push((s, row_start - s));
+            if s < segment.start {
+                owned.push((s, segment.start - s));
             }
-            if seg_end > end {
-                owned.push((end, seg_end - end));
+            if seg_end > segment.end {
+                owned.push((segment.end, seg_end - segment.end));
             }
         }
         self.owned = owned;
-        let passes = std::mem::take(&mut self.wd.item_passes);
-        self.rebuild(passes);
         (rows, moved)
     }
 
@@ -477,21 +482,22 @@ impl WorkerState {
             let Some(cmd) = cmd else { break };
             match cmd {
                 WorkerCmd::AddRows {
-                    row_start,
+                    segment,
                     rows,
-                    entries,
-                } => self.add_rows(row_start, &rows, entries),
+                    cols,
+                } => self.add_rows(segment, &rows, &cols),
                 WorkerCmd::ShipRows {
                     to,
                     row_start,
                     row_count,
                 } => {
-                    let (rows, entries) = self.extract_rows(row_start, row_count);
+                    let segment = row_start..row_start + row_count;
+                    let (rows, moved) = self.extract_rows(segment.clone());
                     let transfer = Message::ShardTransfer(Box::new(ShardTransferPayload {
                         row_start: row_start as u64,
                         k: self.k as u32,
                         rows,
-                        entries,
+                        cols: WireCols::cut(&moved, segment),
                     }));
                     shared
                         .ctrl_out
@@ -517,7 +523,7 @@ enum CommOutcome {
 
 fn run_rank_inner<T: Transport>(
     transport: &T,
-    setup: SetupPayload,
+    mut setup: SetupPayload,
     stashed: Vec<(usize, Message)>,
 ) -> Result<(), NetError> {
     // `Setup` just came off the inbox: the rank's fixed cost starts here.
@@ -538,6 +544,13 @@ fn run_rank_inner<T: Transport>(
             .iter()
             .fold(0, |a, &r| a | bit(r as usize))
     };
+    let mut comm = CommState::new(rank, capacity, driver, members, &setup);
+    // The shard is checked before anything is built on it; the rank keeps
+    // the shipped vectors rather than a copy.
+    let (shape, w_rows) = (comm.shape, std::mem::take(&mut setup.w_rows));
+    let cols = std::mem::take(&mut setup.cols);
+    let (segment, cols) = shape.adopt("Setup", setup.row_start, setup.row_count, &w_rows, cols)?;
+    let state = WorkerState::new(shape, segment, &w_rows, cols);
 
     // Serving is opt-in per run: a publisher only exists when the setup
     // carries a publish cadence, and its single worker slot is this
@@ -547,13 +560,6 @@ fn run_rank_inner<T: Transport>(
         p.begin_run(setup.nrows as usize, setup.ncols as usize, k, 1);
         p
     });
-    let serve_owned = if setup.row_count > 0 {
-        vec![(setup.row_start as usize, setup.row_count as usize)]
-    } else {
-        Vec::new()
-    };
-
-    let state = Mutex::new(WorkerState::new(&setup));
     let shared = Shared {
         queue: SegQueue::new(),
         outbound: SegQueue::new(),
@@ -572,10 +578,10 @@ fn run_rank_inner<T: Transport>(
         ctrl_out: Mutex::new(Vec::new()),
         ctrl_pending: AtomicBool::new(false),
         publisher,
-        serve_owned: Mutex::new(serve_owned),
+        serve_owned: Mutex::new(state.owned.clone()),
     };
+    let state = Mutex::new(state);
 
-    let mut comm = CommState::new(rank, capacity, driver, members, &setup);
     // Tokens that raced ahead of Setup are injected first.
     for (src, msg) in stashed {
         comm.handle(transport, &shared, src, msg)?;
@@ -811,6 +817,8 @@ struct CensusWait {
 struct CommState {
     rank: usize,
     capacity: usize,
+    /// What an inbound `ShardTransfer` must fit.
+    shape: Shape,
     driver: usize,
     message_batch: usize,
     progress_every: u64,
@@ -888,6 +896,11 @@ impl CommState {
         Self {
             rank,
             capacity,
+            shape: Shape {
+                nrows: setup.nrows as usize,
+                ncols: setup.ncols as usize,
+                k: setup.k as usize,
+            },
             driver,
             message_batch: (setup.message_batch as usize).max(1),
             progress_every: setup.progress_every.max(1),
@@ -1632,14 +1645,26 @@ impl CommState {
                     .record(taken.elapsed().as_micros() as u64);
             }
             Message::ShardTransfer(transfer) => {
+                let ShardTransferPayload {
+                    row_start,
+                    rows,
+                    cols,
+                    ..
+                } = *transfer;
+                // Whole factor rows or a refusal: a length that is not a
+                // multiple of k fails `adopt`'s length check.
+                let count = rows.len().checked_div(self.shape.k).unwrap_or(0);
+                let (segment, cols) =
+                    self.shape
+                        .adopt("ShardTransfer", row_start, count as u64, &rows, cols)?;
                 shared
                     .cmds
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
                     .push_back(WorkerCmd::AddRows {
-                        row_start: transfer.row_start as usize,
-                        rows: transfer.rows,
-                        entries: transfer.entries,
+                        segment,
+                        rows,
+                        cols,
                     });
                 shared.cmd_pending.store(true, Ordering::Release);
             }
@@ -1827,6 +1852,51 @@ fn members_vec(members: u64) -> Vec<usize> {
 mod tests {
     use super::*;
     use nomad_sgd::FactorModel;
+
+    #[test]
+    fn extract_then_add_of_a_segment_leaves_the_shard_as_it_was() {
+        // 40 users × 9 items, users 8..32 owned, item 4 unrated.
+        let (nrows, ncols, k, owned) = (40, 9, 3, 8..32usize);
+        let (mut counts, mut rows, mut values) = (Vec::new(), Vec::new(), Vec::new());
+        for j in 0..ncols as u32 {
+            let col: Vec<u32> = (0..nrows as u32)
+                .filter(|&i| j != 4 && (i * 3 + j) % 4 != 1)
+                .collect();
+            counts.push(col.len() as u32);
+            values.extend(col.iter().map(|&i| f64::from(i) + f64::from(j) / 16.0));
+            rows.extend(col);
+        }
+        let data = CscMatrix::from_cols(nrows, ncols, &counts, rows, values, 0..nrows)
+            .expect("ascending columns");
+        let shape = Shape { nrows, ncols, k };
+        let w_rows: Vec<f64> = (0..owned.len() * k).map(|v| v as f64 / 8.0).collect();
+        let cols = WireCols::cut(&data, owned.clone());
+        let (segment, cols) = shape
+            .adopt("Setup", 8, 24, &w_rows, cols)
+            .expect("well formed");
+        let mut state = WorkerState::new(shape, segment, &w_rows, cols);
+        state.wd.item_passes = (0..ncols as u64).map(|j| j * 7 % 5).collect();
+        let (wd, own, segments) = (state.wd.clone(), state.own.clone(), state.owned.clone());
+        assert_eq!(segments, vec![(owned.start, owned.len())]);
+        for segment in [8..9, 31..32, 12..20, 8..32, 20..20] {
+            let (rows, moved) = state.extract_rows(segment.clone());
+            assert_eq!(moved.nnz() + state.wd.local_nnz, wd.local_nnz);
+            let cols = WireCols::cut(&moved, segment.clone());
+            let (back, cols) = shape
+                .adopt(
+                    "ShardTransfer",
+                    segment.start as u64,
+                    segment.len() as u64,
+                    &rows,
+                    cols,
+                )
+                .expect("a donor's own cut is well formed");
+            state.add_rows(back, &rows, &cols);
+            assert!(state.wd == wd, "columns or passes moved for {segment:?}");
+            assert!(state.own == own, "factor rows moved for {segment:?}");
+            assert_eq!(state.owned, segments, "{segment:?}");
+        }
+    }
 
     /// A 10-user, 10-item snapshot pair in which the given user and item
     /// rows differ (one by a sign-of-zero flip only `to_bits` can see).

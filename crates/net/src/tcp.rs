@@ -149,13 +149,17 @@ const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(60);
 
 /// Accepts one connection, erroring once `deadline` passes (a plain
 /// `TcpListener::accept` has no timeout).  The accepted stream is
-/// switched back to blocking mode.
+/// switched back to blocking mode.  Between polls it naps 50 µs, doubling
+/// to at most 5 ms: a freshly spawned rank usually connects within a
+/// millisecond or two, and a flat 5 ms nap made every one of them wait
+/// out the rest of it.
 fn accept_with_deadline(
     listener: &TcpListener,
     deadline: std::time::Instant,
     waiting_for: &str,
 ) -> Result<TcpStream, NetError> {
     listener.set_nonblocking(true)?;
+    let mut nap = Duration::from_micros(50);
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -172,7 +176,8 @@ fn accept_with_deadline(
                         "handshake deadline: still waiting for {waiting_for}"
                     )));
                 }
-                std::thread::sleep(Duration::from_millis(5));
+                std::thread::sleep(nap);
+                nap = (nap * 2).min(Duration::from_millis(5));
             }
             Err(e) => return Err(e.into()),
         }

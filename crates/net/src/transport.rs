@@ -288,7 +288,7 @@ impl Transport for Loopback {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::wire::{ShardTransferPayload, MAX_FRAME_LEN};
+    use crate::wire::{ShardTransferPayload, WireCols, MAX_FRAME_LEN};
 
     /// Sends `to` a shard transfer whose factor rows alone fill a whole
     /// frame: refused as a wire error, and the next send on the same edge
@@ -298,7 +298,7 @@ pub(crate) mod tests {
             row_start: 0,
             k: 1,
             rows: vec![0.0; (MAX_FRAME_LEN / 8) as usize],
-            entries: Vec::new(),
+            cols: WireCols::default(),
         }));
         let sent = from.send(to.id(), &too_big);
         assert!(

@@ -25,9 +25,10 @@
 //! of bytes actually remaining in the frame before any allocation happens.
 
 use std::io::{Read, Write};
+use std::ops::Range;
 
 use nomad_core::RoutingPolicy;
-use nomad_matrix::Idx;
+use nomad_matrix::{CscMatrix, Idx};
 use nomad_telemetry::{HistSnapshot, TelemetrySnapshot};
 
 /// Hard cap on the byte length of a single frame payload (64 MiB).
@@ -83,6 +84,48 @@ pub struct WireToken {
     pub pass: u64,
     /// The factor row `h_j`.
     pub factor: Vec<f64>,
+}
+
+/// A rating slice in the layout a rank sweeps it: the columns of a
+/// [`CscMatrix`] restricted to a segment of user rows, laid end to end.
+///
+/// The codec only lays these out; whether they describe a matrix is the
+/// receiver's question, answered once by [`CscMatrix::from_cols`] — the
+/// same check whether the slice came from the driver or from a donor rank.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct WireCols {
+    /// Ratings per item, one entry per column; empty means the slice holds
+    /// no ratings at all.
+    pub counts: Vec<u32>,
+    /// Global user rows of every column in turn, ascending within each.
+    pub rows: Vec<u32>,
+    /// The ratings, parallel to `rows`.
+    pub values: Vec<f64>,
+}
+
+impl WireCols {
+    /// Cuts the user rows `segment` out of `cols`: binary searches find
+    /// each column's run, so every vector is allocated at its final length.
+    pub fn cut(cols: &CscMatrix, segment: Range<usize>) -> Self {
+        let span = |j: usize| {
+            let col = cols.col_rows(j);
+            let lo = col.partition_point(|&i| (i as usize) < segment.start);
+            lo..lo + col[lo..].partition_point(|&i| (i as usize) < segment.end)
+        };
+        let counts: Vec<u32> = (0..cols.ncols()).map(|j| span(j).len() as u32).collect();
+        let total = counts.iter().map(|&c| c as usize).sum();
+        let (mut rows, mut values) = (Vec::with_capacity(total), Vec::with_capacity(total));
+        for j in 0..cols.ncols() {
+            let (col_rows, col_values) = cols.col_slices(j);
+            rows.extend_from_slice(&col_rows[span(j)]);
+            values.extend_from_slice(&col_values[span(j)]);
+        }
+        Self {
+            counts,
+            rows,
+            values,
+        }
+    }
 }
 
 /// Everything a rank needs to start working: its shard of the statically
@@ -146,8 +189,9 @@ pub struct SetupPayload {
     /// Initial user-factor rows for the shard, row-major
     /// (`row_count * k` values).
     pub w_rows: Vec<f64>,
-    /// Local ratings as `(global user, item, rating)` triplets.
-    pub entries: Vec<(u32, u32, f64)>,
+    /// The ratings of the shard's users, as the columns the rank sweeps
+    /// (every row inside `row_start..row_start + row_count`).
+    pub cols: WireCols,
 }
 
 /// One contiguous run of user rows and their factors — shards become a
@@ -280,7 +324,7 @@ pub const QUERY_UNKNOWN_USER: u8 = 3;
 /// User rows in flight between address spaces: eviction takeover (driver
 /// re-materializes the dead rank's shard on a survivor) and join
 /// rebalancing (a donor ships live rows to the newcomer) both move a
-/// segment plus its rating triplets.
+/// segment plus its ratings.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardTransferPayload {
     /// First global user row being transferred.
@@ -289,8 +333,9 @@ pub struct ShardTransferPayload {
     pub k: u32,
     /// Row-major factor values for the transferred rows.
     pub rows: Vec<f64>,
-    /// Rating triplets `(global user, item, rating)` for those rows.
-    pub entries: Vec<(u32, u32, f64)>,
+    /// The ratings of those rows, as columns (every row inside the
+    /// segment `rows` covers).
+    pub cols: WireCols,
 }
 
 /// Every message of the nomad-net protocol.
@@ -589,7 +634,6 @@ macro_rules! wire_tuple {
     };
 }
 wire_tuple!(a: A, b: B);
-wire_tuple!(a: A, b: B, c: C);
 
 /// A string is a metric name: a `u16` byte length of at most
 /// [`MAX_METRIC_NAME_LEN`], then UTF-8.
@@ -672,15 +716,16 @@ wire_structs! {
     WireToken { item, pass, factor }
     WireSegment { row_start, rows }
     WireDeltaRow { row, factors }
+    WireCols { counts, rows, values }
     HistSnapshot { count, sum, max, buckets }
     TelemetrySnapshot { counters, gauges, hists }
     SetupPayload {
         rank, ranks, nrows, ncols, row_start, row_count, k, seed, lambda, alpha, beta, routing,
         budget, message_batch, progress_every, heartbeat_timeout_ms, abort_after_updates,
-        serve_publish_every, serve_nprobe, epoch, active_ranks, w_rows, entries
+        serve_publish_every, serve_nprobe, epoch, active_ranks, w_rows, cols
     }
     ShardPayload { rank, k, segments, tokens, tickets, updates, remote_sends }
-    ShardTransferPayload { row_start, k, rows, entries }
+    ShardTransferPayload { row_start, k, rows, cols }
     ReplicaPayload { rank, k, epoch, updates_at, segments, items }
     ReplicaDeltaPayload { rank, k, epoch, base_epoch, updates_at, w_rows, h_rows }
     TelemetryPayload { rank, seq, snapshot }
@@ -868,7 +913,11 @@ mod tests {
             epoch: 3,
             active_ranks: vec![0, 1, 3],
             w_rows: vec![0.125; 16],
-            entries: vec![(500, 3, 4.5), (749, 499, 1.0)],
+            cols: WireCols {
+                counts: vec![0, 1, 1],
+                rows: vec![500, 749],
+                values: vec![4.5, 1.0],
+            },
         }
     }
 
@@ -877,7 +926,7 @@ mod tests {
     fn derived_min_bytes_match_the_literals_they_replace() {
         use nomad_telemetry::HIST_BUCKETS;
         assert_eq!(WireToken::MIN_BYTES, 16); // item + pass + empty factor
-        assert_eq!(<(u32, u32, f64)>::MIN_BYTES, 16); // a rating triplet
+        assert_eq!(WireCols::MIN_BYTES, 12); // three empty sequences
         assert_eq!(WireSegment::MIN_BYTES, 12); // row_start + empty rows
         assert_eq!(WireDeltaRow::MIN_BYTES, 12); // row + empty factors
         assert_eq!(<(u32, u64)>::MIN_BYTES, 12); // a held (item, pass)
@@ -986,7 +1035,11 @@ mod tests {
             row_start: 250,
             k: 2,
             rows: vec![0.5, 0.25, -1.0, 2.0],
-            entries: vec![(250, 0, 3.0), (251, 9, 5.0)],
+            cols: WireCols {
+                counts: vec![1, 0, 1],
+                rows: vec![250, 251],
+                values: vec![3.0, 5.0],
+            },
         })));
     }
 

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use nomad_core::RoutingPolicy;
 use nomad_net::{
     Message, ReplicaDeltaPayload, ReplicaPayload, SetupPayload, ShardPayload, TelemetryPayload,
-    WireDeltaRow, WireError, WireSegment, WireToken, QUERY_UNKNOWN_USER,
+    WireCols, WireDeltaRow, WireError, WireSegment, WireToken, QUERY_UNKNOWN_USER,
 };
 use nomad_telemetry::{HistSnapshot, TelemetrySnapshot, HIST_BUCKETS};
 
@@ -148,7 +148,8 @@ proptest! {
         seed in any::<u64>(),
         routing in 0usize..3,
         budget in any::<u64>(),
-        entries in proptest::collection::vec((any::<u32>(), any::<u32>(), -5.0f64..5.0), 0..40),
+        counts in proptest::collection::vec(any::<u32>(), 0..12),
+        ratings in proptest::collection::vec((any::<u32>(), -5.0f64..5.0), 0..40),
         w in proptest::collection::vec(-1.0f64..1.0, 0..32),
     ) {
         let msg = Message::Setup(Box::new(SetupPayload {
@@ -178,7 +179,13 @@ proptest! {
             epoch: 3,
             active_ranks: (0..ranks).collect(),
             w_rows: w,
-            entries,
+            // The codec lays columns out without judging them: any counts,
+            // rows and values survive.
+            cols: WireCols {
+                counts,
+                rows: ratings.iter().map(|&(i, _)| i).collect(),
+                values: ratings.iter().map(|&(_, v)| v).collect(),
+            },
         }));
         let decoded = Message::decode(&msg.encode().unwrap()).unwrap();
         prop_assert_eq!(&msg, &decoded);
