@@ -1,16 +1,17 @@
-//! Benchmark harness support code.
+//! Reproduction-binary support code.
 //!
 //! The `fig` binary in `src/bin/` regenerates any table or figure of the
 //! paper's evaluation section by id (`fig fig5`, `fig table1`; CSV to
-//! stdout, a markdown summary to stderr) and `repro_all` runs them all;
-//! the Criterion benches in `benches/`
-//! measure the kernels and ablate the design choices listed in `DESIGN.md`.
+//! stdout, a markdown summary to stderr), `repro_all` runs them all and
+//! `streaming` runs the streaming figure; `schedfuzz` (feature
+//! `sched-fuzz`) sweeps seeded fuzz schedules.  The Criterion benches in
+//! `benches/` measure the kernels and ablate the design choices listed in
+//! `DESIGN.md`.  End-to-end throughput is measured by the separate
+//! `benchmark/` package (`BENCHMARK.json`), not here.
 
 #![warn(missing_docs)]
 
 use nomad_eval::{figure_to_csv, figure_to_markdown, Figure, ReproScale};
-
-pub mod distperf;
 
 /// Handles the shared command-line surface of every reproduction binary.
 ///
@@ -29,13 +30,13 @@ pub fn handle_cli_args(name: &str, about: &str) {
 }
 
 /// Like [`handle_cli_args`], but with a custom output description and extra
-/// environment-variable documentation lines — for binaries (such as `perf`)
-/// whose output is not the standard CSV/markdown pair.
+/// environment-variable documentation lines — for binaries (such as
+/// `schedfuzz`) whose output is not the standard CSV/markdown pair.
 ///
 /// Every binary still documents `NOMAD_SCALE`, which the smoke tests
 /// enforce, and still rejects unknown arguments with exit code 2.
 pub fn handle_cli_args_with(name: &str, about: &str, output: &str, extra_env: &[&str]) {
-    cli_core(name, about, output, extra_env, None, false, None);
+    cli_core(name, about, output, extra_env, None);
 }
 
 /// Like [`handle_cli_args`], but the binary additionally takes one
@@ -43,118 +44,41 @@ pub fn handle_cli_args_with(name: &str, about: &str, output: &str, extra_env: &[
 /// returns it.  A missing or unknown id exits 2 listing `ids`.
 pub fn handle_cli_args_id(name: &str, about: &str, ids: &[&str]) -> String {
     let output = "Output: CSV series on stdout, a markdown summary on stderr.";
-    cli_core(name, about, output, &[], None, false, Some(ids))
-        .id
-        .expect("an id list was supplied")
-}
-
-/// Like [`handle_cli_args_with`], but the binary additionally accepts a
-/// `--telemetry` flag; returns whether it was passed.  Binaries that
-/// accept it print the fleet/router metric tables collected during the
-/// run (the JSONL dump is written regardless, so CI artifacts do not
-/// depend on the flag).
-pub fn handle_cli_args_telemetry(
-    name: &str,
-    about: &str,
-    output: &str,
-    extra_env: &[&str],
-) -> bool {
-    cli_core(name, about, output, extra_env, None, true, None).telemetry
-}
-
-/// Like [`handle_cli_args_telemetry`], but the binary additionally accepts
-/// an `--engine <value>` / `--engine=<value>` selector from `allowed`;
-/// returns `(engine, telemetry)`, the engine being `default` when the flag
-/// is absent.  An `--engine` value outside `allowed` exits 2 like any other
-/// unrecognized argument, and `--help` documents the selector.
-pub fn handle_cli_args_engine_telemetry(
-    name: &str,
-    about: &str,
-    output: &str,
-    extra_env: &[&str],
-    allowed: &[&str],
-    default: &str,
-) -> (String, bool) {
-    let cli = cli_core(
-        name,
-        about,
-        output,
-        extra_env,
-        Some((allowed, default)),
-        true,
-        None,
-    );
-    (cli.engine.expect("a selector was supplied"), cli.telemetry)
+    cli_core(name, about, output, &[], Some(ids)).expect("an id list was supplied")
 }
 
 /// The one implementation behind the whole reproduction-binary CLI
 /// contract: reject anything unrecognized with exit 2 (even alongside
 /// `--help`, so a typoed flag can never ride along with a valid one),
 /// answer `--help` with the usage/environment template and exit 0.
-/// `selector` optionally enables the `--engine` flag, `telemetry_flag`
-/// enables `--telemetry`, and `ids` enables one positional `<id>` that
-/// must be one of them; what was passed comes back as a [`Cli`].
+/// `ids` optionally enables one positional `<id>` that must be one of
+/// them; the id passed comes back.
 fn cli_core(
     name: &str,
     about: &str,
     output: &str,
     extra_env: &[&str],
-    selector: Option<(&[&str], &str)>,
-    telemetry_flag: bool,
     ids: Option<&[&str]>,
-) -> Cli {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+) -> Option<String> {
     let mut help = false;
-    let mut telemetry = false;
-    let mut engine: Option<String> = None;
     let mut id: Option<String> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match (arg.as_str(), selector) {
-            ("--help" | "-h", _) => help = true,
-            ("--telemetry", _) if telemetry_flag => telemetry = true,
-            (known, _) if id.is_none() && ids.is_some_and(|ids| ids.contains(&known)) => {
-                id = Some(known.to_string());
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--help" | "-h" => help = true,
+            known if id.is_none() && ids.is_some_and(|ids| ids.contains(&known)) => {
+                id = Some(arg);
             }
-            ("--engine", Some((allowed, _))) => match iter.next() {
-                Some(value) => engine = Some(value.clone()),
-                None => {
-                    eprintln!(
-                        "{name}: --engine needs a value (one of {})",
-                        allowed.join("|")
-                    );
-                    std::process::exit(2);
-                }
-            },
-            (other, Some(_)) if other.starts_with("--engine=") => {
-                engine = Some(other["--engine=".len()..].to_string());
-            }
-            (other, _) => {
+            other => {
                 let hint = ids.map_or("try --help".to_string(), id_hint);
                 eprintln!("{name}: unrecognized argument {other:?} ({hint})");
                 std::process::exit(2);
             }
         }
     }
-    let engine = selector.map(|(allowed, default)| {
-        let engine = engine.unwrap_or_else(|| default.to_string());
-        if !allowed.contains(&engine.as_str()) {
-            eprintln!(
-                "{name}: unrecognized argument --engine {engine:?} (one of {})",
-                allowed.join("|")
-            );
-            std::process::exit(2);
-        }
-        engine
-    });
     if help {
-        let telemetry_usage = if telemetry_flag { " [--telemetry]" } else { "" };
-        let usage_flags = match (selector, ids) {
-            (Some((allowed, _)), _) => {
-                format!("[--help] [--engine {}]{telemetry_usage}", allowed.join("|"))
-            }
-            (None, Some(ids)) => format!("[--help] <{}>", ids.join("|")),
-            (None, None) => format!("[--help]{telemetry_usage}"),
+        let usage_flags = match ids {
+            Some(ids) => format!("[--help] <{}>", ids.join("|")),
+            None => "[--help]".to_string(),
         };
         let mut env_lines =
             String::from("  NOMAD_SCALE=quick|standard   experiment scale (default: quick)");
@@ -174,67 +98,11 @@ fn cli_core(
         eprintln!("{name}: missing argument ({})", id_hint(ids));
         std::process::exit(2);
     }
-    Cli {
-        engine,
-        telemetry,
-        id,
-    }
+    id
 }
 
 fn id_hint(ids: &[&str]) -> String {
     format!("<id> is one of {}", ids.join(" "))
-}
-
-/// What [`cli_core`] parsed.
-struct Cli {
-    /// The `--engine` value (the default when absent), with a selector.
-    engine: Option<String>,
-    /// Whether `--telemetry` was passed.
-    telemetry: bool,
-    /// The positional `<id>`, with an id list.
-    id: Option<String>,
-}
-
-/// Writes one `nomad-telemetry-v1` JSONL line per scope to the path named
-/// by `NOMAD_TELEMETRY_OUT` (default `telemetry.jsonl`), validating every
-/// line against the schema first — a bench binary must never upload an
-/// artifact the CI schema gate would reject.  Returns the path written.
-///
-/// # Panics
-/// Panics if a rendered line fails schema validation or the file cannot
-/// be written.
-pub fn write_telemetry_jsonl(scopes: &[TelemetryScope<'_>]) -> String {
-    let path =
-        std::env::var("NOMAD_TELEMETRY_OUT").unwrap_or_else(|_| "telemetry.jsonl".to_string());
-    let mut out = String::new();
-    for (scope, snap, events) in scopes {
-        let line = nomad_telemetry::render_jsonl_line(scope, snap, *events);
-        nomad_telemetry::validate_jsonl_line(&line).unwrap_or_else(|e| {
-            panic!(
-                "telemetry line for scope {scope:?} violates {}: {e}",
-                nomad_telemetry::SCHEMA
-            )
-        });
-        out.push_str(&line);
-        out.push('\n');
-    }
-    std::fs::write(&path, &out).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    path
-}
-
-/// One scope of a telemetry dump: `(scope name, snapshot, event lines)`.
-pub type TelemetryScope<'a> = (
-    &'a str,
-    &'a nomad_telemetry::TelemetrySnapshot,
-    Option<&'a [String]>,
-);
-
-/// Prints the human `--telemetry` tables for each scope (stderr, like
-/// every other bench summary).
-pub fn print_telemetry_tables(scopes: &[TelemetryScope<'_>]) {
-    for (scope, snap, _) in scopes {
-        eprintln!("{}", nomad_telemetry::render_table(scope, snap));
-    }
 }
 
 /// Runs the registered figure generator for `id` at the scale selected by

@@ -1,7 +1,7 @@
-//! Smoke tests for the reproduction binaries: `fig`, `repro_all` and the
-//! bench drivers must link, answer `--help` with a usage message and exit
-//! 0, and reject unknown arguments with exit 2 — all without starting an
-//! actual experiment run.
+//! Smoke tests for the reproduction binaries: `fig`, `streaming`,
+//! `repro_all` and (under its feature) `schedfuzz` must link, answer
+//! `--help` with a usage message and exit 0, and reject unknown arguments
+//! with exit 2 — all without starting an actual experiment run.
 
 use std::process::Command;
 
@@ -11,9 +11,6 @@ use std::process::Command;
 const BINS: &[(&str, &str)] = &[
     ("fig", env!("CARGO_BIN_EXE_fig")),
     ("streaming", env!("CARGO_BIN_EXE_streaming")),
-    ("perf", env!("CARGO_BIN_EXE_perf")),
-    ("distributed", env!("CARGO_BIN_EXE_distributed")),
-    ("serving", env!("CARGO_BIN_EXE_serving")),
     ("repro_all", env!("CARGO_BIN_EXE_repro_all")),
 ];
 

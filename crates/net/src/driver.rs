@@ -747,6 +747,7 @@ fn run_driver_impl<T: Transport>(
     // Clock + arbitrate + gather.
     if budget == 0 {
         st.drained = true;
+        st.telemetry.events.record(EventKind::Drain, st.epoch, 0);
         for r in st.active_ranks() {
             transport.send(r, &Message::Drain)?;
         }
@@ -1141,6 +1142,9 @@ fn maybe_drain<T: Transport>(
         return Ok(());
     }
     st.drained = true;
+    st.telemetry
+        .events
+        .record(EventKind::Drain, st.epoch, st.progress_sum());
     for r in st.active_ranks() {
         send_lenient(transport, r, &Message::Drain)?;
     }

@@ -44,7 +44,7 @@
 //! The correctness anchor is the same one the threaded and simulated
 //! engines carry: at one rank with a fixed seed, the engine reassembles a
 //! `FactorModel` **bit-identical** to `SerialNomad` (asserted by the
-//! integration tests and by the `distributed` bench binary), and at every
+//! integration tests and by the repo benchmark's checks), and at every
 //! quiesce the token pass counts sum to the tickets drawn across all
 //! ranks.
 

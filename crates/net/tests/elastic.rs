@@ -187,7 +187,17 @@ fn a_rank_over_the_heartbeat_timeout_is_evicted_and_survivors_finish() {
 /// A scripted in-memory kill (no process machinery): the victim's
 /// endpoint dies at a fixed operation index, heartbeat silence convicts
 /// it, and the 2 survivors conserve and converge.  The op index makes
-/// the kill point deterministic even on loopback.
+/// the kill point deterministic even on loopback; when the driver
+/// *notices* is not — the survivors can reach the budget inside the
+/// heartbeat window — so the test reads the order of the driver's
+/// `eviction` and `drain` events and holds each order to its promise:
+///
+/// * eviction first — the corpse's progress stopped counting
+///   (`latest[dead] = 0`), so the survivors alone reach the budget;
+/// * drain first — the budget was met counting the corpse's last
+///   progress report, and its updates died with it.  Nothing is
+///   re-minted after drain, so the run's total is what the survivors
+///   did: at least what they had reported when the corpse was evicted.
 #[test]
 fn a_scripted_transport_kill_is_detected_and_survived() {
     let _guard = TIMING.lock().unwrap_or_else(|e| e.into_inner());
@@ -228,7 +238,31 @@ fn a_scripted_transport_kill_is_detected_and_survived() {
         "the killed rank must be evicted (got {:?})",
         out.stats.evicted
     );
-    assert!(out.stats.updates >= budget);
+    assert_eq!(out.stats.per_rank_updates[1], 0, "a corpse ships no shard");
+    let event = |kind: &str| {
+        let found = out.stats.events.iter().enumerate().find_map(|(at, line)| {
+            let mut words = line.split('@');
+            (words.next() == Some(kind))
+                .then(|| (at, words.nth(1).unwrap().parse::<u64>().unwrap()))
+        });
+        found.unwrap_or_else(|| panic!("no {kind} event in {:?}", out.stats.events))
+    };
+    let (evicted_at, survivors_clock) = event("eviction");
+    let (drained_at, drain_clock) = event("drain");
+    assert!(drain_clock >= budget, "drain fired below the budget");
+    if evicted_at < drained_at {
+        assert!(
+            out.stats.updates >= budget,
+            "evicted before drain: the survivors must finish the budget ({:?})",
+            out.stats
+        );
+    } else {
+        assert!(
+            out.stats.updates >= survivors_clock,
+            "evicted after drain: the survivors keep what they had reported ({:?})",
+            out.stats
+        );
+    }
     assert_eq!(out.model.num_users(), data.nrows());
     assert_eq!(out.model.num_items(), data.ncols());
 }

@@ -43,9 +43,7 @@
 //! quiesced snapshot is **bit-identical** to the returned `FactorModel`.
 //!
 //! The training-side entry points live in `nomad-core`
-//! (`run_serving`/`run_online_serving` on the serial and threaded engines);
-//! the `serving` bench binary in `nomad-bench` measures queries/sec and
-//! p50/p99 latency while training runs.
+//! (`run_serving`/`run_online_serving` on the serial and threaded engines).
 
 #![warn(missing_docs)]
 

@@ -45,6 +45,9 @@ pub enum EventKind {
     /// A query failed over to the stale replica (`a` = query id, `b` =
     /// owning rank).
     Failover = 9,
+    /// The driver broadcast `Drain` (`a` = membership epoch, `b` = fleet
+    /// update clock).
+    Drain = 10,
 }
 
 impl EventKind {
@@ -61,6 +64,7 @@ impl EventKind {
             EventKind::Shed => "shed",
             EventKind::Hedge => "hedge",
             EventKind::Failover => "failover",
+            EventKind::Drain => "drain",
         }
     }
 
@@ -76,6 +80,7 @@ impl EventKind {
             7 => EventKind::Shed,
             8 => EventKind::Hedge,
             9 => EventKind::Failover,
+            10 => EventKind::Drain,
             _ => return None,
         })
     }

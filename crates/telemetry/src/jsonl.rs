@@ -1,11 +1,10 @@
 //! The `nomad-telemetry-v1` dump format: one JSON object per line, one
-//! line per scope (`rank-<r>`, `driver`, `fleet`, `sim`, ...), plus a
-//! human-readable table for the bench binaries' `--telemetry` flag.
+//! line per scope (`rank-<r>`, `driver`, `fleet`, `sim`, ...).
 //!
 //! The JSON is hand-rolled (the vendored serde stub has no serializer)
 //! and hand-validated: [`validate_jsonl_line`] checks the required keys
-//! without a JSON parser, which is all the CI schema gate needs — a
-//! line that drops a required key fails loudly.
+//! without a JSON parser — a line that drops a required key fails
+//! loudly.
 
 use std::fmt::Write as _;
 
@@ -116,35 +115,6 @@ pub fn validate_jsonl_line(line: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// A human-readable table of a snapshot (the bench binaries'
-/// `--telemetry` output), markdown-shaped like every other bench
-/// summary.
-pub fn render_table(title: &str, snap: &TelemetrySnapshot) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "## telemetry: {title}");
-    let _ = writeln!(s, "| metric | value |");
-    let _ = writeln!(s, "|---|---|");
-    for (name, v) in &snap.counters {
-        let _ = writeln!(s, "| {name} | {v} |");
-    }
-    for (name, v) in &snap.gauges {
-        let _ = writeln!(s, "| {name} | {v} |");
-    }
-    for (name, h) in &snap.hists {
-        let fmt = |v: Option<u64>| v.map_or("-".to_string(), |v| v.to_string());
-        let _ = writeln!(
-            s,
-            "| {name} | n={} p50={} p90={} p99={} max={} |",
-            h.count,
-            fmt(h.p50()),
-            fmt(h.p90()),
-            fmt(h.p99()),
-            h.max,
-        );
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,14 +180,5 @@ mod tests {
         assert!(line.contains("weird\\\"name"));
         assert!(line.contains("s\\\\cope"));
         validate_jsonl_line(&line).unwrap();
-    }
-
-    #[test]
-    fn table_lists_every_metric() {
-        let t = render_table("fleet", &sample());
-        assert!(t.contains("engine.updates"));
-        assert!(t.contains("engine.publish_gap"));
-        assert!(t.contains("serve.latency_us"));
-        assert!(t.contains("p99="));
     }
 }

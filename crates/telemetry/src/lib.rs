@@ -15,7 +15,7 @@
 //!   happens once, at setup); recording through a handle never does.
 //! * [`events`] — a bounded lock-free [`EventRing`] of compact
 //!   [`Event`] records (epoch start/end, publish, eviction, census,
-//!   join, query outcomes, shed/hedge/failover) with monotonic
+//!   join, drain, query outcomes, shed/hedge/failover) with monotonic
 //!   timestamps and a `kind@a@b@t<micros>` replay-friendly dump format,
 //!   in the same spirit as the schedule fuzzer's `strategy@seed` pairs.
 //!   The ring overwrites its oldest records instead of blocking.
@@ -25,9 +25,8 @@
 //! distributed engine ship snapshots to the driver as periodic
 //! `Telemetry` wire frames, the driver folds them (latest frame per
 //! rank, evicted ranks frozen at their last report) into a fleet
-//! snapshot, and the bench binaries dump every scope as one line of
-//! `telemetry.jsonl` (schema [`SCHEMA`], `nomad-telemetry-v1`) via
-//! [`render_jsonl_line`].  The simulated engines emit the *same* schema
+//! snapshot, and [`render_jsonl_line`] renders any scope as one line of
+//! a `nomad-telemetry-v1` dump (schema [`SCHEMA`]).  The simulated engines emit the *same* schema
 //! through `nomad_cluster::SimMetrics::to_telemetry`, so a simulated
 //! trace and a real trace are diffable line by line.
 //!
@@ -55,7 +54,7 @@ pub mod metrics;
 pub mod registry;
 
 pub use events::{Event, EventKind, EventRing};
-pub use jsonl::{render_jsonl_line, render_table, validate_jsonl_line, SCHEMA};
+pub use jsonl::{render_jsonl_line, validate_jsonl_line, SCHEMA};
 pub use metrics::{Counter, Gauge, HistSnapshot, Histogram, HIST_BUCKETS};
 pub use registry::{CounterHandle, GaugeHandle, HistogramHandle, Registry, TelemetrySnapshot};
 

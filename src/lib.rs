@@ -174,8 +174,8 @@
 //!     .with_stop(StopCondition::Updates(40_000));
 //! // Loopback transport: same engine, no sockets — ideal for tests.  Use
 //! // `run_tcp_threads` for real sockets, or `run_processes` from a binary
-//! // that calls `nomad::net::child_entry()` first (see the `distributed`
-//! // bench binary) for true multi-process ranks.
+//! // that calls `nomad::net::child_entry()` first (as `benchmark/src/main.rs`
+//! // does) for true multi-process ranks.
 //! let out = DistributedNomad::new(config, 2).run_loopback(&dataset.matrix).unwrap();
 //! assert!(out.stats.updates >= 40_000);
 //! ```
@@ -233,10 +233,8 @@
 //! ```
 //!
 //! `run_processes_serving` does the same over re-exec'd rank processes;
-//! the `distributed` bench binary reports answered qps (and query p50/p99)
-//! measured *while* the mesh trains, and the chaos suite kills the rank
-//! being queried mid-run and asserts every in-flight query still resolves
-//! within its deadline.
+//! the chaos suite kills the rank being queried mid-run and asserts every
+//! in-flight query still resolves within its deadline.
 //!
 //! ## Observability: metrics and fleet telemetry
 //!
@@ -271,17 +269,13 @@
 //! assert!(snap.counter(names::UPDATES).unwrap() >= 20_000);
 //! assert!(snap.histogram(names::QUEUE_DEPTH).unwrap().p99().is_some());
 //!
-//! // One `nomad-telemetry-v1` JSONL line per scope — the same format the
-//! // bench binaries dump to `telemetry.jsonl` and CI schema-checks.
+//! // One `nomad-telemetry-v1` JSONL line per scope, schema-checked.
 //! let line = render_jsonl_line("train", &snap, None);
 //! validate_jsonl_line(&line).unwrap();
 //! ```
 //!
-//! The `perf`, `distributed` and `serving` bench binaries always write
-//! `telemetry.jsonl` (override the path with `NOMAD_TELEMETRY_OUT`) and
-//! render human-readable metric tables under `--telemetry`; the serving
-//! section of `BENCH_distributed.json` is *sourced from* the router's
-//! `serve.*` registry rather than bench-local tallies.
+//! The serving router keeps its `serve.*` counters and latency histogram
+//! in the same kind of registry, and rebuilds `RouterStats` from it.
 
 /// Sparse rating-matrix substrate (re-export of `nomad-matrix`).
 pub use nomad_matrix as matrix;
