@@ -1758,12 +1758,16 @@ impl DistributedNomad {
                 .map(|r| {
                     scope.spawn(move || -> Result<(), NetError> {
                         let ep = crate::tcp::TcpTransport::connect_rank(&addr, r)?;
-                        crate::rank::run_rank(&ep)
+                        let run = crate::rank::run_rank(&ep);
+                        ep.linger();
+                        run
                     })
                 })
                 .collect();
             let driver = crate::tcp::TcpTransport::accept_ranks(listener, ranks)?;
             let out = run_driver(&driver, data, &self.cfg);
+            // Closing the driver's side ends the ranks' linger.
+            drop(driver);
             for handle in handles {
                 handle.join().expect("rank thread panicked")?;
             }

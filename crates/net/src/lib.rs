@@ -14,7 +14,8 @@
 //! Layers, bottom to top:
 //!
 //! * [`wire`] — the table-driven binary codec: framed messages, total
-//!   decoding (garbage in, `WireError` out — never a panic).
+//!   decoding (garbage in, `WireError` out — never a panic), streamed on
+//!   and off a socket without holding a frame whole.
 //! * [`transport`] — the [`Transport`] trait (per-edge FIFO message
 //!   passing between `ranks + 1` endpoints) and the in-memory
 //!   [`Loopback`] mesh that makes the whole engine unit-testable without

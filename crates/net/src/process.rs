@@ -49,7 +49,9 @@ pub fn child_entry() {
             .parse()
             .map_err(|_| NetError::Protocol(format!("bad {DRIVER_ENV}={addr:?}")))?;
         let transport = TcpTransport::connect_rank(&addr, rank)?;
-        crate::rank::run_rank(&transport)
+        let run = crate::rank::run_rank(&transport);
+        transport.linger();
+        run
     })();
     match result {
         Ok(()) => std::process::exit(0),

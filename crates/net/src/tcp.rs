@@ -13,10 +13,15 @@
 //!    occupied slot `s > r`.
 //!
 //! After the handshake every stream carries length-prefixed
-//! [`crate::wire`] frames.  One detached reader thread per stream decodes
-//! frames into a shared inbox (preserving per-stream order, which is the
-//! per-edge FIFO guarantee the quiesce protocol needs); writers lock a
-//! per-destination slot, so any thread of the endpoint may send.
+//! [`crate::wire`] frames.  Each stream is split once, when it connects,
+//! into two buffered halves of a fixed size: the reading half serves the
+//! handshake and then moves — with whatever it has already buffered —
+//! into the stream's one detached reader thread, which decodes frames
+//! straight off it into a shared inbox (preserving per-stream order, which
+//! is the per-edge FIFO guarantee the quiesce protocol needs); the writing
+//! half sits in a per-destination slot that senders lock, so any thread of
+//! the endpoint may send, and a frame crosses it without ever being held
+//! whole.
 //!
 //! ## Failure evidence and elastic membership
 //!
@@ -25,6 +30,11 @@
 //! uses to evict without waiting out a heartbeat timeout.  A send to a
 //! dead or absent stream fails with [`NetError::PeerGone`], which the
 //! comm layer answers by re-injecting the undeliverable tokens locally.
+//!
+//! A rank that is done calls [`TcpTransport::linger`] before it goes: a
+//! socket closed with unread bytes in it is reset, and the reset can
+//! discard the rank's last frames — its `Shard` — while the driver is
+//! still decoding them off the stream.
 //!
 //! Both the driver and every rank keep their listeners open for the whole
 //! run on a detached acceptor thread:
@@ -45,21 +55,38 @@
 //! threads inside one process, used by tests to exercise the socket path
 //! without `fork`).
 
-use std::io::Write;
+use std::io::{BufReader, BufWriter};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::transport::{Inbox, NetError, Transport, Waker};
-use crate::wire::{read_frame, write_frame, Message};
+use crate::wire::{Message, STREAM_BUF_BYTES};
+
+type Reader = BufReader<TcpStream>;
+type Writer = BufWriter<TcpStream>;
+
+/// Sets a connected stream up: no Nagle delay, and split into its reading
+/// and writing halves, each with the one buffer it keeps for life.
+fn halves(stream: TcpStream) -> Result<(Reader, Writer), NetError> {
+    stream.set_nodelay(true)?;
+    let writer = BufWriter::with_capacity(STREAM_BUF_BYTES, stream.try_clone()?);
+    Ok((BufReader::with_capacity(STREAM_BUF_BYTES, stream), writer))
+}
+
+/// Shuts a stream down through its writing half, dropping whatever a
+/// failed send left in the buffer rather than flushing it.
+fn shut(writer: Writer) {
+    let _ = writer.into_parts().0.shutdown(Shutdown::Both);
+}
 
 /// Endpoint state shared with the detached reader/acceptor threads.
 struct Shared {
     /// Write halves, indexed by endpoint id (`None` for self and for
     /// slots not yet connected).  Slots fill in dynamically as joiners
     /// arrive, and empty out when a peer is closed after eviction.
-    writers: Vec<Mutex<Option<TcpStream>>>,
+    writers: Vec<Mutex<Option<Writer>>>,
     /// Hard down-evidence per endpoint, set by readers on EOF/error and
     /// by failed writes.
     down: Vec<AtomicBool>,
@@ -82,10 +109,9 @@ impl Shared {
         }
     }
 
-    fn install(&self, src: usize, stream: &TcpStream) -> Result<(), NetError> {
-        *self.writers[src].lock().expect("writer poisoned") = Some(stream.try_clone()?);
+    fn install(&self, src: usize, writer: Writer) {
+        *self.writers[src].lock().expect("writer poisoned") = Some(writer);
         self.down[src].store(false, Ordering::Release);
-        Ok(())
     }
 }
 
@@ -96,18 +122,17 @@ pub struct TcpTransport {
     shared: Arc<Shared>,
 }
 
-fn spawn_reader(src: usize, stream: TcpStream, shared: Arc<Shared>) {
+/// Hands the reading half of `src`'s stream — the one the handshake read
+/// from, bytes it buffered ahead included — to a reader thread.
+fn spawn_reader(src: usize, reader: Reader, shared: Arc<Shared>) {
     std::thread::Builder::new()
         .name(format!("nomad-net-reader-{src}"))
         .spawn(move || {
-            let mut stream = stream;
+            let mut reader = reader;
             // Stops on clean EOF or I/O error (the peer is gone) and on a
             // decode failure (the peer is broken); either way the source
             // is marked down so the failure detector has hard evidence.
-            while let Ok(Some(payload)) = read_frame(&mut stream) {
-                let Ok(msg) = Message::decode(&payload) else {
-                    break;
-                };
+            while let Ok(Some(msg)) = Message::read_from(&mut reader) {
                 shared.inbox.push((src, msg));
             }
             shared.down[src].store(true, Ordering::Release);
@@ -118,27 +143,10 @@ fn spawn_reader(src: usize, stream: TcpStream, shared: Arc<Shared>) {
         .expect("spawn reader thread");
 }
 
-/// Writes `msg` as one frame.  A message no frame can carry fails with
-/// [`NetError::Wire`] before `stream` is touched: not a dead stream.
-fn send_on(stream: &mut TcpStream, msg: &Message) -> Result<usize, NetError> {
-    let payload = msg.encode_frame()?;
-    write_frame(stream, &payload)?;
-    stream.flush()?;
-    Ok(payload.len())
-}
-
-/// Reads exactly one frame directly from `stream` (used during the
-/// handshake, before reader threads exist).
-fn read_msg(stream: &mut TcpStream) -> Result<Message, NetError> {
-    match read_frame(stream)? {
-        Some(payload) => Ok(Message::decode(&payload)?),
-        None => Err(NetError::Closed),
-    }
-}
-
-fn configure(stream: &TcpStream) -> Result<(), NetError> {
-    stream.set_nodelay(true)?;
-    Ok(())
+/// Reads exactly one frame (used during the handshake, before the
+/// stream's reader thread exists).
+fn read_msg(reader: &mut Reader) -> Result<Message, NetError> {
+    Message::read_from(reader)?.ok_or(NetError::Closed)
 }
 
 /// How long each side of the mesh handshake waits for a counterpart
@@ -146,6 +154,11 @@ fn configure(stream: &TcpStream) -> Result<(), NetError> {
 /// crashing before it connects, say) must surface as an error here, not
 /// as an indefinitely blocked `accept`.
 const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(60);
+
+/// How long [`TcpTransport::linger`] waits for the peers to close: only a
+/// peer that neither closes nor dies is waited out, and by then it has
+/// long read what was sent to it.
+const LINGER: Duration = Duration::from_secs(5);
 
 /// Accepts one connection, erroring once `deadline` passes (a plain
 /// `TcpListener::accept` has no timeout).  The accepted stream is
@@ -167,7 +180,6 @@ fn accept_with_deadline(
                 // Handshake reads are also bounded, so a party that
                 // connects and then goes silent cannot wedge us either.
                 stream.set_read_timeout(Some(HANDSHAKE_DEADLINE))?;
-                configure(&stream)?;
                 return Ok(stream);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -200,8 +212,7 @@ where
                 match listener.accept() {
                     Ok((stream, _)) => {
                         let ok = stream.set_nonblocking(false).is_ok()
-                            && stream.set_read_timeout(Some(HANDSHAKE_DEADLINE)).is_ok()
-                            && configure(&stream).is_ok();
+                            && stream.set_read_timeout(Some(HANDSHAKE_DEADLINE)).is_ok();
                         if ok {
                             admit(stream, &shared);
                         }
@@ -238,15 +249,15 @@ impl TcpTransport {
             "bad initial rank count"
         );
         let deadline = std::time::Instant::now() + HANDSHAKE_DEADLINE;
-        let mut streams: Vec<Option<TcpStream>> = (0..capacity).map(|_| None).collect();
+        let mut streams: Vec<Option<(Reader, Writer)>> = (0..capacity).map(|_| None).collect();
         let mut ports = vec![0u16; capacity];
         for already in 0..initial {
-            let mut stream = accept_with_deadline(
+            let (mut reader, writer) = halves(accept_with_deadline(
                 &listener,
                 deadline,
                 &format!("rank hello {already}/{initial}"),
-            )?;
-            match read_msg(&mut stream)? {
+            )?)?;
+            match read_msg(&mut reader)? {
                 Message::Hello { rank, port } => {
                     let r = rank as usize;
                     if r >= initial {
@@ -256,7 +267,7 @@ impl TcpTransport {
                         return Err(NetError::Protocol(format!("duplicate hello from rank {r}")));
                     }
                     ports[r] = port;
-                    streams[r] = Some(stream);
+                    streams[r] = Some((reader, writer));
                 }
                 other => return Err(NetError::Protocol(format!("expected Hello, got {other:?}"))),
             }
@@ -264,18 +275,20 @@ impl TcpTransport {
         let peers = Message::Peers {
             ports: ports.clone(),
         };
-        for stream in streams.iter_mut().flatten() {
-            send_on(stream, &peers)?;
+        for (_, writer) in streams.iter_mut().flatten() {
+            peers.write_to(writer)?;
         }
         let shared = Arc::new(Shared::new(capacity));
         *shared.ports.lock().expect("ports poisoned") = ports;
         for (r, stream) in streams.into_iter().enumerate() {
-            let Some(stream) = stream else { continue };
+            let Some((reader, writer)) = stream else {
+                continue;
+            };
             // Steady-state reads block indefinitely (EOF signals a dead
             // peer); only the handshake was deadline-bounded.
-            stream.set_read_timeout(None)?;
-            shared.install(r, &stream)?;
-            spawn_reader(r, stream, Arc::clone(&shared));
+            reader.get_ref().set_read_timeout(None)?;
+            shared.install(r, writer);
+            spawn_reader(r, reader, Arc::clone(&shared));
         }
         // Keep the door open: later Hellos are mid-run joins.
         {
@@ -284,8 +297,11 @@ impl TcpTransport {
                 "nomad-net-driver-acceptor".into(),
                 listener,
                 Arc::clone(&shared),
-                move |mut stream, sh| {
-                    let Ok(Message::Hello { rank, port }) = read_msg(&mut stream) else {
+                move |stream, sh| {
+                    let Ok((mut reader, mut writer)) = halves(stream) else {
+                        return;
+                    };
+                    let Ok(Message::Hello { rank, port }) = read_msg(&mut reader) else {
                         return;
                     };
                     let r = rank as usize;
@@ -302,18 +318,15 @@ impl TcpTransport {
                             ports[r] = port;
                             ports.clone()
                         };
-                        if send_on(&mut stream, &Message::Peers { ports }).is_err()
-                            || stream.set_read_timeout(None).is_err()
+                        if (Message::Peers { ports }).write_to(&mut writer).is_err()
+                            || reader.get_ref().set_read_timeout(None).is_err()
                         {
                             return;
                         }
-                        let Ok(clone) = stream.try_clone() else {
-                            return;
-                        };
-                        *slot = Some(clone);
+                        *slot = Some(writer);
                         sh.down[r].store(false, Ordering::Release);
                     }
-                    spawn_reader(r, stream, Arc::clone(&shared));
+                    spawn_reader(r, reader, Arc::clone(&shared));
                     // Writer registered: the driver's Setup reply to this
                     // synthetic Join will find the stream.
                     sh.inbox.push((r, Message::Join { rank }));
@@ -369,15 +382,15 @@ impl TcpTransport {
         let deadline = std::time::Instant::now() + HANDSHAKE_DEADLINE;
         let own_listener = TcpListener::bind(("127.0.0.1", 0))?;
         let own_port = own_listener.local_addr()?.port();
-        let mut driver = TcpStream::connect(driver_addr)?;
+        let driver = TcpStream::connect(driver_addr)?;
         driver.set_read_timeout(Some(HANDSHAKE_DEADLINE))?;
-        configure(&driver)?;
+        let (mut driver_reader, mut driver_writer) = halves(driver)?;
         let hello = Message::Hello {
             rank: rank as u32,
             port: own_port,
         };
-        send_on(&mut driver, &hello)?;
-        let ports = match read_msg(&mut driver)? {
+        hello.write_to(&mut driver_writer)?;
+        let ports = match read_msg(&mut driver_reader)? {
             Message::Peers { ports } => ports,
             other => return Err(NetError::Protocol(format!("expected Peers, got {other:?}"))),
         };
@@ -388,7 +401,7 @@ impl TcpTransport {
             )));
         }
 
-        let mut peer_streams: Vec<Option<TcpStream>> = (0..capacity).map(|_| None).collect();
+        let mut peer_streams: Vec<Option<(Reader, Writer)>> = (0..capacity).map(|_| None).collect();
         // Dial every occupied slot below us (a joiner dials everyone it
         // knows about — all occupied slots but itself).
         for (s, &port) in ports.iter().enumerate() {
@@ -396,10 +409,9 @@ impl TcpTransport {
             if !dial {
                 continue;
             }
-            let mut stream = TcpStream::connect(("127.0.0.1", port))?;
-            configure(&stream)?;
-            send_on(&mut stream, &Message::PeerHello { rank: rank as u32 })?;
-            peer_streams[s] = Some(stream);
+            let (reader, mut writer) = halves(TcpStream::connect(("127.0.0.1", port))?)?;
+            Message::PeerHello { rank: rank as u32 }.write_to(&mut writer)?;
+            peer_streams[s] = Some((reader, writer));
         }
         // Accept from every occupied slot above us (initial handshake
         // only: a joiner's later peers arrive via the acceptor thread).
@@ -410,12 +422,12 @@ impl TcpTransport {
                 .filter(|&(s, &p)| s > rank && p != 0)
                 .count();
             for upward in 0..expected {
-                let mut stream = accept_with_deadline(
+                let (mut reader, writer) = halves(accept_with_deadline(
                     &own_listener,
                     deadline,
                     &format!("peer hello (expecting rank > {rank}, {upward}/{expected})"),
-                )?;
-                match read_msg(&mut stream)? {
+                )?)?;
+                match read_msg(&mut reader)? {
                     Message::PeerHello { rank: s } => {
                         let s = s as usize;
                         if s <= rank || s >= capacity {
@@ -426,7 +438,7 @@ impl TcpTransport {
                         if peer_streams[s].is_some() {
                             return Err(NetError::Protocol(format!("duplicate peer {s}")));
                         }
-                        peer_streams[s] = Some(stream);
+                        peer_streams[s] = Some((reader, writer));
                     }
                     other => {
                         return Err(NetError::Protocol(format!(
@@ -439,15 +451,17 @@ impl TcpTransport {
 
         let shared = Arc::new(Shared::new(capacity));
         for (s, stream) in peer_streams.into_iter().enumerate() {
-            let Some(stream) = stream else { continue };
+            let Some((reader, writer)) = stream else {
+                continue;
+            };
             // Handshake over: steady-state reads block until EOF.
-            stream.set_read_timeout(None)?;
-            shared.install(s, &stream)?;
-            spawn_reader(s, stream, Arc::clone(&shared));
+            reader.get_ref().set_read_timeout(None)?;
+            shared.install(s, writer);
+            spawn_reader(s, reader, Arc::clone(&shared));
         }
-        driver.set_read_timeout(None)?;
-        shared.install(capacity, &driver)?;
-        spawn_reader(capacity, driver, Arc::clone(&shared));
+        driver_reader.get_ref().set_read_timeout(None)?;
+        shared.install(capacity, driver_writer);
+        spawn_reader(capacity, driver_reader, Arc::clone(&shared));
         // Keep our own door open for ranks that join after us.
         {
             let shared_for_admit = Arc::clone(&shared);
@@ -455,8 +469,11 @@ impl TcpTransport {
                 format!("nomad-net-rank-{rank}-acceptor"),
                 own_listener,
                 Arc::clone(&shared),
-                move |mut stream, sh| {
-                    let Ok(Message::PeerHello { rank: s }) = read_msg(&mut stream) else {
+                move |stream, sh| {
+                    let Ok((mut reader, writer)) = halves(stream) else {
+                        return;
+                    };
+                    let Ok(Message::PeerHello { rank: s }) = read_msg(&mut reader) else {
                         return;
                     };
                     let s = s as usize;
@@ -468,16 +485,13 @@ impl TcpTransport {
                         if slot.is_some() {
                             return;
                         }
-                        if stream.set_read_timeout(None).is_err() {
+                        if reader.get_ref().set_read_timeout(None).is_err() {
                             return;
                         }
-                        let Ok(clone) = stream.try_clone() else {
-                            return;
-                        };
-                        *slot = Some(clone);
+                        *slot = Some(writer);
                         sh.down[s].store(false, Ordering::Release);
                     }
-                    spawn_reader(s, stream, Arc::clone(&shared_for_admit));
+                    spawn_reader(s, reader, Arc::clone(&shared_for_admit));
                 },
             );
         }
@@ -486,6 +500,33 @@ impl TcpTransport {
             ranks: capacity,
             shared,
         })
+    }
+
+    /// Ends a rank's part in the mesh without resetting a stream: each one
+    /// is half-closed — the peer reads everything sent, then end of
+    /// stream — and the reader threads go on draining until every peer has
+    /// closed its side as well, or five seconds have passed.  A socket closed
+    /// with bytes still unread in it (a late query, a ping) is reset, and
+    /// the reset can discard this side's last frames, such as the rank's
+    /// `Shard`, before the peer has read them.  The driver closes its side
+    /// once it has gathered, so a rank calls this when it is done.
+    pub fn linger(&self) {
+        let open: Vec<usize> = (0..self.shared.writers.len())
+            .filter(|&peer| {
+                let slot = self.shared.writers[peer].lock().expect("writer poisoned");
+                slot.as_ref()
+                    .is_some_and(|w| w.get_ref().shutdown(Shutdown::Write).is_ok())
+            })
+            .collect();
+        let deadline = std::time::Instant::now() + LINGER;
+        while open.iter().any(|&peer| !self.peer_down(peer)) {
+            let Some(left) = deadline.checked_duration_since(std::time::Instant::now()) else {
+                break;
+            };
+            // Every reader wakes the inbox as it ends; whatever still
+            // arrives is dropped.
+            self.shared.inbox.pop_timeout(left);
+        }
     }
 }
 
@@ -502,21 +543,21 @@ impl Transport for TcpTransport {
         assert!(dest <= self.ranks, "destination {dest} out of mesh");
         assert_ne!(dest, self.id, "no self-edges in the mesh");
         let mut slot = self.shared.writers[dest].lock().expect("writer poisoned");
-        let Some(stream) = slot.as_mut() else {
+        let Some(writer) = slot.as_mut() else {
             return Err(NetError::PeerGone(dest));
         };
-        match send_on(stream, msg) {
+        match msg.write_to(writer) {
             Ok(n) => Ok(n),
             Err(NetError::Io(_)) => {
                 // The stream died under us: hard evidence for the failure
                 // detector, and the slot empties so later sends fail fast.
-                let dead = slot.take();
-                if let Some(stream) = dead {
-                    let _ = stream.shutdown(Shutdown::Both);
+                if let Some(writer) = slot.take() {
+                    shut(writer);
                 }
                 self.shared.down[dest].store(true, Ordering::Release);
                 Err(NetError::PeerGone(dest))
             }
+            // Refused before a byte was written: the edge is fine.
             Err(e) => Err(e),
         }
     }
@@ -538,12 +579,12 @@ impl Transport for TcpTransport {
         if peer >= self.shared.writers.len() {
             return;
         }
-        let stream = self.shared.writers[peer]
+        let writer = self.shared.writers[peer]
             .lock()
             .expect("writer poisoned")
             .take();
-        if let Some(stream) = stream {
-            let _ = stream.shutdown(Shutdown::Both);
+        if let Some(writer) = writer {
+            shut(writer);
         }
     }
 }
@@ -556,8 +597,8 @@ impl Drop for TcpTransport {
         self.shared.stop.store(true, Ordering::Release);
         for writer in &self.shared.writers {
             if let Ok(mut slot) = writer.lock() {
-                if let Some(stream) = slot.take() {
-                    let _ = stream.shutdown(Shutdown::Both);
+                if let Some(writer) = slot.take() {
+                    shut(writer);
                 }
             }
         }
@@ -680,6 +721,86 @@ mod tests {
         // (the follow-up send is delivered) and no down-evidence is raised.
         crate::transport::tests::assert_oversized_is_refused(&ranks[0], &driver);
         assert!(!ranks[0].peer_down(1));
+    }
+
+    #[test]
+    fn a_refused_metric_name_writes_nothing_and_the_edge_survives() {
+        let (driver, ranks) = tcp_mesh(1);
+        // Had any byte of the refused frame reached the buffer, the `Fin`
+        // behind it would arrive garbled and the driver's reader would
+        // mark the edge down.
+        crate::transport::tests::assert_bad_name_is_refused(&ranks[0], &driver);
+        assert!(!ranks[0].peer_down(1));
+        assert!(!driver.peer_down(0));
+    }
+
+    #[test]
+    fn a_frame_sent_with_the_hello_reaches_the_inbox() {
+        use std::io::Write;
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let rank = std::thread::spawn(move || {
+            // One write: the driver's handshake read buffers the Ping
+            // along with the Hello, and must hand both to the reader.
+            let mut bytes = Vec::new();
+            Message::Hello { rank: 0, port: 9 }
+                .write_to(&mut bytes)
+                .unwrap();
+            Message::Ping { rank: 0 }.write_to(&mut bytes).unwrap();
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.write_all(&bytes).unwrap();
+            let peers = Message::read_from(&mut BufReader::new(&stream)).unwrap();
+            assert_eq!(peers, Some(Message::Peers { ports: vec![9] }));
+            stream
+        });
+        let driver = TcpTransport::accept_ranks(listener, 1).unwrap();
+        let got = driver.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(got, Some((0, Message::Ping { rank: 0 })));
+        drop(rank.join().unwrap());
+    }
+
+    #[test]
+    fn a_rank_that_lingers_delivers_its_last_frame() {
+        use crate::wire::{ShardTransferPayload, WireCols};
+        // The driver keeps sending while the rank closes right after a
+        // 6 MB frame: a close with bytes unread resets the stream, which
+        // can discard the frame's tail.  Five tries, since an unguarded
+        // close loses the frame only most of the time.
+        for _ in 0..5 {
+            let (driver, mut ranks) = tcp_mesh(1);
+            let rank = ranks.pop().unwrap();
+            let last = Message::ShardTransfer(Box::new(ShardTransferPayload {
+                row_start: 0,
+                k: 1,
+                rows: vec![0.5; 750_000],
+                cols: WireCols::default(),
+            }));
+            let stop = AtomicBool::new(false);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    while !stop.load(Ordering::Relaxed) {
+                        let _ = driver.send(0, &Message::Ping { rank: 1 });
+                        std::thread::yield_now();
+                    }
+                });
+                s.spawn(move || {
+                    rank.send(1, &last).unwrap();
+                    rank.linger();
+                });
+                let got = loop {
+                    match driver.recv_timeout(Duration::from_secs(5)).unwrap() {
+                        Some((_, Message::Ping { .. })) => continue,
+                        other => break other,
+                    }
+                };
+                stop.store(true, Ordering::Relaxed);
+                assert!(
+                    matches!(&got, Some((0, Message::ShardTransfer(p))) if p.rows.len() == 750_000),
+                    "the last frame was lost: {got:?}"
+                );
+                driver.close_peer(0);
+            });
+        }
     }
 
     #[test]

@@ -266,7 +266,7 @@ impl Transport for Loopback {
     fn send(&self, dest: usize, msg: &Message) -> Result<usize, NetError> {
         assert!(dest <= self.ranks, "destination {dest} out of mesh");
         assert_ne!(dest, self.id, "no self-edges in the mesh");
-        let bytes = msg.encode_frame()?;
+        let bytes = msg.encode()?;
         let len = bytes.len();
         self.boxes[dest].push((self.id, bytes));
         Ok(len)
@@ -288,11 +288,33 @@ impl Transport for Loopback {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::wire::{ShardTransferPayload, WireCols, MAX_FRAME_LEN};
+    use crate::wire::{
+        ShardTransferPayload, TelemetryPayload, WireCols, MAX_FRAME_LEN, MAX_METRIC_NAME_LEN,
+    };
+    use nomad_telemetry::TelemetrySnapshot;
 
-    /// Sends `to` a shard transfer whose factor rows alone fill a whole
-    /// frame: refused as a wire error, and the next send on the same edge
-    /// is delivered.  Shared with the TCP transport's tests.
+    /// Sends `to` the message `refused`, which must fail as a
+    /// `BadLength(n)` with `len(n)`, then a `Fin` on the same edge, which
+    /// must arrive intact.
+    fn assert_refused(
+        from: &impl Transport,
+        to: &impl Transport,
+        refused: &Message,
+        len: impl Fn(u64) -> bool,
+    ) {
+        let sent = from.send(to.id(), refused);
+        assert!(
+            matches!(sent, Err(NetError::Wire(WireError::BadLength(n))) if len(n)),
+            "got {sent:?}"
+        );
+        from.send(to.id(), &Message::Fin { rank: 0 }).unwrap();
+        let next = to.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(next, Some((from.id(), Message::Fin { rank: 0 })));
+    }
+
+    /// A shard transfer whose factor rows alone fill a whole frame is
+    /// refused, and the edge survives.  Shared with the TCP transport's
+    /// tests.
     pub(crate) fn assert_oversized_is_refused(from: &impl Transport, to: &impl Transport) {
         let too_big = Message::ShardTransfer(Box::new(ShardTransferPayload {
             row_start: 0,
@@ -300,14 +322,24 @@ pub(crate) mod tests {
             rows: vec![0.0; (MAX_FRAME_LEN / 8) as usize],
             cols: WireCols::default(),
         }));
-        let sent = from.send(to.id(), &too_big);
-        assert!(
-            matches!(sent, Err(NetError::Wire(WireError::BadLength(n))) if n > MAX_FRAME_LEN as u64),
-            "got {sent:?}"
-        );
-        from.send(to.id(), &Message::Fin { rank: 0 }).unwrap();
-        let next = to.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(next, Some((from.id(), Message::Fin { rank: 0 })));
+        assert_refused(from, to, &too_big, |n| n > MAX_FRAME_LEN as u64);
+    }
+
+    /// A telemetry frame whose second counter name is one byte over the
+    /// cap — behind fields a codec that did not measure first would
+    /// already have written — is refused, and the edge survives.  Shared
+    /// with the TCP transport's tests.
+    pub(crate) fn assert_bad_name_is_refused(from: &impl Transport, to: &impl Transport) {
+        let mut snapshot = TelemetrySnapshot::default();
+        snapshot.counters.push(("engine.updates".into(), 7));
+        let name = "x".repeat(MAX_METRIC_NAME_LEN + 1);
+        snapshot.counters.push((name, 1));
+        let bad = Message::Telemetry(Box::new(TelemetryPayload {
+            rank: 0,
+            seq: 1,
+            snapshot,
+        }));
+        assert_refused(from, to, &bad, |n| n == 257);
     }
 
     const LONG: Duration = Duration::from_secs(5);
@@ -437,6 +469,7 @@ pub(crate) mod tests {
     fn an_oversized_message_is_refused_and_the_edge_survives() {
         let (driver, ranks) = Loopback::mesh(1);
         assert_oversized_is_refused(&ranks[0], &driver);
+        assert_bad_name_is_refused(&ranks[0], &driver);
     }
 
     #[test]

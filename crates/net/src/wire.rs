@@ -8,10 +8,11 @@
 //! The format is described once: a private `Wire` rule lays out each
 //! *kind* of value (scalar, sequence, array, tuple, name), and two tables
 //! list each payload struct's fields and each message's tag and fields
-//! in wire order — `encode`, `decode` and every pre-allocation bound are
-//! generated from those.  Decoding is *total*: any truncated or corrupted
-//! frame produces a [`WireError`], never a panic or an oversized
-//! allocation; `tests/wire_golden.rs` pins the bytes of every message.
+//! in wire order — the measuring pass, `encode`, `decode`, the stream
+//! forms and every pre-allocation bound are generated from those.
+//! Decoding is *total*: any truncated or corrupted frame produces a
+//! [`WireError`], never a panic or an oversized allocation;
+//! `tests/wire_golden.rs` pins the bytes of every message.
 //!
 //! ## Frame format
 //!
@@ -23,13 +24,26 @@
 //! Variable-length sequences are prefixed with a `u32` element count that
 //! is validated against both a hard cap ([`MAX_SEQ_LEN`]) and the number
 //! of bytes actually remaining in the frame before any allocation happens.
+//!
+//! ## Streaming
+//!
+//! No frame is held whole; memory per edge is one constant.
+//! [`Message::write_to`] measures the payload first — every encode-side
+//! limit is checked there, so a refused message writes nothing — then
+//! writes the length prefix and the fields through the caller's buffered
+//! writer, which spills to the stream whenever it fills.
+//! [`Message::read_from`] decodes the fields straight off a buffered
+//! reader, counting the bytes left in the frame exactly as
+//! [`Message::decode`] counts them in a slice: both run one decoder.
 
-use std::io::{Read, Write};
+use std::io::{self, BufRead, Write};
 use std::ops::Range;
 
 use nomad_core::RoutingPolicy;
 use nomad_matrix::{CscMatrix, Idx};
 use nomad_telemetry::{HistSnapshot, TelemetrySnapshot};
+
+use crate::transport::NetError;
 
 /// Hard cap on the byte length of a single frame payload (64 MiB).
 ///
@@ -40,6 +54,14 @@ pub const MAX_FRAME_LEN: u32 = 64 << 20;
 
 /// Hard cap on the element count of any length-prefixed sequence.
 pub const MAX_SEQ_LEN: u32 = 1 << 27;
+
+/// Bytes of the one buffer each direction of a stream keeps for its whole
+/// life: a frame that fits crosses in one `write`, a larger one in pieces
+/// of this size, and neither end ever holds a frame whole.
+pub(crate) const STREAM_BUF_BYTES: usize = 64 << 10;
+
+/// Bytes a scalar run is converted in at a time on encode (a stack chunk).
+const RUN_BYTES: usize = 256;
 
 /// Decoding / framing failure.  Every malformed input maps to one of
 /// these; the codec never panics on attacker-controlled bytes.
@@ -525,6 +547,46 @@ pub enum Message {
 // ---------------------------------------------------------------------------
 // The wire rule: how one value is laid out, and the fewest bytes it takes.
 
+/// Where [`Wire::get`] reads from: the payload of one frame, either a
+/// whole `&[u8]` ([`Message::decode`]) or a frame arriving on a buffered
+/// stream ([`Message::read_from`]).  `left` counts the frame's unread
+/// bytes and every read is checked against it, so both give the same
+/// `Truncated`, the same pre-allocation refusal and the same `Trailing`.
+struct Source<R> {
+    r: R,
+    left: usize,
+}
+
+impl<R: BufRead> Source<R> {
+    /// Fills `out` from the frame, or fails `Truncated` if the frame has
+    /// fewer bytes left.
+    fn read(&mut self, out: &mut [u8]) -> Result<(), NetError> {
+        if out.len() > self.left {
+            return Err(WireError::Truncated.into());
+        }
+        self.left -= out.len();
+        Ok(self.r.read_exact(out)?)
+    }
+
+    /// Hands `take` up to `max` whole `N`-byte values straight out of the
+    /// reader's buffer, consumes them and returns how many there were:
+    /// none when the next value straddles the end of the buffer or of the
+    /// frame, which the caller then reads with [`Source::read`].
+    fn run<const N: usize>(
+        &mut self,
+        max: usize,
+        take: impl FnOnce(&[[u8; N]]),
+    ) -> Result<usize, NetError> {
+        let buf = self.r.fill_buf()?;
+        let (run, _) = buf[..buf.len().min(self.left).min(max * N)].as_chunks::<N>();
+        let count = run.len();
+        take(run);
+        self.left -= count * N;
+        self.r.consume(count * N);
+        Ok(count)
+    }
+}
+
 /// How a value crosses the wire.  Implemented once per *kind* of value;
 /// every payload struct and message is then a list of fields (the tables).
 trait Wire: Sized {
@@ -534,28 +596,85 @@ trait Wire: Sized {
     /// of the frame cannot hold.
     const MIN_BYTES: usize;
 
-    /// Appends the value's bytes.
-    fn put(&self, buf: &mut Vec<u8>) -> Result<(), WireError>;
+    /// The measuring pass: the bytes [`Wire::put`] writes, or the
+    /// encode-side limit the value breaks.  Every limit is checked here,
+    /// so `put` runs only on a value already known to fit.  The default,
+    /// `MIN_BYTES`, is the length of every fixed-size kind.
+    fn wire_len(&self) -> Result<usize, WireError> {
+        Ok(Self::MIN_BYTES)
+    }
 
-    /// Reads one value off the front of `r`, advancing it.
-    fn get(r: &mut &[u8]) -> Result<Self, WireError>;
+    /// Writes the value's bytes.
+    fn put<W: Write>(&self, w: &mut W) -> io::Result<()>;
+
+    /// Reads one value off the front of the frame.
+    fn get<R: BufRead>(src: &mut Source<R>) -> Result<Self, NetError>;
+
+    /// [`Wire::wire_len`] of a run of values (a sequence's elements).
+    fn len_all(vals: &[Self]) -> Result<usize, WireError> {
+        vals.iter().map(Wire::wire_len).sum()
+    }
+
+    /// [`Wire::put`] of a run of values.
+    fn put_all<W: Write>(vals: &[Self], w: &mut W) -> io::Result<()> {
+        vals.iter().try_for_each(|v| v.put(w))
+    }
+
+    /// [`Wire::get`] of `n` values, which the frame has been checked to
+    /// have room for (`n * MIN_BYTES` bytes).
+    fn get_all<R: BufRead>(n: usize, src: &mut Source<R>) -> Result<Vec<Self>, NetError> {
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(Self::get(src)?);
+        }
+        Ok(out)
+    }
 }
 
-/// Scalars are little-endian.
+/// Scalars are little-endian, and a run of them moves in chunks rather
+/// than one call per element.
 macro_rules! wire_le {
     ($($ty:ty)+) => {$(
         impl Wire for $ty {
             const MIN_BYTES: usize = size_of::<$ty>();
 
-            fn put(&self, buf: &mut Vec<u8>) -> Result<(), WireError> {
-                buf.extend_from_slice(&self.to_le_bytes());
+            fn put<W: Write>(&self, w: &mut W) -> io::Result<()> {
+                w.write_all(&self.to_le_bytes())
+            }
+
+            fn get<R: BufRead>(src: &mut Source<R>) -> Result<Self, NetError> {
+                let mut bytes = [0; size_of::<$ty>()];
+                src.read(&mut bytes)?;
+                Ok(<$ty>::from_le_bytes(bytes))
+            }
+
+            fn len_all(vals: &[Self]) -> Result<usize, WireError> {
+                Ok(vals.len() * Self::MIN_BYTES)
+            }
+
+            fn put_all<W: Write>(vals: &[Self], w: &mut W) -> io::Result<()> {
+                let mut chunk = [[0; size_of::<$ty>()]; RUN_BYTES / size_of::<$ty>()];
+                for run in vals.chunks(chunk.len()) {
+                    for (bytes, v) in chunk.iter_mut().zip(run) {
+                        *bytes = v.to_le_bytes();
+                    }
+                    w.write_all(chunk[..run.len()].as_flattened())?;
+                }
                 Ok(())
             }
 
-            fn get(r: &mut &[u8]) -> Result<Self, WireError> {
-                let (head, tail) = r.split_first_chunk().ok_or(WireError::Truncated)?;
-                *r = tail;
-                Ok(<$ty>::from_le_bytes(*head))
+            fn get_all<R: BufRead>(n: usize, src: &mut Source<R>) -> Result<Vec<Self>, NetError> {
+                let mut out = Vec::with_capacity(n);
+                while out.len() < n {
+                    let want = n - out.len();
+                    let decode = |run: &[[u8; size_of::<$ty>()]]| {
+                        out.extend(run.iter().map(|bytes| <$ty>::from_le_bytes(*bytes)))
+                    };
+                    if src.run(want, decode)? == 0 {
+                        out.push(Self::get(src)?);
+                    }
+                }
+                Ok(out)
             }
         }
     )+};
@@ -568,33 +687,33 @@ wire_le!(u8 u16 u32 u64 i64 f64);
 impl<T: Wire> Wire for Vec<T> {
     const MIN_BYTES: usize = u32::MIN_BYTES;
 
-    fn put(&self, buf: &mut Vec<u8>) -> Result<(), WireError> {
+    fn wire_len(&self) -> Result<usize, WireError> {
         if self.len() as u64 > MAX_SEQ_LEN as u64 {
             return Err(WireError::BadLength(self.len() as u64));
         }
-        (self.len() as u32).put(buf)?;
-        self.iter().try_for_each(|v| v.put(buf))
+        Ok(u32::MIN_BYTES + T::len_all(self)?)
     }
 
-    fn get(r: &mut &[u8]) -> Result<Self, WireError> {
+    fn put<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        (self.len() as u32).put(w)?;
+        T::put_all(self, w)
+    }
+
+    fn get<R: BufRead>(src: &mut Source<R>) -> Result<Self, NetError> {
         // An element that could take no bytes would leave the allocation
         // below bounded by the cap alone.
         const { assert!(T::MIN_BYTES > 0) };
-        let n = u32::get(r)?;
+        let n = u32::get(src)?;
         if n > MAX_SEQ_LEN {
-            return Err(WireError::BadLength(n as u64));
+            return Err(WireError::BadLength(n as u64).into());
         }
         let need = (n as usize)
             .checked_mul(T::MIN_BYTES)
             .ok_or(WireError::BadLength(n as u64))?;
-        if r.len() < need {
-            return Err(WireError::Truncated);
+        if src.left < need {
+            return Err(WireError::Truncated.into());
         }
-        let mut out = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            out.push(T::get(r)?);
-        }
-        Ok(out)
+        T::get_all(n as usize, src)
     }
 }
 
@@ -602,14 +721,18 @@ impl<T: Wire> Wire for Vec<T> {
 impl<T: Wire + Copy + Default, const N: usize> Wire for [T; N] {
     const MIN_BYTES: usize = N * T::MIN_BYTES;
 
-    fn put(&self, buf: &mut Vec<u8>) -> Result<(), WireError> {
-        self.iter().try_for_each(|v| v.put(buf))
+    fn wire_len(&self) -> Result<usize, WireError> {
+        T::len_all(self)
     }
 
-    fn get(r: &mut &[u8]) -> Result<Self, WireError> {
+    fn put<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        T::put_all(self, w)
+    }
+
+    fn get<R: BufRead>(src: &mut Source<R>) -> Result<Self, NetError> {
         let mut out = [T::default(); N];
         for slot in &mut out {
-            *slot = T::get(r)?;
+            *slot = T::get(src)?;
         }
         Ok(out)
     }
@@ -621,14 +744,19 @@ macro_rules! wire_tuple {
         impl<$($T: Wire),+> Wire for ($($T,)+) {
             const MIN_BYTES: usize = 0 $(+ $T::MIN_BYTES)+;
 
-            fn put(&self, buf: &mut Vec<u8>) -> Result<(), WireError> {
+            fn wire_len(&self) -> Result<usize, WireError> {
                 let ($($v,)+) = self;
-                $($v.put(buf)?;)+
+                Ok(0 $(+ $v.wire_len()?)+)
+            }
+
+            fn put<W: Write>(&self, w: &mut W) -> io::Result<()> {
+                let ($($v,)+) = self;
+                $($v.put(w)?;)+
                 Ok(())
             }
 
-            fn get(r: &mut &[u8]) -> Result<Self, WireError> {
-                Ok(($($T::get(r)?,)+))
+            fn get<R: BufRead>(src: &mut Source<R>) -> Result<Self, NetError> {
+                Ok(($($T::get(src)?,)+))
             }
         }
     };
@@ -640,23 +768,26 @@ wire_tuple!(a: A, b: B);
 impl Wire for String {
     const MIN_BYTES: usize = u16::MIN_BYTES;
 
-    fn put(&self, buf: &mut Vec<u8>) -> Result<(), WireError> {
+    fn wire_len(&self) -> Result<usize, WireError> {
         if self.len() > MAX_METRIC_NAME_LEN {
             return Err(WireError::BadLength(self.len() as u64));
         }
-        (self.len() as u16).put(buf)?;
-        buf.extend_from_slice(self.as_bytes());
-        Ok(())
+        Ok(u16::MIN_BYTES + self.len())
     }
 
-    fn get(r: &mut &[u8]) -> Result<Self, WireError> {
-        let n = u16::get(r)? as usize;
+    fn put<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        (self.len() as u16).put(w)?;
+        w.write_all(self.as_bytes())
+    }
+
+    fn get<R: BufRead>(src: &mut Source<R>) -> Result<Self, NetError> {
+        let n = u16::get(src)? as usize;
         if n > MAX_METRIC_NAME_LEN {
-            return Err(WireError::BadLength(n as u64));
+            return Err(WireError::BadLength(n as u64).into());
         }
-        let (name, tail) = r.split_at_checked(n).ok_or(WireError::Truncated)?;
-        *r = tail;
-        String::from_utf8(name.to_vec()).map_err(|_| WireError::BadValue(n as u64))
+        let mut name = vec![0; n];
+        src.read(&mut name)?;
+        String::from_utf8(name).map_err(|_| WireError::BadValue(n as u64).into())
     }
 }
 
@@ -665,21 +796,21 @@ impl Wire for String {
 impl Wire for RoutingPolicy {
     const MIN_BYTES: usize = u8::MIN_BYTES;
 
-    fn put(&self, buf: &mut Vec<u8>) -> Result<(), WireError> {
+    fn put<W: Write>(&self, w: &mut W) -> io::Result<()> {
         let byte: u8 = match self {
             RoutingPolicy::UniformRandom => 0,
             RoutingPolicy::LeastLoaded => 1,
             RoutingPolicy::RoundRobin => 2,
         };
-        byte.put(buf)
+        byte.put(w)
     }
 
-    fn get(r: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::get(r)? {
+    fn get<R: BufRead>(src: &mut Source<R>) -> Result<Self, NetError> {
+        match u8::get(src)? {
             0 => Ok(RoutingPolicy::UniformRandom),
             1 => Ok(RoutingPolicy::LeastLoaded),
             2 => Ok(RoutingPolicy::RoundRobin),
-            other => Err(WireError::BadValue(other as u64)),
+            other => Err(WireError::BadValue(other as u64).into()),
         }
     }
 }
@@ -699,14 +830,18 @@ macro_rules! wire_structs {
         impl Wire for $ty {
             const MIN_BYTES: usize = 0 $(+ min_bytes_of(|s: &$ty| &s.$field))+;
 
+            fn wire_len(&self) -> Result<usize, WireError> {
+                Ok(0 $(+ self.$field.wire_len()?)+)
+            }
+
             #[inline] // a token's fields are written in its batch's loop, not behind a call
-            fn put(&self, buf: &mut Vec<u8>) -> Result<(), WireError> {
-                $(self.$field.put(buf)?;)+
+            fn put<W: Write>(&self, w: &mut W) -> io::Result<()> {
+                $(self.$field.put(w)?;)+
                 Ok(())
             }
 
-            fn get(r: &mut &[u8]) -> Result<Self, WireError> {
-                Ok($ty { $($field: Wire::get(r)?),+ })
+            fn get<R: BufRead>(src: &mut Source<R>) -> Result<Self, NetError> {
+                Ok($ty { $($field: Wire::get(src)?),+ })
             }
         }
     )+};
@@ -740,47 +875,53 @@ macro_rules! wire_messages {
         $(($payload:ident))?
     )+) => {
         impl Message {
-            /// Encodes the message payload (tag byte + fields, no length prefix).
-            ///
-            /// # Errors
-            /// Fails only if a sequence exceeds [`MAX_SEQ_LEN`] or a metric
-            /// name [`MAX_METRIC_NAME_LEN`] — impossible for messages the
-            /// engine itself builds.
-            pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-                let mut buf = Vec::new();
-                match self {$(
+            /// The measuring pass over a whole payload (tag byte + fields):
+            /// its byte length, or the limit it breaks — [`MAX_SEQ_LEN`],
+            /// [`MAX_METRIC_NAME_LEN`] or, for the payload as a whole,
+            /// [`MAX_FRAME_LEN`].
+            fn payload_len(&self) -> Result<usize, WireError> {
+                let len = match self {$(
                     Message::$variant $({ $($field),+ })? $(($payload))? => {
-                        buf.push($tag);
-                        $($($field.put(&mut buf)?;)+)?
-                        $($payload.put(&mut buf)?;)?
+                        1 $($(+ $field.wire_len()?)+)? $(+ $payload.wire_len()?)?
                     }
-                )+}
-                Ok(buf)
+                )+};
+                if len > MAX_FRAME_LEN as usize {
+                    return Err(WireError::BadLength(len as u64));
+                }
+                Ok(len)
             }
 
-            /// Decodes one payload produced by [`Message::encode`].
-            ///
-            /// Total: truncated, oversized, or garbage input returns a
-            /// [`WireError`]; it never panics and never allocates more than the
-            /// input could legitimately describe.
-            pub fn decode(payload: &[u8]) -> Result<Message, WireError> {
-                let r = &mut &*payload;
-                let msg = match u8::get(r)? {
+            /// Writes the payload of a message that passed
+            /// [`Message::payload_len`].
+            fn put_payload<W: Write>(&self, w: &mut W) -> io::Result<()> {
+                match self {$(
+                    Message::$variant $({ $($field),+ })? $(($payload))? => {
+                        ($tag as u8).put(w)?;
+                        $($($field.put(w)?;)+)?
+                        $($payload.put(w)?;)?
+                    }
+                )+}
+                Ok(())
+            }
+
+            /// Reads one payload — tag, fields, then "no bytes left over".
+            fn get_payload<R: BufRead>(src: &mut Source<R>) -> Result<Message, NetError> {
+                let msg = match u8::get(src)? {
                     $($tag => {
                         $($(
-                            let $field = Wire::get(r)?;
+                            let $field = Wire::get(src)?;
                             $(if $field > $max {
-                                return Err(WireError::BadValue($field as u64));
+                                return Err(WireError::BadValue($field as u64).into());
                             })?
                         )+)?
-                        $(let $payload = Box::new(Wire::get(r)?);)?
+                        $(let $payload = Box::new(Wire::get(src)?);)?
                         Message::$variant $({ $($field),+ })? $(($payload))?
                     })+
-                    other => return Err(WireError::BadTag(other)),
+                    other => return Err(WireError::BadTag(other).into()),
                 };
-                match r.len() {
+                match src.left {
                     0 => Ok(msg),
-                    left => Err(WireError::Trailing(left)),
+                    left => Err(WireError::Trailing(left).into()),
                 }
             }
         }
@@ -815,68 +956,80 @@ wire_messages! {
 }
 
 impl Message {
-    /// [`Message::encode`] for a transport: also refuses, before any
-    /// stream is touched, a payload no frame can carry ([`MAX_FRAME_LEN`]).
-    pub(crate) fn encode_frame(&self) -> Result<Vec<u8>, WireError> {
-        let payload = self.encode()?;
-        if payload.len() as u64 > MAX_FRAME_LEN as u64 {
-            return Err(WireError::BadLength(payload.len() as u64));
+    /// Encodes the message payload (tag byte + fields, no length prefix)
+    /// into a buffer allocated once, at the length the measuring pass
+    /// found.
+    ///
+    /// # Errors
+    /// Fails only if a sequence exceeds [`MAX_SEQ_LEN`], a metric name
+    /// [`MAX_METRIC_NAME_LEN`] or the payload [`MAX_FRAME_LEN`] —
+    /// impossible for messages the engine itself builds.
+    pub fn encode(&self) -> Result<Vec<u8>, WireError> {
+        let mut buf = Vec::with_capacity(self.payload_len()?);
+        self.put_payload(&mut buf)
+            .expect("a Vec<u8> takes every write");
+        Ok(buf)
+    }
+
+    /// Decodes one payload produced by [`Message::encode`].
+    ///
+    /// Total: truncated, oversized, or garbage input returns a
+    /// [`WireError`]; it never panics and never allocates more than the
+    /// input could legitimately describe.
+    pub fn decode(payload: &[u8]) -> Result<Message, WireError> {
+        let src = &mut Source {
+            r: payload,
+            left: payload.len(),
+        };
+        Message::get_payload(src).map_err(|e| match e {
+            NetError::Wire(e) => e,
+            // The slice holds every byte `left` counts, so it cannot run
+            // dry before the count does.
+            _ => WireError::Truncated,
+        })
+    }
+
+    /// Writes the message as one frame — length prefix, then payload —
+    /// through `w` and flushes it, returning the payload's length.  With a
+    /// `BufWriter` as `w`, a frame that fits its buffer leaves in one
+    /// `write` and a larger one in buffer-sized pieces.
+    ///
+    /// # Errors
+    /// A message [`Message::encode`] refuses fails with
+    /// [`NetError::Wire`] before a byte is written, so `w` stays usable;
+    /// a failed write is [`NetError::Io`].
+    pub fn write_to<W: Write>(&self, w: &mut W) -> Result<usize, NetError> {
+        let len = self.payload_len()?;
+        (len as u32).put(w)?;
+        self.put_payload(w)?;
+        w.flush()?;
+        Ok(len)
+    }
+
+    /// Reads one frame off `r`, decoding the payload as it arrives;
+    /// `Ok(None)` on a clean end of stream at a frame boundary.
+    ///
+    /// # Errors
+    /// A frame [`Message::decode`] would refuse fails with the same
+    /// [`WireError`] (as [`NetError::Wire`]); so does a length prefix
+    /// over [`MAX_FRAME_LEN`], before anything is allocated.  A stream
+    /// that ends inside a frame, or fails, is [`NetError::Io`].
+    pub fn read_from<R: BufRead>(r: &mut R) -> Result<Option<Message>, NetError> {
+        if r.fill_buf()?.is_empty() {
+            return Ok(None);
         }
-        Ok(payload)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Frame I/O over any byte stream.
-
-/// Writes one length-prefixed frame.
-///
-/// # Errors
-/// Propagates I/O errors; fails with `InvalidData` if the payload exceeds
-/// [`MAX_FRAME_LEN`].
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
-    if payload.len() as u64 > MAX_FRAME_LEN as u64 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            WireError::BadLength(payload.len() as u64),
-        ));
-    }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)
-}
-
-/// Reads one length-prefixed frame; `Ok(None)` on clean EOF at a frame
-/// boundary.
-///
-/// # Errors
-/// Propagates I/O errors; an oversized length prefix or EOF inside a frame
-/// maps to `InvalidData`/`UnexpectedEof` without allocating the announced
-/// length first.
-pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Option<Vec<u8>>> {
-    let mut len_bytes = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        match r.read(&mut len_bytes[filled..])? {
-            0 if filled == 0 => return Ok(None),
-            0 => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "EOF inside frame header",
-                ))
-            }
-            n => filled += n,
+        let mut len = [0; 4];
+        r.read_exact(&mut len)?;
+        let len = u32::from_le_bytes(len);
+        if len > MAX_FRAME_LEN {
+            return Err(WireError::BadLength(len as u64).into());
         }
+        let src = &mut Source {
+            r,
+            left: len as usize,
+        };
+        Message::get_payload(src).map(Some)
     }
-    let len = u32::from_le_bytes(len_bytes);
-    if len > MAX_FRAME_LEN {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            WireError::BadLength(len as u64),
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
 }
 
 #[cfg(test)]
@@ -1250,31 +1403,43 @@ mod tests {
 
     #[test]
     fn frames_round_trip_over_a_byte_stream() {
+        let sent = [
+            Message::Setup(Box::new(setup())),
+            Message::Drain,
+            Message::Fin { rank: 4 },
+        ];
         let mut stream = Vec::new();
-        write_frame(&mut stream, b"alpha").unwrap();
-        write_frame(&mut stream, b"").unwrap();
-        write_frame(&mut stream, b"beta").unwrap();
-        let mut cursor = std::io::Cursor::new(stream);
-        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"alpha");
-        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"");
-        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"beta");
-        assert!(read_frame(&mut cursor).unwrap().is_none());
+        for msg in &sent {
+            let len = msg.write_to(&mut stream).unwrap();
+            assert_eq!(len, msg.encode().unwrap().len());
+        }
+        let mut r = &stream[..];
+        for msg in &sent {
+            assert_eq!(Message::read_from(&mut r).unwrap().as_ref(), Some(msg));
+        }
+        assert!(Message::read_from(&mut r).unwrap().is_none());
     }
 
     #[test]
     fn oversized_frame_header_is_rejected_without_allocating() {
-        let mut stream = Vec::new();
-        stream.extend_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
-        let err = read_frame(&mut std::io::Cursor::new(stream)).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let header = (MAX_FRAME_LEN + 1).to_le_bytes();
+        let err = Message::read_from(&mut &header[..]).unwrap_err();
+        assert!(
+            matches!(err, NetError::Wire(WireError::BadLength(n)) if n == MAX_FRAME_LEN as u64 + 1),
+            "got {err:?}"
+        );
     }
 
     #[test]
     fn eof_inside_a_frame_is_an_error() {
         let mut stream = Vec::new();
-        write_frame(&mut stream, b"full payload").unwrap();
-        stream.truncate(stream.len() - 3);
-        let err = read_frame(&mut std::io::Cursor::new(stream)).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        Message::Fin { rank: 1 }.write_to(&mut stream).unwrap();
+        for cut in 1..stream.len() {
+            let err = Message::read_from(&mut &stream[..cut]).unwrap_err();
+            assert!(
+                matches!(&err, NetError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof),
+                "{cut}-byte prefix: got {err:?}"
+            );
+        }
     }
 }

@@ -10,13 +10,17 @@
 //! `ShardTransfer` (19) stopped shipping ratings as `(user, item, rating)`
 //! triplets and ship them as the columns a rank sweeps ([`WireCols`]), so
 //! those two literals were re-captured from the new layout; the other 22
-//! are the hand-written codec's bytes, unchanged.
+//! are the hand-written codec's bytes, unchanged.  The last test holds the
+//! stream decoder (`read_from`, what a TCP edge runs) to the slice decoder
+//! on the same frames.
+
+use std::io::{BufRead, BufReader, Read};
 
 use nomad_core::RoutingPolicy;
 use nomad_net::{
-    Message, ReplicaDeltaPayload, ReplicaPayload, SetupPayload, ShardPayload, ShardTransferPayload,
-    TelemetryPayload, WireCols, WireDeltaRow, WireError, WireSegment, WireToken,
-    QUERY_UNKNOWN_USER,
+    Message, NetError, ReplicaDeltaPayload, ReplicaPayload, SetupPayload, ShardPayload,
+    ShardTransferPayload, TelemetryPayload, WireCols, WireDeltaRow, WireError, WireSegment,
+    WireToken, QUERY_UNKNOWN_USER,
 };
 use nomad_telemetry::{HistSnapshot, TelemetrySnapshot, HIST_BUCKETS};
 
@@ -360,4 +364,110 @@ fn single_byte_flips_never_panic_or_over_allocate() {
             }
         }
     }
+}
+
+/// A reader that hands out one byte per `read` and per `fill_buf`, so
+/// every value the stream decoder reads straddles a refill.
+struct OneByte<'a>(&'a [u8]);
+
+impl Read for OneByte<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(self.0.len()).min(1);
+        buf[..n].copy_from_slice(&self.0[..n]);
+        self.0 = &self.0[n..];
+        Ok(n)
+    }
+}
+
+impl BufRead for OneByte<'_> {
+    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+        Ok(&self.0[..self.0.len().min(1)])
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.0 = &self.0[n..];
+    }
+}
+
+/// `payload` behind its own length prefix.
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(payload);
+    frame
+}
+
+/// A decode outcome as bytes: `==` on messages cannot tell `-0.0` from
+/// `0.0` and never holds for a NaN, the re-encoded bytes can and do.
+fn outcome(decoded: Result<Message, WireError>) -> Result<Vec<u8>, WireError> {
+    decoded.map(|msg| msg.encode().expect("re-encode"))
+}
+
+/// One frame through [`Message::read_from`], as `decode` would report it.
+fn read_one(r: &mut impl BufRead) -> Result<Vec<u8>, WireError> {
+    match Message::read_from(r) {
+        Ok(Some(msg)) => outcome(Ok(msg)),
+        Err(NetError::Wire(e)) => Err(e),
+        other => panic!("a whole frame must decode or be refused, got {other:?}"),
+    }
+}
+
+/// `frame` read through one-byte reads and through a `BufReader` smaller
+/// than the frame (7 bytes, so no run of 8-byte values lines up with its
+/// refills); both must agree, and the common outcome is returned.
+fn read_streamed(frame: &[u8]) -> Result<Vec<u8>, WireError> {
+    let one_byte = read_one(&mut OneByte(frame));
+    let small = read_one(&mut BufReader::with_capacity(7.min(frame.len() - 1), frame));
+    assert_eq!(one_byte, small, "the two stream readers disagree");
+    one_byte
+}
+
+/// The stream decoder is the slice decoder: on every golden frame, every
+/// strict prefix, one trailing byte and every single-bit flip,
+/// `read_from` gives exactly what `decode` gives; and the 24 frames
+/// written back to back with `write_to` read back in order with nothing
+/// left over.
+#[test]
+fn stream_decoding_equals_slice_decoding_on_the_golden_frames() {
+    let mut stream = Vec::new();
+    for (msg, bytes) in golden() {
+        assert_eq!(read_streamed(&framed(&bytes)), Ok(bytes.clone()), "{msg:?}");
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                read_streamed(&framed(&bytes[..cut])),
+                outcome(Message::decode(&bytes[..cut])),
+                "{cut}-byte prefix of {msg:?}"
+            );
+        }
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert_eq!(
+            read_streamed(&framed(&longer)),
+            Err(WireError::Trailing(1)),
+            "{msg:?}"
+        );
+        for pos in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[pos] ^= 1 << bit;
+                assert_eq!(
+                    read_streamed(&framed(&flipped)),
+                    outcome(Message::decode(&flipped)),
+                    "byte {pos} bit {bit} of {msg:?}"
+                );
+            }
+        }
+        assert_eq!(msg.write_to(&mut stream).expect("write"), bytes.len());
+    }
+
+    let expected: Vec<Vec<u8>> = golden().into_iter().map(|(_, bytes)| bytes).collect();
+    let mut one_byte = OneByte(&stream);
+    let mut small = BufReader::with_capacity(7, &stream[..]);
+    for bytes in &expected {
+        assert_eq!(read_one(&mut one_byte).as_ref(), Ok(bytes));
+        assert_eq!(read_one(&mut small).as_ref(), Ok(bytes));
+    }
+    assert!(Message::read_from(&mut one_byte)
+        .expect("clean end")
+        .is_none());
+    assert!(Message::read_from(&mut small).expect("clean end").is_none());
 }
