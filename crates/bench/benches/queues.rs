@@ -1,117 +1,75 @@
-//! Ablation: lock-free queue vs mutex-protected queue for token passing.
+//! The token queue alone: [`nomad_core::queue::Inbox`], the one queue
+//! every engine's workers and transports use.
 //!
-//! Section 3.5 of the paper: "NOMAD can be implemented with lock-free data
-//! structures since the only interaction between threads is via operations
-//! on the queue."  Both implementations live in the vendored `crossbeam`
-//! crate and are benchmarked side by side under their honest names:
+//! Section 3.5 of the paper: "the only interaction between threads is via
+//! operations on the queue."  Two groups:
 //!
-//! - `lock_free_segqueue` — [`crossbeam::queue::LockFreeQueue`], the
-//!   atomics-based segmented MPMC queue the engine uses by default.
-//! - `mutex_vecdeque` — [`crossbeam::queue::MutexQueue`], the
-//!   `Mutex<VecDeque>` baseline (also reachable engine-wide via the
-//!   `mutex-queue` feature).
+//! - `queue_push_pop_single_thread` — one push and one pop on one thread:
+//!   the uncontended cost a hop pays on each side of a hand-off.
+//! - `queue_handoff_two_threads` — a token handed to another thread and
+//!   handed back, the consumer waiting on its queue between tokens as an
+//!   idle worker does.  Reported per round trip (two hand-offs).
 //!
-//! The payload is the engine's actual token shape — an `(item, pass)`
-//! index pair, 16 bytes, no heap — so the numbers reflect the real hot
-//! path, not the retired `Vec<f64>`-per-token design.  A second group
-//! measures the old payload shape for reference, because the difference
-//! *is* the point of the slab refactor.
+//! The payload is the engine's token shape — an `(item, pass)` index pair,
+//! 16 bytes, no heap.
 
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use crossbeam::queue::{LockFreeQueue, MutexQueue};
+use nomad_core::queue::Inbox;
 
 /// The engine's token: item index plus pass count, nothing heap-allocated.
 type Token = (u32, u64);
 
-fn token() -> Token {
-    (7, 42)
-}
-
-/// The retired pre-slab payload: the token carried its k=100 factor row.
-fn heavy_payload() -> (u32, Vec<f64>) {
-    (7, vec![0.25f64; 100])
+/// Pops `queue`, waiting on it while it is empty.
+fn pop_or_wait(queue: &Inbox<Token>) -> Token {
+    loop {
+        if let Some(token) = queue.pop() {
+            return token;
+        }
+        queue.wait(None);
+    }
 }
 
 fn bench_single_thread(c: &mut Criterion) {
     let mut group = c.benchmark_group("queue_push_pop_single_thread");
     group.warm_up_time(Duration::from_millis(500));
     group.measurement_time(Duration::from_secs(2));
-    group.bench_function("lock_free_segqueue/token", |b| {
-        let q: LockFreeQueue<Token> = LockFreeQueue::new();
+    group.bench_function("inbox/token", |b| {
+        let q: Inbox<Token> = Inbox::with_capacity(1);
         b.iter(|| {
-            q.push(black_box(token()));
-            black_box(q.pop())
-        });
-    });
-    group.bench_function("mutex_vecdeque/token", |b| {
-        let q: MutexQueue<Token> = MutexQueue::new();
-        b.iter(|| {
-            q.push(black_box(token()));
-            black_box(q.pop())
-        });
-    });
-    group.bench_function("lock_free_segqueue/vec_payload_k100", |b| {
-        let q: LockFreeQueue<(u32, Vec<f64>)> = LockFreeQueue::new();
-        b.iter(|| {
-            q.push(black_box(heavy_payload()));
-            black_box(q.pop())
-        });
-    });
-    group.bench_function("mutex_vecdeque/vec_payload_k100", |b| {
-        let q: MutexQueue<(u32, Vec<f64>)> = MutexQueue::new();
-        b.iter(|| {
-            q.push(black_box(heavy_payload()));
+            q.push(black_box((7, 42)));
             black_box(q.pop())
         });
     });
     group.finish();
 }
 
-fn bench_contended(c: &mut Criterion) {
-    let mut group = c.benchmark_group("queue_throughput_4_threads");
+fn bench_handoff(c: &mut Criterion) {
+    let mut group = c.benchmark_group("queue_handoff_two_threads");
     group.warm_up_time(Duration::from_millis(500));
     group.measurement_time(Duration::from_secs(2));
-    group.sample_size(10);
-    const OPS_PER_THREAD: usize = 20_000;
-
-    group.bench_function("lock_free_segqueue/token", |b| {
-        b.iter(|| {
-            let q = Arc::new(LockFreeQueue::new());
-            std::thread::scope(|scope| {
-                for _ in 0..4 {
-                    let q = Arc::clone(&q);
-                    scope.spawn(move || {
-                        for i in 0..OPS_PER_THREAD {
-                            q.push((i as u32, i as u64));
-                            black_box(q.pop());
-                        }
-                    });
+    group.bench_function("inbox/round_trip", |b| {
+        let (ping, pong) = (Inbox::with_capacity(1), Inbox::with_capacity(1));
+        std::thread::scope(|scope| {
+            // The echo thread ends on the `u32::MAX` item.
+            scope.spawn(|| loop {
+                let (item, pass) = pop_or_wait(&ping);
+                pong.push((item, pass + 1));
+                if item == u32::MAX {
+                    break;
                 }
             });
-        });
-    });
-    group.bench_function("mutex_vecdeque/token", |b| {
-        b.iter(|| {
-            let q = Arc::new(MutexQueue::new());
-            std::thread::scope(|scope| {
-                for _ in 0..4 {
-                    let q = Arc::clone(&q);
-                    scope.spawn(move || {
-                        for i in 0..OPS_PER_THREAD {
-                            q.push((i as u32, i as u64));
-                            black_box(q.pop());
-                        }
-                    });
-                }
+            b.iter(|| {
+                ping.push(black_box((7, 42)));
+                black_box(pop_or_wait(&pong))
             });
+            ping.push((u32::MAX, 0));
         });
     });
     group.finish();
 }
 
-criterion_group!(queues, bench_single_thread, bench_contended);
+criterion_group!(queues, bench_single_thread, bench_handoff);
 criterion_main!(queues);

@@ -248,7 +248,9 @@ impl<'a> HopKernel<'a> {
     /// One token hop, with one [`SnapshotPublisher::coop_tick`] when a
     /// publisher is attached.  Returns the number of SGD updates applied,
     /// or `None` when the queue was empty (nothing is pushed then; the
-    /// caller decides whether to yield).
+    /// caller decides whether to wait).  The pop never blocks: under
+    /// `sched-fuzz` the worker holds the turnstile's turn until
+    /// `after_pop`, so a caller waits only after this returns.
     #[inline]
     pub fn hop<C: HopContext>(&mut self, ctx: &mut C) -> Option<u64> {
         // Hop boundary: a schedule controller may pause this worker here

@@ -19,10 +19,10 @@
 //!
 //! * [`serial::SerialNomad`] — Algorithm 1 on one thread, `p` virtual
 //!   workers taking turns; the ground truth for serializability tests.
-//! * [`threaded::ThreadedNomad`] — a real multi-threaded implementation on
-//!   `crossbeam` lock-free queues, one queue per worker thread, exactly as
-//!   the paper's shared-memory implementation uses Intel TBB's concurrent
-//!   queue (Section 3.5).  Its workers run [`hop::HopKernel::hop`].
+//! * [`threaded::ThreadedNomad`] — a real multi-threaded implementation,
+//!   one [`queue::Inbox`] per worker thread where the paper's shared-memory
+//!   implementation uses Intel TBB's concurrent queue (Section 3.5).  Its
+//!   workers run [`hop::HopKernel::hop`] and wait on their queue when idle.
 //! * [`sim::SimNomad`] — a deterministic discrete-event implementation that
 //!   runs the identical arithmetic on the cluster simulator from
 //!   `nomad-cluster`, reproducing the multi-machine (Sections 5.3–5.5) and
@@ -52,6 +52,7 @@
 pub mod config;
 pub mod hop;
 pub mod online;
+pub mod queue;
 pub mod routing;
 pub mod sched;
 pub mod serial;

@@ -64,8 +64,9 @@ pub trait ScheduleController: Send + Sync {
         let _ = (who, dest);
     }
 
-    /// Called once per comm-thread poll iteration in `nomad-net`; a
-    /// sleeping implementation delays comm wakeups (straggler comm).
+    /// Called once per comm-thread loop iteration in `nomad-net`, just
+    /// before it waits on the transport; a sleeping implementation delays
+    /// the comm thread's next receive (straggler comm).
     fn comm_poll(&self, rank: usize) {
         let _ = rank;
     }

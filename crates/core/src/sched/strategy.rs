@@ -5,7 +5,9 @@
 //! pair.  The controller is a *turnstile*: workers pause at the
 //! `before_pop` hop boundary until granted a turn, hold the turn through
 //! the whole hop (pop → update → push), and hand it back at the next
-//! boundary.  Which worker the turn goes to is the strategy's decision,
+//! boundary — or at an empty pop, after which the worker is out of the
+//! rotation until it returns to `before_pop`, because an idle worker waits
+//! on its queue.  Which worker the turn goes to is the strategy's decision,
 //! driven by a [`SmallRng64`] seeded from the case — so the same case
 //! replays the same grant sequence.
 //!
@@ -43,8 +45,12 @@ const BURST_LEN: u64 = 13;
 
 /// Default length, in transport operations, of a
 /// [`Strategy::Partition`] window (override with
-/// [`FuzzController::with_chaos`]).
-pub const DEFAULT_PARTITION_OPS: u64 = 600;
+/// [`FuzzController::with_chaos`]).  A rank's comm thread wakes only for
+/// traffic, its worker or a heartbeat tick, so a victim whose tokens have
+/// drained away draws just a few operations per tick (one receive, a ping
+/// per peer); a window of a few dozen operations keeps even such a
+/// partition under a second.
+pub const DEFAULT_PARTITION_OPS: u64 = 24;
 
 /// A seeded interleaving-exploration strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,7 +64,8 @@ pub enum Strategy {
     /// the victimhood rotates.
     Starve,
     /// Burst/delay: one worker runs many hops back-to-back while the
-    /// others pause, and comm threads are made to oversleep their polls.
+    /// others pause, and comm threads are made to oversleep before their
+    /// waits.
     Burst,
     /// Chaos: kill the victim endpoint at the given transport operation
     /// (its sends vanish, its receives fail — a process `SIGKILL` as
@@ -204,7 +211,7 @@ pub struct FuzzController {
     sched: Mutex<Sched>,
     turn: Condvar,
     /// Comm threads draw delays from their own rng so their (wall-clock
-    /// timed, hence nondeterministic) poll cadence cannot perturb the
+    /// timed, hence nondeterministic) loop cadence cannot perturb the
     /// worker-side decision stream.
     comm_rng: Mutex<SmallRng64>,
     injects: AtomicU64,
@@ -402,6 +409,10 @@ impl ScheduleController for FuzzController {
             s.dry = 0;
         } else {
             s.dry += 1;
+            // An idle worker leaves the turnstile until its next
+            // `before_pop`: it waits on its empty queue, and a turn granted
+            // to it there would stall everyone else until the escape.
+            s.present[who] = false;
             if s.current == Some(who) {
                 // Empty queue: the turn is useless here, pass it on.
                 self.advance(&mut s);

@@ -1,11 +1,13 @@
-//! Real multi-threaded NOMAD on lock-free queues.
+//! Real multi-threaded NOMAD.
 //!
 //! This is the shared-memory implementation the paper describes in
 //! Sections 3.1 and 3.5: one worker thread per core, one concurrent queue
 //! per worker (the paper uses Intel TBB's concurrent queue; we use
-//! `crossbeam`'s lock-free `SegQueue`), nomadic item tokens, and
-//! owner-computes SGD updates on the worker's statically-assigned users —
-//! no locks anywhere on the hot path.
+//! [`Inbox`], see [`crate::queue`] for what "non-locking" promises),
+//! nomadic item tokens, and owner-computes SGD updates on the worker's
+//! statically-assigned users — no factor row is ever locked.  A worker
+//! whose queue is empty waits on it until a token is pushed or the round
+//! ends; the worker that ends a round wakes every queue.
 //!
 //! Since PR 3 the hot path is also **allocation-free**: item factors live
 //! in a single flat [`FactorSlab`] arena owned by the engine, and a token
@@ -28,7 +30,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam::queue::SegQueue;
 use nomad_telemetry::Registry;
 
 use nomad_cluster::{RunTrace, SimTime};
@@ -39,6 +40,7 @@ use nomad_sgd::{FactorMatrix, FactorModel};
 use crate::config::NomadConfig;
 use crate::hop::{HopContext, HopKernel, Token, UserRows};
 use crate::online::{apply_batch, sample_rmse, token_home, OnlineData, OnlineOutput};
+use crate::queue::Inbox;
 use crate::serial::ProcessingEvent;
 use crate::slab::FactorSlab;
 use crate::telemetry::EngineTelemetry;
@@ -246,7 +248,10 @@ impl ThreadedNomad {
         let mut slab = FactorSlab::from_factors(&model.h);
 
         // Queues and the initial token placement (Algorithm 1, lines 7-10).
-        let queues: Vec<SegQueue<Token>> = (0..num_threads).map(|_| SegQueue::new()).collect();
+        // No queue ever holds more than every token.
+        let queues: Vec<Inbox<Token>> = (0..num_threads)
+            .map(|_| Inbox::with_capacity(start_cols))
+            .collect();
         let mut placement_rng = nomad_linalg::SmallRng64::new(cfg.seed ^ 0x7007_BEEF);
         for item in 0..start_cols as Idx {
             let q = placement_rng.next_below(num_threads);
@@ -430,7 +435,7 @@ impl UserRows for OwnedUsers {
 fn assemble_model(
     nrows: usize,
     owned: &[OwnedUsers],
-    queues: &[SegQueue<Token>],
+    queues: &[Inbox<Token>],
     slab: &FactorSlab,
     ticket: &AtomicU64,
 ) -> FactorModel {
@@ -491,7 +496,7 @@ struct Worker<'a> {
     q: usize,
     wd: &'a mut WorkerData,
     own: &'a mut OwnedUsers,
-    queues: &'a [SegQueue<Token>],
+    queues: &'a [Inbox<Token>],
     ticket: &'a AtomicU64,
     updates_done: &'a AtomicU64,
     /// `(ticket, event)` log; `None` with schedule recording off, so the
@@ -566,10 +571,12 @@ fn worker_loop(
         }
         if worker.updates_done.load(Ordering::Relaxed) >= round_target {
             stop_flag.store(true, Ordering::Relaxed);
+            // Idle workers wait on their queues: wake each to see the flag.
+            worker.queues.iter().for_each(Inbox::wake);
             break;
         }
         if kernel.hop(&mut worker).is_none() {
-            std::thread::yield_now();
+            worker.queues[worker.q].wait(None);
         }
     }
     #[cfg(feature = "sched-fuzz")]

@@ -37,11 +37,10 @@
 //! holding up each token batch, progress report and `Fin` — a *slow*
 //! rank must never be taken for a dead one, nor wedge quiesce.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
+use nomad_core::queue::Inbox;
 use nomad_core::sched::{hooks, TransportFault};
 
 use crate::transport::{NetError, Transport, Waker};
@@ -86,10 +85,10 @@ pub struct ChaosTransport<T> {
     ops: AtomicU64,
     killed: AtomicBool,
     /// Outbound messages held back by an active partition, in send order.
-    held_out: Mutex<VecDeque<(usize, Message)>>,
+    held_out: Inbox<(usize, Message)>,
     /// Inbound messages received during a partition, invisible to the
     /// wrapped endpoint until the partition heals.
-    held_in: Mutex<VecDeque<(usize, Message)>>,
+    held_in: Inbox<(usize, Message)>,
 }
 
 impl<T: Transport> ChaosTransport<T> {
@@ -111,8 +110,8 @@ impl<T: Transport> ChaosTransport<T> {
             source,
             ops: AtomicU64::new(0),
             killed: AtomicBool::new(false),
-            held_out: Mutex::new(VecDeque::new()),
-            held_in: Mutex::new(VecDeque::new()),
+            held_out: Inbox::new(),
+            held_in: Inbox::new(),
         }
     }
 
@@ -121,8 +120,8 @@ impl<T: Transport> ChaosTransport<T> {
         self.killed.load(Ordering::Relaxed)
     }
 
-    /// Transport operations drawn so far (sends + deliveries + idle
-    /// polls) — the clock fault scripts are written against.
+    /// Transport operations drawn so far (sends, deliveries and empty
+    /// receives) — the clock fault scripts are written against.
     pub fn ops(&self) -> u64 {
         self.ops.load(Ordering::Relaxed)
     }
@@ -142,19 +141,10 @@ impl<T: Transport> ChaosTransport<T> {
 
     /// Delivers every partition-held outbound message (partition healed).
     fn flush_held_out(&self) -> Result<(), NetError> {
-        loop {
-            let next = self
-                .held_out
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .pop_front();
-            match next {
-                Some((dest, msg)) => {
-                    self.inner.send(dest, &msg)?;
-                }
-                None => return Ok(()),
-            }
+        while let Some((dest, msg)) = self.held_out.pop() {
+            self.inner.send(dest, &msg)?;
         }
+        Ok(())
     }
 }
 
@@ -179,10 +169,7 @@ impl<T: Transport> Transport for ChaosTransport<T> {
         match self.next_fault() {
             TransportFault::Kill => Ok(0),
             TransportFault::Drop => {
-                self.held_out
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push_back((dest, msg.clone()));
+                self.held_out.push((dest, msg.clone()));
                 Ok(0)
             }
             TransportFault::None => {
@@ -203,43 +190,36 @@ impl<T: Transport> Transport for ChaosTransport<T> {
             match self.next_fault() {
                 TransportFault::Kill => return Err(NetError::Closed),
                 TransportFault::Drop => {
-                    self.held_in
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push_back((src, msg));
+                    self.held_in.push((src, msg));
                     return Ok(None);
                 }
                 TransportFault::None => {
                     self.flush_held_out()?;
                     // Healed: release the backlog in order before the
-                    // fresh message.
-                    let mut held = self.held_in.lock().unwrap_or_else(|e| e.into_inner());
-                    if let Some(first) = held.pop_front() {
-                        held.push_back((src, msg));
+                    // fresh message (only the receiving thread touches
+                    // `held_in`, so the pop and push need no common lock).
+                    if let Some(first) = self.held_in.pop() {
+                        self.held_in.push((src, msg));
                         return Ok(Some(first));
                     }
                     return Ok(Some((src, msg)));
                 }
             }
         }
-        // Idle poll: still check whether a partition just healed so the
-        // backlog is not stuck behind an empty inbox.
+        // Empty receive: still check whether a partition just healed so
+        // the backlog is not stuck behind an empty inbox.
         match self.next_fault() {
             TransportFault::Kill => Err(NetError::Closed),
             TransportFault::Drop => Ok(None),
             TransportFault::None => {
                 self.flush_held_out()?;
-                Ok(self
-                    .held_in
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .pop_front())
+                Ok(self.held_in.pop())
             }
         }
     }
 
-    /// Wakes the wrapped endpoint: the early return then takes the idle
-    /// poll path above, so it still draws a fault and releases a healed
+    /// Wakes the wrapped endpoint: the early return then takes the empty
+    /// receive path above, so it still draws a fault and releases a healed
     /// partition's backlog.
     fn waker(&self) -> Waker {
         self.inner.waker()

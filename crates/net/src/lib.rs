@@ -6,10 +6,10 @@
 //! `(j, h_j)` messages — previously existed only as the virtual-clock
 //! simulator in `nomad-cluster`.  Here the SGD arithmetic stays byte-for-
 //! byte the PR-3 hot path (the shared [`nomad_core::FactorSlab`] arena,
-//! lock-free `SegQueue` tokens, `sgd_pair_update` kernels), and only the
-//! transport underneath it changes: tokens that leave a rank travel as
-//! length-prefixed binary frames over `std::net` TCP, carrying their
-//! factor row with them.
+//! [`nomad_core::queue::Inbox`] token queues, `sgd_pair_update` kernels),
+//! and only the transport underneath it changes: tokens that leave a rank
+//! travel as length-prefixed binary frames over `std::net` TCP, carrying
+//! their factor row with them.
 //!
 //! Layers, bottom to top:
 //!

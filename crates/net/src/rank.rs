@@ -4,8 +4,8 @@
 //! Each rank owns a set of user-row segments (contiguous at setup, a
 //! *list* once evictions and joins move rows around), a [`FactorSlab`]
 //! with a slot for *every* item factor (only the rows whose tokens the
-//! rank currently holds are live), and one lock-free [`SegQueue`] of
-//! `(item, pass)` tokens.  The worker runs the same hop as
+//! rank currently holds are live), and one [`Inbox`] of `(item, pass)`
+//! tokens.  The worker runs the same hop as
 //! `ThreadedNomad`'s workers — [`nomad_core::hop::HopKernel::hop`]: pop a
 //! token, sweep the local rating slice through
 //! [`FactorSlab::owner_row_mut`], route it onward — over its own
@@ -22,6 +22,11 @@
 //! ownership hand-off, exactly as in the threaded engine), reports
 //! progress to the driver, and executes the quiesce protocol (`Drain` →
 //! flush → `Fin` per edge → gather the queue into a [`ShardPayload`]).
+//!
+//! Neither thread polls, spins or sleeps: an idle worker waits on its
+//! token queue, and the comm thread in [`Transport::recv_timeout`] until
+//! a frame, its next heartbeat action or the worker's [`Waker`] (DESIGN.md
+//! "What wakes a worker / the comm thread" lists every wake).
 //!
 //! ## Elastic membership
 //!
@@ -59,15 +64,14 @@
 //! checked once (`Shape::adopt`) and kept as they came: a membership
 //! change is one [`CscMatrix::extract_rows`] or [`CscMatrix::add_rows`].
 
-use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use crossbeam::queue::SegQueue;
-
 use nomad_core::hop::{HopContext, HopKernel, Token};
+use nomad_core::online::token_home;
+use nomad_core::queue::Inbox;
 use nomad_core::slab::FactorSlab;
 use nomad_core::worker::WorkerData;
 use nomad_matrix::{CscMatrix, Idx};
@@ -76,15 +80,12 @@ use nomad_sgd::{FactorMatrix, HyperParams};
 
 use nomad_telemetry::{names, CounterHandle, GaugeHandle, HistogramHandle, Registry};
 
-use crate::transport::{NetError, Transport};
+use crate::transport::{NetError, Transport, Waker};
 use crate::wire::{
     Message, ReplicaDeltaPayload, ReplicaPayload, SetupPayload, ShardPayload, ShardTransferPayload,
     TelemetryPayload, WireCols, WireDeltaRow, WireSegment, WireToken, QUERY_NOT_READY, QUERY_OK,
     QUERY_RUN_OVER, QUERY_UNKNOWN_USER,
 };
-
-/// How long the communication loop blocks on the transport per iteration.
-const COMM_POLL: Duration = Duration::from_micros(200);
 
 /// Ship a full replica frame after this many consecutive delta frames
 /// even when a delta would do.  A delta lost to a chaos partition leaves
@@ -220,6 +221,20 @@ fn full_replica_frame(
     }
 }
 
+/// How many tokens the driver mints at `rank` right behind its `Setup`:
+/// the items [`token_home`] places there if the setup is one of the epoch-0
+/// initial ones, none for a joiner.  Holding the worker until they are all
+/// queued makes a one-rank run start from the serial engine's queue — every
+/// token, in item order — whichever thread runs first.
+fn initial_tokens(rank: usize, members: u64, setup: &SetupPayload) -> usize {
+    if setup.epoch != 0 {
+        return 0;
+    }
+    let ranks = members.count_ones() as usize;
+    let home = |j: &Idx| token_home(setup.seed, *j, ranks) == rank;
+    (0..setup.ncols as Idx).filter(home).count()
+}
+
 /// Rank `r`'s bit in a membership bitmap.
 pub(crate) fn bit(r: usize) -> u64 {
     1u64 << r
@@ -232,12 +247,12 @@ type SetupOutcome = Option<(SetupPayload, Vec<(usize, Message)>)>;
 /// Waits for the driver's `Setup`, stashing any messages (tokens from
 /// faster ranks) that race ahead of it.
 fn wait_for_setup<T: Transport>(transport: &T) -> Result<SetupOutcome, NetError> {
-    // `recv_timeout` may return early (condvar wakeups can be spurious),
-    // so the 30s budget is enforced against a real deadline, not per call.
+    // `recv_timeout` returns early on a wake, so the 30s budget is a
+    // deadline, not a per-call timeout.
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut stashed: Vec<(usize, Message)> = Vec::new();
     loop {
-        match transport.recv_timeout(Duration::from_millis(100))? {
+        match transport.recv_timeout(deadline.saturating_duration_since(Instant::now()))? {
             Some((_, Message::Setup(setup))) => return Ok(Some((*setup, stashed))),
             // The driver turned us away (e.g. a join after drain).
             Some((_, Message::Evict { .. })) => return Ok(None),
@@ -293,10 +308,67 @@ pub fn join_rank<T: Transport>(transport: &T) -> Result<bool, NetError> {
     Ok(true)
 }
 
+/// The census park handshake (see the module docs): the comm thread
+/// raises `requested` and waits for the worker's acknowledgement, which
+/// the worker gives at its next hop boundary before waiting on the same
+/// condvar until the request is lowered or the rank drains.
+#[derive(Default)]
+struct Park {
+    requested: AtomicBool,
+    /// The acknowledgement; an exited worker counts as parked.
+    parked: Mutex<bool>,
+    changed: Condvar,
+}
+
+impl Park {
+    fn lock(&self) -> MutexGuard<'_, bool> {
+        self.parked.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Comm side: parks the worker, which may be waiting on `queue`, and
+    /// returns once it has acknowledged or exited.
+    fn request(&self, queue: &Inbox<Token>) {
+        self.requested.store(true, Ordering::Release);
+        queue.wake();
+        let acked = self.changed.wait_while(self.lock(), |parked| !*parked);
+        drop(acked.unwrap_or_else(|e| e.into_inner()));
+    }
+
+    /// Worker side: acknowledges — at a hop boundary, or for good on exit.
+    fn ack(&self) -> MutexGuard<'_, bool> {
+        let mut parked = self.lock();
+        *parked = true;
+        self.changed.notify_all();
+        parked
+    }
+
+    /// Worker side, at a hop boundary: acknowledges, then waits until the
+    /// request is lowered or `drain` is raised.
+    fn hold(&self, drain: &AtomicBool) {
+        let parked = self.changed.wait_while(self.ack(), |_| {
+            self.requested.load(Ordering::Acquire) && !drain.load(Ordering::Acquire)
+        });
+        *parked.unwrap_or_else(|e| e.into_inner()) = false;
+    }
+
+    /// Comm side: lets a parked worker resume.  Taking the lock orders
+    /// the notify after the worker's check of the flag.
+    fn release(&self) {
+        self.requested.store(false, Ordering::Release);
+        drop(self.lock());
+        self.changed.notify_all();
+    }
+}
+
 /// Per-rank state shared between the worker and communication threads.
 struct Shared {
-    queue: SegQueue<Token>,
-    outbound: SegQueue<Outbound>,
+    /// The worker's tokens; conservation bounds it by `ncols`.
+    queue: Inbox<Token>,
+    /// Tokens the worker routed to other ranks, for the comm thread.
+    outbound: Inbox<Outbound>,
+    /// Raised by an idle or exiting worker: send every staging buffer,
+    /// half-full ones too.
+    flush: AtomicBool,
     slab: FactorSlab,
     drain: AtomicBool,
     worker_exited: AtomicBool,
@@ -305,23 +377,17 @@ struct Shared {
     /// Piggybacked queue-length estimates for every rank (own entry is
     /// unused; the worker reads its own queue directly).
     qlen_estimates: Vec<AtomicU64>,
-    /// Census parking: the comm thread raises `park`, the worker
-    /// acknowledges with `parked` at its next hop boundary and spins
-    /// until `park` clears.
-    park: AtomicBool,
-    parked: AtomicBool,
+    park: Park,
     /// Membership epoch + active-rank bitmap, written by the comm thread
     /// and polled (one relaxed load per hop) by the worker.
     epoch: AtomicU64,
     members: AtomicU64,
     /// Pending membership commands for the worker, applied at hop
-    /// boundaries; `cmd_pending` is the cheap flag in front of the lock.
-    cmds: Mutex<VecDeque<WorkerCmd>>,
-    cmd_pending: AtomicBool,
+    /// boundaries (one relaxed length load per hop).
+    cmds: Inbox<WorkerCmd>,
     /// Control messages the worker asks the comm thread to send (it has
     /// no transport access of its own): donated `ShardTransfer`s.
-    ctrl_out: Mutex<Vec<(usize, Message)>>,
-    ctrl_pending: AtomicBool,
+    ctrl_out: Inbox<(usize, Message)>,
     /// The serving snapshot publisher; `None` when the run was
     /// configured without serving (`serve_publish_every == 0`).
     publisher: Option<SnapshotPublisher>,
@@ -329,6 +395,22 @@ struct Shared {
     /// slice replica frames out of published snapshots without taking
     /// the (worker-held) state lock.
     serve_owned: Mutex<Vec<(usize, usize)>>,
+}
+
+impl Shared {
+    /// Raises `drain` and wakes the worker wherever it waits.
+    fn stop_worker(&self) {
+        self.drain.store(true, Ordering::Release);
+        self.park.release();
+        self.queue.wake();
+    }
+
+    /// Queues a membership command for the worker's next hop boundary
+    /// and wakes it if it is idle.
+    fn queue_cmd(&self, cmd: WorkerCmd) {
+        self.cmds.push(cmd);
+        self.queue.wake();
+    }
 }
 
 /// What every shipped segment must fit: the global matrix and the latent
@@ -472,14 +554,7 @@ impl WorkerState {
     /// Applies every queued membership command; donations become control
     /// messages for the comm thread to send.
     fn apply_cmds(&mut self, shared: &Shared) {
-        shared.cmd_pending.store(false, Ordering::Release);
-        loop {
-            let cmd = shared
-                .cmds
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .pop_front();
-            let Some(cmd) = cmd else { break };
+        while let Some(cmd) = shared.cmds.pop() {
             match cmd {
                 WorkerCmd::AddRows {
                     segment,
@@ -499,12 +574,7 @@ impl WorkerState {
                         rows,
                         cols: WireCols::cut(&moved, segment),
                     }));
-                    shared
-                        .ctrl_out
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push((to, transfer));
-                    shared.ctrl_pending.store(true, Ordering::Release);
+                    shared.ctrl_out.push((to, transfer));
                 }
             }
         }
@@ -560,23 +630,26 @@ fn run_rank_inner<T: Transport>(
         p.begin_run(setup.nrows as usize, setup.ncols as usize, k, 1);
         p
     });
+    let ncols = setup.ncols as usize;
     let shared = Shared {
-        queue: SegQueue::new(),
-        outbound: SegQueue::new(),
-        slab: FactorSlab::zeroed(setup.ncols as usize, k),
+        queue: Inbox::with_capacity(ncols),
+        outbound: Inbox::with_capacity(ncols),
+        flush: AtomicBool::new(false),
+        slab: FactorSlab::zeroed(ncols, k),
         drain: AtomicBool::new(false),
         worker_exited: AtomicBool::new(false),
         local_updates: AtomicU64::new(0),
         tickets: AtomicU64::new(0),
         qlen_estimates: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
-        park: AtomicBool::new(false),
-        parked: AtomicBool::new(false),
+        // The worker starts parked until its initial tokens are queued.
+        park: Park {
+            requested: AtomicBool::new(comm.awaiting_tokens > 0),
+            ..Park::default()
+        },
         epoch: AtomicU64::new(setup.epoch),
         members: AtomicU64::new(members),
-        cmds: Mutex::new(VecDeque::new()),
-        cmd_pending: AtomicBool::new(false),
-        ctrl_out: Mutex::new(Vec::new()),
-        ctrl_pending: AtomicBool::new(false),
+        cmds: Inbox::new(),
+        ctrl_out: Inbox::new(),
         publisher,
         serve_owned: Mutex::new(state.owned.clone()),
     };
@@ -589,7 +662,8 @@ fn run_rank_inner<T: Transport>(
 
     let mut tickets = 0u64;
     let outcome = std::thread::scope(|scope| -> Result<CommOutcome, NetError> {
-        let mut worker = Some(scope.spawn(|| worker_loop(&shared, &state, &setup)));
+        let waker = transport.waker();
+        let mut worker = Some(scope.spawn(|| worker_loop(&shared, &state, &setup, waker)));
         comm.telemetry
             .setup_us
             .record(setup_taken.elapsed().as_micros() as u64);
@@ -604,8 +678,7 @@ fn run_rank_inner<T: Transport>(
         // Kill switch: whatever ended the comm loop (quiesce, eviction,
         // transport error), the worker must exit or the scope join would
         // hang forever.
-        shared.drain.store(true, Ordering::Release);
-        shared.park.store(false, Ordering::Release);
+        shared.stop_worker();
         if let Some(handle) = worker.take() {
             tickets = handle.join().expect("worker thread panicked");
         }
@@ -668,8 +741,12 @@ fn comm_run<'scope, T: Transport>(
     tickets: &mut u64,
 ) -> Result<CommOutcome, NetError> {
     loop {
+        if comm.awaiting_tokens > 0 && shared.queue.len() >= comm.awaiting_tokens {
+            comm.awaiting_tokens = 0;
+            shared.park.release();
+        }
         comm.flush_ctrl(transport, shared)?;
-        comm.flush_ready(transport, shared)?;
+        comm.flush(transport, shared, false)?;
         comm.report_progress(transport, shared)?;
         comm.replica_tick(transport, shared)?;
         comm.heartbeat_tick(transport)?;
@@ -683,8 +760,8 @@ fn comm_run<'scope, T: Transport>(
             && !comm.awaiting_reconfigure
         {
             if let Some(handle) = worker.take() {
-                // The worker re-checks the drain flag every iteration
-                // and never blocks, so this join is prompt.
+                // Draining woke the worker, which re-checks the flag
+                // after every hop and every wait, so this join is prompt.
                 *tickets = handle.join().expect("worker thread panicked");
                 // The worker may have exited with membership commands
                 // still queued (e.g. a rebalance donation that arrived
@@ -692,7 +769,7 @@ fn comm_run<'scope, T: Transport>(
                 // transfer cannot chase a Fin down the same edge.
                 comm.drain_cmds(shared, state);
                 comm.flush_ctrl(transport, shared)?;
-                comm.flush_all(transport, shared)?;
+                comm.flush(transport, shared, true)?;
                 comm.send_fins(transport)?;
                 comm.report_progress(transport, shared)?;
             }
@@ -704,11 +781,11 @@ fn comm_run<'scope, T: Transport>(
             }
         }
 
-        // A schedule controller may oversleep the poll here to model
-        // a lagging communication thread (reordered comm wakeups).
+        // A schedule controller may oversleep here to model a lagging
+        // communication thread (reordered comm wakeups).
         #[cfg(feature = "sched-fuzz")]
         nomad_core::sched::hooks::comm_poll(comm.rank);
-        if let Some((src, msg)) = transport.recv_timeout(COMM_POLL)? {
+        if let Some((src, msg)) = transport.recv_timeout(comm.next_tick())? {
             comm.telemetry.frames_recv.inc();
             comm.note_heard(src);
             comm.handle(transport, shared, src, msg)?;
@@ -732,7 +809,9 @@ struct RankTelemetry {
     frames_sent: CounterHandle,
     frames_recv: CounterHandle,
     bytes_sent: CounterHandle,
-    retries: CounterHandle,
+    /// Token batches re-injected locally after their peer vanished
+    /// ([`names::RECOVERED_BATCHES`]).
+    recovered_batches: CounterHandle,
     /// Posting lists probed answering queries through the IVF index
     /// ([`names::SERVE_IVF_PROBES`]); stays 0 on the exact path.
     ivf_probes: CounterHandle,
@@ -763,7 +842,7 @@ impl RankTelemetry {
             frames_sent: registry.counter(names::FRAMES_SENT),
             frames_recv: registry.counter(names::FRAMES_RECV),
             bytes_sent: registry.counter(names::BYTES_SENT),
-            retries: registry.counter(names::RETRIES),
+            recovered_batches: registry.counter(names::RECOVERED_BATCHES),
             ivf_probes: registry.counter(names::SERVE_IVF_PROBES),
             rank_service_us: registry.histogram(names::SERVE_RANK_SERVICE_US),
             setup_us: registry.histogram(names::RANK_SETUP_US),
@@ -867,6 +946,9 @@ struct CommState {
     hb: Option<Heartbeat>,
     /// The rank's metric registry + wire-report bookkeeping.
     telemetry: RankTelemetry,
+    /// Initial tokens to queue before the parked worker may start; 0 once
+    /// it has been released.
+    awaiting_tokens: usize,
 }
 
 struct Heartbeat {
@@ -923,6 +1005,7 @@ impl CommState {
             evicted_self: false,
             hb,
             telemetry: RankTelemetry::new(),
+            awaiting_tokens: initial_tokens(rank, members, setup),
         }
     }
 
@@ -939,18 +1022,14 @@ impl CommState {
     }
 
     fn note_heard(&mut self, src: usize) {
-        if let Some(hb) = &mut self.hb {
-            if src < hb.last_heard.len() {
-                hb.last_heard[src] = Instant::now();
-            }
+        if let Some(at) = self.hb.as_mut().and_then(|hb| hb.last_heard.get_mut(src)) {
+            *at = Instant::now();
         }
     }
 
     fn note_sent(&mut self, dest: usize) {
-        if let Some(hb) = &mut self.hb {
-            if dest < hb.last_sent.len() {
-                hb.last_sent[dest] = Instant::now();
-            }
+        if let Some(at) = self.hb.as_mut().and_then(|hb| hb.last_sent.get_mut(dest)) {
+            *at = Instant::now();
         }
     }
 
@@ -972,6 +1051,13 @@ impl CommState {
             Err(NetError::PeerGone(_)) if dest != self.driver => Ok(()),
             Err(e) => Err(e),
         }
+    }
+
+    /// How long the comm thread may wait for a frame before heartbeat
+    /// work can fall due: a quarter of the timeout, the ping interval.
+    /// Without heartbeats it waits for a frame or a wake.
+    fn next_tick(&self) -> Duration {
+        self.hb.as_ref().map_or(Duration::MAX, |hb| hb.timeout / 4)
     }
 
     /// Periodic failure-detection work: suspect silent/downed peers to
@@ -1059,20 +1145,22 @@ impl CommState {
 
     /// Sends worker-originated control messages (donated transfers).
     fn flush_ctrl<T: Transport>(&mut self, t: &T, shared: &Shared) -> Result<(), NetError> {
-        if !shared.ctrl_pending.swap(false, Ordering::AcqRel) {
-            return Ok(());
-        }
-        let msgs = std::mem::take(&mut *shared.ctrl_out.lock().unwrap_or_else(|e| e.into_inner()));
-        for (dest, msg) in msgs {
+        while let Some((dest, msg)) = shared.ctrl_out.pop() {
             self.post_ctrl(t, dest, &msg)?;
         }
         Ok(())
     }
 
     /// Moves staged worker output into per-destination buffers and sends
-    /// every buffer that reached the batch size.
-    fn flush_ready<T: Transport>(&mut self, t: &T, shared: &Shared) -> Result<(), NetError> {
-        let mut moved = false;
+    /// every buffer that reached the batch size — and every other
+    /// non-empty one when `all` is set or the worker has gone idle or
+    /// exited.  Tokens for a rank no longer a member are re-injected.
+    fn flush<T: Transport>(&mut self, t: &T, shared: &Shared, all: bool) -> Result<(), NetError> {
+        // Taken before the pops: everything staged before the flag was
+        // raised is sent below.
+        let flush = shared.flush.swap(false, Ordering::AcqRel)
+            || all
+            || shared.worker_exited.load(Ordering::Acquire);
         while let Some(out) = shared.outbound.pop() {
             let dest = out.dest;
             if !self.is_member(dest) {
@@ -1083,30 +1171,14 @@ impl CommState {
                 continue;
             }
             self.buffers[dest].push(out.token);
-            moved = true;
             if self.buffers[dest].len() >= self.message_batch {
                 self.send_buffer(t, shared, dest)?;
             }
         }
-        // When the staging queue ran dry, ship the stragglers too: a token
-        // parked in a half-full buffer would otherwise wait for future
-        // traffic, and latency matters more than batching once idle.
-        if !moved || shared.worker_exited.load(Ordering::Acquire) {
+        if flush {
             self.send_buffers(t, shared)?;
         }
         Ok(())
-    }
-
-    /// Unconditionally flushes every staged token (quiesce/census path).
-    fn flush_all<T: Transport>(&mut self, t: &T, shared: &Shared) -> Result<(), NetError> {
-        while let Some(out) = shared.outbound.pop() {
-            if !self.is_member(out.dest) {
-                self.inject(shared, out.token)?;
-                continue;
-            }
-            self.buffers[out.dest].push(out.token);
-        }
-        self.send_buffers(t, shared)
     }
 
     /// Sends every non-empty per-destination buffer.
@@ -1147,7 +1219,7 @@ impl CommState {
             Err(NetError::PeerGone(_)) if dest != self.driver => {
                 // The stream died under us: recover the whole batch
                 // locally.  The failure detector will evict the peer.
-                self.telemetry.retries.inc();
+                self.telemetry.recovered_batches.inc();
                 if let Message::TokenBatch { tokens, .. } = msg {
                     for tok in tokens {
                         self.inject(shared, tok)?;
@@ -1159,9 +1231,12 @@ impl CommState {
         }
     }
 
+    /// Reports progress once the worker has crossed a `progress_every`
+    /// boundary since the last report (the crossing wakes this thread),
+    /// and a last time once it has exited.
     fn report_progress<T: Transport>(&mut self, t: &T, shared: &Shared) -> Result<(), NetError> {
         let updates = shared.local_updates.load(Ordering::Acquire);
-        let due = updates - self.last_reported >= self.progress_every
+        let due = updates / self.progress_every != self.last_reported / self.progress_every
             || (shared.worker_exited.load(Ordering::Acquire) && updates != self.last_reported);
         if due {
             self.last_reported = updates;
@@ -1176,17 +1251,13 @@ impl CommState {
                 ),
                 None => (u64::MAX, 0),
             };
-            self.note_sent(self.driver);
-            let n = t.send(
-                self.driver,
-                &Message::Progress {
-                    rank: self.rank as u32,
-                    updates,
-                    staleness,
-                    publish_gap,
-                },
-            )?;
-            self.telemetry.note_frame(n);
+            let msg = Message::Progress {
+                rank: self.rank as u32,
+                updates,
+                staleness,
+                publish_gap,
+            };
+            self.post_ctrl(t, self.driver, &msg)?;
             // Telemetry rides the same cadence: one cumulative snapshot
             // frame per progress report.
             self.send_telemetry(t, shared)?;
@@ -1252,10 +1323,7 @@ impl CommState {
             }
         };
         self.last_shipped = Some((snap, owned));
-        self.note_sent(self.driver);
-        let n = t.send(self.driver, &msg)?;
-        self.telemetry.note_frame(n);
-        Ok(())
+        self.post_ctrl(t, self.driver, &msg)
     }
 
     /// Builds the delta between `snap` and the last shipped frame, or
@@ -1420,24 +1488,13 @@ impl CommState {
     /// Applies queued worker commands on the worker's behalf after it
     /// has exited (quiesce path) — the state lock is free then.
     fn drain_cmds(&mut self, shared: &Shared, state: &Mutex<WorkerState>) {
-        if !shared.cmd_pending.load(Ordering::Acquire) {
+        if shared.cmds.is_empty() {
             return;
         }
         state
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .apply_cmds(shared);
-    }
-
-    /// Waits (bounded spin) for the worker to acknowledge a park request;
-    /// an exited worker counts as parked.
-    fn park_worker(&self, shared: &Shared) {
-        shared.park.store(true, Ordering::Release);
-        while !(shared.parked.load(Ordering::Acquire)
-            || shared.worker_exited.load(Ordering::Acquire))
-        {
-            std::thread::sleep(Duration::from_micros(50));
-        }
     }
 
     /// Runs the local half of the eviction census for `dead`; see the
@@ -1462,27 +1519,15 @@ impl CommState {
         t.close_peer(dead);
 
         // Park the worker so no token is mid-hop while we take stock.
-        self.park_worker(shared);
+        shared.park.request(&shared.queue);
 
-        // Recover everything staged for (or buffered toward) the corpse:
-        // those tokens never left this address space, so re-injecting
-        // them locally keeps them alive.  Tokens already written to the
-        // dead rank's stream are genuinely lost — the driver re-mints
-        // them from the inventories.
-        while let Some(out) = shared.outbound.pop() {
-            if self.is_member(out.dest) {
-                self.buffers[out.dest].push(out.token);
-            } else {
-                self.inject(shared, out.token)?;
-            }
-        }
-        let orphaned = std::mem::take(&mut self.buffers[dead]);
-        for tok in orphaned {
-            self.inject(shared, tok)?;
-        }
-        // Flush survivors, then mark every surviving edge: FIFO means a
-        // mark bounds all pre-census traffic from this rank.
-        self.send_buffers(t, shared)?;
+        // Recover everything staged for (or buffered toward) the corpse —
+        // those tokens never left this address space, so the flush
+        // re-injects them locally — and send the rest.  Tokens already
+        // written to the dead rank's stream are genuinely lost: the driver
+        // re-mints them from the inventories.  Then mark every surviving
+        // edge: FIFO means a mark bounds all pre-census traffic from here.
+        self.flush(t, shared, true)?;
         let peers = self.member_peers();
         for peer in 0..self.capacity {
             if peers & bit(peer) != 0 {
@@ -1547,10 +1592,7 @@ impl CommState {
             tickets: shared.tickets.load(Ordering::Acquire),
             held,
         };
-        self.note_sent(self.driver);
-        let n = t.send(self.driver, &msg)?;
-        self.telemetry.note_frame(n);
-        Ok(())
+        self.post_ctrl(t, self.driver, &msg)
     }
 
     fn handle<T: Transport>(
@@ -1574,7 +1616,7 @@ impl CommState {
                     self.inject(shared, token)?;
                 }
             }
-            Message::Drain => shared.drain.store(true, Ordering::Release),
+            Message::Drain => shared.stop_worker(),
             Message::Fin { rank } => {
                 let r = rank as usize;
                 self.fins_from |= bit(r);
@@ -1608,7 +1650,7 @@ impl CommState {
             Message::Reconfigure { epoch } => {
                 self.epoch = self.epoch.max(epoch);
                 shared.epoch.store(self.epoch, Ordering::Release);
-                shared.park.store(false, Ordering::Release);
+                shared.park.release();
                 self.awaiting_reconfigure = false;
             }
             Message::AddRank { epoch, rank } => {
@@ -1624,18 +1666,11 @@ impl CommState {
                 row_start,
                 row_count,
                 ..
-            } => {
-                shared
-                    .cmds
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push_back(WorkerCmd::ShipRows {
-                        to: to as usize,
-                        row_start: row_start as usize,
-                        row_count: row_count as usize,
-                    });
-                shared.cmd_pending.store(true, Ordering::Release);
-            }
+            } => shared.queue_cmd(WorkerCmd::ShipRows {
+                to: to as usize,
+                row_start: row_start as usize,
+                row_count: row_count as usize,
+            }),
             Message::Query { id, user, k, seen } => {
                 let taken = Instant::now();
                 let reply = self.answer_query(shared, id, user, k, seen);
@@ -1657,16 +1692,11 @@ impl CommState {
                 let (segment, cols) =
                     self.shape
                         .adopt("ShardTransfer", row_start, count as u64, &rows, cols)?;
-                shared
-                    .cmds
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push_back(WorkerCmd::AddRows {
-                        segment,
-                        rows,
-                        cols,
-                    });
-                shared.cmd_pending.store(true, Ordering::Release);
+                shared.queue_cmd(WorkerCmd::AddRows {
+                    segment,
+                    rows,
+                    cols,
+                });
             }
             other => {
                 return Err(NetError::Protocol(format!(
@@ -1691,6 +1721,21 @@ struct RankWorker<'a> {
     local_updates: u64,
     /// Sorted active ranks — what routing chooses among.
     active: Vec<usize>,
+    /// Cuts the comm thread's transport wait short (see the module docs).
+    comm: Waker,
+    /// Outbound tokens staged since the comm thread was last woken.
+    staged: usize,
+    message_batch: usize,
+    /// The next `progress_every` boundary of `local_updates`.
+    next_report: u64,
+    progress_every: u64,
+}
+
+impl RankWorker<'_> {
+    fn wake_comm(&mut self) {
+        self.staged = 0;
+        self.comm.wake();
+    }
 }
 
 // SAFETY: the rank queue only receives tokens through `CommState::inject`
@@ -1716,6 +1761,11 @@ unsafe impl HopContext for RankWorker<'_> {
         self.local_updates += updates;
         let (done, mirror) = (self.local_updates, &self.shared.local_updates);
         mirror.store(done, Ordering::Release);
+        if done >= self.next_report {
+            // A progress report is due; the comm thread sends it.
+            self.next_report = (done / self.progress_every + 1) * self.progress_every;
+            self.wake_comm();
+        }
         done
     }
 
@@ -1753,6 +1803,10 @@ unsafe impl HopContext for RankWorker<'_> {
                 factor: h.to_vec(),
             };
             self.shared.outbound.push(Outbound { dest, token });
+            self.staged += 1;
+            if self.staged >= self.message_batch {
+                self.wake_comm();
+            }
         }
     }
 }
@@ -1766,7 +1820,13 @@ unsafe impl HopContext for RankWorker<'_> {
 /// The worker takes the state lock once and holds it for the whole run —
 /// zero per-hop locking cost; the comm thread only needs the lock after
 /// the worker has exited.  Membership is one relaxed epoch load per hop.
-fn worker_loop(shared: &Shared, state: &Mutex<WorkerState>, setup: &SetupPayload) -> u64 {
+/// `comm` wakes the comm thread; see the module docs for when.
+fn worker_loop(
+    shared: &Shared,
+    state: &Mutex<WorkerState>,
+    setup: &SetupPayload,
+    comm: Waker,
+) -> u64 {
     let rank = setup.rank as usize;
     let (budget, abort_after) = (setup.budget, setup.abort_after_updates);
     let params = HyperParams {
@@ -1779,6 +1839,7 @@ fn worker_loop(shared: &Shared, state: &Mutex<WorkerState>, setup: &SetupPayload
     // The publisher has one contributor slot (0): this rank's one worker.
     let (slab, publisher) = (&shared.slab, shared.publisher.as_ref());
     let mut kernel = HopKernel::new(rank, 0, params, setup.routing, setup.seed, slab, publisher);
+    let progress_every = setup.progress_every.max(1);
     let mut worker = RankWorker {
         rank,
         shared,
@@ -1786,8 +1847,14 @@ fn worker_loop(shared: &Shared, state: &Mutex<WorkerState>, setup: &SetupPayload
         tickets: 0,
         local_updates: 0,
         active: members_vec(shared.members.load(Ordering::Acquire)),
+        comm,
+        staged: 0,
+        message_batch: (setup.message_batch as usize).max(1),
+        next_report: progress_every,
+        progress_every,
     };
     let mut cached_epoch = shared.epoch.load(Ordering::Acquire);
+    let mut published = publisher.map_or(0, SnapshotPublisher::epoch);
     loop {
         // Chaos knob: a real spawned child can be told to die abruptly
         // after N updates — the kill-a-rank regression's deterministic
@@ -1811,19 +1878,19 @@ fn worker_loop(shared: &Shared, state: &Mutex<WorkerState>, setup: &SetupPayload
         if worker.local_updates >= budget {
             break;
         }
-        // Census park: acknowledge and spin at the hop boundary (no
+        // Census park: acknowledge and wait at the hop boundary (no
         // token is held here) until the driver reconfigures the mesh.
-        if shared.park.load(Ordering::Acquire) {
-            shared.parked.store(true, Ordering::Release);
-            while shared.park.load(Ordering::Acquire) && !shared.drain.load(Ordering::Acquire) {
-                std::thread::sleep(Duration::from_micros(50));
-            }
-            shared.parked.store(false, Ordering::Release);
+        if shared.park.requested.load(Ordering::Acquire) {
+            shared.park.hold(&shared.drain);
         }
         // Membership commands (segment transfers in or out) apply here,
         // where no token is mid-update.
-        if shared.cmd_pending.load(Ordering::Acquire) {
+        if !shared.cmds.is_empty() {
             worker.st.apply_cmds(shared);
+            if !shared.ctrl_out.is_empty() {
+                // Donated rows: the comm thread ships them.
+                worker.wake_comm();
+            }
         }
         let epoch = shared.epoch.load(Ordering::Relaxed);
         if epoch != cached_epoch {
@@ -1831,12 +1898,22 @@ fn worker_loop(shared: &Shared, state: &Mutex<WorkerState>, setup: &SetupPayload
             worker.active = members_vec(shared.members.load(Ordering::Acquire));
         }
         if kernel.hop(&mut worker).is_none() {
-            std::thread::yield_now();
+            // Idle: have every staged token sent, then wait for a token
+            // or a wake from the comm thread.
+            shared.flush.store(true, Ordering::Release);
+            worker.wake_comm();
+            shared.queue.wait(None);
+        } else if let Some(p) = publisher.filter(|p| p.epoch() != published) {
+            // The hop completed a publish: the comm thread ships it.
+            published = p.epoch();
+            worker.wake_comm();
         }
     }
     #[cfg(feature = "sched-fuzz")]
     nomad_core::sched::hooks::done(rank);
     shared.worker_exited.store(true, Ordering::Release);
+    drop(shared.park.ack());
+    worker.wake_comm();
     worker.tickets
 }
 

@@ -61,7 +61,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::transport::{Inbox, NetError, Transport, Waker};
+use nomad_core::queue::Inbox;
+
+use crate::transport::{NetError, Transport, Waker};
 use crate::wire::{Message, STREAM_BUF_BYTES};
 
 type Reader = BufReader<TcpStream>;
@@ -809,7 +811,7 @@ mod tests {
         // A frame is in the inbox once the reader thread has queued it.
         crate::transport::tests::assert_wake_contract(&driver, &ranks[0], || {
             let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            while driver.shared.inbox.len() == 0 {
+            while driver.shared.inbox.is_empty() {
                 assert!(std::time::Instant::now() < deadline, "frame never arrived");
                 std::thread::yield_now();
             }

@@ -14,15 +14,16 @@
 //! even when no socket exists; `nomad_net::tcp` implements the same trait
 //! over real `std::net` streams.
 //!
-//! Both keep one receive queue per endpoint, and it is written once: the
-//! crate-private `Inbox` holds the frames *and* a `woken` flag under one
-//! mutex, which is what lets a [`Waker`] cut a blocked
-//! [`Transport::recv_timeout`] short from another thread without a lost
-//! wake-up and without touching the queue.
+//! Both keep one receive queue per endpoint, the same
+//! [`nomad_core::queue::Inbox`] the workers' token queues are: its
+//! `woken` flag lives under the queue's mutex, which is what lets a
+//! [`Waker`] cut a blocked [`Transport::recv_timeout`] short from another
+//! thread without a lost wake-up and without touching the queue.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Duration;
+
+use nomad_core::queue::Inbox;
 
 use crate::wire::{Message, WireError};
 
@@ -93,8 +94,9 @@ pub trait Transport: Send {
     fn send(&self, dest: usize, msg: &Message) -> Result<usize, NetError>;
 
     /// Receives the next message from any endpoint, waiting up to
-    /// `timeout`.  `Ok(None)` means there was nothing to deliver: the
-    /// timeout elapsed, or a [`Waker`] cut the wait short.
+    /// `timeout` (`Duration::MAX`: until a frame or a wake).  `Ok(None)`
+    /// means there was nothing to deliver: the timeout elapsed, or a
+    /// [`Waker`] cut the wait short.
     ///
     /// # Errors
     /// Fails if the mesh is closed or a received frame fails to decode.
@@ -118,71 +120,6 @@ pub trait Transport: Send {
     /// a dead stream cannot poison later sends.  Default: no-op.
     fn close_peer(&self, peer: usize) {
         let _ = peer;
-    }
-}
-
-/// One endpoint's receive queue: the queued items plus a wake flag, both
-/// under one mutex, and the condvar receivers block on.  [`Loopback`]
-/// queues encoded frames in it, the TCP transport decoded messages.
-pub(crate) struct Inbox<T> {
-    state: Mutex<InboxState<T>>,
-    ready: Condvar,
-}
-
-struct InboxState<T> {
-    queue: VecDeque<T>,
-    /// Raised by [`Inbox::wake`], cleared by the next [`Inbox::pop_timeout`]
-    /// to return.  Read and written only under the mutex: a wake can
-    /// land before the receiver checks or after it started waiting, but
-    /// never between the two.
-    woken: bool,
-}
-
-impl<T> Inbox<T> {
-    pub(crate) fn new() -> Self {
-        Self {
-            state: Mutex::new(InboxState {
-                queue: VecDeque::new(),
-                woken: false,
-            }),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, InboxState<T>> {
-        self.state.lock().expect("inbox poisoned")
-    }
-
-    pub(crate) fn push(&self, item: T) {
-        self.lock().queue.push_back(item);
-        self.ready.notify_one();
-    }
-
-    /// Pops the oldest item, waiting up to `timeout` for one unless a
-    /// wake is pending.  Any return consumes the pending wake, so `n`
-    /// wakes cost at most one empty return; a queued item is never
-    /// skipped or reordered by one.
-    pub(crate) fn pop_timeout(&self, timeout: Duration) -> Option<T> {
-        let mut state = self.lock();
-        if state.queue.is_empty() && !state.woken {
-            state = self
-                .ready
-                .wait_timeout(state, timeout)
-                .expect("inbox poisoned")
-                .0;
-        }
-        state.woken = false;
-        state.queue.pop_front()
-    }
-
-    pub(crate) fn wake(&self) {
-        self.lock().woken = true;
-        self.ready.notify_all();
-    }
-
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.lock().queue.len()
     }
 }
 

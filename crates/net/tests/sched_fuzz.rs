@@ -80,7 +80,7 @@ fn fuzzed_seeds_long_conserve_and_match_serial() {
 }
 
 /// Drain-barrier regression: one rank's comm thread is maximally delayed
-/// (every send sleeps 10× the comm poll), and quiesce must still
+/// (every send sleeps 2 ms), and quiesce must still
 /// complete with the full budget — a *slow* rank, far under the default
 /// heartbeat timeout, must never wedge the barrier or be evicted.
 #[test]
@@ -88,8 +88,8 @@ fn drain_barrier_completes_with_a_maximally_delayed_comm_thread() {
     let (data, _test) = tiny();
     let cfg = NetConfig::new(quick_config(8, 5_000));
     let (driver, mut endpoints) = Loopback::mesh(2);
-    // COMM_POLL is 200µs; a 2ms send delay makes rank 1's comm thread
-    // the straggler on every token batch, progress report and Fin.
+    // A 2ms send delay makes rank 1's comm thread the straggler on every
+    // token batch, progress report and Fin.
     let slow = ChaosTransport::scripted(
         endpoints.pop().expect("rank 1"),
         ChaosPlan {

@@ -1,7 +1,7 @@
 //! `nomad-telemetry`: the observability plane of the NOMAD workspace.
 //!
 //! Three pieces, each shaped by the same constraint that shaped the
-//! engines themselves — the SGD hot path must stay lock-free and
+//! engines themselves — the SGD hot path must lock no factor row and stay
 //! allocation-free (asserted by `nomad-core`'s counting-allocator test,
 //! which runs **with telemetry recording enabled**):
 //!
@@ -81,9 +81,9 @@ pub mod names {
     pub const FRAMES_RECV: &str = "net.frames_recv";
     /// Encoded bytes put on the wire (counter).
     pub const BYTES_SENT: &str = "net.bytes_sent";
-    /// Sends retried or re-injected locally after a peer vanished
-    /// (counter).
-    pub const RETRIES: &str = "net.retries";
+    /// Token batches a rank re-injected into its own queue because the
+    /// send to their peer failed with the peer gone (counter; rank scope).
+    pub const RECOVERED_BATCHES: &str = "net.recovered_batches";
     /// Ranks evicted by the failure detector (counter; driver scope).
     pub const EVICTIONS: &str = "net.evictions";
     /// Ranks admitted mid-run (counter; driver scope).

@@ -36,7 +36,7 @@ fn main() {
         dataset.matrix.ncols()
     );
 
-    // Train with the real lock-free threaded engine: 4 worker threads,
+    // Train with the real multi-threaded engine: 4 worker threads,
     // 12 epochs of updates, 6 RMSE snapshots.
     let params = HyperParams::netflix().with_k(32);
     let updates = dataset.matrix.nnz() as u64 * 12;

@@ -16,7 +16,7 @@
 //! * [`cluster`] — the discrete-event cluster simulator (virtual time,
 //!   network and compute cost models, topologies),
 //! * [`core`] — the NOMAD algorithm itself: serial reference, real
-//!   multi-threaded engine on lock-free queues, and the simulated
+//!   multi-threaded engine with one token queue per worker, and the simulated
 //!   multi-machine/hybrid engine,
 //! * [`serve`] — low-latency top-k recommendation serving over
 //!   live-training models: epoch-published immutable snapshots, a

@@ -93,18 +93,21 @@ fn vec_payload_reference(
     FactorModel { w, h }
 }
 
-/// Satellite stress test for the schedule-fuzz PR: 8 producers and 8
-/// consumers hammer the same `SegQueue` ring the engine uses, with the
-/// consumers driven through a seeded [`FuzzController`] turnstile
-/// (delayed pops, paused consumers, biased routing).  The controller is
-/// exercised as a plain object here — no global install, no `sched-fuzz`
-/// feature needed — and the oracle is exact token conservation: every
-/// token retires after exactly `HOPS` visits, none lost, none duplicated.
+/// Stress test: 8 producers and 8 consumers hammer the same [`Inbox`]
+/// queues the engine uses, with the consumers driven through a seeded
+/// [`FuzzController`] turnstile (delayed pops, paused consumers, biased
+/// routing) and waiting on their queues when idle, as engine workers do.
+/// The controller is exercised as a plain object here — no global
+/// install, no `sched-fuzz` feature needed — and the oracle is exact
+/// token conservation: every token retires after exactly `HOPS` visits,
+/// none lost, none duplicated.
+///
+/// [`Inbox`]: nomad::core::queue::Inbox
 #[test]
-fn segqueue_stress_under_schedule_controller_conserves_tokens() {
+fn queue_stress_under_schedule_controller_conserves_tokens() {
     use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
-    use crossbeam::queue::SegQueue;
+    use nomad::core::queue::Inbox;
     use nomad::core::sched::{FaultPlan, FuzzCase, FuzzController, ScheduleController, Strategy};
 
     const LANES: usize = 8;
@@ -114,9 +117,9 @@ fn segqueue_stress_under_schedule_controller_conserves_tokens() {
 
     for strategy in [Strategy::Pct, Strategy::Starve, Strategy::Burst] {
         let ctrl = FuzzController::new(FuzzCase::new(0xF00D, strategy), FaultPlan::default());
-        let queues: Vec<SegQueue<usize>> = (0..LANES).map(|_| SegQueue::new()).collect();
+        let queues: Vec<Inbox<usize>> = (0..LANES).map(|_| Inbox::new()).collect();
         let visits: Vec<AtomicU32> = (0..TOTAL).map(|_| AtomicU32::new(0)).collect();
-        let retired = SegQueue::new();
+        let retired = Inbox::new();
         let retired_count = AtomicUsize::new(0);
 
         std::thread::scope(|scope| {
@@ -143,7 +146,7 @@ fn segqueue_stress_under_schedule_controller_conserves_tokens() {
                     match queues[c].pop() {
                         None => {
                             ctrl.after_pop(c, false);
-                            std::thread::yield_now();
+                            queues[c].wait(None);
                         }
                         Some(id) => {
                             ctrl.after_pop(c, true);
@@ -155,7 +158,10 @@ fn segqueue_stress_under_schedule_controller_conserves_tokens() {
                                 queues[dest].push(id);
                             } else {
                                 retired.push(id);
-                                retired_count.fetch_add(1, Ordering::Release);
+                                if retired_count.fetch_add(1, Ordering::Release) + 1 == TOTAL {
+                                    // The last retirement: wake the idle.
+                                    queues.iter().for_each(Inbox::wake);
+                                }
                             }
                         }
                     }
