@@ -6,8 +6,6 @@
 //! distributed, lock-based variant that GraphLab implements is modeled in
 //! [`crate::graphlab`].
 
-use serde::{Deserialize, Serialize};
-
 use nomad_cluster::{ComputeModel, RunTrace, SimTime, TracePoint};
 use nomad_matrix::{RatingMatrix, TripletMatrix};
 use nomad_sgd::{als_solve_row, FactorModel, HyperParams};
@@ -15,7 +13,7 @@ use nomad_sgd::{als_solve_row, FactorModel, HyperParams};
 use crate::common::BaselineStop;
 
 /// Configuration of the ALS baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlsConfig {
     /// Hyper-parameters (`alpha`/`beta` are unused: ALS has no step size).
     pub params: HyperParams,

@@ -17,7 +17,6 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use nomad_cluster::{ClusterTopology, ComputeModel, NetworkModel, RunTrace, TracePoint};
 use nomad_matrix::{Idx, RatingMatrix, RowPartition, TripletMatrix};
@@ -27,7 +26,7 @@ use nomad_sgd::{FactorMatrix, FactorModel, HyperParams};
 use crate::common::{BaselineStop, EpochClock};
 
 /// Configuration of the asynchronous parameter-server SGD baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AsgdConfig {
     /// Hyper-parameters.
     pub params: HyperParams,

@@ -13,8 +13,6 @@
 //! per dimension — a bulk-synchronous pattern whose barrier and all-reduce
 //! costs are charged to the virtual clock exactly like DSGD's.
 
-use serde::{Deserialize, Serialize};
-
 use nomad_cluster::{ClusterTopology, ComputeModel, NetworkModel, RunTrace, TracePoint};
 use nomad_matrix::{Idx, RatingMatrix, RowPartition, TripletMatrix};
 use nomad_sgd::{FactorModel, HyperParams};
@@ -22,7 +20,7 @@ use nomad_sgd::{FactorModel, HyperParams};
 use crate::common::{BaselineStop, EpochClock};
 
 /// Configuration of CCD++.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CcdConfig {
     /// Hyper-parameters (`alpha`/`beta` are unused: CCD++ has no step size).
     pub params: HyperParams,

@@ -1,13 +1,11 @@
 //! Shared plumbing for the baseline solvers: stop conditions and the
 //! bulk-synchronous virtual clock.
 
-use serde::{Deserialize, Serialize};
-
 use nomad_cluster::{NetworkModel, SimMetrics, SimTime};
 
 /// When a baseline run stops: after `max_epochs` full passes, or earlier if
 /// the optional virtual-time budget runs out.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BaselineStop {
     /// Maximum number of epochs (full passes over the training data, or
     /// outer iterations for CCD++/ALS).

@@ -18,7 +18,6 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use nomad_cluster::{ClusterTopology, ComputeModel, NetworkModel, RunTrace, TracePoint};
 use nomad_matrix::{Idx, RatingMatrix, RowPartition, TripletMatrix};
@@ -29,7 +28,7 @@ use crate::common::BaselineStop;
 use crate::common::EpochClock;
 
 /// Configuration of DSGD.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DsgdConfig {
     /// Hyper-parameters; `alpha` seeds the bold-driver step size.
     pub params: HyperParams,

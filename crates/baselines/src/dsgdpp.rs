@@ -7,8 +7,6 @@
 //! it inherits the last-reducer problem — which is why NOMAD overtakes it
 //! as the cluster grows (Figure 12).
 
-use serde::{Deserialize, Serialize};
-
 use nomad_cluster::{ClusterTopology, ComputeModel, NetworkModel, RunTrace};
 use nomad_matrix::{RatingMatrix, TripletMatrix};
 use nomad_sgd::{FactorModel, HyperParams};
@@ -17,7 +15,7 @@ use crate::common::BaselineStop;
 use crate::dsgd::{run_stratified, StratifiedOptions};
 
 /// Configuration of DSGD++.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DsgdPlusPlusConfig {
     /// Hyper-parameters; `alpha` seeds the bold-driver step size.
     pub params: HyperParams,

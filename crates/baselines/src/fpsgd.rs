@@ -17,7 +17,6 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use nomad_cluster::{ComputeModel, EventQueue, RunTrace, SimTime, TracePoint};
 use nomad_matrix::{Idx, RatingMatrix, RowPartition, TripletMatrix};
@@ -27,7 +26,7 @@ use nomad_sgd::{FactorModel, HyperParams};
 use crate::common::BaselineStop;
 
 /// Configuration of FPSGD**.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FpsgdConfig {
     /// Hyper-parameters.
     pub params: HyperParams,

@@ -14,8 +14,6 @@
 //! the neighbouring vertex lives on a different machine (which happens with
 //! probability `(p-1)/p` under the hashed vertex placement GraphLab uses).
 
-use serde::{Deserialize, Serialize};
-
 use nomad_cluster::{ClusterTopology, ComputeModel, NetworkModel, RunTrace, TracePoint};
 use nomad_matrix::{Idx, RatingMatrix, RowPartition, TripletMatrix};
 use nomad_sgd::{als_solve_row, FactorModel, HyperParams};
@@ -23,7 +21,7 @@ use nomad_sgd::{als_solve_row, FactorModel, HyperParams};
 use crate::common::{BaselineStop, EpochClock};
 
 /// Configuration of the GraphLab-ALS baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GraphLabConfig {
     /// Hyper-parameters (`alpha`/`beta` unused).
     pub params: HyperParams,

@@ -7,7 +7,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use nomad_cluster::{ComputeModel, RunTrace, SimTime, TracePoint};
 use nomad_matrix::{RatingMatrix, TripletMatrix};
@@ -17,7 +16,7 @@ use nomad_sgd::{FactorModel, HyperParams};
 use crate::common::BaselineStop;
 
 /// Configuration of the serial SGD baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SerialSgdConfig {
     /// Hyper-parameters (k, λ, α, β).
     pub params: HyperParams,

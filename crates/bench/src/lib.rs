@@ -1,13 +1,14 @@
 //! Reproduction-binary support code.
 //!
 //! The `fig` binary in `src/bin/` regenerates any table or figure of the
-//! paper's evaluation section by id (`fig fig5`, `fig table1`; CSV to
-//! stdout, a markdown summary to stderr), `repro_all` runs them all and
-//! `streaming` runs the streaming figure; `schedfuzz` (feature
-//! `sched-fuzz`) sweeps seeded fuzz schedules.  The Criterion benches in
+//! paper's evaluation section, or the streaming figure, by id (`fig fig5`,
+//! `fig table1`, `fig streaming`; CSV to stdout, a markdown summary to
+//! stderr), and `repro_all` runs them all.  The Criterion benches in
 //! `benches/` measure the kernels and ablate the design choices listed in
 //! `DESIGN.md`.  End-to-end throughput is measured by the separate
-//! `benchmark/` package (`BENCHMARK.json`), not here.
+//! `benchmark/` package (`BENCHMARK.json`), not here; the seeded schedule
+//! and chaos sweeps are the `sched_fuzz`, `chaos` and `serve_chaos` tests
+//! of `nomad-core` and `nomad-net`.
 
 #![warn(missing_docs)]
 
@@ -21,30 +22,14 @@ use nomad_eval::{figure_to_csv, figure_to_markdown, Figure, ReproScale};
 /// argument is rejected with exit code 2 so that typos are not silently
 /// ignored before a long experiment run.
 pub fn handle_cli_args(name: &str, about: &str) {
-    handle_cli_args_with(
-        name,
-        about,
-        "Output: CSV series on stdout, a markdown summary on stderr.",
-        &[],
-    );
-}
-
-/// Like [`handle_cli_args`], but with a custom output description and extra
-/// environment-variable documentation lines — for binaries (such as
-/// `schedfuzz`) whose output is not the standard CSV/markdown pair.
-///
-/// Every binary still documents `NOMAD_SCALE`, which the smoke tests
-/// enforce, and still rejects unknown arguments with exit code 2.
-pub fn handle_cli_args_with(name: &str, about: &str, output: &str, extra_env: &[&str]) {
-    cli_core(name, about, output, extra_env, None);
+    cli_core(name, about, None);
 }
 
 /// Like [`handle_cli_args`], but the binary additionally takes one
 /// positional `<id>` out of `ids` (the `fig` binary's figure/table id) and
 /// returns it.  A missing or unknown id exits 2 listing `ids`.
 pub fn handle_cli_args_id(name: &str, about: &str, ids: &[&str]) -> String {
-    let output = "Output: CSV series on stdout, a markdown summary on stderr.";
-    cli_core(name, about, output, &[], Some(ids)).expect("an id list was supplied")
+    cli_core(name, about, Some(ids)).expect("an id list was supplied")
 }
 
 /// The one implementation behind the whole reproduction-binary CLI
@@ -53,13 +38,7 @@ pub fn handle_cli_args_id(name: &str, about: &str, ids: &[&str]) -> String {
 /// answer `--help` with the usage/environment template and exit 0.
 /// `ids` optionally enables one positional `<id>` that must be one of
 /// them; the id passed comes back.
-fn cli_core(
-    name: &str,
-    about: &str,
-    output: &str,
-    extra_env: &[&str],
-    ids: Option<&[&str]>,
-) -> Option<String> {
+fn cli_core(name: &str, about: &str, ids: Option<&[&str]>) -> Option<String> {
     let mut help = false;
     let mut id: Option<String> = None;
     for arg in std::env::args().skip(1) {
@@ -80,17 +59,11 @@ fn cli_core(
             Some(ids) => format!("[--help] <{}>", ids.join("|")),
             None => "[--help]".to_string(),
         };
-        let mut env_lines =
-            String::from("  NOMAD_SCALE=quick|standard   experiment scale (default: quick)");
-        for line in extra_env {
-            env_lines.push_str("\n  ");
-            env_lines.push_str(line);
-        }
         println!(
             "{name}: {about}\n\n\
              Usage: {name} {usage_flags}\n\n\
-             {output}\n\n\
-             Environment:\n{env_lines}"
+             Output: CSV series on stdout, a markdown summary on stderr.\n\n\
+             Environment:\n  NOMAD_SCALE=quick|standard   experiment scale (default: quick)"
         );
         std::process::exit(0);
     }

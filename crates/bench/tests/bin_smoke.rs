@@ -1,7 +1,7 @@
-//! Smoke tests for the reproduction binaries: `fig`, `streaming`,
-//! `repro_all` and (under its feature) `schedfuzz` must link, answer
-//! `--help` with a usage message and exit 0, and reject unknown arguments
-//! with exit 2 — all without starting an actual experiment run.
+//! Smoke tests for the reproduction binaries: `fig` and `repro_all` must
+//! link, answer `--help` with a usage message and exit 0, and reject
+//! unknown arguments with exit 2 — all without starting an actual
+//! experiment run.
 
 use std::process::Command;
 
@@ -10,20 +10,12 @@ use std::process::Command;
 /// also forces all binaries to build (the "link" half of the smoke test).
 const BINS: &[(&str, &str)] = &[
     ("fig", env!("CARGO_BIN_EXE_fig")),
-    ("streaming", env!("CARGO_BIN_EXE_streaming")),
     ("repro_all", env!("CARGO_BIN_EXE_repro_all")),
 ];
 
-/// The `schedfuzz` bin only exists under `--features sched-fuzz`
-/// (`required-features`), so its `CARGO_BIN_EXE_*` var is only set then.
-#[cfg(feature = "sched-fuzz")]
-const FEATURE_BINS: &[(&str, &str)] = &[("schedfuzz", env!("CARGO_BIN_EXE_schedfuzz"))];
-#[cfg(not(feature = "sched-fuzz"))]
-const FEATURE_BINS: &[(&str, &str)] = &[];
-
 #[test]
 fn every_bin_answers_help() {
-    for (name, path) in BINS.iter().chain(FEATURE_BINS) {
+    for (name, path) in BINS {
         let out = Command::new(path)
             .arg("--help")
             .output()
@@ -47,7 +39,7 @@ fn every_bin_answers_help() {
 
 #[test]
 fn every_bin_rejects_unknown_arguments() {
-    for (name, path) in BINS.iter().chain(FEATURE_BINS) {
+    for (name, path) in BINS {
         let out = Command::new(path)
             .arg("--definitely-not-a-flag")
             .output()
@@ -81,7 +73,7 @@ fn fig_dispatches_by_id_and_lists_the_ids_when_it_cannot() {
         let out = fig(args);
         assert_eq!(out.status.code(), Some(2), "fig {args:?} must exit 2");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        for part in ["<id>", "table1", "table2", "fig5", "fig23"] {
+        for part in ["<id>", "table1", "table2", "fig5", "fig23", "streaming"] {
             assert!(
                 stderr.contains(part),
                 "fig {args:?} must print {part}:\n{stderr}"

@@ -10,10 +10,8 @@
 //! (updates / core / second, Figures 6 and 10 of the paper) lands in the
 //! same few-million-per-second range the paper reports for `k = 100`.
 
-use serde::{Deserialize, Serialize};
-
 /// Prices computation in virtual seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComputeModel {
     /// Seconds per latent dimension per SGD update — the paper's constant
     /// `a`.  One SGD update on a rating costs `a · k`.

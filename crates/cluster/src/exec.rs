@@ -6,9 +6,9 @@
 //! abstraction on top of it: each registered [`Component`] ticks at its
 //! own period (its clock rate), and the engine interleaves the ticks in
 //! exact virtual-time order.  Two components with periods in a 3:1 ratio
-//! really do interleave 3:1 — which is how the schedule-fuzz harness
-//! reaches worker-speed ratios a wall clock on a small CI box never
-//! produces.
+//! really do interleave 3:1 — speed ratios a wall clock on a small CI box
+//! never produces.  Nothing in the workspace drives it yet: it is the
+//! scheduler meant for protocol state machines run on virtual time.
 //!
 //! Determinism: ties at the same virtual instant break by registration
 //! order (the event queue's sequence number), and components receive

@@ -6,12 +6,11 @@
 //! synchronous algorithms suffer from, Section 4.1).
 
 use nomad_telemetry::{names, Registry, TelemetrySnapshot};
-use serde::{Deserialize, Serialize};
 
 use crate::time::SimTime;
 
 /// Aggregated execution metrics of one simulated run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimMetrics {
     /// Total SGD (or equivalent) updates applied.
     pub updates: u64,

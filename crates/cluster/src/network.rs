@@ -7,10 +7,8 @@
 //! platforms: the Stampede HPC interconnect (MVAPICH2 over InfiniBand) and
 //! the ~1 Gb/s AWS commodity network of Section 5.4.
 
-use serde::{Deserialize, Serialize};
-
 /// Prices message transfers in virtual seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
     /// One-way latency between two machines, in seconds.
     pub inter_machine_latency: f64,

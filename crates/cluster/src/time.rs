@@ -4,14 +4,12 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in virtual time, in seconds since the start of the simulation.
 ///
 /// `SimTime` wraps an `f64` but provides a total order (the simulator never
 /// produces NaN; constructing a NaN time panics), so it can key the event
 /// queue directly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimTime(f64);
 
 impl SimTime {

@@ -1,9 +1,7 @@
 //! Cluster topology: machines, threads and the worker ↔ machine mapping.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies one compute worker: a thread on a machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct WorkerId {
     /// Machine index, `0 .. num_machines`.
     pub machine: u32,
@@ -25,7 +23,7 @@ impl WorkerId {
 /// * HPC cluster, 1–64 machines × 4 computation cores (Section 5.3),
 /// * commodity cluster, 32 machines × 4 cores of which NOMAD and DSGD++
 ///   reserve 2 for network communication (Section 5.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterTopology {
     /// Number of machines.
     pub machines: usize,

@@ -1,13 +1,11 @@
 //! Convergence traces: the (time, updates, RMSE) series that every figure
 //! in the paper plots.
 
-use serde::{Deserialize, Serialize};
-
 use crate::metrics::SimMetrics;
 use crate::time::SimTime;
 
 /// One sample of a convergence curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TracePoint {
     /// Virtual (or wall-clock, for the threaded implementation) seconds
     /// since the start of the run.
@@ -23,7 +21,7 @@ pub struct TracePoint {
 }
 
 /// A full convergence curve plus run metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunTrace {
     /// Solver name, e.g. `"NOMAD"`, `"DSGD"`.
     pub solver: String,

@@ -1,7 +1,5 @@
 //! Configuration of a NOMAD run.
 
-use serde::{Deserialize, Serialize};
-
 use nomad_sgd::HyperParams;
 
 use crate::routing::RoutingPolicy;
@@ -13,7 +11,7 @@ use crate::routing::RoutingPolicy;
 /// and the threaded engine with wall-clock time.  An update-count budget is
 /// also provided for the "RMSE vs. number of updates" figures (6, 10, 15,
 /// 18, 19).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StopCondition {
     /// Stop once the (virtual or wall-clock) time budget is exhausted.
     Seconds(f64),
@@ -56,7 +54,7 @@ impl StopCondition {
 }
 
 /// Full configuration of a NOMAD run (all engines).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NomadConfig {
     /// Model hyper-parameters (k, λ, α, β).
     pub params: HyperParams,

@@ -6,10 +6,8 @@
 //! every message.  Both policies are implemented here, plus a round-robin
 //! policy used by ablation benchmarks.
 
-use serde::{Deserialize, Serialize};
-
 /// Policy for selecting the worker a processed token is sent to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingPolicy {
     /// Uniformly random among all workers (Algorithm 1, line 22).
     UniformRandom,

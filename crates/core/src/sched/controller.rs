@@ -1,7 +1,7 @@
 //! The [`ScheduleController`] trait and the process-global hook plumbing.
 //!
 //! Engines cannot carry a controller in [`crate::NomadConfig`] (it is
-//! `Copy + Serialize`), so a controller is *installed* process-wide for
+//! `Copy`), so a controller is *installed* process-wide for
 //! the duration of a fuzz run.  Installation is exclusive — a static
 //! mutex held by the returned [`Installed`] guard serializes fuzz runs —
 //! and the hooks consult a relaxed [`AtomicBool`] first, so when nothing

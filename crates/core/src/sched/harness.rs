@@ -20,13 +20,13 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
 
 use nomad_cluster::ComputeModel;
 use nomad_matrix::{RatingMatrix, RowPartition, TripletMatrix};
 
 use super::controller::install;
 use super::strategy::{FaultPlan, FuzzCase, FuzzController};
+use super::sweep::FuzzTest;
 use crate::config::NomadConfig;
 use crate::serial::{replay_schedule, SerialNomad};
 use crate::threaded::ThreadedNomad;
@@ -35,6 +35,8 @@ use crate::threaded::ThreadedNomad;
 /// replay it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuzzFailure {
+    /// The test whose harness found it, which replays it.
+    pub test: FuzzTest,
     /// The `(seed, strategy)` pair that deterministically replays the
     /// failing schedule.
     pub case: FuzzCase,
@@ -44,8 +46,9 @@ pub struct FuzzFailure {
 
 impl FuzzFailure {
     /// A failure from an oracle's own description.
-    pub fn new(case: FuzzCase, reason: impl Into<String>) -> Self {
+    pub fn new(test: FuzzTest, case: FuzzCase, reason: impl Into<String>) -> Self {
         Self {
+            test,
             case,
             reason: reason.into(),
         }
@@ -53,13 +56,17 @@ impl FuzzFailure {
 
     /// A failure from a caught panic payload (conservation asserts,
     /// ownership-ledger violations, poisoned engine internals).
-    pub fn from_panic(case: FuzzCase, payload: Box<dyn std::any::Any + Send>) -> Self {
+    pub fn from_panic(
+        test: FuzzTest,
+        case: FuzzCase,
+        payload: Box<dyn std::any::Any + Send>,
+    ) -> Self {
         let reason = payload
             .downcast_ref::<&str>()
             .map(|s| (*s).to_string())
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_else(|| "engine panicked with a non-string payload".to_string());
-        Self::new(case, format!("engine panicked: {reason}"))
+        Self::new(test, case, format!("engine panicked: {reason}"))
     }
 }
 
@@ -67,8 +74,9 @@ impl std::fmt::Display for FuzzFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "schedule-fuzz failure (replay with NOMAD_FUZZ_REPLAY={}): {}",
-            self.case, self.reason
+            "fuzz failure (replay with {}): {}",
+            self.test.replay(self.case),
+            self.reason
         )
     }
 }
@@ -86,12 +94,11 @@ pub struct FuzzStats {
     /// Liveness escapes the turnstile took (non-zero weakens replay
     /// determinism; see [`FuzzController::escapes`]).
     pub escapes: u64,
-    /// Wall-clock duration of the engine run.
-    pub wall_seconds: f64,
 }
 
 /// Runs [`ThreadedNomad`] under the seeded controller for `case` and
-/// re-checks the invariant oracles; `Err` carries the replay pair.
+/// re-checks the invariant oracles; `Err` carries the replay pair for
+/// [`FuzzTest::CoreSchedule`].
 ///
 /// Serializability is checked whenever `cfg` records its schedule, and
 /// p=1 bit-identity vs [`SerialNomad`] whenever `workers == 1`.
@@ -105,23 +112,27 @@ pub fn fuzz_threaded(
 ) -> Result<FuzzStats, FuzzFailure> {
     let controller = Arc::new(FuzzController::new(case, fault));
     let installed = install(controller.clone());
-    let start = Instant::now();
     let run = catch_unwind(AssertUnwindSafe(|| {
         ThreadedNomad::new(cfg).run(data, test, workers, 1)
     }));
-    let wall_seconds = start.elapsed().as_secs_f64();
     drop(installed);
+    let fail = |reason: &str| FuzzFailure::new(FuzzTest::CoreSchedule, case, reason);
     let out = match run {
         Ok(out) => out,
-        Err(payload) => return Err(FuzzFailure::from_panic(case, payload)),
+        Err(payload) => {
+            return Err(FuzzFailure::from_panic(
+                FuzzTest::CoreSchedule,
+                case,
+                payload,
+            ))
+        }
     };
 
     if cfg.record_schedule {
         let partition = RowPartition::contiguous(data.nrows(), workers);
         let replayed = replay_schedule(data, &partition, cfg.params, cfg.seed, &out.schedule);
         if replayed != out.model {
-            return Err(FuzzFailure::new(
-                case,
+            return Err(fail(
                 "serializability violated: replaying the recorded schedule serially \
                  diverged from the threaded factors",
             ));
@@ -131,8 +142,7 @@ pub fn fuzz_threaded(
     if workers == 1 {
         let (serial, _) = SerialNomad::new(cfg).run(data, test, 1, &ComputeModel::hpc_core());
         if serial != out.model {
-            return Err(FuzzFailure::new(
-                case,
+            return Err(fail(
                 "p=1 bit-identity violated: one controlled worker diverged from SerialNomad",
             ));
         }
@@ -142,6 +152,5 @@ pub fn fuzz_threaded(
         hops: out.trace.metrics.tokens_processed,
         controlled_hops: controller.hops(),
         escapes: controller.escapes(),
-        wall_seconds,
     })
 }

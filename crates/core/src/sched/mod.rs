@@ -26,18 +26,16 @@
 //!   conservation, single ownership (the [`crate::FactorSlab`] ledger),
 //!   p=1 bit-identity vs [`crate::SerialNomad`], and serializability of
 //!   the recorded schedule.
-//! * [`virt`] — virtual-time exploration: the same `(seed, strategy)`
-//!   pairs drive token circulation on `nomad-cluster`'s discrete-event
-//!   executor with heterogeneous per-worker clock rates, so schedules
-//!   that need pathological speed ratios are reachable without wall
-//!   clocks.
+//! * [`FuzzTest`] — the one case source of the four fuzz test binaries:
+//!   a seed sweep (`NOMAD_FUZZ_SEEDS`) or one replayed case
+//!   (`NOMAD_FUZZ_REPLAY`), and the command that replays a failure.
 
 pub mod controller;
 pub mod harness;
 pub mod strategy;
-pub mod virt;
+pub mod sweep;
 
 pub use controller::{hooks, install, Installed, ScheduleController, TransportFault};
 pub use harness::{fuzz_threaded, FuzzFailure, FuzzStats};
 pub use strategy::{FaultPlan, FuzzCase, FuzzController, Strategy, DEFAULT_PARTITION_OPS};
-pub use virt::{explore_virtual, VirtualReport};
+pub use sweep::{FuzzTest, DEFAULT_SEEDS};

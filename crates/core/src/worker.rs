@@ -6,10 +6,9 @@
 //! before the run, and never moves afterwards.
 
 use nomad_matrix::{CscMatrix, Idx, RatingMatrix, RowPartition};
-use serde::{Deserialize, Serialize};
 
 /// Static, per-worker view of the training data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkerData {
     /// Worker index `q`.
     pub worker: usize,

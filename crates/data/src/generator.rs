@@ -12,7 +12,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use nomad_matrix::split::train_test_split;
 use nomad_matrix::{RatingMatrix, SplitConfig, TripletMatrix};
@@ -20,7 +19,7 @@ use nomad_matrix::{RatingMatrix, SplitConfig, TripletMatrix};
 use crate::profiles::DatasetProfile;
 
 /// How rating *values* are produced once the non-zero positions are chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ValueModel {
     /// `A_ij = ⟨w*_i, h*_j⟩ + ε`, with ground-truth factors drawn i.i.d.
     /// `N(0, factor_scale²)` and noise `ε ~ N(0, noise_std²)`.  This is the
@@ -57,7 +56,7 @@ pub enum ValueModel {
 }
 
 /// Full configuration of the synthetic generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticConfig {
     /// Number of users `m`.
     pub num_users: usize,

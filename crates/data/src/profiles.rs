@@ -1,10 +1,8 @@
 //! Published dataset shapes (Table 2 of the paper) and scaled variants.
 
-use serde::{Deserialize, Serialize};
-
 /// The shape of a rating dataset: everything the synthetic generator needs
 /// to produce a stand-in with the same compute/communication profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetProfile {
     /// Human-readable name.
     pub name: String,

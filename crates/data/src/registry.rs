@@ -7,15 +7,13 @@
 //! sizes are provided per dataset (`tiny`, `small`, `medium`); the benchmark
 //! binaries default to `small` and accept a size override.
 
-use serde::{Deserialize, Serialize};
-
 use nomad_matrix::SplitConfig;
 
 use crate::generator::{generate, GeneratedDataset, SyntheticConfig};
 use crate::profiles::DatasetProfile;
 
 /// Size tiers for the simulated datasets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SizeTier {
     /// ~5k ratings; unit/integration tests.
     Tiny,
@@ -47,7 +45,7 @@ impl SizeTier {
 }
 
 /// A named, reproducible dataset recipe.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetRecipe {
     /// Registry name, e.g. `netflix-sim`.
     pub name: String,

@@ -12,14 +12,12 @@
 //! `ratings = ratings_per_machine × machines`, with values from the
 //! rank-100 Gaussian ground truth + σ=0.1 noise of the paper.
 
-use serde::{Deserialize, Serialize};
-
 use nomad_matrix::SplitConfig;
 
 use crate::generator::{generate, GeneratedDataset, SyntheticConfig};
 
 /// Configuration of the growing-scale experiment family.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalingConfig {
     /// Users added per machine.  The paper uses 480,189 (Netflix active
     /// users); benchmarks use a scaled-down value.

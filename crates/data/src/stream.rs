@@ -23,7 +23,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use nomad_matrix::{ArrivalBatch, ArrivalTrace, Entry, TripletMatrix};
 
@@ -32,7 +31,7 @@ use nomad_matrix::{ArrivalBatch, ArrivalTrace, Entry, TripletMatrix};
 /// New users and items claim the next free indices: if the matrix had `m`
 /// rows before this batch, the batch's `new_users` rows are `m..m+new_users`
 /// and its `ratings` may reference them (and all earlier rows).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamBatch {
     /// Arrival time of the batch, in seconds from the start of the stream.
     pub at_seconds: f64,
@@ -60,7 +59,7 @@ pub trait EventSource {
 }
 
 /// How arrival timestamps are assigned to a sequence of batches.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProfile {
     /// Constant inter-arrival gap: batch `b` arrives at `(b + 1) / rate`.
     Uniform {
@@ -108,7 +107,7 @@ impl ArrivalProfile {
 }
 
 /// A finite, replayable log of timestamped arrival batches.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RatingLog {
     batches: Vec<StreamBatch>,
     cursor: usize,
@@ -188,7 +187,7 @@ impl EventSource for RatingLog {
 }
 
 /// Configuration of [`stream_split`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamSplit {
     /// Fraction of the *warm-eligible* ratings (both endpoints already seen
     /// at warm start) that arrive online instead.

@@ -1,12 +1,10 @@
 //! Cluster specifications: topology + network + compute bundles matching
 //! the paper's three experimental platforms.
 
-use serde::{Deserialize, Serialize};
-
 use nomad_cluster::{ClusterTopology, ComputeModel, NetworkModel};
 
 /// A complete description of the (simulated) execution platform.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterSpec {
     /// Machines × threads layout.
     pub topology: ClusterTopology,

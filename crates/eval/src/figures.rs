@@ -11,8 +11,6 @@
 //! seconds on a laptop while `standard` uses larger datasets and the
 //! paper's `k = 100`.
 
-use serde::{Deserialize, Serialize};
-
 use nomad_cluster::RunTrace;
 use nomad_core::{NomadConfig, SimNomad, StopCondition};
 use nomad_data::{
@@ -25,7 +23,7 @@ use crate::env::ClusterSpec;
 use crate::solver::{run_solver, SolverKind};
 
 /// How large a reproduction run is.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReproScale {
     /// Dataset size tier.
     pub tier: SizeTier,
@@ -88,7 +86,7 @@ impl ReproScale {
 }
 
 /// A labelled series of `(x, y)` points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Legend label, e.g. `"NOMAD"` or `"# machines=8"`.
     pub label: String,
@@ -133,7 +131,7 @@ impl Series {
 }
 
 /// A figure: a titled collection of series with axis labels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Figure {
     /// Identifier, e.g. `"fig5-netflix"`.
     pub id: String,

@@ -1,7 +1,5 @@
 //! The unified solver entry point used by every experiment.
 
-use serde::{Deserialize, Serialize};
-
 use nomad_baselines::{
     Als, AlsConfig, Asgd, AsgdConfig, BaselineStop, CcdConfig, CcdPlusPlus, Dsgd, DsgdConfig,
     DsgdPlusPlus, DsgdPlusPlusConfig, Fpsgd, FpsgdConfig, GraphLabAls, GraphLabConfig, SerialSgd,
@@ -15,7 +13,7 @@ use nomad_sgd::HyperParams;
 use crate::env::ClusterSpec;
 
 /// Every solver the experiments compare.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverKind {
     /// NOMAD with uniform token routing (the paper's Algorithm 1).
     Nomad,

@@ -4,14 +4,12 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-use serde::{Deserialize, Serialize};
-
 /// Dense row-major matrix of `f64`.
 ///
 /// The matrices handled here are tiny (`k × k` with `k ≤ a few hundred`), so
 /// the representation favours simplicity: a single contiguous `Vec<f64>`
 /// indexed by `(row, col)`.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct DenseMatrix {
     rows: usize,
     cols: usize,

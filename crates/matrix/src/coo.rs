@@ -4,8 +4,6 @@
 //! produce; it is converted into [`crate::CsrMatrix`] / [`crate::CscMatrix`]
 //! once before a solver runs.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Entry, Idx, Rating};
 
 /// A growable list of `(row, col, value)` triplets with fixed dimensions.
@@ -13,7 +11,7 @@ use crate::{Entry, Idx, Rating};
 /// Duplicate coordinates are allowed while building; [`TripletMatrix::dedup`]
 /// collapses them (keeping the last value, which is the conventional
 /// "latest rating wins" semantics for ratings data).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TripletMatrix {
     nrows: usize,
     ncols: usize,

@@ -7,15 +7,13 @@
 
 use std::ops::Range;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Entry, Idx, Rating, RowPartition, TripletMatrix};
 
 /// Compressed sparse column matrix.
 ///
 /// Column `j` stores the users that rated item `j` (the set `Ω̄_j` of the
 /// paper) together with the ratings, in ascending user order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CscMatrix {
     nrows: usize,
     ncols: usize,

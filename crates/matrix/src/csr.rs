@@ -1,14 +1,12 @@
 //! Compressed sparse row (CSR) storage: the user-major view `Ω_i`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Entry, Idx, Rating, TripletMatrix};
 
 /// Compressed sparse row matrix.
 ///
 /// Row `i` stores the items rated by user `i` (the set `Ω_i` of the paper)
 /// together with the corresponding ratings, in ascending item order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     nrows: usize,
     ncols: usize,

@@ -16,8 +16,6 @@
 //! solver's monotone clock (NOMAD engines use the total SGD-update count,
 //! the one clock all three engines share deterministically) reaches `at`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Entry, Idx, Rating, RatingMatrix, TripletMatrix};
 
 /// When a [`DynamicMatrix`] should fold pending appends into its views.
@@ -29,7 +27,7 @@ use crate::{Entry, Idx, Rating, RatingMatrix, TripletMatrix};
 /// each entry `O(log nnz)` amortized compaction cost.  Callers with natural
 /// synchronization points (the NOMAD engines quiesce at every ingestion
 /// boundary) can also call [`DynamicMatrix::compact`] explicitly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompactionPolicy {
     /// Recompact once `pending_nnz > max_pending_ratio × compacted_nnz`.
     pub max_pending_ratio: f64,
@@ -73,7 +71,7 @@ impl Default for CompactionPolicy {
 /// only moves the bounds that [`DynamicMatrix::push`] validates against —
 /// it allocates nothing until the next compaction, which makes minting a
 /// million empty columns free until they receive ratings.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DynamicMatrix {
     nrows: usize,
     ncols: usize,
@@ -269,7 +267,7 @@ impl DynamicMatrix {
 /// (serial, threaded, simulated) share deterministically; wall-clock or
 /// virtual-time stamps from an event source are converted by
 /// `nomad-data`'s `RatingLog::arrival_trace`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalBatch {
     /// Solver-clock value (total SGD updates, for the NOMAD engines) at
     /// which this batch is applied.
@@ -286,7 +284,7 @@ pub struct ArrivalBatch {
 
 /// A whole streaming run's worth of [`ArrivalBatch`]es, sorted by arrival
 /// clock.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ArrivalTrace {
     batches: Vec<ArrivalBatch>,
 }

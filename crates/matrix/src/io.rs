@@ -3,7 +3,7 @@
 //! The synthetic datasets used by the benchmark harness can reach tens of
 //! millions of entries; regenerating them for every benchmark run would
 //! dominate wall-clock time.  This module provides a small, versioned,
-//! endian-stable binary format (built on the `bytes` crate) for caching
+//! endian-stable binary format (big-endian throughout) for caching
 //! generated datasets on disk, plus a text loader for externally supplied
 //! `user item rating` files (e.g. the real Netflix or Yahoo! Music data if
 //! the user has a licensed copy).
@@ -11,8 +11,6 @@
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::path::Path;
-
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::{Idx, TripletMatrix};
 
@@ -76,49 +74,62 @@ impl From<io::Error> for IoError {
     }
 }
 
+/// Bytes in the header: magic, version, rows, columns, entries.
+const HEADER_BYTES: usize = 32;
+
+/// Bytes per entry: row, column, value.
+const ENTRY_BYTES: usize = 16;
+
 /// Serializes triplets into the binary format.
-pub fn to_bytes(t: &TripletMatrix) -> Bytes {
-    let mut buf = BytesMut::with_capacity(24 + t.nnz() * 16);
-    buf.put_u32(MAGIC);
-    buf.put_u32(1); // format version
-    buf.put_u64(t.nrows() as u64);
-    buf.put_u64(t.ncols() as u64);
-    buf.put_u64(t.nnz() as u64);
-    for e in t.entries() {
-        buf.put_u32(e.row);
-        buf.put_u32(e.col);
-        buf.put_f64(e.value);
+pub fn to_bytes(t: &TripletMatrix) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(HEADER_BYTES + t.nnz() * ENTRY_BYTES);
+    buf.extend_from_slice(&MAGIC.to_be_bytes());
+    buf.extend_from_slice(&1u32.to_be_bytes()); // format version
+    for dim in [t.nrows(), t.ncols(), t.nnz()] {
+        buf.extend_from_slice(&(dim as u64).to_be_bytes());
     }
-    buf.freeze()
+    for e in t.entries() {
+        buf.extend_from_slice(&e.row.to_be_bytes());
+        buf.extend_from_slice(&e.col.to_be_bytes());
+        buf.extend_from_slice(&e.value.to_bits().to_be_bytes());
+    }
+    buf
+}
+
+/// The big-endian `N`-byte field at `at`; the caller has checked the
+/// length.
+fn field<const N: usize>(data: &[u8], at: usize) -> [u8; N] {
+    data[at..at + N].try_into().expect("length checked")
 }
 
 /// Deserializes triplets from the binary format.
-pub fn from_bytes(mut data: &[u8]) -> Result<TripletMatrix, IoError> {
-    if data.remaining() < 32 {
+pub fn from_bytes(data: &[u8]) -> Result<TripletMatrix, IoError> {
+    if data.len() < HEADER_BYTES {
         return Err(IoError::Truncated {
             expected: 1,
             found: 0,
         });
     }
-    let magic = data.get_u32();
+    let magic = u32::from_be_bytes(field(data, 0));
     if magic != MAGIC {
         return Err(IoError::BadMagic(magic));
     }
-    let _version = data.get_u32();
-    let nrows = data.get_u64() as usize;
-    let ncols = data.get_u64() as usize;
-    let nnz = data.get_u64() as usize;
-    let mut t = TripletMatrix::with_capacity(nrows, ncols, nnz);
+    let nrows = u64::from_be_bytes(field(data, 8)) as usize;
+    let ncols = u64::from_be_bytes(field(data, 16)) as usize;
+    let nnz = u64::from_be_bytes(field(data, 24)) as usize;
+    let entries = &data[HEADER_BYTES..];
+    let mut t = TripletMatrix::with_capacity(nrows, ncols, nnz.min(entries.len() / ENTRY_BYTES));
     for idx in 0..nnz {
-        if data.remaining() < 16 {
+        let at = idx * ENTRY_BYTES;
+        if entries.len() < at + ENTRY_BYTES {
             return Err(IoError::Truncated {
                 expected: nnz,
                 found: idx,
             });
         }
-        let row = data.get_u32();
-        let col = data.get_u32();
-        let value = data.get_f64();
+        let row = u32::from_be_bytes(field(entries, at));
+        let col = u32::from_be_bytes(field(entries, at + 4));
+        let value = f64::from_bits(u64::from_be_bytes(field(entries, at + 8)));
         if row as usize >= nrows || col as usize >= ncols {
             return Err(IoError::IndexOutOfBounds { position: idx + 1 });
         }
@@ -220,6 +231,28 @@ mod tests {
         assert_eq!(t, back);
     }
 
+    /// The on-disk format, byte for byte: a 3x5 matrix holding (2, 4, 1.5)
+    /// and (0, 1, -0.25).  An encoder and a decoder that both changed
+    /// endianness or field order would still round-trip; they fail here.
+    #[test]
+    fn the_binary_format_is_pinned_byte_for_byte() {
+        let golden = "4e4d443100000001\
+                      0000000000000003\
+                      0000000000000005\
+                      0000000000000002\
+                      00000002000000043ff8000000000000\
+                      0000000000000001bfd0000000000000";
+        let golden: Vec<u8> = (0..golden.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&golden[i..i + 2], 16).unwrap())
+            .collect();
+        let mut t = TripletMatrix::new(3, 5);
+        t.push(2, 4, 1.5);
+        t.push(0, 1, -0.25);
+        assert_eq!(to_bytes(&t), golden);
+        assert_eq!(from_bytes(&golden).unwrap(), t);
+    }
+
     #[test]
     fn binary_file_roundtrip() {
         let dir = std::env::temp_dir().join("nomad_matrix_io_test");
@@ -234,7 +267,7 @@ mod tests {
 
     #[test]
     fn bad_magic_is_detected() {
-        let mut bytes = to_bytes(&toy()).to_vec();
+        let mut bytes = to_bytes(&toy());
         bytes[0] = 0xFF;
         assert!(matches!(from_bytes(&bytes), Err(IoError::BadMagic(_))));
     }
@@ -263,15 +296,10 @@ mod tests {
     #[test]
     fn out_of_bounds_entry_is_detected() {
         // Hand-craft a file declaring 1x1 but containing entry (2, 0).
-        let mut buf = BytesMut::new();
-        buf.put_u32(MAGIC);
-        buf.put_u32(1);
-        buf.put_u64(1);
-        buf.put_u64(1);
-        buf.put_u64(1);
-        buf.put_u32(2);
-        buf.put_u32(0);
-        buf.put_f64(1.0);
+        let mut t = TripletMatrix::new(3, 1);
+        t.push(2, 0, 1.0);
+        let mut buf = to_bytes(&t);
+        buf[8..16].copy_from_slice(&1u64.to_be_bytes());
         assert!(matches!(
             from_bytes(&buf),
             Err(IoError::IndexOutOfBounds { position: 1 })

@@ -46,8 +46,6 @@ pub use partition::{PartitionStrategy, RowPartition};
 pub use split::{train_test_split, SplitConfig};
 pub use stats::DatasetStats;
 
-use serde::{Deserialize, Serialize};
-
 /// Index type for users and items.
 ///
 /// `u32` comfortably covers the datasets in the paper (the largest, Hugewiki,
@@ -59,7 +57,7 @@ pub type Idx = u32;
 pub type Rating = f64;
 
 /// A single observed entry `(i, j, A_ij)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Entry {
     /// Row (user) index.
     pub row: Idx,
@@ -84,7 +82,7 @@ impl Entry {
 /// materialized once, up front, mirroring the paper's setup where data is
 /// partitioned and distributed before the algorithm starts and never moved
 /// afterwards.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RatingMatrix {
     rows: CsrMatrix,
     cols: CscMatrix,

@@ -6,12 +6,10 @@
 //! has approximately the same *number of ratings*.  Both strategies are
 //! implemented here, together with a random strategy used in tests.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{CsrMatrix, Idx};
 
 /// How to assign rows to workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartitionStrategy {
     /// Contiguous blocks of approximately equal row count (the paper's
     /// default).
@@ -25,7 +23,7 @@ pub enum PartitionStrategy {
 }
 
 /// A disjoint cover of `0..num_rows` by `num_parts` worker-owned sets.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowPartition {
     num_rows: usize,
     num_parts: usize,

@@ -7,12 +7,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::TripletMatrix;
 
 /// Configuration for [`train_test_split`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SplitConfig {
     /// Fraction of observed entries placed in the *test* set (0.0 ..= 1.0).
     pub test_fraction: f64,

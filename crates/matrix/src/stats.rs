@@ -1,12 +1,10 @@
 //! Dataset summary statistics (Table 2 of the paper and sanity checks for
 //! the synthetic generators).
 
-use serde::{Deserialize, Serialize};
-
 use crate::RatingMatrix;
 
 /// Summary statistics of a rating dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetStats {
     /// Number of rows (users), `m`.
     pub rows: usize,

@@ -28,7 +28,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nomad_cluster::ComputeModel;
-use nomad_core::sched::{install, FaultPlan, FuzzCase, FuzzController, FuzzFailure, Strategy};
+use nomad_core::sched::{
+    install, FaultPlan, FuzzCase, FuzzController, FuzzFailure, FuzzTest, Strategy,
+};
 use nomad_core::{NomadConfig, SerialNomad};
 use nomad_matrix::{RatingMatrix, TripletMatrix};
 use nomad_telemetry::{names, TelemetrySnapshot};
@@ -43,20 +45,14 @@ use crate::transport::{Loopback, NetError};
 pub struct NetFuzzStats {
     /// Updates performed across all ranks.
     pub updates: u64,
-    /// Tokens processed across all ranks (hops).
-    pub hops: u64,
-    /// Token batches that crossed rank boundaries.
-    pub remote_sends: u64,
     /// Liveness escapes the turnstile took (see
     /// [`FuzzController::escapes`]).
     pub escapes: u64,
-    /// Wall-clock duration of the run.
-    pub wall_seconds: f64,
 }
 
 /// Runs a `ranks`-rank loopback mesh under the seeded controller for
-/// `case` and re-checks the invariant oracles; `Err` carries the
-/// `(seed, strategy)` replay pair.
+/// `case` and re-checks the invariant oracles; `Err` names the
+/// `--test sched_fuzz` command that replays the case.
 ///
 /// p=1 bit-identity vs [`SerialNomad`] is checked whenever
 /// `ranks == 1`; conservation is checked at every gather.
@@ -70,39 +66,35 @@ pub fn fuzz_loopback(
 ) -> Result<NetFuzzStats, FuzzFailure> {
     let controller = Arc::new(FuzzController::new(case, fault));
     let installed = install(controller.clone());
-    let start = Instant::now();
     let run = catch_unwind(AssertUnwindSafe(|| {
         DistributedNomad::new(cfg, ranks).run_loopback(data)
     }));
-    let wall_seconds = start.elapsed().as_secs_f64();
     drop(installed);
+    let fail = |reason: String| FuzzFailure::new(FuzzTest::NetSchedule, case, reason);
     let out = match run {
         Ok(Ok(out)) => out,
-        Ok(Err(e)) => {
-            return Err(FuzzFailure::new(
+        Ok(Err(e)) => return Err(fail(format!("distributed run failed: {e}"))),
+        Err(payload) => {
+            return Err(FuzzFailure::from_panic(
+                FuzzTest::NetSchedule,
                 case,
-                format!("distributed run failed: {e}"),
+                payload,
             ))
         }
-        Err(payload) => return Err(FuzzFailure::from_panic(case, payload)),
     };
 
     if ranks == 1 {
         let (serial, _) = SerialNomad::new(cfg).run(data, test, 1, &ComputeModel::hpc_core());
         if serial != out.model {
-            return Err(FuzzFailure::new(
-                case,
-                "p=1 bit-identity violated: one controlled rank diverged from SerialNomad",
+            return Err(fail(
+                "p=1 bit-identity violated: one controlled rank diverged from SerialNomad".into(),
             ));
         }
     }
 
     Ok(NetFuzzStats {
         updates: out.stats.updates,
-        hops: out.stats.tokens_processed,
-        remote_sends: out.stats.remote_sends,
         escapes: controller.escapes(),
-        wall_seconds,
     })
 }
 
@@ -111,17 +103,11 @@ pub fn fuzz_loopback(
 pub struct NetChaosStats {
     /// Updates performed across the surviving ranks.
     pub updates: u64,
-    /// Tokens processed across the surviving ranks.
-    pub hops: u64,
     /// Ranks evicted during the run.
     pub evicted: Vec<u32>,
-    /// Tokens re-minted after evictions.
-    pub reminted: u64,
     /// The merged fleet telemetry snapshot at gather (driver scope plus
     /// every rank's last accepted report, evicted ranks frozen).
     pub fleet: TelemetrySnapshot,
-    /// Wall-clock duration of the run.
-    pub wall_seconds: f64,
 }
 
 /// Runs a `ranks`-rank loopback mesh with a seeded transport fault —
@@ -139,8 +125,8 @@ pub struct NetChaosStats {
 ///   outcomes must conserve).
 ///
 /// The victim is derived from the seed (`seed % ranks`), so a sweep over
-/// seeds also sweeps the victim; `Err` carries the `(seed, strategy)`
-/// replay pair for `NOMAD_FUZZ_REPLAY`.
+/// seeds also sweeps the victim; `Err` names the `--test chaos` command
+/// that replays the case.
 pub fn fuzz_loopback_chaos(
     data: &RatingMatrix,
     cfg: &NetConfig,
@@ -157,7 +143,6 @@ pub fn fuzz_loopback_chaos(
         .stop
         .updates()
         .expect("chaos harness requires an update budget");
-    let start = Instant::now();
     type RankResults = Vec<Result<(), NetError>>;
     let run = catch_unwind(AssertUnwindSafe(
         || -> Result<(crate::driver::DistOutput, RankResults), NetError> {
@@ -181,12 +166,12 @@ pub fn fuzz_loopback_chaos(
             })
         },
     ));
-    let wall_seconds = start.elapsed().as_secs_f64();
     drop(installed);
+    let fail = |reason: String| FuzzFailure::new(FuzzTest::Chaos, case, reason);
     let (out, rank_results) = match run {
         Ok(Ok(pair)) => pair,
-        Ok(Err(e)) => return Err(FuzzFailure::new(case, format!("chaos run failed: {e}"))),
-        Err(payload) => return Err(FuzzFailure::from_panic(case, payload)),
+        Ok(Err(e)) => return Err(fail(format!("chaos run failed: {e}"))),
+        Err(payload) => return Err(FuzzFailure::from_panic(FuzzTest::Chaos, case, payload)),
     };
 
     // A killed victim's endpoint fails with Closed — expected.  Every
@@ -194,31 +179,22 @@ pub fn fuzz_loopback_chaos(
     for (r, result) in rank_results.iter().enumerate() {
         if let Err(e) = result {
             if r != victim {
-                return Err(FuzzFailure::new(
-                    case,
-                    format!("non-victim rank {r} failed: {e}"),
-                ));
+                return Err(fail(format!("non-victim rank {r} failed: {e}")));
             }
         }
     }
     if matches!(case.strategy, Strategy::Crash(_)) && !out.stats.evicted.contains(&(victim as u32))
     {
-        return Err(FuzzFailure::new(
-            case,
-            format!(
-                "crashed rank {victim} was never evicted (evicted: {:?})",
-                out.stats.evicted
-            ),
-        ));
+        return Err(fail(format!(
+            "crashed rank {victim} was never evicted (evicted: {:?})",
+            out.stats.evicted
+        )));
     }
     if out.stats.updates < budget {
-        return Err(FuzzFailure::new(
-            case,
-            format!(
-                "survivors stopped at {} updates, below the {budget} budget",
-                out.stats.updates
-            ),
-        ));
+        return Err(fail(format!(
+            "survivors stopped at {} updates, below the {budget} budget",
+            out.stats.updates
+        )));
     }
     // Telemetry fold oracle: the fleet snapshot counts every rank's
     // last-reported updates **exactly once**.  Survivors' final frames
@@ -238,33 +214,24 @@ pub fn fuzz_loopback_chaos(
         .sum();
     let expected = out.stats.updates + frozen;
     if fleet.counter(names::UPDATES) != Some(expected) {
-        return Err(FuzzFailure::new(
-            case,
-            format!(
-                "fleet telemetry counted {:?} updates, expected exactly {expected} \
+        return Err(fail(format!(
+            "fleet telemetry counted {:?} updates, expected exactly {expected} \
                  ({} from survivors' gather + {frozen} frozen from evicted ranks)",
-                fleet.counter(names::UPDATES),
-                out.stats.updates
-            ),
-        ));
+            fleet.counter(names::UPDATES),
+            out.stats.updates
+        )));
     }
     if fleet.counter(names::EVICTIONS) != Some(out.stats.evicted.len() as u64) {
-        return Err(FuzzFailure::new(
-            case,
-            format!(
-                "fleet telemetry counted {:?} evictions, gather saw {:?}",
-                fleet.counter(names::EVICTIONS),
-                out.stats.evicted
-            ),
-        ));
+        return Err(fail(format!(
+            "fleet telemetry counted {:?} evictions, gather saw {:?}",
+            fleet.counter(names::EVICTIONS),
+            out.stats.evicted
+        )));
     }
     Ok(NetChaosStats {
         updates: out.stats.updates,
-        hops: out.stats.tokens_processed,
         evicted: out.stats.evicted,
-        reminted: out.stats.reminted,
         fleet,
-        wall_seconds,
     })
 }
 
@@ -277,10 +244,6 @@ pub struct ServeChaosStats {
     pub evicted: Vec<u32>,
     /// Router outcome counters for the query load.
     pub queries: RouterStats,
-    /// Slowest observed query resolution, in seconds.
-    pub slowest_query_seconds: f64,
-    /// Wall-clock duration of the run.
-    pub wall_seconds: f64,
 }
 
 /// Per-query deadline the serving-chaos oracle runs under.  Far above
@@ -310,6 +273,7 @@ const SERVE_FUZZ_SLACK: Duration = Duration::from_secs(2);
 ///
 /// `cfg.serve_publish_every` must be non-zero or every answer degrades
 /// to the stale replica (legal, but not what the family is testing).
+/// `Err` names the `--test serve_chaos` command that replays the case.
 pub fn fuzz_loopback_serving(
     data: &RatingMatrix,
     cfg: &NetConfig,
@@ -339,13 +303,11 @@ pub fn fuzz_loopback_serving(
     });
     let nrows = data.nrows() as u32;
     let ncols = data.ncols() as u32;
-    let start = Instant::now();
 
-    /// One query thread's verdict: queries issued, slowest resolution,
-    /// first oracle violation (if any).
+    /// One query thread's verdict: queries issued, first oracle violation
+    /// (if any).
     struct QueryLog {
         issued: u64,
-        slowest: Duration,
         violation: Option<String>,
     }
 
@@ -369,7 +331,6 @@ pub fn fuzz_loopback_serving(
                         scope.spawn(move || {
                             let mut log = QueryLog {
                                 issued: 0,
-                                slowest: Duration::ZERO,
                                 violation: None,
                             };
                             // Stagger the threads across the user space.
@@ -384,7 +345,6 @@ pub fn fuzz_loopback_serving(
                                 let res = router.query(user, 5, seen);
                                 let took = asked.elapsed();
                                 log.issued += 1;
-                                log.slowest = log.slowest.max(took);
                                 if took > SERVE_FUZZ_DEADLINE + SERVE_FUZZ_SLACK
                                     && log.violation.is_none()
                                 {
@@ -437,74 +397,53 @@ pub fn fuzz_loopback_serving(
             })
         },
     ));
-    let wall_seconds = start.elapsed().as_secs_f64();
     drop(installed);
+    let fail = |reason: String| FuzzFailure::new(FuzzTest::ServeChaos, case, reason);
     let (out, rank_results, logs) = match run {
         Ok(Ok(triple)) => triple,
-        Ok(Err(e)) => {
-            return Err(FuzzFailure::new(
-                case,
-                format!("serving chaos run failed: {e}"),
-            ))
-        }
-        Err(payload) => return Err(FuzzFailure::from_panic(case, payload)),
+        Ok(Err(e)) => return Err(fail(format!("serving chaos run failed: {e}"))),
+        Err(payload) => return Err(FuzzFailure::from_panic(FuzzTest::ServeChaos, case, payload)),
     };
 
     for (r, result) in rank_results.iter().enumerate() {
         if let Err(e) = result {
             if r != victim {
-                return Err(FuzzFailure::new(
-                    case,
-                    format!("non-victim rank {r} failed: {e}"),
-                ));
+                return Err(fail(format!("non-victim rank {r} failed: {e}")));
             }
         }
     }
     if matches!(case.strategy, Strategy::Crash(_)) && !out.stats.evicted.contains(&(victim as u32))
     {
-        return Err(FuzzFailure::new(
-            case,
-            format!(
-                "crashed rank {victim} was never evicted (evicted: {:?})",
-                out.stats.evicted
-            ),
-        ));
+        return Err(fail(format!(
+            "crashed rank {victim} was never evicted (evicted: {:?})",
+            out.stats.evicted
+        )));
     }
     if out.stats.updates < budget {
-        return Err(FuzzFailure::new(
-            case,
-            format!(
-                "survivors stopped at {} updates, below the {budget} budget",
-                out.stats.updates
-            ),
-        ));
+        return Err(fail(format!(
+            "survivors stopped at {} updates, below the {budget} budget",
+            out.stats.updates
+        )));
     }
-    let mut slowest = Duration::ZERO;
     for log in &logs {
-        slowest = slowest.max(log.slowest);
         if let Some(violation) = &log.violation {
-            return Err(FuzzFailure::new(case, violation.clone()));
+            return Err(fail(violation.clone()));
         }
         if log.issued == 0 {
-            return Err(FuzzFailure::new(case, "a query thread never resolved"));
+            return Err(fail("a query thread never resolved".into()));
         }
     }
     let queries = router.stats();
     if queries.resolved() < queries.submitted {
-        return Err(FuzzFailure::new(
-            case,
-            format!(
-                "{} of {} queries never resolved",
-                queries.submitted - queries.resolved(),
-                queries.submitted
-            ),
-        ));
+        return Err(fail(format!(
+            "{} of {} queries never resolved",
+            queries.submitted - queries.resolved(),
+            queries.submitted
+        )));
     }
     Ok(ServeChaosStats {
         updates: out.stats.updates,
         evicted: out.stats.evicted,
         queries,
-        slowest_query_seconds: slowest.as_secs_f64(),
-        wall_seconds,
     })
 }

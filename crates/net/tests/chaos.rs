@@ -11,9 +11,10 @@
 //! partitioned for a window and healed.  The oracles live in
 //! [`fuzz_loopback_chaos`]: completion of the full budget, token
 //! conservation at gather (pass-debt accounting), eviction of crashed
-//! victims, and clean exits for every survivor.  A failing case prints
-//! its `strategy@seed` pair; re-run exactly that case with
-//! `NOMAD_FUZZ_REPLAY=crash@7@0x2 cargo test -p nomad-net --test chaos`.
+//! victims, and clean exits for every survivor.  `NOMAD_FUZZ_SEEDS` sets
+//! the seed count (default 4).  A failing case prints its replay command,
+//! e.g. `NOMAD_FUZZ_REPLAY=crash@7@0x2 cargo test -p nomad-net --features
+//! sched-fuzz --test chaos`.
 //!
 //! Fault steps are kept small on purpose: flushes coalesce aggressively,
 //! so a full quick run is on the order of a hundred transport operations
@@ -21,7 +22,7 @@
 //! earliest steps kill a victim before it has processed a single token
 //! (the takeover-everything edge case).
 
-use nomad_core::sched::{FuzzCase, Strategy};
+use nomad_core::sched::{FuzzCase, FuzzTest, Strategy};
 use nomad_core::{NomadConfig, StopCondition};
 use nomad_data::{named_dataset, SizeTier};
 use nomad_matrix::RatingMatrix;
@@ -74,52 +75,19 @@ fn run_case(data: &RatingMatrix, case: FuzzCase) {
     );
 }
 
-/// Sweeps `seeds` chaos cases per strategy family.  The crash and
-/// partition steps vary with the seed so the sweep covers pre-token
-/// deaths, mid-run deaths, and partitions that the victim may or may not
-/// survive (both outcomes must conserve).
-fn sweep(data: &RatingMatrix, seeds: u64) {
-    // Replay mode: exactly one case, verbatim from the failure report.
-    if let Ok(spec) = std::env::var("NOMAD_FUZZ_REPLAY") {
-        let case: FuzzCase = spec
-            .parse()
-            .unwrap_or_else(|e| panic!("bad NOMAD_FUZZ_REPLAY {spec:?}: {e}"));
-        assert!(
-            matches!(case.strategy, Strategy::Crash(_) | Strategy::Partition(_)),
-            "{case} is not a chaos case; replay it via the sched_fuzz tests instead"
-        );
-        eprintln!("replaying {case} ...");
-        run_case(data, case);
-        return;
-    }
-    for seed in 0..seeds {
-        run_case(
-            data,
+/// A crash and a partition for each seed of the sweep (or the one
+/// replayed case).  The crash and partition steps vary with the seed so
+/// the sweep covers pre-token deaths, mid-run deaths, and partitions that
+/// the victim may or may not survive (both outcomes must conserve).
+#[test]
+fn chaos_seeds_conserve_and_complete() {
+    let data = tiny();
+    for case in FuzzTest::Chaos.sweep(|seed| {
+        [
             FuzzCase::new(seed, Strategy::Crash(2 + 9 * (seed % 5))),
-        );
-        run_case(
-            data,
             FuzzCase::new(seed, Strategy::Partition(1 + 7 * (seed % 6))),
-        );
+        ]
+    }) {
+        run_case(&data, case);
     }
-}
-
-/// 4-seed quick sweep (8 cases): runs in the default suite.
-#[test]
-fn chaos_seeds_quick_conserve_and_complete() {
-    let data = tiny();
-    sweep(&data, 4);
-}
-
-/// 32-seed long sweep (env-tunable via `NOMAD_FUZZ_SEEDS`); nightly CI
-/// runs it with `--ignored`.
-#[test]
-#[ignore = "long chaos sweep (NOMAD_FUZZ_SEEDS, default 32); nightly CI runs it with --ignored"]
-fn chaos_seeds_long_conserve_and_complete() {
-    let seeds = std::env::var("NOMAD_FUZZ_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32);
-    let data = tiny();
-    sweep(&data, seeds);
 }

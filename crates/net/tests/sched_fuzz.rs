@@ -6,16 +6,18 @@
 //! other distributed tests.  Concurrent fuzz runs in this binary
 //! serialize through the exclusive-install lock.
 //!
-//! The quick sweep runs in the default suite (the oracles — token
-//! conservation at gather, budget completion, p=1 bit-identity — hold
-//! with or without the hooks); under `--features sched-fuzz` the same
-//! seeds additionally steer the rank workers and comm threads through
-//! adversarial interleavings, and the mutation self-test proves the
-//! oracles catch a deliberately-seeded ownership bug.
+//! The sweep runs in the default suite (the oracles — token conservation
+//! at gather, budget completion, p=1 bit-identity — hold with or without
+//! the hooks); under `--features sched-fuzz` the same seeds additionally
+//! steer the rank workers and comm threads through adversarial
+//! interleavings, and the mutation self-test proves the oracles catch a
+//! deliberately-seeded ownership bug.  `NOMAD_FUZZ_SEEDS` sets the seed
+//! count (default 4); a failing case prints its replay command, e.g.
+//! `NOMAD_FUZZ_REPLAY=pct@0x0 cargo test -p nomad-net --features sched-fuzz --test sched_fuzz`.
 
 use std::time::Duration;
 
-use nomad_core::sched::{FaultPlan, FuzzCase, Strategy};
+use nomad_core::sched::{FaultPlan, FuzzCase, FuzzTest, Strategy};
 use nomad_core::{NomadConfig, StopCondition};
 use nomad_data::{named_dataset, SizeTier};
 use nomad_matrix::{RatingMatrix, TripletMatrix};
@@ -38,16 +40,17 @@ fn quick_config(k: usize, updates: u64) -> NomadConfig {
         .with_seed(77)
 }
 
-/// Runs `seeds` cases (cycling strategies): a 4-rank mesh checked for
-/// conservation and budget completion, and a 1-rank mesh checked for
-/// bit-identity vs `SerialNomad`.  Failures panic with the replayable
-/// `(seed, strategy)` pair.
-fn sweep(seeds: u64) {
+/// Every scheduling strategy for each seed of the sweep (or the one
+/// replayed case): a 4-rank mesh checked for conservation and budget
+/// completion, and a 1-rank mesh checked for bit-identity vs
+/// `SerialNomad`.  Failures panic with the command that replays them.
+#[test]
+fn fuzzed_seeds_conserve_and_match_serial() {
     let (data, test) = tiny();
-    for seed in 0..seeds {
-        let strategy = Strategy::ALL[(seed % 3) as usize];
-        let case = FuzzCase::new(seed, strategy);
-        let cfg = quick_config(8, 6_000).with_seed(77 ^ seed);
+    let every_strategy = |seed| Strategy::ALL.map(|s| FuzzCase::new(seed, s));
+    let mut escapes = 0;
+    for case in FuzzTest::NetSchedule.sweep(every_strategy) {
+        let cfg = quick_config(8, 6_000).with_seed(77 ^ case.seed);
         let stats = fuzz_loopback(&data, &test, cfg, 4, case, FaultPlan::default())
             .unwrap_or_else(|f| panic!("{f}"));
         assert!(
@@ -55,28 +58,12 @@ fn sweep(seeds: u64) {
             "{case}: budget not completed ({} updates)",
             stats.updates
         );
-        let cfg1 = quick_config(8, 4_000).with_seed(77 ^ seed);
+        escapes += stats.escapes;
+        let cfg1 = quick_config(8, 4_000).with_seed(77 ^ case.seed);
         fuzz_loopback(&data, &test, cfg1, 1, case, FaultPlan::default())
             .unwrap_or_else(|f| panic!("{f}"));
     }
-}
-
-/// 4-seed quick variant: runs in the default suite.
-#[test]
-fn fuzzed_seeds_quick_conserve_and_match_serial() {
-    sweep(4);
-}
-
-/// 32-seed long variant (env-tunable via `NOMAD_FUZZ_SEEDS`); nightly CI
-/// runs it with `--ignored`.
-#[test]
-#[ignore = "long fuzz sweep (NOMAD_FUZZ_SEEDS, default 32); nightly CI runs it with --ignored"]
-fn fuzzed_seeds_long_conserve_and_match_serial() {
-    let seeds = std::env::var("NOMAD_FUZZ_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32);
-    sweep(seeds);
+    eprintln!("loopback schedule sweep: {escapes} turnstile escapes");
 }
 
 /// Drain-barrier regression: one rank's comm thread is maximally delayed

@@ -13,13 +13,14 @@
 //! of the usual chaos invariants (completion, conservation, crash ⇒
 //! eviction), **no query may hang or time out** — a query whose owner
 //! died must come back as a stale-replica failover with its staleness
-//! bound, an explicit shed, or a run-over notice.  A failing case prints
-//! its `strategy@seed` pair; replay it with
-//! `NOMAD_FUZZ_REPLAY=crash@7@0x2 cargo test -p nomad-net --test serve_chaos`.
+//! bound, an explicit shed, or a run-over notice.  `NOMAD_FUZZ_SEEDS` sets
+//! the seed count (default 4).  A failing case prints its replay command,
+//! e.g. `NOMAD_FUZZ_REPLAY=crash@7@0x2 cargo test -p nomad-net --features
+//! sched-fuzz --test serve_chaos`.
 //!
 //! [`ServeRouter`]: nomad_net::ServeRouter
 
-use nomad_core::sched::{FuzzCase, Strategy};
+use nomad_core::sched::{FuzzCase, FuzzTest, Strategy};
 use nomad_core::{NomadConfig, StopCondition};
 use nomad_data::{named_dataset, SizeTier};
 use nomad_matrix::RatingMatrix;
@@ -69,51 +70,20 @@ fn run_case(data: &RatingMatrix, case: FuzzCase) {
     );
 }
 
-/// Sweeps `seeds` cases per strategy family.  The steps differ from the
-/// plain chaos family's so the two sweeps explore different fault
-/// landing points; the victim still derives from the seed, so queries
-/// for its users exercise the failover path in every crash case.
-fn sweep(data: &RatingMatrix, seeds: u64) {
-    if let Ok(spec) = std::env::var("NOMAD_FUZZ_REPLAY") {
-        let case: FuzzCase = spec
-            .parse()
-            .unwrap_or_else(|e| panic!("bad NOMAD_FUZZ_REPLAY {spec:?}: {e}"));
-        assert!(
-            matches!(case.strategy, Strategy::Crash(_) | Strategy::Partition(_)),
-            "{case} is not a chaos case; replay it via the sched_fuzz tests instead"
-        );
-        eprintln!("replaying {case} ...");
-        run_case(data, case);
-        return;
-    }
-    for seed in 0..seeds {
-        run_case(
-            data,
+/// A crash and a partition for each seed of the sweep (or the one
+/// replayed case).  The steps differ from the plain chaos family's so the
+/// two sweeps explore different fault landing points; the victim still
+/// derives from the seed, so queries for its users exercise the failover
+/// path in every crash case.
+#[test]
+fn serving_chaos_seeds_resolve_every_query() {
+    let data = tiny();
+    for case in FuzzTest::ServeChaos.sweep(|seed| {
+        [
             FuzzCase::new(seed, Strategy::Crash(3 + 11 * (seed % 5))),
-        );
-        run_case(
-            data,
             FuzzCase::new(seed, Strategy::Partition(2 + 5 * (seed % 6))),
-        );
+        ]
+    }) {
+        run_case(&data, case);
     }
-}
-
-/// 4-seed quick sweep (8 cases): runs in the default suite.
-#[test]
-fn serving_chaos_seeds_quick_resolve_every_query() {
-    let data = tiny();
-    sweep(&data, 4);
-}
-
-/// 32-seed long sweep (env-tunable via `NOMAD_FUZZ_SEEDS`); nightly CI
-/// runs it with `--ignored`.
-#[test]
-#[ignore = "long serving-chaos sweep (NOMAD_FUZZ_SEEDS, default 32); nightly CI runs it with --ignored"]
-fn serving_chaos_seeds_long_resolve_every_query() {
-    let seeds = std::env::var("NOMAD_FUZZ_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32);
-    let data = tiny();
-    sweep(&data, seeds);
 }

@@ -2,12 +2,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use nomad_matrix::Idx;
 
 /// How factor entries are initialized.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum InitStrategy {
     /// The paper's initialization (Section 5.1): each entry is an
     /// independent `Uniform(0, 1/√k)` draw.
@@ -29,7 +28,7 @@ pub enum InitStrategy {
 /// Row `i` of `W` is the user embedding `w_i`; row `j` of `H` is the item
 /// embedding `h_j`.  Rows are stored contiguously so a row borrow is a plain
 /// slice, which is what the SGD kernel in `nomad-linalg` operates on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FactorMatrix {
     rows: usize,
     k: usize,
@@ -184,7 +183,7 @@ impl FactorMatrix {
 }
 
 /// The complete factor model `(W, H)` for a rating matrix `A ∈ R^{m×n}`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FactorModel {
     /// User factors, `m × k`.
     pub w: FactorMatrix,

@@ -1,10 +1,8 @@
 //! Per-dataset hyper-parameters (Table 1 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// Hyper-parameters of one experiment: latent dimension `k`, regularization
 /// `λ` (Eq. 1) and the step-size schedule constants `α`, `β` (Eq. 11).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HyperParams {
     /// Latent dimension `k`.
     pub k: usize,

@@ -7,8 +7,6 @@
 //! provided here, plus constant and `1/t` schedules used by ablation
 //! benchmarks.
 
-use serde::{Deserialize, Serialize};
-
 /// A step-size schedule indexed by the per-pair (or per-epoch) update count.
 pub trait StepSchedule: Send + Sync {
     /// Step size for the `t`-th update (0-based: `t = 0` is the first
@@ -17,7 +15,7 @@ pub trait StepSchedule: Send + Sync {
 }
 
 /// The NOMAD schedule of Eq. 11: `s_t = α / (1 + β · t^{1.5})`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NomadStep {
     /// Initial step size α.
     pub alpha: f64,
@@ -40,7 +38,7 @@ impl StepSchedule for NomadStep {
 }
 
 /// A constant step size (ablation baseline).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConstantStep {
     /// The step size used for every update.
     pub step: f64,
@@ -54,7 +52,7 @@ impl StepSchedule for ConstantStep {
 }
 
 /// The classical Robbins–Monro `α / (1 + β t)` schedule (ablation baseline).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InverseTimeStep {
     /// Initial step size α.
     pub alpha: f64,
@@ -76,7 +74,7 @@ impl StepSchedule for InverseTimeStep {
 /// Unlike the other schedules this one is stateful and driven by epoch-end
 /// feedback, so it exposes [`BoldDriver::epoch_feedback`] instead of being
 /// purely a function of `t`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoldDriver {
     step: f64,
     /// Multiplicative increase applied after an epoch that improved the

@@ -1,7 +1,7 @@
 //! The `nomad-telemetry-v1` dump format: one JSON object per line, one
 //! line per scope (`rank-<r>`, `driver`, `fleet`, `sim`, ...).
 //!
-//! The JSON is hand-rolled (the vendored serde stub has no serializer)
+//! The JSON is hand-rolled (the workspace has no serialization crate)
 //! and hand-validated: [`validate_jsonl_line`] checks the required keys
 //! without a JSON parser — a line that drops a required key fails
 //! loudly.
