@@ -6,8 +6,28 @@
 //! √items`), probes the `nprobe` nearest centroids' posting lists, and
 //! exact-reranks the resulting shortlist with the same blocked
 //! [`nomad_linalg::dot`] kernel and the same strict total order
-//! (`snapshot::ranks_higher`) the brute-force scan uses.  Scored
-//! work drops from `items·k` to roughly `(n_centroids + shortlist)·k`.
+//! (`snapshot::ranks_higher`) the brute-force scan uses.
+//!
+//! # Skipping lists that cannot reach the top-k
+//!
+//! Each list also keeps a radius `r_c ≥ max ‖h_j − c‖` over its rows
+//! (rounded up; `+∞` if a row is non-finite) and its centroid's norm
+//! `‖c‖`.  By Cauchy–Schwarz every row of list `c` scores at most
+//! `⟨w, c⟩ + ‖w‖·r_c`, so once the heap holds `k` items a list whose
+//! bound, plus a margin for the rounding of the computed dots (order
+//! `k·ε·‖w‖·(‖c‖ + r_c)`, plus an absolute underflow term), is strictly
+//! below the current k-th score is skipped unscanned (the ball bound of
+//! Koenigstein, Ram & Shavitt, CIKM 2012).  A NaN or ∞ anywhere makes the
+//! test false, so such a list is scanned.  The heap keeps the top `k`
+//! under a strict total order, so skipping a list none of whose rows can
+//! rank at or above the k-th changes nothing: answers are bit-identical
+//! to scanning every probed list in full.  Scored work drops from
+//! `items·k` to `(n_centroids + scanned)·k`, `scanned` being the rows of
+//! the probed lists that were not skipped.
+//!
+//! The bounds describe the rows of one snapshot.  The index records that
+//! snapshot's `(epoch, updates_at)` stamp, and a query against any other
+//! snapshot panics, like one whose dimensions do not match.
 //!
 //! # The equivalence contract
 //!
@@ -31,7 +51,9 @@
 //! patch — they drift from the data until a refresh decides the churn
 //! (or a dimension change) warrants a full rebuild.  Stale centroids
 //! degrade only recall, never correctness: the rerank always scores
-//! against the *current* snapshot's rows.
+//! against the *current* snapshot's rows, and a patch raises the radius
+//! of each changed row's list to cover it (radii only grow on a patch;
+//! a rebuild recomputes them).
 //!
 //! # Deadline fallback
 //!
@@ -117,6 +139,12 @@ pub struct IvfIndex {
     /// sort makes patches deterministic and keeps the full-probe rerank
     /// order independent of update history.
     postings: Vec<Vec<Idx>>,
+    /// Per-centroid `‖c‖`.
+    centroid_norms: Vec<f64>,
+    /// Per-centroid radius: an upper bound on `‖h_j − c‖` over the list.
+    radii: Vec<f64>,
+    /// `(epoch, updates_at)` of the snapshot the bounds describe.
+    stamp: (u64, u64),
 }
 
 impl IvfIndex {
@@ -149,13 +177,16 @@ impl IvfIndex {
             centroids,
             assign: vec![0; items],
             postings: vec![Vec::new(); n],
+            centroid_norms: vec![0.0; n],
+            radii: vec![0.0; n],
+            stamp: (snap.epoch(), snap.updates_at()),
         };
         for _ in 0..KMEANS_ITERS {
             index.assign_items(snap, 0..items as Idx);
             index.refit_centroids(snap);
         }
         index.assign_items(snap, 0..items as Idx);
-        index.rebuild_postings();
+        index.rebuild_postings(snap);
         index
     }
 
@@ -178,20 +209,29 @@ impl IvfIndex {
     }
 
     /// Brings the index up to date with `snap`: re-assigns exactly the
-    /// `changed` item rows, moving each between posting lists in place.
-    /// Falls back to a full rebuild when the dimensions changed or the
-    /// churn exceeds `REBUILD_FRACTION` (half the catalog).  Returns `true` when it
-    /// rebuilt.
+    /// `changed` item rows, moving each between posting lists in place
+    /// and raising its list's radius to cover it.  `changed` must name
+    /// every row that differs from the snapshot the index describes.
+    /// Falls back to a full rebuild when the dimensions changed, the
+    /// churn exceeds `REBUILD_FRACTION` (half the catalog), or `snap` is
+    /// older than that snapshot (a change set only runs forward).
+    /// Returns `true` when it rebuilt.
     pub fn refresh(&mut self, snap: &ModelSnapshot, changed: &[Idx]) -> bool {
-        if self.dims_mismatch(snap) || changed.len() as f64 > self.items as f64 * REBUILD_FRACTION {
+        if self.dims_mismatch(snap)
+            || changed.len() as f64 > self.items as f64 * REBUILD_FRACTION
+            || snap.updates_at() < self.stamp.1
+        {
             *self = Self::build(snap, self.params);
             return true;
         }
         debug_assert!(changed.iter().all(|&j| (j as usize) < self.items));
         let before: Vec<u32> = changed.iter().map(|&j| self.assign[j as usize]).collect();
         self.assign_items(snap, changed.iter().copied());
+        self.stamp = (snap.epoch(), snap.updates_at());
         for (&j, old_c) in changed.iter().zip(before) {
             let new_c = self.assign[j as usize];
+            let r = radius_bound(snap.item_factor(j), self.centroid(new_c as usize));
+            self.radii[new_c as usize] = self.radii[new_c as usize].max(r);
             if new_c != old_c {
                 let old = &mut self.postings[old_c as usize];
                 if let Ok(pos) = old.binary_search(&j) {
@@ -291,6 +331,12 @@ impl IvfIndex {
             snap.num_items(),
             snap.k()
         );
+        assert_eq!(
+            self.stamp,
+            (snap.epoch(), snap.updates_at()),
+            "index bounds over snapshot (epoch, updates_at) {:?} queried against another",
+            self.stamp
+        );
         assert!(
             seen.windows(2).all(|w| w[0] < w[1]),
             "seen must be sorted ascending without duplicates"
@@ -299,10 +345,27 @@ impl IvfIndex {
         let probes = self.probe_order(kernels, wu, nprobe);
         let mut heap: BinaryHeap<Weakest> = BinaryHeap::with_capacity(k.min(self.items) + 1);
         let mut scored = 0usize;
+        // `‖w‖`, rounded up past the underflow of the squares; the skip
+        // test's relative slack, in units of `‖w‖·(‖c‖ + r_c)` (see the
+        // module docs).
+        let w_norm = (kernels.dot(wu, wu) + f64::MIN_POSITIVE).sqrt();
+        let slack = (2 * self.k + 8) as f64 * f64::EPSILON;
         // A posting lists items in index order, so scoring it is a gather
         // over `H`; tell the cache which row comes a fixed distance on.
         let ahead = prefetch_rows_ahead(self.k);
-        for &(_, c) in &probes {
+        for &(proxy, c) in &probes {
+            if heap.len() == k {
+                let Some(kth) = heap.peek() else { break };
+                let (norm, r) = (self.centroid_norms[c], self.radii[c]);
+                // Past `f64::MAX / 4` a dot over this list could overflow,
+                // and a NaN or ∞ fails the first test: scan the list.
+                let scale = w_norm * (norm + r);
+                if scale < f64::MAX / 4.0
+                    && proxy + w_norm * r + scale * slack + f64::MIN_POSITIVE < kth.0.score
+                {
+                    continue;
+                }
+            }
             let posting = &self.postings[c];
             for (at, &item) in posting.iter().enumerate() {
                 if let Some(&next) = posting.get(at + ahead) {
@@ -327,6 +390,8 @@ impl IvfIndex {
                 }
             }
         }
+        #[cfg(test)]
+        tests::ROWS_SCORED.with(|n| n.set(n.get() + scored));
         let recs = heap.into_sorted_vec().into_iter().map(|w| w.0).collect();
         (
             TopK {
@@ -348,11 +413,17 @@ impl IvfIndex {
         // compiled with its target feature, which a closure here is not.
         let mut scored = Vec::with_capacity(n);
         for c in 0..n {
-            let cent = &self.centroids[c * self.k..(c + 1) * self.k];
+            let cent = self.centroid(c);
             scored.push((kernels.dot(wu, cent), c));
         }
-        scored.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        scored.truncate(nprobe.clamp(1, n));
+        let best_first =
+            |a: &(f64, usize), b: &(f64, usize)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
+        let m = nprobe.clamp(1, n);
+        if m < n {
+            scored.select_nth_unstable_by(m - 1, best_first);
+            scored.truncate(m);
+        }
+        scored.sort_unstable_by(best_first);
         scored
     }
 
@@ -424,7 +495,7 @@ impl IvfIndex {
         let n = self.n_centroids();
         let mut norms = Vec::with_capacity(n);
         for c in 0..n {
-            let cent = &self.centroids[c * self.k..(c + 1) * self.k];
+            let cent = self.centroid(c);
             norms.push(kernels.dot(cent, cent));
         }
         for j in items {
@@ -432,7 +503,7 @@ impl IvfIndex {
             let mut best = 0usize;
             let mut best_d = f64::INFINITY;
             for (c, norm) in norms.iter().enumerate() {
-                let cent = &self.centroids[c * self.k..(c + 1) * self.k];
+                let cent = self.centroid(c);
                 let d = norm - 2.0 * kernels.dot(row, cent);
                 if d.total_cmp(&best_d) == std::cmp::Ordering::Less {
                     best_d = d;
@@ -472,24 +543,204 @@ impl IvfIndex {
     }
 
     /// Rebuilds the posting lists from `assign` (ascending item order by
-    /// construction — the scan visits items in order).
-    fn rebuild_postings(&mut self) {
+    /// construction — the scan visits items in order), and with them each
+    /// list's radius and centroid norm over `snap`'s rows.
+    fn rebuild_postings(&mut self, snap: &ModelSnapshot) {
         for p in &mut self.postings {
             p.clear();
         }
+        self.radii.fill(0.0);
         for j in 0..self.items {
-            self.postings[self.assign[j] as usize].push(j as Idx);
+            let c = self.assign[j] as usize;
+            self.postings[c].push(j as Idx);
+            let r = radius_bound(snap.item_factor(j as Idx), self.centroid(c));
+            self.radii[c] = self.radii[c].max(r);
         }
+        for c in 0..self.n_centroids() {
+            let cent = self.centroid(c);
+            self.centroid_norms[c] = nomad_linalg::dot(cent, cent).sqrt();
+        }
+        self.stamp = (snap.epoch(), snap.updates_at());
     }
+
+    /// Centroid `c`'s row.
+    fn centroid(&self, c: usize) -> &[f64] {
+        &self.centroids[c * self.k..(c + 1) * self.k]
+    }
+}
+
+/// An upper bound on `‖row − c‖`: the computed distance rounded up past
+/// its own rounding and the underflow of its squares, or `+∞` if it is
+/// not finite.
+fn radius_bound(row: &[f64], c: &[f64]) -> f64 {
+    let d2: f64 = row.iter().zip(c).map(|(a, b)| (a - b) * (a - b)).sum();
+    if !d2.is_finite() {
+        return f64::INFINITY;
+    }
+    let up = 1.0 + (row.len() + 4) as f64 * f64::EPSILON;
+    (d2 * up + f64::MIN_POSITIVE).sqrt() * up
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nomad_sgd::FactorModel;
+    use nomad_sgd::{FactorMatrix, FactorModel};
+    use proptest::prelude::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Rows the reranks on this thread scored, summed.
+        pub(super) static ROWS_SCORED: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn snap(users: usize, items: usize, k: usize, seed: u64) -> ModelSnapshot {
         ModelSnapshot::from_model(&FactorModel::init(users, items, k, seed), 1, 100)
+    }
+
+    /// Users and items scattered around `clusters` shared Gaussian centres:
+    /// the catalogs on which whole lists fall below a user's top-k.
+    fn clustered(users: usize, items: usize, k: usize, clusters: usize, seed: u64) -> FactorModel {
+        let mut rng = SmallRng64::new(seed);
+        let centres: Vec<f64> = (0..clusters * k)
+            .map(|_| 2.0 * rng.next_gaussian())
+            .collect();
+        let mut place = |rows: usize, spread: f64| {
+            let mut m = FactorMatrix::zeros(rows, k);
+            for r in 0..rows {
+                let c = rng.next_below(clusters);
+                for (d, v) in m.row_mut(r).iter_mut().enumerate() {
+                    *v = centres[c * k + d] + spread * rng.next_gaussian();
+                }
+            }
+            m
+        };
+        FactorModel {
+            w: place(users, 0.3),
+            h: place(items, 0.2),
+        }
+    }
+
+    /// The reference for a pruned query: the top `k` of every list the
+    /// index probes for `user`, each scanned in full, as `(item, score
+    /// bits)`.
+    fn scan_probed(
+        idx: &IvfIndex,
+        s: &ModelSnapshot,
+        user: Idx,
+        k: usize,
+        nprobe: usize,
+        seen: &[Idx],
+    ) -> Vec<(Idx, u64)> {
+        let mut all: Vec<Recommendation> = idx
+            .probe_order(Portable, s.user_factor(user), nprobe)
+            .iter()
+            .flat_map(|&(_, c)| idx.postings[c].iter().copied())
+            .filter(|j| seen.binary_search(j).is_err())
+            .map(|item| Recommendation {
+                item,
+                score: s.score(user, item),
+            })
+            .collect();
+        all.sort_by_key(|r| Weakest(*r));
+        all.iter()
+            .take(k)
+            .map(|r| (r.item, r.score.to_bits()))
+            .collect()
+    }
+
+    fn bits(top: &TopK) -> Vec<(Idx, u64)> {
+        top.recs
+            .iter()
+            .map(|r| (r.item, r.score.to_bits()))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Skipping lists by their radius bound answers bit for bit like
+        /// scanning every probed list: on clustered catalogs, with a block
+        /// of duplicate rows spread over the lists (so the k-th score ties
+        /// across lists), `0.0` and `-0.0` rows and users, a NaN row, `k`
+        /// from 0 past the catalog size, and seen lists.
+        #[test]
+        fn pruned_probes_answer_like_scanning_every_probed_list(
+            items in 1usize..300,
+            dim in 1usize..9,
+            clusters in 1usize..9,
+            centroids in 1usize..17,
+            top in 0usize..14,
+            dupes in 0usize..14,
+            nan_row in any::<bool>(),
+            seed in any::<u64>(),
+            seen_raw in proptest::collection::vec(any::<u32>(), 0..12),
+        ) {
+            // 13 asks for more than any catalog here holds.
+            let top = if top == 13 { 400 } else { top };
+            let mut m = clustered(6, items, dim, clusters, seed);
+            m.w.set_row(4, &vec![0.0; dim]);
+            m.w.set_row(5, &vec![-0.0; dim]);
+            let dup: Vec<f64> = m.w.row(0).iter().map(|v| 3.0 * v).collect();
+            let dup_rows: Vec<usize> = (0..dupes).map(|i| (i * 7919 + 3) % items).collect();
+            for &j in &dup_rows {
+                m.h.set_row(j, &dup);
+            }
+            m.h.set_row(0, &vec![0.0; dim]);
+            if items > 1 {
+                m.h.set_row(1, &vec![-0.0; dim]);
+            }
+            if nan_row && items > 2 {
+                m.h.row_mut(items - 1)[0] = f64::NAN;
+            }
+            let s = ModelSnapshot::from_model(&m, 3, 300);
+            let mut idx = IvfIndex::build(&s, params(centroids));
+            // Spread the duplicates over the lists by hand.
+            let n = idx.n_centroids();
+            for (i, &j) in dup_rows.iter().enumerate() {
+                idx.assign[j] = (i % n) as u32;
+            }
+            idx.rebuild_postings(&s);
+            let mut seen: Vec<Idx> = seen_raw.iter().map(|&j| j % items as u32).collect();
+            seen.sort_unstable();
+            seen.dedup();
+            for user in 0..6 {
+                for nprobe in 1..=n {
+                    for seen in [&[][..], &seen[..]] {
+                        let got = idx.top_k(&s, user, top, nprobe, seen);
+                        let want = scan_probed(&idx, &s, user, top, nprobe, seen);
+                        prop_assert_eq!(bits(&got), want, "user {} nprobe {}", user, nprobe);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn clustered_catalogs_skip_lists_and_still_answer_exactly() {
+        // Not vacuous: on a clustered catalog a full probe scores well
+        // under the whole catalog per user, and still returns what the
+        // exact scan returns.
+        let s = ModelSnapshot::from_model(&clustered(40, 2_000, 8, 16, 17), 1, 100);
+        let idx = IvfIndex::build(&s, params(32));
+        let before = ROWS_SCORED.with(Cell::get);
+        for user in 0..40 {
+            let exact = s.top_k(user, 10, &[]);
+            assert_eq!(idx.top_k(&s, user, 10, 32, &[]), exact, "user {user}");
+        }
+        let scored = ROWS_SCORED.with(Cell::get) - before;
+        assert!(
+            scored < 40 * 2_000 / 2,
+            "{scored} rows scored for 40 full probes of 2,000 items"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "queried against another")]
+    fn a_query_against_another_snapshot_panics() {
+        let s = snap(2, 30, 4, 11);
+        let idx = IvfIndex::build(&s, params(5));
+        let later = ModelSnapshot::from_model(&s.to_model(), 2, 200);
+        let _ = idx.top_k(&later, 0, 5, 5, &[]);
     }
 
     fn params(n: usize) -> IvfParams {
@@ -545,7 +796,7 @@ mod tests {
                 _ => 3,
             };
         }
-        idx.rebuild_postings();
+        idx.rebuild_postings(&s);
         let lens: Vec<usize> = idx.postings.iter().map(Vec::len).collect();
         assert_eq!(lens, [ahead - 1, ahead, ahead + 1, 200 - 3 * ahead]);
         assert_eq!(idx.postings[2].last(), Some(&199));
@@ -621,6 +872,58 @@ mod tests {
             let c = idx.assign[j as usize] as usize;
             assert!(idx.postings[c].binary_search(&j).is_ok());
         }
+
+        // Rows moved far away, some staying in their list and some moving
+        // to another: the patched radii must cover them, so every pruned
+        // probe still answers like a full scan of the probed lists.  Row
+        // `c + t·u` stays nearest to `c` when `c` maximises `⟨u, c⟩`.
+        let s = ModelSnapshot::from_model(&clustered(12, 400, 6, 8, 5), 1, 100);
+        let mut idx = IvfIndex::build(&s, params(8));
+        let mut m = s.to_model();
+        let mut placed: Vec<(Idx, usize)> = Vec::new();
+        for (i, (d, sign)) in (0..6).flat_map(|d| [(d, 1.0), (d, -1.0)]).enumerate() {
+            let c = (0..8)
+                .max_by(|&a, &b| {
+                    (sign * idx.centroid(a)[d]).total_cmp(&(sign * idx.centroid(b)[d]))
+                })
+                .expect("8 centroids");
+            let mut row = idx.centroid(c).to_vec();
+            row[d] += sign * 20.0;
+            // Even targets take a row of list `c` (it stays), odd ones a
+            // row of another list (it moves).
+            let j = (0..400)
+                .map(|j| j as Idx)
+                .find(|&j| {
+                    (idx.assign[j as usize] as usize == c) == (i % 2 == 0)
+                        && placed.iter().all(|&(p, _)| p != j)
+                })
+                .expect("a free row");
+            m.h.set_row(j as usize, &row);
+            placed.push((j, c));
+        }
+        let before: Vec<u32> = placed
+            .iter()
+            .map(|&(j, _)| idx.assign[j as usize])
+            .collect();
+        let mut changed: Vec<Idx> = placed.iter().map(|&(j, _)| j).collect();
+        changed.sort_unstable();
+        let s2 = ModelSnapshot::from_model(&m, 2, 200);
+        assert!(!idx.refresh(&s2, &changed));
+        for (i, (&(j, c), old)) in placed.iter().zip(before).enumerate() {
+            assert_eq!(idx.assign[j as usize] as usize, c, "row {j}");
+            assert_eq!(old as usize == c, i % 2 == 0, "row {j} stays or moves");
+        }
+        for user in 0..12 {
+            for nprobe in 1..=8 {
+                let got = idx.top_k(&s2, user, 5, nprobe, &[]);
+                let want = scan_probed(&idx, &s2, user, 5, nprobe, &[]);
+                assert_eq!(bits(&got), want, "user {user} nprobe {nprobe}");
+            }
+        }
+        // A change set only runs forward: handed the older snapshot back,
+        // the index rebuilds over it.
+        assert!(idx.refresh(&s, &changed));
+        assert_eq!(idx.top_k(&s, 0, 5, 8, &[]), s.top_k(0, 5, &[]));
     }
 
     #[test]

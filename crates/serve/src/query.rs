@@ -12,9 +12,13 @@
 //! cached [`IvfIndex`] over the served catalog, patched forward across
 //! epochs from the publisher's delta clocks
 //! ([`SnapshotPublisher::changed_items_since`]) instead of rebuilt from
-//! scratch.  The cache sits behind a mutex, but the lock covers only the
-//! refresh bookkeeping — the probe/rerank runs on an `Arc` clone outside
-//! it, so concurrent approximate queries do not serialize.
+//! scratch.  The cache sits behind a mutex held for the cache check and,
+//! when the epoch advanced, for the patch (or, on first use or a
+//! dimension change, the full build) — the probe/rerank runs on `Arc`
+//! clones outside it, so concurrent approximate queries between publishes
+//! do not serialize.  The cache keeps the snapshot it describes and only
+//! moves forward: a query that pinned an older epoch than the cache is
+//! answered from the cache's newer snapshot.
 //!
 //! `seen` lists are normalized (sorted, deduplicated) on entry: callers
 //! may pass them in any order, with duplicates.  Pre-sorted input takes
@@ -95,8 +99,7 @@ impl UserQuery {
 #[derive(Debug)]
 struct IvfState {
     index: Arc<IvfIndex>,
-    epoch: u64,
-    updates_at: u64,
+    snap: Arc<ModelSnapshot>,
 }
 
 /// Answers top-k recommendation queries from the latest published epoch.
@@ -173,10 +176,9 @@ impl<'p> QueryEngine<'p> {
         nprobe: usize,
         seen: &[Idx],
     ) -> Result<TopK, ServeError> {
-        let snap = self.snapshot()?;
+        let (index, snap) = self.ivf_index(self.snapshot()?);
         check_user(&snap, user)?;
         let seen = normalize_seen(seen);
-        let index = self.ivf_index(&snap);
         Ok(index.top_k(&snap, user, k, nprobe, &seen))
     }
 
@@ -193,10 +195,9 @@ impl<'p> QueryEngine<'p> {
         seen: &[Idx],
         budget: Duration,
     ) -> Result<(TopK, bool), ServeError> {
-        let snap = self.snapshot()?;
+        let (index, snap) = self.ivf_index(self.snapshot()?);
         check_user(&snap, user)?;
         let seen = normalize_seen(seen);
-        let index = self.ivf_index(&snap);
         let deadline = Instant::now() + budget;
         Ok(index.top_k_within(&snap, user, k, nprobe, &seen, Some(deadline)))
     }
@@ -205,37 +206,36 @@ impl<'p> QueryEngine<'p> {
     /// (the `nprobe` value at which [`QueryEngine::top_k_approx`] is
     /// bit-identical to the exact scan).  Builds the index if needed.
     pub fn ivf_centroids(&self) -> Result<usize, ServeError> {
-        let snap = self.snapshot()?;
-        Ok(self.ivf_index(&snap).n_centroids())
+        Ok(self.ivf_index(self.snapshot()?).0.n_centroids())
     }
 
-    /// The cached index, refreshed against `snap`: reused as-is when the
-    /// epoch matches, patched from the publisher's changed-row clocks
-    /// when it advanced, rebuilt when the dimensions changed (or on
-    /// first use).  The lock covers only this bookkeeping; the returned
-    /// `Arc` is probed outside it.
-    fn ivf_index(&self, snap: &ModelSnapshot) -> Arc<IvfIndex> {
+    /// The cached index and the snapshot it describes, brought up to
+    /// `snap`: reused as-is when the cache is at `snap`'s epoch or newer
+    /// (the caller then answers from the cache's snapshot — an index is
+    /// never patched backwards), patched from the publisher's changed-row
+    /// clocks when `snap` is newer, built on first use.  The returned
+    /// `Arc`s are probed outside the lock.
+    fn ivf_index(&self, snap: Arc<ModelSnapshot>) -> (Arc<IvfIndex>, Arc<ModelSnapshot>) {
         let mut guard = self.ivf.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(state) = guard.as_ref() {
-            if state.epoch == snap.epoch() && !state.index.dims_mismatch(snap) {
-                return Arc::clone(&state.index);
-            }
-        }
-        let index = match guard.take() {
+        let state = match guard.take() {
+            Some(state) if state.snap.epoch() >= snap.epoch() => state,
             Some(state) => {
-                let changed = self.publisher.changed_items_since(state.updates_at);
+                let changed = self.publisher.changed_items_since(state.snap.updates_at());
                 let mut index = (*state.index).clone();
-                index.refresh(snap, &changed);
-                Arc::new(index)
+                index.refresh(&snap, &changed);
+                IvfState {
+                    index: Arc::new(index),
+                    snap,
+                }
             }
-            None => Arc::new(IvfIndex::build(snap, self.ivf_params)),
+            None => IvfState {
+                index: Arc::new(IvfIndex::build(&snap, self.ivf_params)),
+                snap,
+            },
         };
-        *guard = Some(IvfState {
-            index: Arc::clone(&index),
-            epoch: snap.epoch(),
-            updates_at: snap.updates_at(),
-        });
-        index
+        let answer = (Arc::clone(&state.index), Arc::clone(&state.snap));
+        *guard = Some(state);
+        answer
     }
 
     /// Exact top-k for a batch of users, all answered from **one**
@@ -411,6 +411,35 @@ mod tests {
         let p = served(2, 2, 2, 0);
         let engine = QueryEngine::new(&p, 4);
         assert_eq!(engine.batch_top_k(&[], 3).unwrap(), Vec::<TopK>::new());
+    }
+
+    #[test]
+    fn a_query_pinned_before_the_cache_never_patches_it_backwards() {
+        let mut model = FactorModel::init(5, 60, 4, 21);
+        let p = SnapshotPublisher::new(1 << 40);
+        p.publish_model(&model, 100);
+        let old = p.latest().unwrap();
+        for j in [2, 30, 59] {
+            let row: Vec<f64> = model.h.row(j).iter().map(|v| v * -4.0 + 1.0).collect();
+            model.h.set_row(j, &row);
+        }
+        p.publish_model(&model, 200);
+        let params = IvfParams {
+            n_centroids: 6,
+            ..IvfParams::default()
+        };
+        let engine = QueryEngine::with_ivf_params(&p, 1, params);
+        let _ = engine.ivf_index(p.latest().unwrap());
+        // A query that pinned epoch 1 before the publish reaches the cache
+        // after another query moved it to epoch 2.
+        let (index, snap) = engine.ivf_index(old);
+        assert_eq!(snap.epoch(), 2, "answered from the cache's snapshot");
+        let cached = engine.ivf.lock().unwrap().as_ref().unwrap().snap.epoch();
+        assert_eq!(cached, 2, "the cache is not relabelled");
+        for user in 0..5 {
+            let full = index.top_k(&snap, user, 8, index.n_centroids(), &[]);
+            assert_eq!(full, snap.top_k(user, 8, &[]), "user {user}");
+        }
     }
 
     #[test]
