@@ -33,7 +33,6 @@
 
 pub mod compute;
 pub mod event;
-pub mod exec;
 pub mod metrics;
 pub mod network;
 pub mod time;
@@ -42,7 +41,6 @@ pub mod trace;
 
 pub use compute::ComputeModel;
 pub use event::{EventQueue, QueuedEvent};
-pub use exec::{Component, ExecEngine};
 pub use metrics::SimMetrics;
 pub use network::NetworkModel;
 pub use time::SimTime;

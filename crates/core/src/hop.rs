@@ -132,7 +132,7 @@ unsafe fn sweep_avx2<U: UserRows + ?Sized>(
 }
 
 /// The body of [`sweep`], the only copy of lines 14–21, over the kernel
-/// form `kernels`.  Public for the benches and tests that pin one form;
+/// form `kernels`, public so a caller can pin one form;
 /// engines call [`sweep`].
 #[inline(always)]
 pub fn sweep_on<K: Kernels, U: UserRows + ?Sized>(

@@ -3,8 +3,8 @@
 //! Algorithm 1 (line 22) samples the recipient uniformly at random.
 //! Section 3.3 describes the dynamic load-balancing refinement: prefer
 //! workers with shorter queues, using the queue-size payload piggybacked on
-//! every message.  Both policies are implemented here, plus a round-robin
-//! policy used by ablation benchmarks.
+//! every message.  Both policies are implemented here, plus a deterministic
+//! round-robin policy.
 
 /// Policy for selecting the worker a processed token is sent to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -503,6 +503,31 @@ mod tests {
     }
 
     #[test]
+    fn batching_messages_reaches_the_budget_sooner_on_a_slow_network() {
+        // Section 3.5: ~100 tokens per network message amortize the
+        // per-message latency, so on the commodity network the same update
+        // budget takes far less virtual time than one token per message.
+        let (data, test) = tiny_dataset();
+        let topology = ClusterTopology::new(4, 4, 2);
+        let elapsed = |batch| {
+            SimNomad::new(
+                quick_config(8, 30_000).with_message_batch(batch),
+                topology,
+                NetworkModel::commodity_1gbps(),
+                ComputeModel::commodity_core(),
+            )
+            .run(&data, &test)
+            .trace
+            .elapsed()
+        };
+        let (batched, unbatched) = (elapsed(100), elapsed(1));
+        assert!(
+            batched < unbatched,
+            "batch 100 took {batched} s of virtual time, batch 1 {unbatched} s"
+        );
+    }
+
+    #[test]
     fn load_balanced_routing_helps_with_stragglers() {
         // One of four workers runs at 1/4 speed.  With uniform routing the
         // straggler holds a long queue; with least-loaded routing total

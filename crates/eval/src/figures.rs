@@ -1,7 +1,7 @@
 //! One function per figure/table family of the paper's evaluation.
 //!
 //! Each function returns [`Figure`] values — labelled series of `(x, y)`
-//! points — that the `fig` binary in `crates/bench` renders as CSV.  The
+//! points — that this crate's `fig` binary renders as CSV.  The
 //! registry function [`by_id`] maps the paper's figure/table numbers to the
 //! corresponding generator so that the binary stays a dispatch table.
 //!
@@ -37,7 +37,7 @@ pub struct ReproScale {
 
 impl ReproScale {
     /// Seconds-scale runs: tiny datasets, small `k`.  The default for the
-    /// checked-in binaries and for CI.
+    /// `fig` binary and for CI.
     pub fn quick() -> Self {
         Self {
             tier: SizeTier::Tiny,
@@ -57,11 +57,18 @@ impl ReproScale {
         }
     }
 
-    /// Reads `NOMAD_SCALE` from the environment (`quick` or `standard`).
-    pub fn from_env() -> Self {
-        match std::env::var("NOMAD_SCALE").as_deref() {
-            Ok("standard") => Self::standard(),
-            _ => Self::quick(),
+    /// Reads `NOMAD_SCALE` from the environment: unset or `quick` is
+    /// [`quick`](Self::quick), `standard` is [`standard`](Self::standard).
+    ///
+    /// # Errors
+    /// Any other value is an error naming the variable and its two values,
+    /// so a typo never silently swaps a long run for the short one.
+    pub fn from_env() -> Result<Self, String> {
+        match std::env::var_os("NOMAD_SCALE") {
+            None => Ok(Self::quick()),
+            Some(v) if v == "quick" => Ok(Self::quick()),
+            Some(v) if v == "standard" => Ok(Self::standard()),
+            Some(v) => Err(format!("NOMAD_SCALE must be quick or standard, not {v:?}")),
         }
     }
 
@@ -941,7 +948,7 @@ mod tests {
     #[test]
     fn scale_from_env_defaults_to_quick() {
         std::env::remove_var("NOMAD_SCALE");
-        let s = ReproScale::from_env();
+        let s = ReproScale::from_env().unwrap();
         assert_eq!(s.tier, SizeTier::Tiny);
     }
 

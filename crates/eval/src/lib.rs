@@ -10,8 +10,9 @@
 //!   spec and returns its convergence trace,
 //! * [`figures`] — one function per paper figure/table family, each
 //!   producing a [`figures::Figure`] (a set of labelled traces),
-//! * [`report`] — CSV / markdown renderers used by the `fig` and
-//!   `repro_all` binaries in `crates/bench`.
+//! * [`report`] — CSV / markdown renderers used by the `fig` binary
+//!   (`src/bin/fig.rs`), which reproduces any table or figure by id, or
+//!   all of them with `fig all`.
 
 #![warn(missing_docs)]
 
