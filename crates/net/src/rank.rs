@@ -75,7 +75,7 @@ use nomad_core::queue::Inbox;
 use nomad_core::slab::FactorSlab;
 use nomad_core::worker::WorkerData;
 use nomad_matrix::{CscMatrix, Idx};
-use nomad_serve::{IvfIndex, IvfParams, ModelSnapshot, SnapshotPublisher};
+use nomad_serve::{ModelSnapshot, QueryEngine, ServeError, SnapshotPublisher};
 use nomad_sgd::{FactorMatrix, HyperParams};
 
 use nomad_telemetry::{names, CounterHandle, GaugeHandle, HistogramHandle, Registry};
@@ -919,11 +919,6 @@ struct CommState {
     /// Serving knob from setup: probe this many IVF posting lists per
     /// query; `0` answers with the exact brute-force scan.
     serve_nprobe: u32,
-    /// The IVF shortlist cache behind [`CommState::answer_query`]:
-    /// `(epoch, updates_at, index)` of the snapshot it was last
-    /// refreshed against.  Patched forward between epochs from
-    /// [`SnapshotPublisher::changed_items_since`] rather than rebuilt.
-    ivf: Option<(u64, u64, IvfIndex)>,
     remote_sends: u64,
     /// Active-membership bitmap (authoritative copy; mirrored into
     /// `Shared` for the worker).
@@ -994,7 +989,6 @@ impl CommState {
             last_shipped: None,
             replicas_since_full: 0,
             serve_nprobe: setup.serve_nprobe,
-            ivf: None,
             remote_sends: 0,
             members,
             evicted: 0,
@@ -1380,48 +1374,16 @@ impl CommState {
         })
     }
 
-    /// Brings the IVF cache up to `snap`: a cache hit is an epoch +
-    /// dimension match; a stale cache is patched forward with exactly
-    /// the item rows whose update clock advanced since it was built
-    /// (the same change set the delta frames ship); anything else is a
-    /// fresh seeded build.
-    fn refresh_ivf(&mut self, shared: &Shared, snap: &ModelSnapshot) {
-        if matches!(&self.ivf, Some((epoch, _, index))
-            if *epoch == snap.epoch() && !index.dims_mismatch(snap))
-        {
-            return;
-        }
-        let publisher = shared
-            .publisher
-            .as_ref()
-            .expect("IVF path only runs with a publisher");
-        let index = match self.ivf.take() {
-            Some((_, updates_at, mut index)) => {
-                let changed = publisher.changed_items_since(updates_at);
-                index.refresh(snap, &changed);
-                index
-            }
-            None => IvfIndex::build(snap, IvfParams::default()),
-        };
-        self.ivf = Some((snap.epoch(), snap.updates_at(), index));
-    }
-
-    /// Answers a routed top-k query from the latest published snapshot —
-    /// through the IVF shortlist index when the setup enabled it
+    /// Answers a routed top-k query from the latest published snapshot
+    /// through a [`QueryEngine`] — its IVF path (the index the publisher
+    /// keeps with each snapshot) when the setup enabled it
     /// (`serve_nprobe > 0`), the exact brute-force scan otherwise.
     /// Every path produces a reply — the router's deadline accounting
     /// depends on a quiesced or not-yet-published rank *saying so*
     /// rather than going silent — and the IVF path additionally bounds
     /// its own rerank work by [`QUERY_RERANK_BUDGET`], degrading to the
     /// raw shortlist rather than blowing the router deadline.
-    fn answer_query(
-        &mut self,
-        shared: &Shared,
-        id: u64,
-        user: u32,
-        k: u32,
-        mut seen: Vec<u32>,
-    ) -> Message {
+    fn answer_query(&self, shared: &Shared, id: u64, user: u32, k: u32, seen: Vec<u32>) -> Message {
         let empty = |status: u8| Message::QueryReply {
             id,
             status,
@@ -1437,26 +1399,30 @@ impl CommState {
         if shared.drain.load(Ordering::Acquire) && shared.worker_exited.load(Ordering::Acquire) {
             return empty(QUERY_RUN_OVER);
         }
-        let snap = shared.publisher.as_ref().and_then(|p| p.latest());
-        let Some(snap) = snap else {
+        let Some(publisher) = &shared.publisher else {
             return empty(QUERY_NOT_READY);
         };
-        if user as usize >= snap.num_users() {
-            return empty(QUERY_UNKNOWN_USER);
-        }
-        seen.sort_unstable();
-        seen.dedup();
-        let top = if self.serve_nprobe > 0 {
-            self.refresh_ivf(shared, &snap);
-            let (_, _, index) = self.ivf.as_ref().expect("ivf cache just refreshed");
-            let nprobe = (self.serve_nprobe as usize).min(index.n_centroids());
-            self.telemetry.ivf_probes.add(nprobe as u64);
-            let deadline = Instant::now() + QUERY_RERANK_BUDGET;
-            index
-                .top_k_within(&snap, user, k as usize, nprobe, &seen, Some(deadline))
-                .0
+        let engine = QueryEngine::new(publisher, 1);
+        let answer = if self.serve_nprobe > 0 {
+            let nprobe = self.serve_nprobe as usize;
+            engine
+                .top_k_approx_within(user, k as usize, nprobe, &seen, QUERY_RERANK_BUDGET)
+                .map(|(top, _)| top)
+                .inspect(|top| {
+                    // Clamped to the centroid count of the index just
+                    // probed, unless a publish has overtaken the query.
+                    let pinned = publisher.latest().filter(|snap| snap.epoch() == top.epoch);
+                    let index = pinned.as_deref().and_then(ModelSnapshot::ivf);
+                    let lists = index.map_or(nprobe, |index| nprobe.min(index.n_centroids()));
+                    self.telemetry.ivf_probes.add(lists as u64);
+                })
         } else {
-            snap.top_k(user, k as usize, &seen)
+            engine.top_k(user, k as usize, &seen)
+        };
+        let top = match answer {
+            Ok(top) => top,
+            Err(ServeError::NoSnapshot) => return empty(QUERY_NOT_READY),
+            Err(ServeError::UnknownUser { .. }) => return empty(QUERY_UNKNOWN_USER),
         };
         let now = shared.local_updates.load(Ordering::Acquire);
         Message::QueryReply {

@@ -64,7 +64,9 @@
 //!
 //! The bounds describe the rows of one snapshot.  The index records that
 //! snapshot's `(epoch, updates_at)` stamp, and a query against any other
-//! snapshot panics, like one whose dimensions do not match.
+//! snapshot panics, like one whose dimensions do not match.  A served
+//! index travels with its snapshot ([`ModelSnapshot::ivf`]), so one
+//! `latest()` pin yields a matching pair.
 //!
 //! # The equivalence contract
 //!
@@ -81,8 +83,9 @@
 //! # Freshness under live training
 //!
 //! The index is built from one published snapshot and patched forward
-//! from epoch deltas: [`IvfIndex::refresh`] re-assigns only the item rows
-//! whose update clock advanced (see
+//! from epoch deltas by the publisher, its one maintainer, when the first
+//! approximate query of an epoch asks: [`IvfIndex::refresh`] re-assigns
+//! only the item rows whose update clock advanced (see
 //! [`crate::SnapshotPublisher::changed_items_since`]), moving each
 //! between posting lists in place.  Centroids are *not* re-fit on a
 //! patch — they drift from the data until a refresh decides the churn
@@ -262,16 +265,16 @@ impl IvfIndex {
         self.postings.len()
     }
 
+    /// `(epoch, updates_at)` of the snapshot the index describes.
+    #[inline]
+    pub fn stamp(&self) -> (u64, u64) {
+        self.stamp
+    }
+
     /// Catalog size the index currently covers.
     #[inline]
     pub fn num_items(&self) -> usize {
         self.items
-    }
-
-    /// `true` when the index no longer fits the snapshot's dimensions
-    /// (a `grow` happened) and must be rebuilt rather than patched.
-    pub fn dims_mismatch(&self, snap: &ModelSnapshot) -> bool {
-        self.items != snap.num_items() || self.k != snap.k()
     }
 
     /// Brings the index up to date with `snap`: re-assigns exactly the
@@ -284,7 +287,7 @@ impl IvfIndex {
     /// older than that snapshot (a change set only runs forward).
     /// Returns `true` when it rebuilt.
     pub fn refresh(&mut self, snap: &ModelSnapshot, changed: &[Idx]) -> bool {
-        if self.dims_mismatch(snap)
+        if (self.items, self.k) != (snap.num_items(), snap.k())
             || changed.len() as f64 > self.items as f64 * REBUILD_FRACTION
             || snap.updates_at() < self.stamp.1
         {
@@ -403,7 +406,7 @@ impl IvfIndex {
         deadline: Option<Instant>,
     ) -> (TopK, bool) {
         assert!(
-            !self.dims_mismatch(snap),
+            (self.items, self.k) == (snap.num_items(), snap.k()),
             "index over {}×{} queried against a {}×{} snapshot",
             self.items,
             self.k,

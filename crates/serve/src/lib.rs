@@ -28,11 +28,13 @@
 //!   k-means shortlist index probed by [`QueryEngine::top_k_approx`],
 //!   exact-reranked so every returned score is a real `⟨w, h⟩`, and
 //!   **bit-identical** to the exact scan when every centroid is probed.
-//!   The index is patched forward across epochs from the publisher's
-//!   per-row update clocks
+//!   Each queried snapshot carries its own index: the epoch's first
+//!   approximate query has the publisher patch the run's newest one
+//!   forward from its per-row update clocks
 //!   ([`SnapshotPublisher::changed_items_since`]) — the same delta set
-//!   `nomad-net` ships as `ReplicaDelta` frames — instead of rebuilt
-//!   from scratch.  See [`ivf`] for the recall and fallback contracts.
+//!   `nomad-net` ships as `ReplicaDelta` frames — and every later query
+//!   of the epoch only reads it.  See [`ivf`] for the recall and
+//!   fallback contracts.
 //!
 //! Freshness: every snapshot carries the update-clock stamp it was
 //! initiated at ([`ModelSnapshot::updates_at`]); the publisher tracks the

@@ -38,6 +38,14 @@
 //! exactly the consistency NOMAD's own updates see.  At every quiesce point
 //! the engines force-publish the assembled model, so a quiesced snapshot is
 //! bit-identical to the `FactorModel` the run returns.
+//!
+//! # The IVF index
+//!
+//! The publisher maintains the [`IvfIndex`] approximate queries probe, one
+//! per queried epoch, in the snapshot's `OnceLock` ([`ModelSnapshot::ivf`]).
+//! Publishing does no index work: an epoch's first approximate query
+//! patches the run's newest index with the rows changed since (first in a
+//! run, it builds one), and later queries of the epoch only read it.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -46,6 +54,7 @@ use std::sync::{Arc, Mutex};
 use nomad_matrix::Idx;
 use nomad_sgd::{FactorMatrix, FactorModel};
 
+use crate::ivf::{IvfIndex, IvfParams};
 use crate::snapshot::ModelSnapshot;
 
 /// Ring capacity.  Readers may lag the publisher by up to `SLOTS - 2`
@@ -185,13 +194,18 @@ struct Dims {
 }
 
 /// State shared between the rare publisher-side operations (prepare,
-/// finalize, quiesce publish, begin/grow).  Never touched by readers and
-/// never on the per-hop fast path.
+/// finalize, quiesce publish, begin/grow).  Readers touch it only for the
+/// row clocks and once per queried epoch; never per query or per hop.
 struct PubShared {
     dims: Option<Dims>,
     /// A displaced, unshared snapshot whose allocation the next publish
     /// reuses.
     spare: Option<Arc<ModelSnapshot>>,
+    /// The newest IVF index derived this run: the next queried epoch's
+    /// base, whose params are the run's.
+    ivf: Option<Arc<IvfIndex>>,
+    /// First epoch of the current run (the row clocks restart with it).
+    run_epoch: u64,
 }
 
 /// Publishes epoch snapshots of a live-training model to concurrent,
@@ -241,6 +255,8 @@ impl SnapshotPublisher {
             shared: Mutex::new(PubShared {
                 dims: None,
                 spare: None,
+                ivf: None,
+                run_epoch: 0,
             }),
             coop: CoopBuild {
                 active_gen: AtomicU64::new(0),
@@ -311,12 +327,20 @@ impl SnapshotPublisher {
     /// invariant against interleaved train/publish/grow histories.
     ///
     /// Ascending item order.  Empty before anything was published or
-    /// bound (no clocks exist to compare).
+    /// bound (no clocks exist to compare).  The clocks last one run:
+    /// [`SnapshotPublisher::begin_run`] restarts them at 0, so `since`
+    /// must come from a snapshot of the current run.
     pub fn changed_items_since(&self, since: u64) -> Vec<Idx> {
-        let _shared = self.shared.lock().expect("publisher state poisoned");
+        let shared = self.shared.lock().expect("publisher state poisoned");
+        self.changed_under(&shared, since)
+    }
+
+    /// [`SnapshotPublisher::changed_items_since`] for a caller that holds
+    /// the `shared` lock.
+    fn changed_under(&self, _shared: &PubShared, since: u64) -> Vec<Idx> {
         // SAFETY: the clock array is only replaced under the `shared`
-        // lock held here (`begin_run`/`grow`/lazy sizing); element reads
-        // are atomic.
+        // lock the caller holds (`begin_run`/`grow`/lazy sizing); element
+        // reads are atomic.
         let clocks = unsafe { &*self.coop.row_clocks.get() };
         clocks
             .iter()
@@ -324,6 +348,49 @@ impl SnapshotPublisher {
             .filter(|(_, c)| c.load(Ordering::Relaxed) >= since)
             .map(|(j, _)| j as Idx)
             .collect()
+    }
+
+    /// The latest snapshot with its IVF index attached; `None` before the
+    /// first publish.  The epoch's first request derives the index (see
+    /// the module docs) while the epoch's other readers wait, and a pin a
+    /// publish overtook first re-pins, so an index is patched only forward.
+    /// The run's first request fixes the params; later ones share its index.
+    pub(crate) fn latest_with_ivf(&self, params: IvfParams) -> Option<Arc<ModelSnapshot>> {
+        loop {
+            let snap = self.latest()?;
+            if snap.ivf().is_none() && snap.epoch() < self.epoch() {
+                continue;
+            }
+            snap.ivf.get_or_init(|| self.derive_ivf(&snap, params));
+            return Some(snap);
+        }
+    }
+
+    /// `snap`'s index (see [`SnapshotPublisher::latest_with_ivf`]), which
+    /// becomes the run's base if it is the newest.  An index is patched
+    /// only forward and only within a run: the row clocks restart with it.
+    fn derive_ivf(&self, snap: &ModelSnapshot, params: IvfParams) -> Arc<IvfIndex> {
+        let shared = self.shared.lock().expect("publisher state poisoned");
+        let in_run = snap.epoch() >= shared.run_epoch;
+        let base = (shared.ivf.clone()).filter(|base| in_run && base.stamp().0 < snap.epoch());
+        let changed = base
+            .as_ref()
+            .map(|b| self.changed_under(&shared, b.stamp().1));
+        drop(shared);
+        let index = Arc::new(match (base, changed) {
+            (Some(base), Some(changed)) => {
+                let mut index = IvfIndex::clone(&base);
+                index.refresh(snap, &changed);
+                index
+            }
+            _ => IvfIndex::build(snap, params),
+        });
+        let mut shared = self.shared.lock().expect("publisher state poisoned");
+        let newest = (shared.ivf.as_ref()).is_none_or(|base| base.stamp().0 < snap.epoch());
+        if snap.epoch() >= shared.run_epoch && newest {
+            shared.ivf = Some(Arc::clone(&index));
+        }
+        index
     }
 
     // ------------------------------------------------------------------
@@ -334,7 +401,9 @@ impl SnapshotPublisher {
     /// Binds the publisher to a training run: records the model dimensions,
     /// sizes the cooperative-build generation arrays, and resets the
     /// publish threshold and freshness statistics (the update clock starts
-    /// at 0 every run).
+    /// at 0 every run).  So do the row clocks, which therefore last one
+    /// run; the run's IVF index goes with them, so each run starts unasked
+    /// and its first approximate query builds afresh, with its own params.
     ///
     /// Contract: called from the engine before any worker starts, with no
     /// build in flight and no concurrent engine-side call.  (Queries may
@@ -359,6 +428,8 @@ impl SnapshotPublisher {
             *self.coop.workers_gen.get() = (0..workers).map(|_| AtomicU64::new(0)).collect();
             *self.coop.row_clocks.get() = (0..items).map(|_| AtomicU64::new(0)).collect();
         }
+        shared.ivf = None;
+        shared.run_epoch = self.epoch() + 1;
         self.coop
             .next_at
             .store(self.publish_every, Ordering::SeqCst);
@@ -647,10 +718,11 @@ impl SnapshotPublisher {
         self.publishing.store(false, Ordering::SeqCst);
     }
 
-    /// Keeps a displaced snapshot as the spare build buffer when nobody
-    /// else references it (otherwise its readers' `Arc`s reclaim it).
-    fn recycle(&self, old: Arc<ModelSnapshot>) {
-        if Arc::strong_count(&old) == 1 {
+    /// Keeps a displaced snapshot, index dropped, as the spare build buffer
+    /// when nobody else references it (otherwise its readers' `Arc`s reclaim it).
+    fn recycle(&self, mut old: Arc<ModelSnapshot>) {
+        if let Some(snap) = Arc::get_mut(&mut old) {
+            snap.ivf.take();
             let mut shared = self.shared.lock().expect("publisher state poisoned");
             if shared.spare.is_none() {
                 shared.spare = Some(old);

@@ -8,29 +8,23 @@
 //! matter how many times the trainers publish mid-batch — and query
 //! threads never take a lock the trainers contend on.
 //!
-//! The approximate path ([`QueryEngine::top_k_approx`]) maintains a
-//! cached [`IvfIndex`] over the served catalog, patched forward across
-//! epochs from the publisher's delta clocks
-//! ([`SnapshotPublisher::changed_items_since`]) instead of rebuilt from
-//! scratch.  The cache sits behind a mutex held for the cache check and,
-//! when the epoch advanced, for the patch (or, on first use or a
-//! dimension change, the full build) — the probe/rerank runs on `Arc`
-//! clones outside it, so concurrent approximate queries between publishes
-//! do not serialize.  The cache keeps the snapshot it describes and only
-//! moves forward: a query that pinned an older epoch than the cache is
-//! answered from the cache's newer snapshot.
+//! The approximate path ([`QueryEngine::top_k_approx`]) probes the
+//! [`crate::IvfIndex`] attached to the pinned snapshot
+//! ([`ModelSnapshot::ivf`]), so the index and its rows come from one pin.
+//! The engine keeps no index: the publisher maintains one per queried
+//! epoch, derived by its first approximate query ([`crate::publisher`]).
 //!
 //! `seen` lists are normalized (sorted, deduplicated) on entry: callers
 //! may pass them in any order, with duplicates.  Pre-sorted input takes
 //! an O(len) verification pass and no copy.
 
 use std::borrow::Cow;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nomad_matrix::Idx;
 
-use crate::ivf::{IvfIndex, IvfParams};
+use crate::ivf::IvfParams;
 use crate::publisher::SnapshotPublisher;
 use crate::snapshot::{ModelSnapshot, TopK};
 
@@ -94,21 +88,12 @@ impl UserQuery {
     }
 }
 
-/// The cached approximate index and the snapshot it was refreshed
-/// against.
-#[derive(Debug)]
-struct IvfState {
-    index: Arc<IvfIndex>,
-    snap: Arc<ModelSnapshot>,
-}
-
 /// Answers top-k recommendation queries from the latest published epoch.
 #[derive(Debug)]
 pub struct QueryEngine<'p> {
     publisher: &'p SnapshotPublisher,
     query_workers: usize,
     ivf_params: IvfParams,
-    ivf: Mutex<Option<IvfState>>,
 }
 
 impl<'p> QueryEngine<'p> {
@@ -125,7 +110,9 @@ impl<'p> QueryEngine<'p> {
     }
 
     /// [`QueryEngine::new`] with explicit IVF build parameters (tests and
-    /// benches pin the centroid count to control `nprobe` sweeps).
+    /// benches pin the centroid count to control `nprobe` sweeps).  The
+    /// run's first approximate request on the publisher fixes them; an
+    /// engine with others shares that index ([`QueryEngine::ivf_centroids`]).
     ///
     /// # Panics
     /// Panics if `query_workers == 0`.
@@ -139,13 +126,21 @@ impl<'p> QueryEngine<'p> {
             publisher,
             query_workers,
             ivf_params,
-            ivf: Mutex::new(None),
         }
     }
 
     /// The latest snapshot, or [`ServeError::NoSnapshot`].
     pub fn snapshot(&self) -> Result<Arc<ModelSnapshot>, ServeError> {
         self.publisher.latest().ok_or(ServeError::NoSnapshot)
+    }
+
+    /// The latest snapshot with the IVF index the approximate path probes
+    /// attached ([`ModelSnapshot::ivf`] is `Some`), derived for the epoch
+    /// if no query has asked yet.
+    pub fn ivf_snapshot(&self) -> Result<Arc<ModelSnapshot>, ServeError> {
+        (self.publisher)
+            .latest_with_ivf(self.ivf_params)
+            .ok_or(ServeError::NoSnapshot)
     }
 
     /// Exact top-k for one user against the latest epoch.  `seen` items
@@ -166,9 +161,6 @@ impl<'p> QueryEngine<'p> {
     /// values trade recall for a proportional cut in scoring work (every
     /// returned score is still an exact `⟨w, h⟩`).  `nprobe` is clamped
     /// to `1..=n_centroids`.
-    ///
-    /// The index is cached across calls and patched forward from the
-    /// publisher's delta clocks when the epoch advances.
     pub fn top_k_approx(
         &self,
         user: Idx,
@@ -176,17 +168,17 @@ impl<'p> QueryEngine<'p> {
         nprobe: usize,
         seen: &[Idx],
     ) -> Result<TopK, ServeError> {
-        let (index, snap) = self.ivf_index(self.snapshot()?);
-        check_user(&snap, user)?;
-        let seen = normalize_seen(seen);
-        Ok(index.top_k(&snap, user, k, nprobe, &seen))
+        Ok(self
+            .top_k_approx_within(user, k, nprobe, seen, Duration::MAX)?
+            .0)
     }
 
     /// [`QueryEngine::top_k_approx`] under a per-query budget: if the
     /// exact rerank cannot finish inside `budget`, the answer falls back
     /// to the raw shortlist (centroid proxy scores, probe order — see
     /// [`crate::ivf`] on the fallback contract).  Returns the answer and
-    /// whether it was fully reranked.
+    /// whether it was fully reranked.  A budget too long to add to the
+    /// clock (such as `Duration::MAX`) sets no deadline.
     pub fn top_k_approx_within(
         &self,
         user: Idx,
@@ -195,47 +187,22 @@ impl<'p> QueryEngine<'p> {
         seen: &[Idx],
         budget: Duration,
     ) -> Result<(TopK, bool), ServeError> {
-        let (index, snap) = self.ivf_index(self.snapshot()?);
+        let deadline = Instant::now().checked_add(budget);
+        let snap = self.ivf_snapshot()?;
         check_user(&snap, user)?;
+        let index = snap.ivf().expect("an IVF snapshot carries its index");
         let seen = normalize_seen(seen);
-        let deadline = Instant::now() + budget;
-        Ok(index.top_k_within(&snap, user, k, nprobe, &seen, Some(deadline)))
+        Ok(index.top_k_within(&snap, user, k, nprobe, &seen, deadline))
     }
 
     /// Centroid count of the approximate index over the current catalog
     /// (the `nprobe` value at which [`QueryEngine::top_k_approx`] is
-    /// bit-identical to the exact scan).  Builds the index if needed.
+    /// bit-identical to the exact scan).  Derives the epoch's index if no
+    /// query has yet.
     pub fn ivf_centroids(&self) -> Result<usize, ServeError> {
-        Ok(self.ivf_index(self.snapshot()?).0.n_centroids())
-    }
-
-    /// The cached index and the snapshot it describes, brought up to
-    /// `snap`: reused as-is when the cache is at `snap`'s epoch or newer
-    /// (the caller then answers from the cache's snapshot — an index is
-    /// never patched backwards), patched from the publisher's changed-row
-    /// clocks when `snap` is newer, built on first use.  The returned
-    /// `Arc`s are probed outside the lock.
-    fn ivf_index(&self, snap: Arc<ModelSnapshot>) -> (Arc<IvfIndex>, Arc<ModelSnapshot>) {
-        let mut guard = self.ivf.lock().unwrap_or_else(|e| e.into_inner());
-        let state = match guard.take() {
-            Some(state) if state.snap.epoch() >= snap.epoch() => state,
-            Some(state) => {
-                let changed = self.publisher.changed_items_since(state.snap.updates_at());
-                let mut index = (*state.index).clone();
-                index.refresh(&snap, &changed);
-                IvfState {
-                    index: Arc::new(index),
-                    snap,
-                }
-            }
-            None => IvfState {
-                index: Arc::new(IvfIndex::build(&snap, self.ivf_params)),
-                snap,
-            },
-        };
-        let answer = (Arc::clone(&state.index), Arc::clone(&state.snap));
-        *guard = Some(state);
-        answer
+        let snap = self.ivf_snapshot()?;
+        let index = snap.ivf().expect("an IVF snapshot carries its index");
+        Ok(index.n_centroids())
     }
 
     /// Exact top-k for a batch of users, all answered from **one**
@@ -411,35 +378,6 @@ mod tests {
         let p = served(2, 2, 2, 0);
         let engine = QueryEngine::new(&p, 4);
         assert_eq!(engine.batch_top_k(&[], 3).unwrap(), Vec::<TopK>::new());
-    }
-
-    #[test]
-    fn a_query_pinned_before_the_cache_never_patches_it_backwards() {
-        let mut model = FactorModel::init(5, 60, 4, 21);
-        let p = SnapshotPublisher::new(1 << 40);
-        p.publish_model(&model, 100);
-        let old = p.latest().unwrap();
-        for j in [2, 30, 59] {
-            let row: Vec<f64> = model.h.row(j).iter().map(|v| v * -4.0 + 1.0).collect();
-            model.h.set_row(j, &row);
-        }
-        p.publish_model(&model, 200);
-        let params = IvfParams {
-            n_centroids: 6,
-            ..IvfParams::default()
-        };
-        let engine = QueryEngine::with_ivf_params(&p, 1, params);
-        let _ = engine.ivf_index(p.latest().unwrap());
-        // A query that pinned epoch 1 before the publish reaches the cache
-        // after another query moved it to epoch 2.
-        let (index, snap) = engine.ivf_index(old);
-        assert_eq!(snap.epoch(), 2, "answered from the cache's snapshot");
-        let cached = engine.ivf.lock().unwrap().as_ref().unwrap().snap.epoch();
-        assert_eq!(cached, 2, "the cache is not relabelled");
-        for user in 0..5 {
-            let full = index.top_k(&snap, user, 8, index.n_centroids(), &[]);
-            assert_eq!(full, snap.top_k(user, 8, &[]), "user {user}");
-        }
     }
 
     #[test]

@@ -29,19 +29,25 @@
 //!   count is 1 (the publisher holds the only reference);
 //! * concurrent writers during a cooperative build touch **disjoint rows**
 //!   (the NOMAD token/ownership argument, re-used verbatim);
-//! * once published, a snapshot is never written again.
+//! * once published, a snapshot's rows are never written again.
+//!
+//! Beside its rows a snapshot holds at most one [`IvfIndex`], set once by
+//! the epoch's first approximate reader; a recycled buffer drops it.
 
 use std::cell::UnsafeCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::{Arc, OnceLock};
 
 #[cfg(target_arch = "x86_64")]
 use nomad_linalg::vec_ops::Avx2;
 use nomad_linalg::vec_ops::{Kernels, Portable};
 use nomad_matrix::Idx;
 use nomad_sgd::{FactorMatrix, FactorModel};
+
+use crate::ivf::IvfIndex;
 
 /// One recommended item with its predicted score `⟨w_user, h_item⟩`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -134,6 +140,9 @@ pub struct ModelSnapshot {
     /// Item factors, `items × k`, row-major and dense — the sequential
     /// scoring layout.
     h: FrozenBuf,
+    /// The IVF index over these rows, stamped with this snapshot (shared
+    /// with the publisher, which patches the next epoch's from it).
+    pub(crate) ivf: OnceLock<Arc<IvfIndex>>,
 }
 
 impl ModelSnapshot {
@@ -149,6 +158,7 @@ impl ModelSnapshot {
             updates_at: AtomicU64::new(0),
             w: FrozenBuf::zeroed(users * k),
             h: FrozenBuf::zeroed(items * k),
+            ivf: OnceLock::new(),
         }
     }
 
@@ -192,6 +202,13 @@ impl ModelSnapshot {
     #[inline]
     pub fn updates_at(&self) -> u64 {
         self.updates_at.load(AtomicOrdering::Acquire)
+    }
+
+    /// The IVF index over this snapshot, once an approximate query has
+    /// asked for it (see [`crate::publisher`]).
+    #[inline]
+    pub fn ivf(&self) -> Option<&IvfIndex> {
+        self.ivf.get().map(|index| &**index)
     }
 
     /// User factor row `i`.

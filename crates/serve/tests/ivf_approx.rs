@@ -32,7 +32,7 @@ use proptest::prelude::*;
 
 use nomad_linalg::SmallRng64;
 use nomad_matrix::Idx;
-use nomad_serve::{IvfParams, QueryEngine, SnapshotPublisher, TopK};
+use nomad_serve::{IvfParams, ModelSnapshot, QueryEngine, SnapshotPublisher, TopK};
 use nomad_sgd::{FactorMatrix, FactorModel};
 
 fn publisher_for(model: &FactorModel, updates: u64) -> SnapshotPublisher {
@@ -289,4 +289,239 @@ fn zero_budget_falls_back_but_still_resolves() {
         top.recs.iter().all(|r| r.item % 3 != 0),
         "seen leaked into fallback"
     );
+}
+
+/// Scales item rows `rows` of `model` far from where they were, so their
+/// posting lists, codes and radii must move.
+fn move_rows(model: &mut FactorModel, rows: impl IntoIterator<Item = usize>) {
+    for j in rows {
+        let row: Vec<f64> = model.h.row(j).iter().map(|v| v * -3.0 + 0.7).collect();
+        model.h.set_row(j, &row);
+    }
+}
+
+/// Asserts `snap` carries an index stamped with it, and that probing
+/// every centroid of it answers like the exact scan for every user.
+fn assert_carries_its_index(snap: &ModelSnapshot, ctx: &str) {
+    let index = snap.ivf().unwrap_or_else(|| panic!("{ctx}: no index"));
+    assert_eq!(
+        index.stamp(),
+        (snap.epoch(), snap.updates_at()),
+        "{ctx}: stamp"
+    );
+    assert_eq!(index.num_items(), snap.num_items(), "{ctx}: items");
+    for user in 0..snap.num_users() as Idx {
+        let full = index.top_k(snap, user, 10, index.n_centroids(), &[]);
+        assert_bit_identical(
+            &snap.top_k(user, 10, &[]),
+            &full,
+            &format!("{ctx}, user {user}"),
+        );
+    }
+}
+
+/// The row clocks restart at `begin_run`, so an index kept from the last
+/// run cannot be patched from them: rows changed early in the new run
+/// (below the old index's watermark) would be missed by every later
+/// patch.  An engine kept across runs must still answer exactly — after
+/// exact publishes (run 2) and after a cooperative build whose first
+/// contributions carry clocks below the last run's watermark (run 3).
+#[test]
+fn an_engine_kept_across_runs_answers_from_the_new_run() {
+    let (users, items, k) = (40, 400, 6);
+    let mut model = FactorModel::init(users, items, k, 77);
+    let p = SnapshotPublisher::new(1000);
+    p.publish_model(&model, 1_000_000);
+    let engine = QueryEngine::with_ivf_params(&p, 1, engine_params(16));
+    let _ = engine.top_k_approx(0, 10, 1, &[]).unwrap();
+    let answers_exactly = |run: &str| {
+        let nprobe = engine.ivf_centroids().unwrap();
+        for user in 0..users as Idx {
+            let exact = engine.top_k(user, 10, &[]).unwrap();
+            let approx = engine.top_k_approx(user, 10, nprobe, &[]).unwrap();
+            assert_bit_identical(&exact, &approx, &format!("{run}, user {user}"));
+        }
+        assert_carries_its_index(&p.latest().unwrap(), run);
+    };
+    p.begin_run(users, items, k, 1);
+    move_rows(&mut model, 0..200);
+    p.publish_model(&model, 500_000);
+    move_rows(&mut model, [399]);
+    p.publish_model(&model, 1_500_000);
+    answers_exactly("run 2");
+
+    p.begin_run(users, items, k, 1);
+    move_rows(&mut model, 0..200);
+    p.coop_tick(0, 1_600_000, 0, &model.w, None);
+    for j in 0..items {
+        let clock = if j < 200 { 1_000 } else { 1_600_000 };
+        p.coop_tick(0, clock, 0, &model.w, Some((j as Idx, model.h.row(j))));
+    }
+    assert_eq!(p.latest().unwrap().updates_at(), 1_600_000);
+    answers_exactly("run 3");
+}
+
+/// A budget too long to add to the clock sets no deadline instead of
+/// overflowing `Instant`.
+#[test]
+fn a_duration_max_budget_answers_like_no_budget() {
+    let model = FactorModel::init(5, 120, 4, 13);
+    let p = publisher_for(&model, 10);
+    let engine = QueryEngine::with_ivf_params(&p, 1, engine_params(9));
+    for user in 0..5 {
+        let (top, reranked) = engine
+            .top_k_approx_within(user, 7, 3, &[4, 1], std::time::Duration::MAX)
+            .unwrap();
+        assert!(reranked, "user {user}: no deadline, so the rerank finishes");
+        assert_eq!(top, engine.top_k_approx(user, 7, 3, &[1, 4]).unwrap());
+    }
+}
+
+/// Publishing does no index work on any path — an exact publish, a
+/// cooperative build's last contribution, a publish after `grow`, a
+/// publish into a recycled buffer — asked or not.  Once asked, each epoch's first approximate query attaches an
+/// index stamped with exactly that epoch's snapshot (patched from the
+/// last one, or rebuilt at the new dimensions after `grow`); a publisher
+/// nobody asked never gets one.
+#[test]
+fn every_queried_epoch_carries_its_own_index() {
+    let (users, items, k) = (12, 300, 5);
+    for asked in [false, true] {
+        let ctx = |path: &str| format!("asked {asked}, {path}");
+        let mut model = FactorModel::init(users, items, k, 5);
+        let p = SnapshotPublisher::new(1000);
+        p.publish_model(&model, 100);
+        let engine = QueryEngine::with_ivf_params(&p, 1, engine_params(12));
+        let check = |path: &str| {
+            let published = p.latest().unwrap();
+            assert!(published.ivf().is_none(), "{}: publish built", ctx(path));
+            if asked {
+                let snap = engine.ivf_snapshot().unwrap();
+                assert_eq!(snap.epoch(), published.epoch(), "{}", ctx(path));
+                assert_carries_its_index(&snap, &ctx(path));
+            }
+        };
+        check("first publish");
+        move_rows(&mut model, (0..items).step_by(20));
+        p.publish_model(&model, 200);
+        check("publish_model, 5% churn");
+        move_rows(&mut model, [3, 150, 299]);
+        p.publish_model(&model, 300);
+        check("publish_model, 3 rows");
+
+        p.begin_run(users, items, k, 1);
+        move_rows(&mut model, 0..10);
+        p.coop_tick(0, 1000, 0, &model.w, None);
+        for j in 0..items {
+            assert!(p.build_in_flight(), "{}: built early", ctx("coop"));
+            p.coop_tick(
+                0,
+                1001 + j as u64,
+                0,
+                &model.w,
+                Some((j as Idx, model.h.row(j))),
+            );
+        }
+        assert_eq!(p.latest().unwrap().updates_at(), 1000);
+        check("cooperative build");
+
+        let bigger = FactorModel::init(users + 3, items + 50, k, 6);
+        p.grow(users + 3, items + 50);
+        p.publish_model(&bigger, 5000);
+        assert_eq!(p.latest().unwrap().num_items(), items + 50);
+        check("publish after grow");
+        // The ring recycles the queried epoch's buffer within these
+        // publishes; its index must not come along.
+        for e in 0..6 {
+            p.publish_model(&bigger, 6000 + e);
+            let snap = p.latest().unwrap();
+            assert!(snap.ivf().is_none(), "{}: {e}", ctx("unqueried epochs"));
+        }
+    }
+}
+
+/// Engines with other params on one publisher share the run's index: the
+/// run's first approximate request fixes the params, every queried epoch
+/// gets one index whichever engine asks, and a full probe at the run's
+/// centroid count is exact from either engine.  A new run starts unasked.
+#[test]
+fn engines_with_other_params_share_the_run_index() {
+    let (users, items, k) = (10, 240, 4);
+    let mut model = FactorModel::init(users, items, k, 9);
+    let p = publisher_for(&model, 10);
+    let twelve = QueryEngine::with_ivf_params(&p, 1, engine_params(12));
+    let seven = QueryEngine::with_ivf_params(&p, 1, engine_params(7));
+    assert_eq!(twelve.ivf_centroids().unwrap(), 12);
+    for round in 0..3u64 {
+        let (a, b) = (
+            twelve.ivf_snapshot().unwrap(),
+            seven.ivf_snapshot().unwrap(),
+        );
+        assert!(
+            std::ptr::eq(a.ivf().unwrap(), b.ivf().unwrap()),
+            "round {round}: one index per epoch"
+        );
+        assert_eq!(seven.ivf_centroids().unwrap(), 12, "round {round}");
+        for user in 0..users as Idx {
+            let exact = seven.top_k(user, 10, &[]).unwrap();
+            let approx = seven.top_k_approx(user, 10, 12, &[]).unwrap();
+            assert_bit_identical(&exact, &approx, &format!("round {round}, user {user}"));
+        }
+        move_rows(&mut model, (0..items).step_by(30));
+        p.publish_model(&model, 20 + 10 * round);
+    }
+    p.begin_run(users, items, k, 1);
+    p.publish_model(&model, 50);
+    assert_eq!(seven.ivf_centroids().unwrap(), 7, "the new run's first ask");
+    assert_eq!(twelve.ivf_centroids().unwrap(), 7);
+}
+
+/// Readers pinning concurrently with a publisher always get a snapshot
+/// and an index that belong together: 2 readers pin through the engine,
+/// probe every centroid of the index their pin carries and compare with
+/// the exact scan on the same pin, while a third thread publishes 50
+/// epochs of 5% churn.
+#[test]
+fn readers_racing_a_publisher_pin_matching_pairs() {
+    let (users, items, k) = (8, 400, 6);
+    let mut model = FactorModel::init(users, items, k, 31);
+    let p = publisher_for(&model, 1);
+    let engine = QueryEngine::with_ivf_params(&p, 1, engine_params(20));
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let start = std::sync::Barrier::new(3);
+    std::thread::scope(|scope| {
+        for r in 0..2u32 {
+            let (engine, done, start) = (&engine, &done, &start);
+            scope.spawn(move || {
+                start.wait();
+                let mut checks = 0u32;
+                while !done.load(std::sync::atomic::Ordering::Acquire) || checks < 4 {
+                    let snap = engine.ivf_snapshot().unwrap();
+                    let index = snap.ivf().expect("an IVF pin carries its index");
+                    let user = (checks + r) % users as u32;
+                    let full = index.top_k(&snap, user, 10, index.n_centroids(), &[]);
+                    let ctx = format!("reader {r}, epoch {}", snap.epoch());
+                    assert_bit_identical(&snap.top_k(user, 10, &[]), &full, &ctx);
+                    checks += 1;
+                }
+            });
+        }
+        /// Stops the readers however the publishing loop ends, so a
+        /// panicking publish fails the test instead of hanging it.
+        struct StopOnDrop<'a>(&'a std::sync::atomic::AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, std::sync::atomic::Ordering::Release);
+            }
+        }
+        let _stop = StopOnDrop(&done);
+        let mut rng = SmallRng64::new(3);
+        start.wait();
+        for e in 0..50u64 {
+            move_rows(&mut model, (0..items / 20).map(|_| rng.next_below(items)));
+            p.publish_model(&model, 10 * (e + 1));
+        }
+    });
+    assert_eq!(p.epoch(), 51);
+    assert_carries_its_index(&engine.ivf_snapshot().unwrap(), "last epoch");
 }
