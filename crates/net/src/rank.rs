@@ -94,12 +94,6 @@ use crate::wire::{
 /// can last without any explicit ack traffic.
 const DELTA_RESYNC_EVERY: u32 = 8;
 
-/// Per-query wall-clock budget for the IVF exact-rerank scan.  A query
-/// that exceeds it is answered from the raw shortlist (centroid proxy
-/// scores) instead of timing out at the router — a worse answer beats a
-/// missed deadline.
-const QUERY_RERANK_BUDGET: Duration = Duration::from_millis(250);
-
 /// Largest mesh capacity the `u64` membership bitmaps (see [`bit`]) track.
 const MAX_CAPACITY: usize = 64;
 
@@ -1380,9 +1374,9 @@ impl CommState {
     /// (`serve_nprobe > 0`), the exact brute-force scan otherwise.
     /// Every path produces a reply — the router's deadline accounting
     /// depends on a quiesced or not-yet-published rank *saying so*
-    /// rather than going silent — and the IVF path additionally bounds
-    /// its own rerank work by [`QUERY_RERANK_BUDGET`], degrading to the
-    /// raw shortlist rather than blowing the router deadline.
+    /// rather than going silent — and every IVF answer is exactly
+    /// reranked: its work is bounded like the exact scan's (at most one
+    /// dot per item), and the router's deadline bounds the caller's wait.
     fn answer_query(&self, shared: &Shared, id: u64, user: u32, k: u32, seen: Vec<u32>) -> Message {
         let empty = |status: u8| Message::QueryReply {
             id,
@@ -1406,8 +1400,7 @@ impl CommState {
         let answer = if self.serve_nprobe > 0 {
             let nprobe = self.serve_nprobe as usize;
             engine
-                .top_k_approx_within(user, k as usize, nprobe, &seen, QUERY_RERANK_BUDGET)
-                .map(|(top, _)| top)
+                .top_k_approx(user, k as usize, nprobe, &seen)
                 .inspect(|top| {
                     // Clamped to the centroid count of the index just
                     // probed, unless a publish has overtaken the query.

@@ -97,20 +97,14 @@
 //! list's existing grid, its code and `ρ_j` moving with its posting
 //! entry; a residual off the grid clamps, and its `ρ_j` grows to match.
 //!
-//! # Deadline fallback
+//! # Work bound
 //!
-//! [`IvfIndex::top_k_within`] enforces a per-query rerank budget, checked
-//! before each list's code pass and every `DEADLINE_STRIDE` scored rows
-//! (filtered rows score nothing, so the per-list check is what bounds a
-//! long list): when the deadline trips, the query falls back to the **raw
-//! shortlist** — candidates ordered by their centroid's proxy score
-//! (probe order, ascending item within a centroid), each reported with
-//! the centroid proxy score instead of an exact dot.  The fallback is a
-//! strictly-bounded amount of work (`n_centroids` dots plus a k-item
-//! copy), so a query always resolves inside its budget.
+//! A query scores `n_centroids` centroids, then at most one exact rerank
+//! dot per item: the postings partition the catalog, so even probing
+//! every list scores each item once, the exact scan's work.  An empty
+//! catalog has no centroids, and every query answers it with no items.
 
 use std::collections::BinaryHeap;
-use std::time::Instant;
 
 #[cfg(target_arch = "x86_64")]
 use nomad_linalg::vec_ops::Avx2;
@@ -129,10 +123,6 @@ const KMEANS_ITERS: usize = 4;
 /// point, patching costs as much as rebuilding and leaves drifted
 /// centroids behind.
 const REBUILD_FRACTION: f64 = 0.5;
-
-/// Deadline-check stride during the rerank (an `Instant::now` per
-/// candidate would dominate small dot products).
-const DEADLINE_STRIDE: usize = 64;
 
 /// Norm past which a row gets `ρ = +∞` and a user filters nothing: below
 /// it every product `‖w‖·‖h‖` and every sum of the bound stays far from
@@ -164,14 +154,15 @@ impl Default for IvfParams {
 impl IvfParams {
     /// The centroid count for an `items`-row catalog: the explicit
     /// setting, or `≈ √items` (the classic IVF balance point between
-    /// centroid-scan and posting-scan work), at least 1.
+    /// centroid-scan and posting-scan work), at least 1 and at most
+    /// `items` (so 0 for an empty catalog).
     pub fn centroids_for(&self, items: usize) -> usize {
         let want = if self.n_centroids > 0 {
             self.n_centroids
         } else {
             (items as f64).sqrt().ceil() as usize
         };
-        want.clamp(1, items.max(1))
+        want.max(1).min(items)
     }
 }
 
@@ -213,13 +204,10 @@ pub struct IvfIndex {
 
 impl IvfIndex {
     /// Builds the index from a published snapshot's item rows with a
-    /// seeded k-means (deterministic for a given snapshot + params).
-    ///
-    /// # Panics
-    /// Panics if the snapshot has no items.
+    /// seeded k-means (deterministic for a given snapshot + params).  An
+    /// empty catalog gets no centroids, so k-means has nothing to move.
     pub fn build(snap: &ModelSnapshot, params: IvfParams) -> Self {
         let items = snap.num_items();
-        assert!(items > 0, "cannot index an empty catalog");
         let k = snap.k();
         let n = params.centroids_for(items);
         let mut rng = SmallRng64::new(params.seed);
@@ -346,39 +334,19 @@ impl IvfIndex {
         nprobe: usize,
         seen: &[Idx],
     ) -> TopK {
-        self.top_k_within(snap, user, k, nprobe, seen, None).0
-    }
-
-    /// [`IvfIndex::top_k`] with an optional rerank deadline.  Returns
-    /// `(answer, reranked)`: `reranked == false` means the deadline
-    /// tripped and the answer is the raw shortlist with centroid proxy
-    /// scores (see the module docs on the fallback contract).
-    ///
-    /// # Panics
-    /// Same conditions as [`IvfIndex::top_k`].
-    pub fn top_k_within(
-        &self,
-        snap: &ModelSnapshot,
-        user: Idx,
-        k: usize,
-        nprobe: usize,
-        seen: &[Idx],
-        deadline: Option<Instant>,
-    ) -> (TopK, bool) {
         #[cfg(target_arch = "x86_64")]
         if let Some(avx2) = Avx2::detect() {
             // SAFETY: `avx2` is the proof that this CPU has the feature.
-            return unsafe { self.top_k_within_avx2(avx2, snap, user, k, nprobe, seen, deadline) };
+            return unsafe { self.top_k_avx2(avx2, snap, user, k, nprobe, seen) };
         }
-        self.top_k_within_on(Portable, snap, user, k, nprobe, seen, deadline)
+        self.top_k_on(Portable, snap, user, k, nprobe, seen)
     }
 
-    /// [`Self::top_k_within_on`] compiled with AVX2 enabled, so the wide
+    /// [`Self::top_k_on`] compiled with AVX2 enabled, so the wide
     /// `dot` inlines into the centroid scoring and the rerank.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn top_k_within_avx2(
+    unsafe fn top_k_avx2(
         &self,
         avx2: Avx2,
         snap: &ModelSnapshot,
@@ -386,16 +354,14 @@ impl IvfIndex {
         k: usize,
         nprobe: usize,
         seen: &[Idx],
-        deadline: Option<Instant>,
-    ) -> (TopK, bool) {
-        self.top_k_within_on(avx2, snap, user, k, nprobe, seen, deadline)
+    ) -> TopK {
+        self.top_k_on(avx2, snap, user, k, nprobe, seen)
     }
 
-    /// The probe and rerank behind [`Self::top_k_within`], over the kernel
+    /// The probe and rerank behind [`Self::top_k`], over the kernel
     /// form `kernels`.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn top_k_within_on<K: Kernels>(
+    fn top_k_on<K: Kernels>(
         &self,
         kernels: K,
         snap: &ModelSnapshot,
@@ -403,8 +369,7 @@ impl IvfIndex {
         k: usize,
         nprobe: usize,
         seen: &[Idx],
-        deadline: Option<Instant>,
-    ) -> (TopK, bool) {
+    ) -> TopK {
         assert!(
             (self.items, self.k) == (snap.num_items(), snap.k()),
             "index over {}×{} queried against a {}×{} snapshot",
@@ -426,7 +391,6 @@ impl IvfIndex {
         let wu = snap.user_factor(user);
         let probes = self.probe_order(kernels, wu, nprobe);
         let mut heap: BinaryHeap<Weakest> = BinaryHeap::with_capacity(k.min(self.items) + 1);
-        let mut scored = 0usize;
         // `‖w‖`, rounded up past the underflow of the squares; the skip
         // test's relative slack, in units of `‖w‖·(‖c‖ + r_c)` (see the
         // module docs).
@@ -453,11 +417,6 @@ impl IvfIndex {
                     && proxy + w_norm * r + scale * slack + f64::MIN_POSITIVE < kth.0.score
                 {
                     continue;
-                }
-            }
-            if let Some(at) = deadline {
-                if Instant::now() >= at {
-                    return (self.raw_shortlist(snap, k, &probes, seen), false);
                 }
             }
             let posting = &self.postings[c];
@@ -495,12 +454,8 @@ impl IvfIndex {
                 if skips(ub, bar) || (!seen.is_empty() && seen.binary_search(&item).is_ok()) {
                     continue;
                 }
-                if let Some(at) = deadline {
-                    if scored.is_multiple_of(DEADLINE_STRIDE) && Instant::now() >= at {
-                        return (self.raw_shortlist(snap, k, &probes, seen), false);
-                    }
-                }
-                scored += 1;
+                #[cfg(test)]
+                tests::ROWS_SCORED.with(|n| n.set(n.get() + 1));
                 let score = kernels.dot(wu, snap.item_factor(item));
                 let cand = Recommendation { item, score };
                 if heap.len() < k {
@@ -518,17 +473,12 @@ impl IvfIndex {
                 }
             }
         }
-        #[cfg(test)]
-        tests::ROWS_SCORED.with(|n| n.set(n.get() + scored));
         let recs = heap.into_sorted_vec().into_iter().map(|w| w.0).collect();
-        (
-            TopK {
-                epoch: snap.epoch(),
-                updates_at: snap.updates_at(),
-                recs,
-            },
-            true,
-        )
+        TopK {
+            epoch: snap.epoch(),
+            updates_at: snap.updates_at(),
+            recs,
+        }
     }
 
     /// Fills `ubs[i]` and `lbs[i]` with an upper and a lower bound on the
@@ -608,41 +558,13 @@ impl IvfIndex {
         }
         let best_first =
             |a: &(f64, usize), b: &(f64, usize)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
-        let m = nprobe.clamp(1, n);
+        let m = nprobe.max(1);
         if m < n {
             scored.select_nth_unstable_by(m - 1, best_first);
             scored.truncate(m);
         }
         scored.sort_unstable_by(best_first);
         scored
-    }
-
-    /// The deadline-fallback answer: the first `k` unseen shortlist
-    /// candidates in probe order, scored with their centroid's proxy.
-    fn raw_shortlist(
-        &self,
-        snap: &ModelSnapshot,
-        k: usize,
-        probes: &[(f64, usize)],
-        seen: &[Idx],
-    ) -> TopK {
-        let mut recs = Vec::with_capacity(k);
-        'outer: for &(proxy, c) in probes {
-            for &item in &self.postings[c] {
-                if !seen.is_empty() && seen.binary_search(&item).is_ok() {
-                    continue;
-                }
-                recs.push(Recommendation { item, score: proxy });
-                if recs.len() == k {
-                    break 'outer;
-                }
-            }
-        }
-        TopK {
-            epoch: snap.epoch(),
-            updates_at: snap.updates_at(),
-            recs,
-        }
     }
 
     /// The k-means assignment step: `assign[j] ←` the centroid nearest to
@@ -1141,8 +1063,7 @@ mod tests {
                 assert_eq!(bits(&got), want, "user {user} nprobe {nprobe}");
             }
             let exact = s.top_k(user, top, &seen);
-            let (approx, reranked) = idx.top_k_within(&s, user, top, 4, &seen, None);
-            assert!(reranked);
+            let approx = idx.top_k(&s, user, top, 4, &seen);
             assert_eq!(exact, approx, "user {user}");
             assert!(approx.recs.iter().all(|r| !seen.contains(&r.item)));
         }
@@ -1150,20 +1071,20 @@ mod tests {
 
     #[test]
     fn both_kernel_forms_probe_to_the_same_answer() {
-        // `top_k_within` runs the widest form this CPU has;
-        // `top_k_within_on(Portable)` keeps the other instantiation tested
-        // there.  Probing everything, both are the exact scan.  k = 6 is
-        // one chunk and a tail, k = 32 chunks only.
+        // `top_k` runs the widest form this CPU has; `top_k_on(Portable)`
+        // keeps the other instantiation tested there.  Probing everything,
+        // both are the exact scan.  k = 6 is one chunk and a tail, k = 32
+        // chunks only.
         for k in [6, 32] {
             let s = snap(3, 90, k, 13);
             let idx = IvfIndex::build(&s, params(7));
             let seen = [4, 40, 89];
             for user in 0..3 {
                 let exact = s.top_k(user, 10, &seen);
-                let wide = idx.top_k_within(&s, user, 10, 7, &seen, None);
-                let portable = idx.top_k_within_on(Portable, &s, user, 10, 7, &seen, None);
-                assert_eq!(wide, (exact.clone(), true), "k {k} user {user}");
-                assert_eq!(portable, (exact, true), "k {k} user {user}");
+                let wide = idx.top_k(&s, user, 10, 7, &seen);
+                let portable = idx.top_k_on(Portable, &s, user, 10, 7, &seen);
+                assert_eq!(wide, exact, "k {k} user {user}");
+                assert_eq!(portable, exact, "k {k} user {user}");
             }
             // The assignment loop likewise: same centroids, same postings.
             let mut portable = idx.clone();
@@ -1181,12 +1102,11 @@ mod tests {
         for user in 0..20 {
             let want = scan_probed(&idx, &s, user, 10, 4, &seen);
             let before = ROWS_SCORED.with(Cell::get);
-            let (wide, reranked) = idx.top_k_within(&s, user, 10, 4, &seen, None);
+            let wide = idx.top_k(&s, user, 10, 4, &seen);
             let mid = ROWS_SCORED.with(Cell::get);
-            let (portable, _) = idx.top_k_within_on(Portable, &s, user, 10, 4, &seen, None);
+            let portable = idx.top_k_on(Portable, &s, user, 10, 4, &seen);
             portable_rows += ROWS_SCORED.with(Cell::get) - mid;
             wide_rows += mid - before;
-            assert!(reranked);
             assert_eq!(bits(&wide), want, "user {user}");
             assert_eq!(bits(&portable), want, "user {user}");
             probed_rows += idx
@@ -1313,11 +1233,10 @@ mod tests {
                         for seen in [&[][..], &seen[..]] {
                             let want = scan_probed(&idx, &s, user, top, nprobe, seen);
                             let got = idx.top_k(&s, user, top, nprobe, seen);
-                            let portable =
-                                idx.top_k_within_on(Portable, &s, user, top, nprobe, seen, None);
+                            let portable = idx.top_k_on(Portable, &s, user, top, nprobe, seen);
                             let at = format!("seed {seed} user {user} top {top} nprobe {nprobe}");
                             assert_eq!(bits(&got), want, "{at}");
-                            assert_eq!(bits(&portable.0), want, "{at}, portable");
+                            assert_eq!(bits(&portable), want, "{at}, portable");
                         }
                     }
                 }
@@ -1371,11 +1290,10 @@ mod tests {
                     for seen in [&[][..], &seen[..]] {
                         let want = scan_probed(&idx, &s, user, top, nprobe, seen);
                         let got = idx.top_k(&s, user, top, nprobe, seen);
-                        let portable =
-                            idx.top_k_within_on(Portable, &s, user, top, nprobe, seen, None);
+                        let portable = idx.top_k_on(Portable, &s, user, top, nprobe, seen);
                         let at = format!("user {user} top {top} nprobe {nprobe}");
                         assert_eq!(bits(&got), want, "{at}");
-                        assert_eq!(bits(&portable.0), want, "{at}, portable");
+                        assert_eq!(bits(&portable), want, "{at}, portable");
                     }
                 }
             }
@@ -1522,25 +1440,12 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_falls_back_to_the_raw_shortlist() {
-        let s = snap(2, 50, 4, 9);
-        let idx = IvfIndex::build(&s, params(5));
-        let past = Instant::now() - std::time::Duration::from_secs(1);
-        let (top, reranked) = idx.top_k_within(&s, 0, 5, 3, &[], Some(past));
-        assert!(!reranked);
-        assert_eq!(top.recs.len(), 5);
-        // Fallback still respects the seen filter.
-        let seen: Vec<Idx> = (0..50).filter(|j| j % 2 == 0).collect();
-        let (top, _) = idx.top_k_within(&s, 0, 5, 5, &seen, Some(past));
-        assert!(top.recs.iter().all(|r| r.item % 2 == 1));
-    }
-
-    #[test]
     fn auto_centroids_scale_with_the_catalog() {
         let p = IvfParams::default();
         assert_eq!(p.centroids_for(1), 1);
         assert_eq!(p.centroids_for(100), 10);
         assert_eq!(p.centroids_for(16384), 128);
         assert_eq!(params(9).centroids_for(4), 4, "clamped to the catalog");
+        assert_eq!(p.centroids_for(0), 0, "an empty catalog has no centroids");
     }
 }

@@ -33,8 +33,8 @@
 //!   forward from its per-row update clocks
 //!   ([`SnapshotPublisher::changed_items_since`]) — the same delta set
 //!   `nomad-net` ships as `ReplicaDelta` frames — and every later query
-//!   of the epoch only reads it.  See [`ivf`] for the recall and
-//!   fallback contracts.
+//!   of the epoch only reads it.  See [`ivf`] for the recall contract
+//!   and the work bound.
 //!
 //! Freshness: every snapshot carries the update-clock stamp it was
 //! initiated at ([`ModelSnapshot::updates_at`]); the publisher tracks the

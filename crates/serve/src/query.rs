@@ -20,7 +20,6 @@
 
 use std::borrow::Cow;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use nomad_matrix::Idx;
 
@@ -168,37 +167,17 @@ impl<'p> QueryEngine<'p> {
         nprobe: usize,
         seen: &[Idx],
     ) -> Result<TopK, ServeError> {
-        Ok(self
-            .top_k_approx_within(user, k, nprobe, seen, Duration::MAX)?
-            .0)
-    }
-
-    /// [`QueryEngine::top_k_approx`] under a per-query budget: if the
-    /// exact rerank cannot finish inside `budget`, the answer falls back
-    /// to the raw shortlist (centroid proxy scores, probe order — see
-    /// [`crate::ivf`] on the fallback contract).  Returns the answer and
-    /// whether it was fully reranked.  A budget too long to add to the
-    /// clock (such as `Duration::MAX`) sets no deadline.
-    pub fn top_k_approx_within(
-        &self,
-        user: Idx,
-        k: usize,
-        nprobe: usize,
-        seen: &[Idx],
-        budget: Duration,
-    ) -> Result<(TopK, bool), ServeError> {
-        let deadline = Instant::now().checked_add(budget);
         let snap = self.ivf_snapshot()?;
         check_user(&snap, user)?;
         let index = snap.ivf().expect("an IVF snapshot carries its index");
-        let seen = normalize_seen(seen);
-        Ok(index.top_k_within(&snap, user, k, nprobe, &seen, deadline))
+        Ok(index.top_k(&snap, user, k, nprobe, &normalize_seen(seen)))
     }
 
     /// Centroid count of the approximate index over the current catalog
     /// (the `nprobe` value at which [`QueryEngine::top_k_approx`] is
-    /// bit-identical to the exact scan).  Derives the epoch's index if no
-    /// query has yet.
+    /// bit-identical to the exact scan); 0 for an empty catalog, which
+    /// every query answers with no items.  Derives the epoch's index if
+    /// no query has yet.
     pub fn ivf_centroids(&self) -> Result<usize, ServeError> {
         let snap = self.ivf_snapshot()?;
         let index = snap.ivf().expect("an IVF snapshot carries its index");

@@ -272,25 +272,6 @@ fn cached_index_patches_forward_across_publishes() {
     }
 }
 
-/// An exhausted budget still resolves — with the raw shortlist, which
-/// respects the seen filter and the requested k.
-#[test]
-fn zero_budget_falls_back_but_still_resolves() {
-    let model = FactorModel::init(4, 200, 6, 5);
-    let p = publisher_for(&model, 10);
-    let engine = QueryEngine::with_ivf_params(&p, 1, engine_params(10));
-    let seen: Vec<Idx> = (0..200).filter(|j| j % 3 == 0).collect();
-    let (top, reranked) = engine
-        .top_k_approx_within(1, 7, 10, &seen, std::time::Duration::ZERO)
-        .unwrap();
-    assert!(!reranked, "a zero budget cannot finish the rerank");
-    assert_eq!(top.recs.len(), 7);
-    assert!(
-        top.recs.iter().all(|r| r.item % 3 != 0),
-        "seen leaked into fallback"
-    );
-}
-
 /// Scales item rows `rows` of `model` far from where they were, so their
 /// posting lists, codes and radii must move.
 fn move_rows(model: &mut FactorModel, rows: impl IntoIterator<Item = usize>) {
@@ -361,20 +342,20 @@ fn an_engine_kept_across_runs_answers_from_the_new_run() {
     answers_exactly("run 3");
 }
 
-/// A budget too long to add to the clock sets no deadline instead of
-/// overflowing `Instant`.
+/// An empty catalog answers the approximate path like the exact scan:
+/// no items, the same snapshot stamp, and an index with no centroids.
 #[test]
-fn a_duration_max_budget_answers_like_no_budget() {
-    let model = FactorModel::init(5, 120, 4, 13);
-    let p = publisher_for(&model, 10);
-    let engine = QueryEngine::with_ivf_params(&p, 1, engine_params(9));
-    for user in 0..5 {
-        let (top, reranked) = engine
-            .top_k_approx_within(user, 7, 3, &[4, 1], std::time::Duration::MAX)
-            .unwrap();
-        assert!(reranked, "user {user}: no deadline, so the rerank finishes");
-        assert_eq!(top, engine.top_k_approx(user, 7, 3, &[1, 4]).unwrap());
+fn an_empty_catalog_answers_approximate_queries_like_the_exact_scan() {
+    let p = publisher_for(&FactorModel::init(3, 0, 4, 1), 10);
+    let engine = QueryEngine::new(&p, 1);
+    for user in 0..3 {
+        let exact = engine.top_k(user, 5, &[]).unwrap();
+        assert!(exact.recs.is_empty());
+        for nprobe in [0, 2] {
+            assert_eq!(engine.top_k_approx(user, 5, nprobe, &[]).unwrap(), exact);
+        }
     }
+    assert_eq!(engine.ivf_centroids(), Ok(0));
 }
 
 /// Publishing does no index work on any path — an exact publish, a

@@ -151,9 +151,9 @@
 //! the training workers so the hot path stays allocation-free —
 //! `examples/live_serving.rs` runs it end to end.  The approximate path
 //! ([`serve::QueryEngine::top_k_approx`]) shortlists via seeded k-means
-//! posting lists, reranks exactly, and degrades to the raw shortlist
-//! under a per-query deadline; `DESIGN.md` § Approximate serving covers
-//! the index and the delta-snapshot publishing that keeps it fresh.
+//! posting lists and reranks every answer exactly; `DESIGN.md`
+//! § Approximate serving covers the index and the delta-snapshot
+//! publishing that keeps it fresh.
 //!
 //! ## Distributed (multi-process) runs
 //!
