@@ -131,7 +131,7 @@ pub(crate) fn sample_rmse(
 /// point.
 ///
 /// Every engine uses this same seeded hash (instead of its own RNG stream)
-/// so that token minting is engine-independent: splitmix64-style mixing of
+/// so that token minting is engine-independent: SplitMix64-style mixing of
 /// the seed and item index, reduced to a worker.
 pub fn token_home(seed: u64, item: Idx, num_workers: usize) -> usize {
     assert!(num_workers > 0, "cannot mint a token for zero workers");

@@ -234,9 +234,9 @@ pub fn generate_triplets(config: &SyntheticConfig) -> TripletMatrix {
     let mut seen = std::collections::HashSet::with_capacity(config.target_nnz * 2);
     let mut t = TripletMatrix::with_capacity(config.num_users, config.num_items, config.target_nnz);
     // Bail out once collisions dominate: at most 20 attempts per target entry.
-    let max_attempts = config.target_nnz.saturating_mul(20).max(1000);
+    let attempt_cap = config.target_nnz.saturating_mul(20).max(1000);
     let mut attempts = 0usize;
-    while t.nnz() < config.target_nnz && attempts < max_attempts {
+    while t.nnz() < config.target_nnz && attempts < attempt_cap {
         attempts += 1;
         let i = sample_cumulative(&user_cum, &mut rng);
         let j = sample_cumulative(&item_cum, &mut rng);

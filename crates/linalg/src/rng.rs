@@ -9,13 +9,13 @@
 //! a well-audited interface); this generator is the internal workhorse
 //! where a `Copy`-able value type is more convenient than a trait object.
 //!
-//! The implementation is `splitmix64` for seeding followed by
+//! The implementation is SplitMix64 for seeding followed by
 //! `xorshift64*` for generation — both are standard, well-studied small
 //! generators that are more than adequate for workload synthesis and
 //! routing decisions (no cryptographic strength is needed or implied).
 
 /// Deterministic 64-bit pseudo-random generator (xorshift64* seeded via
-/// splitmix64).
+/// SplitMix64).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SmallRng64 {
     state: u64,
@@ -24,7 +24,7 @@ pub struct SmallRng64 {
 impl SmallRng64 {
     /// Creates a generator from a seed.  Any seed (including 0) is valid.
     pub fn new(seed: u64) -> Self {
-        // splitmix64 step guarantees a non-zero xorshift state.
+        // A SplitMix64 step guarantees a non-zero xorshift state.
         let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -118,10 +118,11 @@ const EOF_EVICT_GRACE: Duration = Duration::from_millis(250);
 
 /// The longest the driver loop sleeps in `recv_timeout` with nothing to
 /// do, and so the granularity of everything it decides *by the clock*:
-/// heartbeat-silence and settled-EOF eviction, the census and run
-/// deadlines, and the router's retry, hedge and pump-side timeout
-/// verdicts.  It is not a latency term: work that *arrives* — a frame, a
-/// submitted query, a peer's EOF — wakes the receive at once.
+/// heartbeat-silence and settled-EOF eviction and the census and run
+/// deadlines, hence how soon the router re-routes a query whose owner
+/// was evicted (a query's own deadline is its caller's to keep).  It is
+/// not a latency term: work that *arrives* — a frame, a submitted
+/// query, a peer's EOF — wakes the receive at once.
 const DRIVER_TICK: Duration = Duration::from_millis(10);
 
 /// Configuration of a distributed run: the shared NOMAD configuration
@@ -812,10 +813,10 @@ fn run_driver_impl<T: Transport>(
             }
         }
 
-        // Serving pump: route fresh submissions, resolve overdue ones,
-        // re-send retries/hedges, fail evicted owners over to the
-        // replica.  A submission does not wait for the receive below to
-        // time out: `ServeRouter::query` wakes this endpoint, the receive
+        // Serving pump: route fresh submissions, re-route queries whose
+        // owner changed, fail evicted owners over to the replica.  A
+        // submission does not wait for the receive below to time out:
+        // `ServeRouter::query` wakes this endpoint, the receive
         // returns `None`, and the loop comes back here.  The pump takes
         // the router's state mutex and sends to rank inboxes under it;
         // our own inbox mutex is only ever taken in `recv_timeout`, with
@@ -900,7 +901,7 @@ fn run_driver_impl<T: Transport>(
                 recs,
             } => {
                 // A reply with no router (or for an id the router already
-                // resolved) is a hedged duplicate or a straggler: drop it.
+                // resolved) is a straggler: drop it.
                 if let Some(router) = router {
                     router.on_reply(id, status, epoch, updates_at, staleness, recs);
                 }

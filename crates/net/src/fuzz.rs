@@ -252,8 +252,8 @@ pub struct ServeChaosStats {
 /// to the fault rather than failing it over.
 const SERVE_FUZZ_DEADLINE: Duration = Duration::from_secs(10);
 
-/// Resolution slack the oracle grants past the deadline: the router's
-/// own client-side grace plus scheduler noise.
+/// Resolution slack the oracle grants past the deadline: scheduler
+/// noise.
 const SERVE_FUZZ_SLACK: Duration = Duration::from_secs(2);
 
 /// [`fuzz_loopback_chaos`] with a concurrent query load: `threads`
@@ -299,7 +299,6 @@ pub fn fuzz_loopback_serving(
     let router = ServeRouter::new(RouterConfig {
         deadline: SERVE_FUZZ_DEADLINE,
         capacity: 64,
-        ..RouterConfig::default()
     });
     let nrows = data.nrows() as u32;
     let ncols = data.ncols() as u32;

@@ -37,8 +37,8 @@
 //!   eviction, token re-minting, shard takeover, mid-run joins) that
 //!   [`rank`] and [`driver`] implement.
 //! * [`serve_router`] — the resilient serving front-end: deadline-routed
-//!   top-k queries over the training mesh with retry/backoff, hedging,
-//!   admission control, and stale-replica failover during evictions
+//!   top-k queries over the training mesh, sent once per owning rank,
+//!   with admission control and stale-replica failover during evictions
 //!   (each rank runs a [`nomad_serve::SnapshotPublisher`] over its
 //!   shard; the driver keeps a stale replica per rank for failover).
 //!

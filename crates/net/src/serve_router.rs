@@ -15,9 +15,10 @@
 //! routes the query — so admission costs a thread hand-off, not a share
 //! of the driver's receive timeout.  A wake is never lost (see
 //! [`Waker`]): either the pump that follows the insert sees the query,
-//! or the receive that follows that pump sees the wake.  What the
-//! driver's tick still decides is how promptly *timed* events fire —
-//! retries, hedges, pump-side deadline verdicts.
+//! or the receive that follows that pump sees the wake.  The router has
+//! no timed events of its own; the driver's tick only bounds how soon an
+//! in-flight query sees an owner change the driver decided by the clock
+//! (an eviction).
 //!
 //! **Lock order.**  The router state mutex is always released before
 //! the driver's inbox mutex is taken: `query` drops its guard before it
@@ -29,16 +30,17 @@
 //!   A rank only enters the routing table once its first snapshot
 //!   publish has reached the driver (so a mid-run joiner is invisible
 //!   to queries until it can actually answer them).
-//! * **Deadlines** — every query carries one.  The pump resolves an
-//!   overdue query as [`ServeError::Timeout`]; the *caller* additionally
-//!   enforces the deadline with a grace period on its own wait, so a
-//!   wedged driver can never hang a query thread.
-//! * **Retry + backoff** — an unanswered query is re-sent with
-//!   exponential backoff and deterministic per-query jitter (seeded by
-//!   the query id, so runs replay exactly).
-//! * **Hedging** — after a delay derived from the observed p99 latency
-//!   the router sends one duplicate request; replies are idempotent and
-//!   the loser is dropped by id.
+//! * **One send per owner** — a query goes out once, when it is first
+//!   routed, and once more only if the driver names a different owner
+//!   (an eviction takeover).  The transport is reliable and FIFO per
+//!   edge, so a second copy to the same owner could only arrive behind
+//!   the first; an unresponsive owner is the failure detector's to
+//!   evict, and the deadline bounds the wait meanwhile.
+//! * **Deadlines** — every query carries one, and the *caller* enforces
+//!   it: a query still unresolved when its wait ends at the deadline
+//!   is resolved there as [`ServeError::Timeout`], so a wedged driver
+//!   can never hang a query thread.  A reply that lands past the
+//!   deadline resolves as a timeout too.
 //! * **Admission control** — at most [`RouterConfig::capacity`] queries
 //!   are in flight; excess submissions fail *fast* with
 //!   [`ServeError::Shed`] instead of queueing behind a collapse (a
@@ -63,31 +65,14 @@ use nomad_telemetry::{names, CounterHandle, HistogramHandle, Registry, Telemetry
 use crate::transport::{NetError, Transport, Waker};
 use crate::wire::{Message, QUERY_OK, QUERY_RUN_OVER, QUERY_UNKNOWN_USER};
 
-/// How long past its deadline a caller waits for the pump to resolve a
-/// query before declaring the timeout itself.  This is the no-hang
-/// backstop: even a wedged driver cannot block a query thread past
-/// `deadline + CLIENT_GRACE`.
-const CLIENT_GRACE: Duration = Duration::from_millis(250);
-
-/// Samples required before the p99 estimate replaces the hedge floor.
-const MIN_LAT_SAMPLES: u64 = 16;
-
 /// Tuning knobs of a [`ServeRouter`].
 #[derive(Debug, Clone, Copy)]
 pub struct RouterConfig {
     /// Per-query deadline: every query resolves (answer, shed, or
-    /// timeout) within this budget plus a small grace.
+    /// timeout) within this budget.
     pub deadline: Duration,
     /// Maximum queries in flight; submissions beyond it are shed.
     pub capacity: usize,
-    /// Base of the exponential retry backoff.
-    pub retry_base: Duration,
-    /// Attempts (including the first send) before the router stops
-    /// re-sending and lets the deadline decide.
-    pub max_attempts: u32,
-    /// Lower bound on the hedge delay, used verbatim until enough
-    /// latency samples exist for a p99 estimate.
-    pub hedge_floor: Duration,
 }
 
 impl Default for RouterConfig {
@@ -95,9 +80,6 @@ impl Default for RouterConfig {
         Self {
             deadline: Duration::from_secs(5),
             capacity: 256,
-            retry_base: Duration::from_millis(25),
-            max_attempts: 4,
-            hedge_floor: Duration::from_millis(20),
         }
     }
 }
@@ -144,7 +126,8 @@ pub enum ServeError {
         user: u32,
         /// The deadline that was missed.
         deadline: Duration,
-        /// Sends attempted (retries and hedges included).
+        /// Sends made: one per owner the query was routed to (0 if it
+        /// was never routed).
         attempts: u32,
     },
     /// Admission control refused the query: the in-flight window is
@@ -215,9 +198,11 @@ pub struct RouterStats {
     pub timeout: u64,
     /// Failed with [`ServeError::Failover`].
     pub failover: u64,
-    /// Extra sends from retry backoff.
+    /// Always 0: the router sends a query once per owner and never
+    /// re-sends it.  Kept only while the benchmark still reports it.
     pub retries: u64,
-    /// Extra sends from hedging.
+    /// Always 0: the router sends no hedged duplicates.  Kept only while
+    /// the benchmark still reports it.
     pub hedges: u64,
 }
 
@@ -272,11 +257,9 @@ struct Pending {
     seen: Vec<u32>,
     submitted: Instant,
     deadline: Instant,
-    /// Sends so far (0 = not yet routed).
+    /// Sends so far, one per owner routed to (0 = not yet routed).
     attempts: u32,
-    next_retry: Instant,
-    hedge_at: Instant,
-    hedged: bool,
+    /// The owner the last send went to.
     owner: Option<usize>,
     /// The owner answered "not ready": resolve from the stale replica
     /// at the next pump.
@@ -294,8 +277,7 @@ struct RouterState {
 }
 
 /// The router's registered metrics: one counter per terminal outcome,
-/// the answer-latency histogram the hedge-delay estimator reads, and its
-/// admission-wait stage.
+/// the answer-latency histogram, and its admission-wait stage.
 struct ServeMetrics {
     submitted: CounterHandle,
     fresh: CounterHandle,
@@ -304,8 +286,6 @@ struct ServeMetrics {
     shed: CounterHandle,
     timeout: CounterHandle,
     failover: CounterHandle,
-    retries: CounterHandle,
-    hedges: CounterHandle,
     latency_us: HistogramHandle,
     admission_wait_us: HistogramHandle,
 }
@@ -320,8 +300,6 @@ impl ServeMetrics {
             shed: registry.counter(names::SERVE_SHED),
             timeout: registry.counter(names::SERVE_TIMEOUT),
             failover: registry.counter(names::SERVE_FAILOVER),
-            retries: registry.counter(names::SERVE_RETRIES),
-            hedges: registry.counter(names::SERVE_HEDGES),
             latency_us: registry.histogram(names::SERVE_LATENCY_US),
             admission_wait_us: registry.histogram(names::SERVE_ADMISSION_WAIT_US),
         }
@@ -333,10 +311,11 @@ impl ServeMetrics {
 /// driver.
 ///
 /// Every outcome and every completed-query latency is recorded into a
-/// [`Registry`] under `serve.*` names — the router's own hedge-delay
-/// estimator reads the same `serve.latency_us` histogram callers see in
-/// the telemetry snapshot, so there is a single source of truth for
-/// serving latency.
+/// [`Registry`] under `serve.*` names: [`stats`](Self::stats) and
+/// [`latency_percentiles`](Self::latency_percentiles) read the same
+/// counters and `serve.latency_us` histogram callers see in the
+/// telemetry snapshot, so there is a single source of truth for serving
+/// outcomes and latency.
 pub struct ServeRouter {
     cfg: RouterConfig,
     state: Mutex<RouterState>,
@@ -395,8 +374,8 @@ impl ServeRouter {
     /// Submits a top-k query for `user` (excluding `seen` items, any
     /// order, duplicates allowed) and blocks until it resolves.
     ///
-    /// Guaranteed to return within `deadline + grace` regardless of
-    /// driver health: the caller enforces its own deadline on the wait.
+    /// Returns by the deadline regardless of driver health: the caller
+    /// ends its own wait there and resolves the timeout itself.
     /// After the run has finished every query resolves immediately as
     /// [`Answer::RunOver`].
     ///
@@ -429,14 +408,12 @@ impl ServeRouter {
                 id,
                 Pending {
                     user,
-                    k: k as u32,
+                    // Saturate: a top-k past the catalog returns every item.
+                    k: u32::try_from(k).unwrap_or(u32::MAX),
                     seen,
                     submitted: now,
                     deadline,
                     attempts: 0,
-                    next_retry: now,
-                    hedge_at: deadline,
-                    hedged: false,
                     owner: None,
                     failover: false,
                 },
@@ -448,27 +425,23 @@ impl ServeRouter {
         if let Some(waker) = waker {
             waker.wake();
         }
-        let hard = deadline + CLIENT_GRACE;
         let mut st = self.lock();
         loop {
             if let Some(res) = st.results.remove(&id) {
                 return res;
             }
             let now = Instant::now();
-            if now >= hard {
-                // The pump never got to this query (wedged or dead
-                // driver): the caller resolves its own timeout.
-                let attempts = st.pending.remove(&id).map_or(0, |p| p.attempts);
-                self.metrics.timeout.inc();
-                return Err(ServeError::Timeout {
-                    user,
-                    deadline: self.cfg.deadline,
-                    attempts,
-                });
+            if now >= deadline {
+                // Unanswered at its deadline, whatever the driver is
+                // doing: the caller resolves its own timeout, and a reply
+                // that comes later finds nothing pending.
+                let timeout = self.timeout(&st.pending[&id]);
+                self.resolve_locked(&mut st, id, Err(timeout));
+                continue;
             }
             let (guard, _) = self
                 .done
-                .wait_timeout(st, hard - now)
+                .wait_timeout(st, deadline - now)
                 .unwrap_or_else(|e| e.into_inner());
             st = guard;
         }
@@ -484,8 +457,8 @@ impl ServeRouter {
             shed: self.metrics.shed.get(),
             timeout: self.metrics.timeout.get(),
             failover: self.metrics.failover.get(),
-            retries: self.metrics.retries.get(),
-            hedges: self.metrics.hedges.get(),
+            retries: 0,
+            hedges: 0,
         }
     }
 
@@ -503,12 +476,19 @@ impl ServeRouter {
         Some((p50, p99))
     }
 
-    /// Resolves `id` and wakes its caller; a no-op for unknown ids (late
-    /// replies, hedged duplicates).
+    /// The verdict on a pending query that missed its deadline.
+    fn timeout(&self, p: &Pending) -> ServeError {
+        ServeError::Timeout {
+            user: p.user,
+            deadline: self.cfg.deadline,
+            attempts: p.attempts,
+        }
+    }
+
+    /// Resolves the pending query `id` and wakes its caller.  Every caller
+    /// holds the lock since it saw `id` pending, so it still is.
     fn resolve_locked(&self, st: &mut RouterState, id: u64, result: Result<Answer, ServeError>) {
-        let Some(p) = st.pending.remove(&id) else {
-            return;
-        };
+        let p = st.pending.remove(&id).expect("resolving a pending query");
         match &result {
             Ok(Answer::Fresh { .. }) => self.metrics.fresh.inc(),
             Ok(Answer::Stale { .. }) => self.metrics.stale.inc(),
@@ -526,33 +506,6 @@ impl ServeRouter {
         self.done.notify_all();
     }
 
-    /// Deterministic per-(query, attempt) backoff: exponential in the
-    /// attempt with jitter drawn from a splitmix64 hash of the query id,
-    /// so a replayed run schedules identical retries.
-    fn backoff(&self, id: u64, attempt: u32) -> Duration {
-        let exp = self.cfg.retry_base.saturating_mul(1u32 << attempt.min(6));
-        let span = self.cfg.retry_base.as_nanos().max(1) as u64;
-        let jitter = splitmix64(id ^ (u64::from(attempt) << 32)) % span;
-        exp + Duration::from_nanos(jitter)
-    }
-
-    /// The hedge delay: twice the observed p99 answer latency, floored
-    /// by the configured minimum (and used verbatim until enough
-    /// samples exist).  Reads the same `serve.latency_us` histogram the
-    /// telemetry snapshot exposes — one latency source of truth, with no
-    /// private sample ring to drift from it.
-    fn hedge_delay(&self) -> Duration {
-        if self.metrics.latency_us.count() < MIN_LAT_SAMPLES {
-            return self.cfg.hedge_floor;
-        }
-        let Some(p99) = self.metrics.latency_us.quantile(0.99) else {
-            return self.cfg.hedge_floor;
-        };
-        self.cfg
-            .hedge_floor
-            .max(Duration::from_micros(p99.saturating_mul(2)))
-    }
-
     /// Connects the router to the driver about to pump it: from here to
     /// [`finish`](Self::finish), every admitted query wakes `waker`'s
     /// endpoint.  Queries admitted earlier need no wake — the driver
@@ -561,10 +514,10 @@ impl ServeRouter {
         self.lock().waker = Some(waker);
     }
 
-    /// One driver-loop pump: routes new queries, resolves overdue ones,
-    /// re-sends due retries and hedges, and serves stale failovers.
-    /// Re-classifies every in-flight query so an owner evicted
-    /// mid-flight fails over instead of timing out.
+    /// One driver-loop pump: routes new queries and serves stale
+    /// failovers.  Re-classifies every in-flight query, so one whose
+    /// owner is evicted mid-flight is re-sent to the new owner or fails
+    /// over instead of timing out.
     pub(crate) fn pump<T: Transport>(
         &self,
         t: &T,
@@ -579,9 +532,7 @@ impl ServeRouter {
         let mut ids: Vec<u64> = st.pending.keys().copied().collect();
         ids.sort_unstable(); // deterministic pump order
         for id in ids {
-            let Some(p) = st.pending.get(&id) else {
-                continue;
-            };
+            let p = st.pending.get_mut(&id).expect("pending");
             let (user, k) = (p.user, p.k);
             if p.attempts == 0 {
                 // Never sent: this is the first pump to see the query, and
@@ -590,112 +541,50 @@ impl ServeRouter {
                     .admission_wait_us
                     .record(now.saturating_duration_since(p.submitted).as_micros() as u64);
             }
-            if now >= p.deadline {
-                let attempts = p.attempts;
-                self.resolve_locked(
-                    &mut st,
-                    id,
-                    Err(ServeError::Timeout {
-                        user,
-                        deadline: self.cfg.deadline,
-                        attempts,
-                    }),
-                );
-                continue;
-            }
-            match backend.route(user) {
-                Route::Unknown => {
-                    self.resolve_locked(
-                        &mut st,
-                        id,
-                        Err(ServeError::Failover {
-                            user,
-                            reason: format!("user {user} is outside every rank's shard"),
-                        }),
-                    );
-                }
-                Route::RunOver => {
-                    self.resolve_locked(&mut st, id, Ok(Answer::RunOver));
-                }
-                Route::Stale => {
-                    let mut seen =
-                        std::mem::take(&mut st.pending.get_mut(&id).expect("pending").seen);
-                    let (updates_at, staleness, recs) = backend.serve_stale(user, k, &mut seen);
-                    self.resolve_locked(
-                        &mut st,
-                        id,
-                        Ok(Answer::Stale {
-                            updates_at,
-                            staleness,
-                            recs,
-                        }),
-                    );
-                }
-                Route::Owner(owner) => {
-                    let hedge_delay = self.hedge_delay();
-                    let p = st.pending.get_mut(&id).expect("pending");
-                    if p.failover {
-                        // The owner said "not ready": degrade to the
-                        // stale replica rather than spin on it.
-                        let mut seen = std::mem::take(&mut p.seen);
-                        let (updates_at, staleness, recs) = backend.serve_stale(user, k, &mut seen);
-                        self.resolve_locked(
-                            &mut st,
-                            id,
-                            Ok(Answer::Stale {
-                                updates_at,
-                                staleness,
-                                recs,
-                            }),
-                        );
+            let result = match backend.route(user) {
+                Route::Unknown => Err(ServeError::Failover {
+                    user,
+                    reason: format!("user {user} is outside every rank's shard"),
+                }),
+                Route::RunOver => Ok(Answer::RunOver),
+                Route::Owner(owner) if !p.failover => {
+                    if p.owner == Some(owner) {
+                        // Already sent to this owner: its reply or the
+                        // caller's deadline decides.
                         continue;
                     }
-                    let mut send = false;
-                    let mut was_retry = false;
-                    let mut was_hedge = false;
-                    if p.attempts == 0 || p.owner != Some(owner) {
-                        // First send, or the owner changed under us
-                        // (eviction takeover): (re)route.
-                        p.owner = Some(owner);
-                        p.attempts += 1;
-                        p.next_retry = now + self.backoff(id, p.attempts);
-                        p.hedge_at = now + hedge_delay;
-                        send = true;
-                    } else if p.attempts < self.cfg.max_attempts && now >= p.next_retry {
-                        p.attempts += 1;
-                        p.next_retry = now + self.backoff(id, p.attempts);
-                        send = true;
-                        was_retry = true;
-                    } else if !p.hedged && now >= p.hedge_at {
-                        p.hedged = true;
-                        p.attempts += 1;
-                        send = true;
-                        was_hedge = true;
-                    }
-                    if send {
-                        let msg = Message::Query {
-                            id,
-                            user,
-                            k,
-                            seen: p.seen.clone(),
-                        };
-                        if was_retry {
-                            self.metrics.retries.inc();
-                        }
-                        if was_hedge {
-                            self.metrics.hedges.inc();
-                        }
-                        match t.send(owner, &msg) {
-                            // A dead stream is the failure detector's
-                            // problem; the next pump re-classifies.
-                            Err(NetError::PeerGone(_)) => {}
-                            other => {
-                                other?;
-                            }
+                    // First send, or the owner changed under us
+                    // (eviction takeover): (re)route.
+                    p.owner = Some(owner);
+                    p.attempts += 1;
+                    let msg = Message::Query {
+                        id,
+                        user,
+                        k,
+                        seen: p.seen.clone(),
+                    };
+                    match t.send(owner, &msg) {
+                        // A dead stream is the failure detector's
+                        // problem; a pump after the eviction re-routes.
+                        Err(NetError::PeerGone(_)) => {}
+                        other => {
+                            other?;
                         }
                     }
+                    continue;
                 }
-            }
+                // No live serving owner, or the owner said "not ready":
+                // degrade to the stale replica rather than spin on it.
+                Route::Stale | Route::Owner(_) => {
+                    let (updates_at, staleness, recs) = backend.serve_stale(user, k, &mut p.seen);
+                    Ok(Answer::Stale {
+                        updates_at,
+                        staleness,
+                        recs,
+                    })
+                }
+            };
+            self.resolve_locked(&mut st, id, result);
         }
         Ok(())
     }
@@ -711,52 +600,36 @@ impl ServeRouter {
         recs: Vec<(u32, f64)>,
     ) {
         let mut st = self.lock();
-        let Some(p) = st.pending.get(&id) else {
-            return; // late reply or hedged duplicate: already resolved
+        let Some(p) = st.pending.get_mut(&id) else {
+            return; // late reply: its caller already timed out
         };
         // Strict deadline semantics: an answer landing past the deadline
         // is an answer nobody is waiting for — it resolves as a timeout,
-        // deterministically, rather than racing the pump's own verdict.
-        if Instant::now() >= p.deadline {
-            let (user, attempts) = (p.user, p.attempts);
-            self.resolve_locked(
-                &mut st,
-                id,
-                Err(ServeError::Timeout {
-                    user,
-                    deadline: self.cfg.deadline,
-                    attempts,
-                }),
-            );
-            return;
-        }
-        match status {
-            QUERY_OK => self.resolve_locked(
-                &mut st,
-                id,
-                Ok(Answer::Fresh {
+        // deterministically, rather than racing the caller's own wake.
+        let result = if Instant::now() >= p.deadline {
+            Err(self.timeout(p))
+        } else {
+            match status {
+                QUERY_OK => Ok(Answer::Fresh {
                     epoch,
                     updates_at,
                     staleness,
                     recs,
                 }),
-            ),
-            QUERY_RUN_OVER => self.resolve_locked(&mut st, id, Ok(Answer::RunOver)),
-            QUERY_UNKNOWN_USER => {
-                let user = st.pending.get(&id).expect("pending").user;
-                self.resolve_locked(
-                    &mut st,
-                    id,
-                    Err(ServeError::Failover {
-                        user,
-                        reason: "the owning rank's snapshot does not contain this user".into(),
-                    }),
-                );
+                QUERY_RUN_OVER => Ok(Answer::RunOver),
+                QUERY_UNKNOWN_USER => Err(ServeError::Failover {
+                    user: p.user,
+                    reason: "the owning rank's snapshot does not contain this user".into(),
+                }),
+                // QUERY_NOT_READY (and anything a future rank might add):
+                // fail over to the stale replica at the next pump.
+                _ => {
+                    p.failover = true;
+                    return;
+                }
             }
-            // QUERY_NOT_READY (and anything a future rank might add):
-            // fail over to the stale replica at the next pump.
-            _ => st.pending.get_mut(&id).expect("pending").failover = true,
-        }
+        };
+        self.resolve_locked(&mut st, id, result);
     }
 
     /// The run is over: resolves everything in flight as
@@ -772,13 +645,6 @@ impl ServeRouter {
         }
         self.done.notify_all();
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]
@@ -945,20 +811,6 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_deterministic_and_grows() {
-        let router = ServeRouter::new(RouterConfig::default());
-        let a1 = router.backoff(9, 1);
-        assert_eq!(a1, router.backoff(9, 1), "same (id, attempt), same delay");
-        assert_ne!(
-            router.backoff(9, 1),
-            router.backoff(10, 1),
-            "different ids must jitter apart"
-        );
-        // Exponential part dominates the (bounded) jitter.
-        assert!(router.backoff(9, 3) > router.backoff(9, 1));
-    }
-
-    #[test]
     fn error_messages_are_actionable() {
         let timeout = ServeError::Timeout {
             user: 4,
@@ -1084,7 +936,6 @@ mod tests {
         let (driver, _ranks) = Loopback::mesh(1);
         let cfg = RouterConfig {
             deadline: Duration::from_millis(60),
-            retry_base: Duration::from_millis(10),
             ..RouterConfig::default()
         };
         let router = ServeRouter::new(cfg);
@@ -1109,44 +960,85 @@ mod tests {
                 took < cfg.deadline + Duration::from_secs(1),
                 "timeout resolution must be prompt, took {took:?}"
             );
-            assert!(router.stats().retries > 0, "retries should have fired");
         });
     }
 
     #[test]
-    fn hedge_delay_uses_floor_until_enough_samples_then_doubles_p99() {
-        let floor = Duration::from_millis(20);
+    fn a_query_is_sent_once_per_owner_and_resolves_at_its_deadline() {
+        let (driver, ranks) = Loopback::mesh(2);
+        let deadline = Duration::from_millis(150);
         let router = ServeRouter::new(RouterConfig {
-            hedge_floor: floor,
+            deadline,
             ..RouterConfig::default()
         });
-        // No samples yet: the configured floor is used verbatim.
-        assert_eq!(router.hedge_delay(), floor);
-        // Below the sample threshold the floor still wins, no matter how
-        // slow the recorded answers were.
-        for _ in 0..(MIN_LAT_SAMPLES - 1) {
-            router.metrics.latency_us.record(500_000);
-        }
-        assert_eq!(router.hedge_delay(), floor);
-        // At the threshold the estimator switches to 2 × p99 of the
-        // shared histogram (a conservative bucket upper bound, so the
-        // delay is at least 2 × the recorded latency).
-        router.metrics.latency_us.record(500_000);
-        let delay = router.hedge_delay();
-        assert!(
-            delay >= Duration::from_micros(1_000_000),
-            "2 × p99 of 500ms samples must be ≥ 1s, got {delay:?}"
-        );
-        // The floor is a lower bound even with fast samples: a fresh
-        // router whose answers all land in ~1µs keeps the floor.
-        let fast = ServeRouter::new(RouterConfig {
-            hedge_floor: floor,
-            ..RouterConfig::default()
+        // Drains the frames waiting at a rank that never answers.
+        let sends_to = |r: usize| {
+            std::iter::from_fn(|| ranks[r].recv_timeout(Duration::ZERO).unwrap()).count()
+        };
+        std::thread::scope(|scope| {
+            let handle = scope.spawn(|| {
+                let before = Instant::now();
+                (router.query(1, 3, vec![]), before.elapsed())
+            });
+            let mut backend = ScriptedBackend {
+                route: Route::Owner(0),
+            };
+            while router.in_flight() == 0 {
+                std::thread::yield_now();
+            }
+            // Past the 20 ms a hedge used to wait and the ~50 ms of a
+            // first retry.
+            let admitted = Instant::now();
+            while admitted.elapsed() < Duration::from_millis(100) {
+                router.pump(&driver, &mut backend).unwrap();
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            assert_eq!(sends_to(0), 1, "one send to the first owner");
+            backend.route = Route::Owner(1); // an eviction takeover
+            while router.stats().resolved() == 0 {
+                router.pump(&driver, &mut backend).unwrap();
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            let (res, took) = handle.join().expect("query thread");
+            assert_eq!(
+                (sends_to(0), sends_to(1)),
+                (0, 1),
+                "one send to the new owner"
+            );
+            assert!(
+                matches!(res, Err(ServeError::Timeout { attempts: 2, .. })),
+                "got {res:?}"
+            );
+            assert!(
+                took >= deadline && took < deadline + Duration::from_secs(1),
+                "took {took:?}"
+            );
         });
-        for _ in 0..(2 * MIN_LAT_SAMPLES) {
-            fast.metrics.latency_us.record(1);
-        }
-        assert_eq!(fast.hedge_delay(), floor, "floor must clamp fast p99s");
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_k_past_u32_saturates_instead_of_wrapping_to_zero() {
+        let (driver, ranks) = Loopback::mesh(1);
+        let router = ServeRouter::new(RouterConfig::default());
+        std::thread::scope(|scope| {
+            let handle = scope.spawn(|| router.query(1, 1 << 32, vec![]));
+            let mut backend = ScriptedBackend {
+                route: Route::Owner(0),
+            };
+            let msg = loop {
+                router.pump(&driver, &mut backend).unwrap();
+                if let Some((_, msg)) = ranks[0].recv_timeout(Duration::from_millis(1)).unwrap() {
+                    break msg;
+                }
+            };
+            router.finish();
+            assert_eq!(handle.join().expect("query thread"), Ok(Answer::RunOver));
+            assert!(
+                matches!(msg, Message::Query { k: u32::MAX, .. }),
+                "rank got {msg:?}"
+            );
+        });
     }
 
     #[test]
@@ -1187,7 +1079,7 @@ mod tests {
         let took = before.elapsed();
         assert!(
             took >= Duration::from_millis(40) && took < Duration::from_secs(2),
-            "no-pump query must resolve at deadline + grace, took {took:?}"
+            "no-pump query must resolve at its deadline, took {took:?}"
         );
     }
 }

@@ -503,8 +503,8 @@ pub enum Message {
     /// Router (via the driver's endpoint) → owning rank: answer a top-k
     /// query for `user` from the rank's live snapshot.
     Query {
-        /// Router-assigned query id, echoed in the reply (idempotent:
-        /// retries and hedges reuse the id, first reply wins).
+        /// Router-assigned query id, echoed in the reply (a re-route to
+        /// a new owner reuses the id, first reply wins).
         id: u64,
         /// The queried global user row.
         user: u32,

@@ -136,7 +136,6 @@ fn an_undersized_deadline_times_out_promptly_instead_of_hanging() {
     let deadline = Duration::from_millis(5);
     let router = ServeRouter::new(RouterConfig {
         deadline,
-        retry_base: Duration::from_millis(2),
         ..RouterConfig::default()
     });
     let cfg = serving_config(20_000, 200);
@@ -179,9 +178,8 @@ fn an_undersized_deadline_times_out_promptly_instead_of_hanging() {
              (stats: {:?})",
             router.stats()
         );
-        // Deadline + the router's client-side grace + generous scheduler
-        // slack: the promptness bound that makes a timeout different
-        // from a hang.
+        // Deadline + generous scheduler slack: the promptness bound that
+        // makes a timeout different from a hang.
         assert!(
             slowest < deadline + Duration::from_secs(2),
             "a timed-out query took {slowest:?} to resolve"

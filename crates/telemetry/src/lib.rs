@@ -15,7 +15,7 @@
 //!   happens once, at setup); recording through a handle never does.
 //! * [`events`] — a bounded lock-free [`EventRing`] of compact
 //!   [`Event`] records (epoch start/end, publish, eviction, census,
-//!   join, drain, query outcomes, shed/hedge/failover) with monotonic
+//!   join, drain, query outcomes, shed/timeout/failover) with monotonic
 //!   timestamps and a `kind@a@b@t<micros>` replay-friendly dump format,
 //!   in the same spirit as the schedule fuzzer's `strategy@seed` pairs.
 //!   The ring overwrites its oldest records instead of blocking.
@@ -111,10 +111,6 @@ pub mod names {
     pub const SERVE_TIMEOUT: &str = "serve.timeout";
     /// Queries answered via stale-replica failover (counter).
     pub const SERVE_FAILOVER: &str = "serve.failover";
-    /// Per-query retransmissions (counter).
-    pub const SERVE_RETRIES: &str = "serve.retries";
-    /// Hedge transmissions (counter).
-    pub const SERVE_HEDGES: &str = "serve.hedges";
     /// End-to-end query latency in microseconds (log-scale histogram;
     /// successful answers only).
     pub const SERVE_LATENCY_US: &str = "serve.latency_us";

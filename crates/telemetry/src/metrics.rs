@@ -172,9 +172,8 @@ pub const HIST_BUCKETS: usize = 65;
 ///
 /// Recording is three relaxed `fetch_add`s and one `fetch_max`;
 /// quantiles are computed by walking the 65 buckets — no allocation on
-/// either path, which is what lets the serving router keep a live p99
-/// without the 256-sample ring it used to clone and sort per hedge
-/// decision.
+/// either path, which is what lets the serving router report a live
+/// p99 without keeping, cloning or sorting a sample ring.
 pub struct Histogram {
     buckets: [AtomicU64; HIST_BUCKETS],
     count: AtomicU64,

@@ -191,7 +191,7 @@
 //! The two previous sections compose: with `serve_publish_every` set,
 //! every rank runs a [`serve::SnapshotPublisher`] over its user shard and
 //! a [`net::ServeRouter`] answers per-user top-k queries against the
-//! *training mesh* — with per-query deadlines, retry/backoff, hedging,
+//! *training mesh* — with per-query deadlines, one send per owning rank,
 //! load shedding, and failover to a driver-held stale replica when the
 //! owning rank is evicted mid-run.  Every query resolves: fresh, stale
 //! with an explicit staleness bound, shed, or a terminal run-over notice
