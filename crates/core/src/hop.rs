@@ -58,8 +58,9 @@ pub trait UserRows {
     fn user_row(&self, user: Idx) -> &[f64];
 
     /// The rows as one block for the cooperative snapshot build: the
-    /// global index of the block's first row, and the rows.
-    fn block(&self) -> (usize, &FactorMatrix);
+    /// global index of the block's first row, and the rows, row-major and
+    /// contiguous (a whole number of rows of the model's `k`).
+    fn block(&self) -> (usize, &[f64]);
 }
 
 /// Full-height storage indexed globally: the dense model of the serial and
@@ -77,8 +78,8 @@ impl UserRows for FactorMatrix {
     }
 
     #[inline]
-    fn block(&self) -> (usize, &FactorMatrix) {
-        (0, self)
+    fn block(&self) -> (usize, &[f64]) {
+        (0, self.as_slice())
     }
 }
 
@@ -341,30 +342,32 @@ pub(crate) mod tests {
     /// Sweeps columns whose local length is 0, 1, `ahead − 1`, `ahead`,
     /// `ahead + 1`, and one that ends on the last row of the worker's
     /// block (for the last worker, the last row of `W`), through the user
-    /// storage `make` builds for each of `parts` workers; update count,
+    /// storage `make` makes of `W` for worker `q` of `parts`; update count,
     /// `h` and every owned row must match [`reference_sweep`] exactly.
     ///
     /// At k = 3 (all tail), 10 (4n + 2) and 100 (4n), and twice each: through
     /// [`sweep`], which runs the widest form this CPU has, and through
     /// `sweep_on(Portable, …)`, so the portable instantiation stays tested
     /// where `sweep` never picks it.
-    pub(crate) fn check_sweep_at_column_and_block_edges<U: UserRows>(
+    pub(crate) fn check_sweep_at_column_and_block_edges(
         parts: usize,
-        make: impl Fn(&FactorMatrix, &RowPartition, usize) -> U,
+        make: impl for<'w> Fn(&'w mut FactorMatrix, &RowPartition, usize) -> Box<dyn UserRows + 'w>,
     ) {
         for k in [3, 10, 100] {
-            check_edges_with(k, parts, &make, sweep);
+            check_edges_with(k, parts, &make, |wd, users, item, h, params| {
+                sweep(wd, users, item, h, params)
+            });
             check_edges_with(k, parts, &make, |wd, users, item, h, params| {
                 sweep_on(Portable, wd, users, item, h, params)
             });
         }
     }
 
-    fn check_edges_with<U: UserRows>(
+    fn check_edges_with(
         k: usize,
         parts: usize,
-        make: &impl Fn(&FactorMatrix, &RowPartition, usize) -> U,
-        sweep: impl Fn(&mut WorkerData, &mut U, Idx, &mut [f64], &HyperParams) -> u64,
+        make: &impl for<'w> Fn(&'w mut FactorMatrix, &RowPartition, usize) -> Box<dyn UserRows + 'w>,
+        sweep: impl Fn(&mut WorkerData, &mut dyn UserRows, Idx, &mut [f64], &HyperParams) -> u64,
     ) {
         let params = HyperParams::netflix().with_k(k);
         let ahead = prefetch_rows_ahead(k);
@@ -390,14 +393,15 @@ pub(crate) mod tests {
             .into_iter()
             .enumerate()
         {
-            let mut users = make(&model.w, &partition, q);
+            let mut w = model.w.clone();
+            let mut users = make(&mut w, &partition, q);
             let (mut wd, mut ref_wd) = (wd.clone(), wd);
             let mut ref_w = model.w.clone();
             for (j, rows) in columns.iter().enumerate() {
                 let item = j as Idx;
                 assert_eq!(wd.local_count(item), rows.len());
                 let (mut h, mut ref_h) = (model.h.row(j).to_vec(), model.h.row(j).to_vec());
-                let updates = sweep(&mut wd, &mut users, item, &mut h, &params);
+                let updates = sweep(&mut wd, &mut *users, item, &mut h, &params);
                 let expect = reference_sweep(&mut ref_wd, &mut ref_w, item, &mut ref_h, &params);
                 assert_eq!(updates, expect, "k {k} worker {q} item {j}");
                 assert_eq!(updates, rows.len() as u64);
@@ -416,9 +420,9 @@ pub(crate) mod tests {
     fn sweep_matches_a_plain_loop_at_column_and_matrix_edges() {
         // Dense storage of the serial/simulated engines (one worker owns
         // all of `W`, so the last column ends on its last row) ...
-        check_sweep_at_column_and_block_edges(1, |w, _, _| w.clone());
+        check_sweep_at_column_and_block_edges(1, |w, _, _| Box::new(w.clone()));
         // ... and the rank worker's full-height matrix, swept by two
         // workers that each touch only their own segment.
-        check_sweep_at_column_and_block_edges(2, |w, _, _| w.clone());
+        check_sweep_at_column_and_block_edges(2, |w, _, _| Box::new(w.clone()));
     }
 }

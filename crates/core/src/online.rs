@@ -165,8 +165,8 @@ pub struct IngestDelta {
 ///
 /// The caller integrates the delta into its own representation: the serial
 /// and simulated engines append the rows to the dense model, the threaded
-/// engine appends the user rows to the last worker's owned block and wraps
-/// the item rows into new tokens.
+/// engine appends the user rows to its one `W` (whose tail is the last
+/// worker's block) and wraps the item rows into new tokens.
 pub fn apply_batch(
     dynamic: &mut DynamicMatrix,
     partition: &mut RowPartition,

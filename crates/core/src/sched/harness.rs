@@ -3,7 +3,7 @@
 //!
 //! Oracles per schedule:
 //!
-//! * **Token conservation** — `assemble_model` asserts every item is in
+//! * **Token conservation** — `gather_items` asserts every item is in
 //!   exactly one queue at quiesce and that per-item pass counts sum to
 //!   the ticket counter; an interleaving that loses or duplicates a
 //!   token panics there, which the harness catches and converts into a

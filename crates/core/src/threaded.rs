@@ -9,6 +9,12 @@
 //! whose queue is empty waits on it until a token is pushed or the round
 //! ends; the worker that ends a round wakes every queue.
 //!
+//! The run holds one user matrix `W` and trains it in place: each round
+//! splits its rows at the contiguous partition's boundaries into disjoint
+//! mutable blocks, one borrowed by each worker, so the borrow checker
+//! enforces the owner-computes rule and the engine holds no second copy
+//! of `W`.
+//!
 //! Since PR 3 the hot path is also **allocation-free**: item factors live
 //! in a single flat [`FactorSlab`] arena owned by the engine, and a token
 //! is just the `(item, pass)` index pair — popping token `j` *is* taking
@@ -49,8 +55,8 @@ use crate::worker::WorkerData;
 /// Output of a threaded run.
 #[derive(Debug, Clone)]
 pub struct ThreadedOutput {
-    /// The trained model (user factors gathered from all workers, item
-    /// factors gathered from the slab).
+    /// The trained model (the run's one user matrix, trained in place,
+    /// and the item factors gathered from the slab).
     pub model: FactorModel,
     /// Wall-clock convergence trace (one point per snapshot round).
     pub trace: RunTrace,
@@ -123,7 +129,7 @@ impl ThreadedNomad {
     /// themselves — each worker copies the item rows it currently owns and
     /// its own user block, reusing NOMAD's token-ownership argument, so the
     /// hot path stays lock-free and allocation-free (the counting-allocator
-    /// test runs this entry point).  At every quiesce point the assembled
+    /// test runs this entry point).  At every quiesce point the quiesced
     /// model is force-published, so after the run returns, the latest
     /// snapshot is bit-identical to the returned model.
     ///
@@ -212,8 +218,9 @@ impl ThreadedNomad {
     /// round per arrival clock (capped at the budget so the run never
     /// exceeds it), then `snapshots` evenly spaced rounds to the budget.
     /// Every round ends quiesced — workers joined, every token in exactly
-    /// one queue — which is where a reached batch is ingested, the exact
-    /// model is assembled and published, and test RMSE is sampled.
+    /// one queue — which is where a reached batch is ingested, the item
+    /// rows are gathered into the model (whose `W` the workers trained in
+    /// place), the model is published, and test RMSE is sampled.
     fn run_rounds(
         &self,
         mut data: OnlineData,
@@ -239,12 +246,8 @@ impl ThreadedNomad {
         let mut model = FactorModel::init(start_rows, start_cols, params.k, cfg.seed);
         let mut partition = RowPartition::contiguous(start_rows, num_threads);
         let mut per_worker = WorkerData::build_all(views, &partition);
-
-        // Split the user factors into per-worker owned chunks; the item
-        // factors move into the shared slab.
-        let mut owned: Vec<OwnedUsers> = (0..num_threads)
-            .map(|q| OwnedUsers::from_partition(&model.w, &partition, q))
-            .collect();
+        // The item factors move into the shared slab; `model.h` is only
+        // refreshed from it at quiesce.
         let mut slab = FactorSlab::from_factors(&model.h);
 
         // Queues and the initial token placement (Algorithm 1, lines 7-10).
@@ -286,7 +289,8 @@ impl ThreadedNomad {
             let mut round_events: Vec<(u64, ProcessingEvent)> = Vec::new();
             std::thread::scope(|scope| {
                 let mut handles = Vec::with_capacity(num_threads);
-                for (q, (wd, own)) in per_worker.iter_mut().zip(owned.iter_mut()).enumerate() {
+                let owned = OwnedUsers::split(&mut model.w, &partition);
+                for (q, (wd, own)) in per_worker.iter_mut().zip(owned).enumerate() {
                     let worker = Worker {
                         q,
                         wd,
@@ -337,13 +341,9 @@ impl ThreadedNomad {
                     params.k,
                     cfg.seed,
                 );
-                let own_last = owned.last_mut().expect("num_threads > 0");
-                if own_last.rows.rows() == 0 && batch.new_rows > 0 {
-                    // The last worker owned no users yet; its block now
-                    // starts at the first arriving user.
-                    own_last.offset = delta.first_new_user;
-                }
-                own_last.rows.append_rows(&delta.new_users);
+                // New users join the last worker, whose block is `W`'s tail.
+                model.w.append_rows(&delta.new_users);
+                model.h.append_rows(&delta.new_items);
                 slab.append_rows(&delta.new_items);
                 for offset in 0..batch.new_cols {
                     let j = (delta.first_new_item + offset) as Idx;
@@ -352,12 +352,11 @@ impl ThreadedNomad {
                 segments.push(Vec::new());
             }
 
-            let views = data.views();
-            model = assemble_model(views.nrows(), &owned, &queues, &slab, &ticket);
+            gather_items(&mut model.h, &queues, &slab, &ticket);
             if let Some(publisher) = serving {
                 if ingest.is_some() {
                     // Serve the grown space from this quiesce onward.
-                    publisher.grow(views.nrows(), views.ncols());
+                    publisher.grow(model.num_users(), model.num_items());
                 }
                 publisher.publish_model(&model, done);
                 if let Some(telem) = &telem {
@@ -383,79 +382,77 @@ impl ThreadedNomad {
     }
 }
 
-/// The user-factor rows owned by one worker (a contiguous block, because
-/// the partition is contiguous).
-#[derive(Debug, Clone)]
-struct OwnedUsers {
+/// The user-factor rows owned by one worker: a contiguous block of the
+/// run's `W` (the partition is contiguous), borrowed for one round.
+struct OwnedUsers<'a> {
     /// Global index of the first owned user.
     offset: usize,
-    /// The owned rows.
-    rows: FactorMatrix,
+    /// Row length.
+    k: usize,
+    /// The owned rows, row-major.
+    rows: &'a mut [f64],
 }
 
-impl OwnedUsers {
-    fn from_partition(w: &FactorMatrix, partition: &RowPartition, q: usize) -> Self {
-        let members = partition.members(q);
-        let offset = members.first().map_or(0, |&i| i as usize);
-        assert!(
-            members
-                .last()
-                .is_none_or(|&i| i as usize + 1 == offset + members.len()),
-            "worker {q}'s users must be one contiguous block"
-        );
-        let rows = w.copy_rows(offset..offset + members.len());
-        Self { offset, rows }
+impl<'a> OwnedUsers<'a> {
+    /// Splits `w` at the partition's block boundaries into one borrowed
+    /// block per worker, in worker order.
+    fn split(w: &'a mut FactorMatrix, partition: &RowPartition) -> Vec<Self> {
+        let k = w.k();
+        let mut rest = w.as_mut_slice();
+        let mut offset = 0;
+        let mut blocks = Vec::with_capacity(partition.num_parts());
+        for q in 0..partition.num_parts() {
+            let members = partition.members(q);
+            assert!(
+                members.first().is_none_or(|&i| i as usize == offset)
+                    && members
+                        .last()
+                        .is_none_or(|&i| i as usize + 1 == offset + members.len()),
+                "worker {q}'s users must be one contiguous block, in worker order"
+            );
+            let (rows, tail) = std::mem::take(&mut rest).split_at_mut(members.len() * k);
+            blocks.push(Self { offset, k, rows });
+            offset += members.len();
+            rest = tail;
+        }
+        assert!(rest.is_empty(), "owned user blocks must cover every row");
+        blocks
     }
 }
 
-impl UserRows for OwnedUsers {
+impl UserRows for OwnedUsers<'_> {
     #[inline]
     fn user_row_mut(&mut self, user: Idx) -> &mut [f64] {
-        self.rows.row_mut(user as usize - self.offset)
+        let at = (user as usize - self.offset) * self.k;
+        &mut self.rows[at..at + self.k]
     }
 
     #[inline]
     fn user_row(&self, user: Idx) -> &[f64] {
-        self.rows.row(user as usize - self.offset)
+        let at = (user as usize - self.offset) * self.k;
+        &self.rows[at..at + self.k]
     }
 
     #[inline]
-    fn block(&self) -> (usize, &FactorMatrix) {
-        (self.offset, &self.rows)
+    fn block(&self) -> (usize, &[f64]) {
+        (self.offset, self.rows)
     }
 }
 
-/// Gathers the scattered state (per-worker user rows, slab item rows) back
-/// into a single [`FactorModel`] without disturbing the queues, checking
-/// token conservation and pass accounting on the way.
+/// Copies the slab's item rows into `h` without disturbing the queues,
+/// checking token conservation and pass accounting on the way.
 ///
 /// Must only be called at a quiesce point (no worker threads running), so
 /// that reading the slab cannot race an owner's writes and every token is
 /// in exactly one queue.
-fn assemble_model(
-    nrows: usize,
-    owned: &[OwnedUsers],
+fn gather_items(
+    h: &mut FactorMatrix,
     queues: &[Inbox<Token>],
     slab: &FactorSlab,
     ticket: &AtomicU64,
-) -> FactorModel {
+) {
     let ncols = slab.rows();
-    let k = slab.k();
-    // The owned blocks are contiguous and in offset order, so `W` is their
-    // concatenation: one copy per worker into memory nothing has touched.
-    let mut w = FactorMatrix::with_capacity(nrows, k);
-    for own in owned {
-        assert!(
-            own.rows.rows() == 0 || own.offset == w.rows(),
-            "owned user blocks must tile the rows in order"
-        );
-        w.append_rows(&own.rows);
-    }
-    assert_eq!(w.rows(), nrows, "owned user blocks must cover every row");
-    let mut model = FactorModel {
-        w,
-        h: FactorMatrix::zeros(ncols, k),
-    };
+    assert_eq!(h.rows(), ncols, "the model holds a row per slab row");
     // Drain every queue to check token conservation (every item in exactly
     // one queue, total passes equal to the tickets drawn), then push the
     // tokens back in the same order so the run can continue afterwards.
@@ -474,7 +471,7 @@ fn assemble_model(
             );
             seen[j] = true;
             total_passes += token.pass;
-            model.h.set_row(j, slab.row(j));
+            h.set_row(j, slab.row(j));
             queue.push(token);
         }
     }
@@ -487,7 +484,6 @@ fn assemble_model(
         ticket.load(Ordering::SeqCst),
         "token pass counts must sum to the tickets drawn"
     );
-    model
 }
 
 /// One worker thread's side of the hop: its queue among all the queues,
@@ -495,7 +491,7 @@ fn assemble_model(
 struct Worker<'a> {
     q: usize,
     wd: &'a mut WorkerData,
-    own: &'a mut OwnedUsers,
+    own: OwnedUsers<'a>,
     queues: &'a [Inbox<Token>],
     ticket: &'a AtomicU64,
     updates_done: &'a AtomicU64,
@@ -508,8 +504,8 @@ struct Worker<'a> {
 // SAFETY: tokens enter the queues once per item (initial placement and
 // minting, both at quiesce) and move only by this `push`, so a popped token
 // is held by exactly this worker and indexes the run's slab.
-unsafe impl HopContext for Worker<'_> {
-    type Users = OwnedUsers;
+unsafe impl<'a> HopContext for Worker<'a> {
+    type Users = OwnedUsers<'a>;
 
     fn pop(&mut self) -> Option<Token> {
         self.queues[self.q].pop()
@@ -525,8 +521,8 @@ unsafe impl HopContext for Worker<'_> {
         }
     }
 
-    fn shard(&mut self) -> (&mut WorkerData, &mut OwnedUsers) {
-        (self.wd, self.own)
+    fn shard(&mut self) -> (&mut WorkerData, &mut OwnedUsers<'a>) {
+        (self.wd, &mut self.own)
     }
 
     fn account(&mut self, updates: u64) -> u64 {
@@ -609,10 +605,9 @@ mod tests {
     #[test]
     fn owned_blocks_sweep_like_a_plain_loop_up_to_their_last_row() {
         for parts in [1, 3] {
-            crate::hop::tests::check_sweep_at_column_and_block_edges(
-                parts,
-                OwnedUsers::from_partition,
-            );
+            crate::hop::tests::check_sweep_at_column_and_block_edges(parts, |w, partition, q| {
+                Box::new(OwnedUsers::split(w, partition).swap_remove(q))
+            });
         }
     }
 
@@ -631,7 +626,7 @@ mod tests {
         let (data, test) = tiny_dataset();
         let out = ThreadedNomad::new(quick_config(40_000)).run(&data, &test, 2, 2);
         assert!(out.trace.final_rmse().unwrap() < 2.0);
-        // assemble_model asserts token conservation internally; reaching
+        // gather_items asserts token conservation internally; reaching
         // here means every item was in exactly one queue and the pass
         // counts summed to the ticket counter.
         assert_eq!(out.model.num_items(), data.ncols());

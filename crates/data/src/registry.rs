@@ -158,6 +158,40 @@ mod tests {
         assert_eq!(a.test, b.test);
     }
 
+    /// FNV-1a over `(row, col, value bits)` of every train entry, then
+    /// every test entry, little-endian.
+    fn fnv1a(ds: &GeneratedDataset) -> u64 {
+        let mut hash = 0xCBF2_9CE4_8422_2325u64;
+        for e in ds.train.entries().iter().chain(ds.test.entries()) {
+            let bytes = e.row.to_le_bytes().into_iter().chain(e.col.to_le_bytes());
+            for byte in bytes.chain(e.value.to_bits().to_le_bytes()) {
+                hash = (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        hash
+    }
+
+    /// The benchmark measures each workload on one registered dataset, so
+    /// a recipe must build the same ratings in every later version, not
+    /// only twice in one.  A pin that moves means the generator, a
+    /// profile, a seed or the split changed.
+    #[test]
+    fn registered_datasets_match_their_golden_hashes() {
+        const GOLDEN: [(&str, SizeTier, u64); 6] = [
+            ("netflix-sim", SizeTier::Tiny, 0xBAE8_6B74_9629_AB98),
+            ("netflix-sim", SizeTier::Small, 0x70CE_58DB_23F5_2BC1),
+            ("yahoo-sim", SizeTier::Tiny, 0x7A75_8997_4D02_C1AD),
+            ("yahoo-sim", SizeTier::Small, 0x25BC_1340_7449_D383),
+            ("hugewiki-sim", SizeTier::Tiny, 0xD698_1F64_E8F9_EC64),
+            ("hugewiki-sim", SizeTier::Small, 0x61E8_2DAC_486F_C1DD),
+        ];
+        for (name, tier, pin) in GOLDEN {
+            let ds = named_dataset(name, tier).unwrap().build();
+            let hash = fnv1a(&ds);
+            assert_eq!(hash, pin, "{name} {tier:?}: 0x{hash:016X}");
+        }
+    }
+
     #[test]
     fn ratings_stay_in_declared_range() {
         let recipe = named_dataset("yahoo-sim", SizeTier::Tiny).unwrap();

@@ -22,7 +22,7 @@
 //!    every item in exactly one shard, every user row in exactly one
 //!    segment, and tickets minus passes equal to the pass debt recorded
 //!    by evictions (see below) — the same invariant
-//!    `ThreadedNomad::assemble_model` asserts at every quiesce, extended
+//!    `ThreadedNomad`'s `gather_items` asserts at every quiesce, extended
 //!    to survive membership changes.
 //!
 //! ## Membership arbitration

@@ -52,7 +52,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use nomad_matrix::Idx;
-use nomad_sgd::{FactorMatrix, FactorModel};
+use nomad_sgd::FactorModel;
 
 use crate::ivf::{IvfIndex, IvfParams};
 use crate::snapshot::ModelSnapshot;
@@ -496,16 +496,17 @@ impl SnapshotPublisher {
     /// (and therefore still owns slab row `j`), `None` from the idle loop.
     ///
     /// Contract: `worker` and `user_offset`/`users` describe this worker's
-    /// static block, [`SnapshotPublisher::begin_run`] has been called with
-    /// the current dimensions, and the caller owns token `j` when passing
-    /// `item`.
+    /// static block (`users` holds its rows, row-major, starting at global
+    /// row `user_offset`), [`SnapshotPublisher::begin_run`] has been called
+    /// with the current dimensions, and the caller owns token `j` when
+    /// passing `item`.
     #[inline]
     pub fn coop_tick(
         &self,
         worker: usize,
         updates_now: u64,
         user_offset: usize,
-        users: &FactorMatrix,
+        users: &[f64],
         item: Option<(Idx, &[f64])>,
     ) {
         if let Some((j, _)) = item {
@@ -585,7 +586,7 @@ impl SnapshotPublisher {
         g: u64,
         worker: usize,
         user_offset: usize,
-        users: &FactorMatrix,
+        users: &[f64],
         item: Option<(Idx, &[f64])>,
     ) {
         // SAFETY: the generation arrays are only replaced at quiesce
@@ -746,6 +747,7 @@ impl std::fmt::Debug for SnapshotPublisher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nomad_sgd::FactorMatrix;
 
     fn model(users: usize, items: usize, k: usize, seed: u64) -> FactorModel {
         FactorModel::init(users, items, k, seed)
@@ -835,18 +837,18 @@ mod tests {
             w1.set_row(i, m.w.row(i + 3));
         }
         // Below threshold: nothing happens.
-        p.coop_tick(0, 10, 0, &w0, Some((0, m.h.row(0))));
+        p.coop_tick(0, 10, 0, w0.as_slice(), Some((0, m.h.row(0))));
         assert!(!p.build_in_flight());
         // Crossing the threshold starts a build; contributions trickle in.
-        p.coop_tick(0, 55, 0, &w0, Some((0, m.h.row(0))));
+        p.coop_tick(0, 55, 0, w0.as_slice(), Some((0, m.h.row(0))));
         assert!(p.build_in_flight());
         assert!(p.latest().is_none(), "incomplete build must not publish");
-        p.coop_tick(0, 56, 0, &w0, Some((1, m.h.row(1))));
-        p.coop_tick(1, 57, 3, &w1, Some((2, m.h.row(2))));
+        p.coop_tick(0, 56, 0, w0.as_slice(), Some((1, m.h.row(1))));
+        p.coop_tick(1, 57, 3, w1.as_slice(), Some((2, m.h.row(2))));
         // Re-processing an already-copied row contributes nothing new.
-        p.coop_tick(1, 58, 3, &w1, Some((2, m.h.row(2))));
+        p.coop_tick(1, 58, 3, w1.as_slice(), Some((2, m.h.row(2))));
         assert!(p.latest().is_none());
-        p.coop_tick(0, 59, 0, &w0, Some((3, m.h.row(3))));
+        p.coop_tick(0, 59, 0, w0.as_slice(), Some((3, m.h.row(3))));
         // All 4 item rows + both worker blocks are in: published.
         assert!(!p.build_in_flight());
         let snap = p.latest().expect("build completed");
@@ -860,7 +862,7 @@ mod tests {
         let p = SnapshotPublisher::new(50);
         let m = model(4, 3, 2, 3);
         p.begin_run(4, 3, 2, 1);
-        p.coop_tick(0, 60, 0, &m.w, Some((0, m.h.row(0))));
+        p.coop_tick(0, 60, 0, m.w.as_slice(), Some((0, m.h.row(0))));
         assert!(p.build_in_flight());
         p.abort_build();
         assert!(!p.build_in_flight());
@@ -875,12 +877,12 @@ mod tests {
         let m = model(2, 2, 2, 4);
         p.begin_run(2, 2, 2, 1);
         // Initiation from the idle loop (no token owned).
-        p.coop_tick(0, 15, 0, &m.w, None);
+        p.coop_tick(0, 15, 0, m.w.as_slice(), None);
         assert!(p.build_in_flight());
         assert!(p.latest().is_none());
         // The item rows arrive as the worker processes tokens.
-        p.coop_tick(0, 16, 0, &m.w, Some((1, m.h.row(1))));
-        p.coop_tick(0, 17, 0, &m.w, Some((0, m.h.row(0))));
+        p.coop_tick(0, 16, 0, m.w.as_slice(), Some((1, m.h.row(1))));
+        p.coop_tick(0, 17, 0, m.w.as_slice(), Some((0, m.h.row(0))));
         assert_eq!(p.latest().unwrap().to_model(), m);
     }
 
@@ -894,9 +896,15 @@ mod tests {
         for i in 0..3 {
             w.set_row(i, bigger.w.row(i));
         }
-        p.coop_tick(0, 15, 0, &w, None);
+        p.coop_tick(0, 15, 0, w.as_slice(), None);
         for j in 0..5 {
-            p.coop_tick(0, 16 + j as u64, 0, &w, Some((j, bigger.h.row(j as usize))));
+            p.coop_tick(
+                0,
+                16 + j as u64,
+                0,
+                w.as_slice(),
+                Some((j, bigger.h.row(j as usize))),
+            );
         }
         assert_eq!(p.latest().unwrap().to_model(), bigger);
     }

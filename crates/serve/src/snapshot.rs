@@ -349,16 +349,18 @@ impl ModelSnapshot {
         self.h.write(0, model.h.as_slice());
     }
 
-    /// Copies a contiguous block of user rows starting at `first_row`
-    /// (cooperative build: each training worker copies its own block).
+    /// Copies a contiguous block of user rows, given row-major, starting at
+    /// `first_row` (cooperative build: each training worker copies its own
+    /// block).
     ///
     /// # Safety
-    /// Publisher mutation contract, and no concurrent writer for these
-    /// rows — guaranteed because each worker owns a disjoint user block.
-    pub(crate) unsafe fn copy_user_block(&self, first_row: usize, rows: &FactorMatrix) {
-        debug_assert_eq!(rows.k(), self.k);
-        debug_assert!(first_row + rows.rows() <= self.users);
-        self.w.write(first_row * self.k, rows.as_slice());
+    /// Publisher mutation contract, and no concurrent writer for rows
+    /// `first_row..first_row + rows.len() / k` — guaranteed because each
+    /// worker's block is a disjoint range of rows.
+    pub(crate) unsafe fn copy_user_block(&self, first_row: usize, rows: &[f64]) {
+        debug_assert_eq!(rows.len() % self.k, 0);
+        debug_assert!(first_row * self.k + rows.len() <= self.users * self.k);
+        self.w.write(first_row * self.k, rows);
     }
 
     /// Copies one item row (cooperative build: the worker currently owning

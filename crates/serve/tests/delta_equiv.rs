@@ -429,7 +429,13 @@ fn coop_ticked_builds_reconstruct_through_deltas() {
         let j = rng.next_below(6);
         perturb_row(&mut model.h, j, &mut rng);
         perturb_row(&mut model.w, rng.next_below(4), &mut rng);
-        publisher.coop_tick(0, updates, 0, &model.w, Some((j as Idx, model.h.row(j))));
+        publisher.coop_tick(
+            0,
+            updates,
+            0,
+            model.w.as_slice(),
+            Some((j as Idx, model.h.row(j))),
+        );
         if publisher.epoch() > seen_epoch {
             let snap: Arc<ModelSnapshot> = publisher.latest().expect("epoch advanced");
             seen_epoch = snap.epoch();

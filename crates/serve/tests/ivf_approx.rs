@@ -333,10 +333,16 @@ fn an_engine_kept_across_runs_answers_from_the_new_run() {
 
     p.begin_run(users, items, k, 1);
     move_rows(&mut model, 0..200);
-    p.coop_tick(0, 1_600_000, 0, &model.w, None);
+    p.coop_tick(0, 1_600_000, 0, model.w.as_slice(), None);
     for j in 0..items {
         let clock = if j < 200 { 1_000 } else { 1_600_000 };
-        p.coop_tick(0, clock, 0, &model.w, Some((j as Idx, model.h.row(j))));
+        p.coop_tick(
+            0,
+            clock,
+            0,
+            model.w.as_slice(),
+            Some((j as Idx, model.h.row(j))),
+        );
     }
     assert_eq!(p.latest().unwrap().updates_at(), 1_600_000);
     answers_exactly("run 3");
@@ -392,14 +398,14 @@ fn every_queried_epoch_carries_its_own_index() {
 
         p.begin_run(users, items, k, 1);
         move_rows(&mut model, 0..10);
-        p.coop_tick(0, 1000, 0, &model.w, None);
+        p.coop_tick(0, 1000, 0, model.w.as_slice(), None);
         for j in 0..items {
             assert!(p.build_in_flight(), "{}: built early", ctx("coop"));
             p.coop_tick(
                 0,
                 1001 + j as u64,
                 0,
-                &model.w,
+                model.w.as_slice(),
                 Some((j as Idx, model.h.row(j))),
             );
         }

@@ -45,16 +45,6 @@ impl FactorMatrix {
         }
     }
 
-    /// An empty matrix (no rows yet) with room for `rows` rows of `k`, to
-    /// be filled with [`FactorMatrix::append_rows`] without reallocating.
-    pub fn with_capacity(rows: usize, k: usize) -> Self {
-        Self {
-            rows: 0,
-            k,
-            data: Vec::with_capacity(rows * k),
-        }
-    }
-
     /// Creates a factor matrix with the given initialization, deterministic
     /// in `seed`.
     pub fn init(rows: usize, k: usize, strategy: InitStrategy, seed: u64) -> Self {
@@ -130,18 +120,6 @@ impl FactorMatrix {
         self.row_mut(i).copy_from_slice(src);
     }
 
-    /// A copy of the contiguous rows `range` as a matrix of their own.
-    ///
-    /// # Panics
-    /// Panics if the range reaches past the last row.
-    pub fn copy_rows(&self, range: std::ops::Range<usize>) -> FactorMatrix {
-        Self {
-            rows: range.len(),
-            k: self.k,
-            data: self.data[range.start * self.k..range.end * self.k].to_vec(),
-        }
-    }
-
     /// Appends the rows of `block` below the existing rows (used when new
     /// users or items arrive during an online run).
     ///
@@ -160,6 +138,13 @@ impl FactorMatrix {
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
         &self.data
+    }
+
+    /// The rows as one flat mutable slice, row `i` at `i * k`, so that
+    /// disjoint row blocks can be borrowed by different threads.
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
     }
 
     /// Squared Frobenius norm `‖·‖_F²`.
@@ -382,25 +367,6 @@ mod tests {
         assert_eq!(f.row(1), before.row(1));
         assert_eq!(f.row(3), &[0.5, 0.5]);
         assert_eq!(f.row(4), &[0.5, 0.5]);
-    }
-
-    #[test]
-    fn copied_blocks_appended_in_order_rebuild_the_matrix() {
-        let f = FactorMatrix::init(5, 3, InitStrategy::UniformScaled, 4);
-        let mut rebuilt = FactorMatrix::with_capacity(f.rows(), f.k());
-        assert_eq!((rebuilt.rows(), rebuilt.k()), (0, 3));
-        for range in [0..2, 2..2, 2..5] {
-            let block = f.copy_rows(range.clone());
-            assert_eq!(block.rows(), range.len());
-            rebuilt.append_rows(&block);
-        }
-        assert_eq!(rebuilt, f);
-    }
-
-    #[test]
-    #[should_panic]
-    fn copy_rows_rejects_a_range_past_the_end() {
-        let _ = FactorMatrix::zeros(2, 3).copy_rows(1..3);
     }
 
     #[test]

@@ -40,8 +40,6 @@ pub enum EventKind {
     /// A query was shed by admission control (`a` = in-flight, `b` =
     /// capacity).
     Shed = 7,
-    /// A hedge was sent (`a` = query id, `b` = hedge delay micros).
-    Hedge = 8,
     /// A query failed over to the stale replica (`a` = query id, `b` =
     /// owning rank).
     Failover = 9,
@@ -62,7 +60,6 @@ impl EventKind {
             EventKind::Join => "join",
             EventKind::QueryOutcome => "query",
             EventKind::Shed => "shed",
-            EventKind::Hedge => "hedge",
             EventKind::Failover => "failover",
             EventKind::Drain => "drain",
         }
@@ -78,7 +75,6 @@ impl EventKind {
             5 => EventKind::Join,
             6 => EventKind::QueryOutcome,
             7 => EventKind::Shed,
-            8 => EventKind::Hedge,
             9 => EventKind::Failover,
             10 => EventKind::Drain,
             _ => return None,
