@@ -9,12 +9,38 @@
 //! Zipf-like popularity model whose skew is configurable; the documented
 //! effect — a heavy-tailed degree distribution over both users and items —
 //! is preserved, and the rest of the pipeline follows the paper.
+//!
+//! # Two passes, one stream
+//!
+//! Every value comes from one seeded [`StdRng`] stream, and the benchmark
+//! and the golden hashes depend on each draw landing where it always has.
+//! [`generate_triplets`] therefore splits the work by whether it draws:
+//!
+//! 1. **In stream order, on one thread:** the marginals' shuffles, the
+//!    ground-truth factors, then per attempt a user and an item, a dedup
+//!    check (the first hit on a position wins), and for each new position
+//!    its own draw — the Gaussian noise, or the whole value for
+//!    [`ValueModel::UniformNoise`] — parked in the entry's value slot.
+//!    These are exactly the draws, in exactly the order, of a loop that
+//!    scores each position as it finds it.
+//! 2. **Off the stream, on every core:** each entry's score
+//!    `⟨w*_i, h*_j⟩` against the ground truth, combined with its parked
+//!    draw by the same expression on the same operands, so each rating has
+//!    the bits it would have had in one loop.  No entry reads another's
+//!    result, so the chunking cannot move a bit either.
+//!
+//! The scoring gathers ground-truth rows in data-dependent order (13.8 MB
+//! of them on `netflix-sim` Medium); pass 2 keeps those cache misses out of
+//! the serial loop and splits them over the cores.
+
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use nomad_matrix::split::train_test_split;
-use nomad_matrix::{RatingMatrix, SplitConfig, TripletMatrix};
+use nomad_matrix::{Entry, Idx, RatingMatrix, SplitConfig, TripletMatrix};
 
 use crate::profiles::DatasetProfile;
 
@@ -177,13 +203,32 @@ fn skewed_cumulative(n: usize, skew: f64, rng: &mut StdRng) -> Vec<f64> {
     cum
 }
 
-/// Samples an index from a cumulative weight vector.
+/// Samples an index from a cumulative weight vector: the first index whose
+/// cumulative weight reaches the draw.
 fn sample_cumulative(cum: &[f64], rng: &mut StdRng) -> usize {
     let total = *cum.last().expect("non-empty cumulative weights");
     let x = rng.gen_range(0.0..total);
-    match cum.binary_search_by(|probe| probe.partial_cmp(&x).expect("no NaN weights")) {
-        Ok(i) => i,
-        Err(i) => i.min(cum.len() - 1),
+    cum.partition_point(|&c| c < x).min(cum.len() - 1)
+}
+
+/// Hashes the dedup set's packed `(i, j)` keys: one 64 × 64 → 128-bit
+/// multiply by an odd constant, its halves folded by xor.  Deterministic,
+/// and a fraction of SipHash's cost.
+#[derive(Default)]
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the dedup set hashes only u64 keys");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let product = key as u128 * 0x9E37_79B9_7F4A_7C15;
+        self.0 = product as u64 ^ (product >> 64) as u64;
     }
 }
 
@@ -231,46 +276,80 @@ pub fn generate_triplets(config: &SyntheticConfig) -> TripletMatrix {
         1.0
     };
 
-    let mut seen = std::collections::HashSet::with_capacity(config.target_nnz * 2);
-    let mut t = TripletMatrix::with_capacity(config.num_users, config.num_items, config.target_nnz);
+    // Pass 1, in stream order: positions, and each new position's own draw
+    // (its noise, or its whole value for uniform noise) in its value slot.
+    let mut seen = HashSet::<u64, BuildHasherDefault<FoldHasher>>::with_capacity_and_hasher(
+        config.target_nnz * 2,
+        Default::default(),
+    );
+    let mut entries = Vec::with_capacity(config.target_nnz);
     // Bail out once collisions dominate: at most 20 attempts per target entry.
     let attempt_cap = config.target_nnz.saturating_mul(20).max(1000);
     let mut attempts = 0usize;
-    while t.nnz() < config.target_nnz && attempts < attempt_cap {
+    while entries.len() < config.target_nnz && attempts < attempt_cap {
         attempts += 1;
         let i = sample_cumulative(&user_cum, &mut rng);
         let j = sample_cumulative(&item_cum, &mut rng);
         if !seen.insert(((i as u64) << 32) | j as u64) {
             continue;
         }
-        let value = match config.value_model {
+        let draw = match config.value_model {
             ValueModel::UniformNoise { min, max } => rng.gen_range(min..max),
-            ValueModel::LowRank { noise_std, .. } => {
-                let score = nomad_linalg_dot(
-                    &w_true[i * rank..(i + 1) * rank],
-                    &h_true[j * rank..(j + 1) * rank],
-                );
-                score + gaussian(&mut rng) * noise_std
-            }
-            ValueModel::ScaledLowRank {
-                noise_std,
-                min,
-                max,
-                ..
-            } => {
-                let score = nomad_linalg_dot(
-                    &w_true[i * rank..(i + 1) * rank],
-                    &h_true[j * rank..(j + 1) * rank],
-                );
-                let mid = 0.5 * (min + max);
-                let half = 0.5 * (max - min);
-                let scaled = mid + score / (2.0 * score_sigma) * half;
-                (scaled + gaussian(&mut rng) * noise_std).clamp(min, max)
-            }
+            ValueModel::LowRank { .. } | ValueModel::ScaledLowRank { .. } => gaussian(&mut rng),
         };
-        t.push(i as u32, j as u32, value);
+        entries.push(Entry::new(i as Idx, j as Idx, draw));
     }
-    t
+
+    // Pass 2, off the stream: score each position against the ground truth.
+    let score = |e: &Entry| {
+        let (i, j) = (e.row as usize, e.col as usize);
+        nomad_linalg_dot(
+            &w_true[i * rank..(i + 1) * rank],
+            &h_true[j * rank..(j + 1) * rank],
+        )
+    };
+    match config.value_model {
+        ValueModel::UniformNoise { .. } => {}
+        ValueModel::LowRank { noise_std, .. } => {
+            finish_values(&mut entries, |e| score(e) + e.value * noise_std);
+        }
+        ValueModel::ScaledLowRank {
+            noise_std,
+            min,
+            max,
+            ..
+        } => {
+            let mid = 0.5 * (min + max);
+            let half = 0.5 * (max - min);
+            finish_values(&mut entries, |e| {
+                let scaled = mid + score(e) / (2.0 * score_sigma) * half;
+                (scaled + e.value * noise_std).clamp(min, max)
+            });
+        }
+    }
+    TripletMatrix::from_entries(config.num_users, config.num_items, entries)
+}
+
+/// Replaces each entry's value with `finish(entry)`, in one contiguous
+/// chunk per core.  A value depends only on its own entry and read-only
+/// data, so how the entries are chunked cannot move a bit.
+fn finish_values(entries: &mut [Entry], finish: impl Fn(&Entry) -> f64 + Sync) {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let finish_all = |chunk: &mut [Entry]| {
+        for e in chunk {
+            e.value = finish(e);
+        }
+    };
+    let mut chunks = entries.chunks_mut(entries.len().div_ceil(cores).max(1));
+    std::thread::scope(|scope| {
+        let first = chunks.next();
+        for chunk in chunks {
+            scope.spawn(|| finish_all(chunk));
+        }
+        if let Some(chunk) = first {
+            finish_all(chunk);
+        }
+    });
 }
 
 // Tiny local dot to avoid importing the linalg crate just for the generator.

@@ -37,6 +37,25 @@ impl TripletMatrix {
         }
     }
 
+    /// Wraps entries built elsewhere, in their order.
+    ///
+    /// # Panics
+    /// Panics if an entry's coordinates are out of bounds.
+    pub fn from_entries(nrows: usize, ncols: usize, entries: Vec<Entry>) -> Self {
+        let in_bounds = |e: &Entry| (e.row as usize) < nrows && (e.col as usize) < ncols;
+        if let Some(e) = entries.iter().find(|e| !in_bounds(e)) {
+            panic!(
+                "entry ({}, {}) out of bounds ({nrows} x {ncols})",
+                e.row, e.col
+            );
+        }
+        Self {
+            nrows,
+            ncols,
+            entries,
+        }
+    }
+
     /// Number of rows `m`.
     #[inline]
     pub fn nrows(&self) -> usize {
@@ -223,6 +242,20 @@ mod tests {
         let t = TripletMatrix::with_capacity(5, 5, 128);
         assert_eq!(t.nnz(), 0);
         assert_eq!(t.nrows(), 5);
+    }
+
+    #[test]
+    fn from_entries_keeps_their_order() {
+        let entries = vec![Entry::new(1, 2, 0.5), Entry::new(0, 0, -1.0)];
+        let t = TripletMatrix::from_entries(2, 3, entries.clone());
+        assert_eq!((t.nrows(), t.ncols()), (2, 3));
+        assert_eq!(t.entries(), &entries[..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn from_entries_rejects_a_column_past_the_edge() {
+        let _ = TripletMatrix::from_entries(2, 2, vec![Entry::new(1, 2, 1.0)]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use std::ops::Range;
 
-use crate::{Entry, Idx, Rating, RowPartition, TripletMatrix};
+use crate::{CsrMatrix, Entry, Idx, Rating, RowPartition, TripletMatrix};
 
 /// Compressed sparse column matrix.
 ///
@@ -24,38 +24,46 @@ pub struct CscMatrix {
 }
 
 impl CscMatrix {
-    /// Builds CSC storage from triplets.
+    /// Builds CSC storage from triplets, as the transpose of their
+    /// [`CsrMatrix`]: each column lists its rows in ascending order, and a
+    /// repeated coordinate keeps its triplets' order — what a stable sort
+    /// of the triplets by `(col, row)` gives, without sorting.
     pub fn from_triplets(t: &TripletMatrix) -> Self {
-        let nrows = t.nrows();
-        let ncols = t.ncols();
-        let nnz = t.nnz();
+        Self::transpose(&CsrMatrix::from_triplets(t))
+    }
 
-        let mut col_counts = vec![0usize; ncols];
-        for e in t.entries() {
-            col_counts[e.col as usize] += 1;
-        }
+    /// The column view of `csr`, by one counting pass and one scatter.
+    /// Rows are visited in ascending order, so each column fills in
+    /// ascending row order.
+    pub(crate) fn transpose(csr: &CsrMatrix) -> Self {
+        let (nrows, ncols, nnz) = (csr.nrows(), csr.ncols(), csr.nnz());
         let mut col_ptr = vec![0usize; ncols + 1];
+        for i in 0..nrows {
+            for &j in csr.row_cols(i) {
+                col_ptr[j as usize + 1] += 1;
+            }
+        }
         for j in 0..ncols {
-            col_ptr[j + 1] = col_ptr[j] + col_counts[j];
+            col_ptr[j + 1] += col_ptr[j];
         }
         let mut row_idx = vec![0 as Idx; nnz];
         let mut values = vec![0.0 as Rating; nnz];
-        let mut cursor = col_ptr.clone();
-        for e in t.entries() {
-            let pos = cursor[e.col as usize];
-            row_idx[pos] = e.row;
-            values[pos] = e.value;
-            cursor[e.col as usize] += 1;
+        let mut cursor = col_ptr[..ncols].to_vec();
+        for i in 0..nrows {
+            for (j, v) in csr.row(i) {
+                let pos = &mut cursor[j as usize];
+                row_idx[*pos] = i as Idx;
+                values[*pos] = v;
+                *pos += 1;
+            }
         }
-        let mut csc = Self {
+        Self {
             nrows,
             ncols,
             col_ptr,
             row_idx,
             values,
-        };
-        csc.sort_cols();
-        csc
+        }
     }
 
     /// Builds the matrix from its columns laid end to end — `counts[j]`
@@ -194,25 +202,6 @@ impl CscMatrix {
             merged.col_ptr.push(merged.row_idx.len());
         }
         *self = merged;
-    }
-
-    fn sort_cols(&mut self) {
-        for j in 0..self.ncols {
-            let (start, end) = (self.col_ptr[j], self.col_ptr[j + 1]);
-            if end - start < 2 {
-                continue;
-            }
-            let mut paired: Vec<(Idx, Rating)> = self.row_idx[start..end]
-                .iter()
-                .copied()
-                .zip(self.values[start..end].iter().copied())
-                .collect();
-            paired.sort_by_key(|&(r, _)| r);
-            for (offset, (r, v)) in paired.into_iter().enumerate() {
-                self.row_idx[start + offset] = r;
-                self.values[start + offset] = v;
-            }
-        }
     }
 
     /// Number of rows `m`.

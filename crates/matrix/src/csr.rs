@@ -56,20 +56,20 @@ impl CsrMatrix {
     }
 
     fn sort_rows(&mut self) {
+        // One scratch buffer for every row; the stable sort keeps repeated
+        // coordinates in triplet order.
+        let mut paired: Vec<(Idx, Rating)> = Vec::new();
         for i in 0..self.nrows {
             let (start, end) = (self.row_ptr[i], self.row_ptr[i + 1]);
             if end - start < 2 {
                 continue;
             }
-            let mut paired: Vec<(Idx, Rating)> = self.col_idx[start..end]
-                .iter()
-                .copied()
-                .zip(self.values[start..end].iter().copied())
-                .collect();
+            let (cols, values) = (&mut self.col_idx[start..end], &mut self.values[start..end]);
+            paired.clear();
+            paired.extend(cols.iter().copied().zip(values.iter().copied()));
             paired.sort_by_key(|&(c, _)| c);
-            for (offset, (c, v)) in paired.into_iter().enumerate() {
-                self.col_idx[start + offset] = c;
-                self.values[start + offset] = v;
+            for ((col, value), &(c, v)) in cols.iter_mut().zip(values.iter_mut()).zip(&paired) {
+                (*col, *value) = (c, v);
             }
         }
     }

@@ -89,12 +89,12 @@ pub struct RatingMatrix {
 }
 
 impl RatingMatrix {
-    /// Builds both orientations from triplets.
+    /// Builds both orientations from triplets: the CSR once, then the
+    /// CSC as its transpose.
     pub fn from_triplets(triplets: &TripletMatrix) -> Self {
-        Self {
-            rows: CsrMatrix::from_triplets(triplets),
-            cols: CscMatrix::from_triplets(triplets),
-        }
+        let rows = CsrMatrix::from_triplets(triplets);
+        let cols = CscMatrix::transpose(&rows);
+        Self { rows, cols }
     }
 
     /// Number of rows (users), `m`.

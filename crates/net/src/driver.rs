@@ -125,6 +125,10 @@ const EOF_EVICT_GRACE: Duration = Duration::from_millis(250);
 /// query, a peer's EOF — wakes the receive at once.
 const DRIVER_TICK: Duration = Duration::from_millis(10);
 
+/// The refusal of a stop condition without an update budget: the driver
+/// drains the mesh when the ranks' summed updates reach that budget.
+const NO_UPDATE_BUDGET: &str = "distributed NOMAD requires an update budget in the stop condition";
+
 /// Configuration of a distributed run: the shared NOMAD configuration
 /// plus the transport-level knobs.
 #[derive(Debug, Clone, Copy)]
@@ -687,10 +691,7 @@ fn run_driver_impl<T: Transport>(
         "initial_ranks {initial} exceeds mesh capacity {capacity}"
     );
     let nomad = &cfg.nomad;
-    let budget = nomad
-        .stop
-        .updates()
-        .expect("distributed NOMAD requires an update budget in the stop condition");
+    let budget = nomad.stop.updates().expect(NO_UPDATE_BUDGET);
     let params = nomad.params;
     let k = params.k;
     let start = Instant::now();
@@ -1616,7 +1617,8 @@ impl DistributedNomad {
     ///
     /// # Panics
     /// Panics if `capacity == 0`, if `capacity` exceeds the 64 slots the
-    /// membership bitmaps can track, or if `cfg.initial_ranks > capacity`.
+    /// membership bitmaps can track, if `cfg.initial_ranks > capacity`, or
+    /// if the stop condition has no update budget.
     pub fn with_config(cfg: NetConfig, capacity: usize) -> Self {
         assert!(capacity > 0, "need at least one rank");
         assert_capacity(capacity);
@@ -1624,6 +1626,7 @@ impl DistributedNomad {
             cfg.initial_ranks <= capacity,
             "initial_ranks exceeds capacity"
         );
+        assert!(cfg.nomad.stop.updates().is_some(), "{NO_UPDATE_BUDGET}");
         Self {
             cfg,
             ranks: capacity,

@@ -7,7 +7,8 @@ use nomad::core::serial::{replay_schedule, ProcessingEvent};
 use nomad::core::worker::{partition_covers_all_ratings, WorkerData};
 use nomad::linalg::{Cholesky, DenseMatrix};
 use nomad::matrix::{
-    train_test_split, CscMatrix, CsrMatrix, RatingMatrix, RowPartition, SplitConfig, TripletMatrix,
+    train_test_split, CscMatrix, CsrMatrix, Entry, RatingMatrix, RowPartition, SplitConfig,
+    TripletMatrix,
 };
 use nomad::sgd::{FactorModel, HyperParams};
 
@@ -35,8 +36,48 @@ fn arb_triplets() -> impl Strategy<Value = TripletMatrix> {
     })
 }
 
+/// Strategy: triplets on a random shape, with rows and columns left empty
+/// and coordinates that repeat, each carrying a distinct value so that the
+/// order of a repeated coordinate's triplets shows.
+fn arb_triplets_with_repeats() -> impl Strategy<Value = TripletMatrix> {
+    (1usize..12, 1usize..12, 0usize..60, any::<u64>()).prop_map(|(rows, cols, nnz, seed)| {
+        let mut t = TripletMatrix::new(rows, cols);
+        let mut state = seed | 1;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as u32
+        };
+        for k in 0..nnz {
+            let (i, j) = (next(rows), next(cols));
+            t.push(i, j, k as f64 * 0.5 - 3.0);
+        }
+        t
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The column view is built by transposing the row view, and must
+    /// equal a stable sort of the triplets by `(col, row)`: each column in
+    /// ascending row order, a repeated coordinate in triplet order, and
+    /// every value bit for bit.
+    #[test]
+    fn the_transpose_equals_a_stable_sort(t in arb_triplets_with_repeats()) {
+        let mut sorted = t.entries().to_vec();
+        sorted.sort_by_key(|e| (e.col, e.row));
+        let bits = |e: Entry| (e.row, e.col, e.value.to_bits());
+        let data = RatingMatrix::from_triplets(&t);
+        let csc = data.by_cols();
+        prop_assert_eq!((csc.nrows(), csc.ncols()), (t.nrows(), t.ncols()));
+        prop_assert_eq!(csc.col_counts(), t.col_counts());
+        let built: Vec<_> = csc.iter_entries().map(bits).collect();
+        let expected: Vec<_> = sorted.into_iter().map(bits).collect();
+        prop_assert_eq!(built, expected);
+        prop_assert_eq!(&CscMatrix::from_triplets(&t), csc);
+    }
 
     /// CSR and CSC views built from the same triplets contain exactly the
     /// same set of entries.
