@@ -80,6 +80,29 @@
 //! *miss* items, never mis-score them.  The `ivf_approx` test suite pins
 //! both properties.
 //!
+//! # Building the index
+//!
+//! A build is `KMEANS_ITERS` Lloyd iterations and a last assignment, and
+//! the assignment passes, every row against every centroid, are nearly all
+//! of its work.  One routine runs them, for a build and for a refresh's
+//! changed rows alike.  It copies the centroids into blocks of four, each
+//! block transposed so that a coordinate of its four centroids is four
+//! adjacent `f64`s, and walks the rows in tiles of 32: a block scores
+//! every row of the tile before the next block is read, so it stays in L1
+//! where a row at a time streamed every centroid from L2.  A block's four
+//! dots with a row are the four lanes of one vector per partial sum `s_l`,
+//! and each lane runs [`nomad_linalg::dot`]'s operations in `dot`'s order:
+//! the chunks of four coordinates in order, `(s0 + s1) + (s2 + s3)`, then
+//! the scalar tail, each step a multiply and then an add, never fused.  So
+//! every dot has the bits `dot` gives, the `n % 4` centroids past the last
+//! block go through `dot` itself, and a row meets the centroids in
+//! ascending order under the same strict `total_cmp` test: it keeps the
+//! centroid a row-at-a-time scan keeps.  A row's nearest centroid depends
+//! on that row alone, so contiguous chunks of rows go to scoped threads,
+//! one a core, each writing its own slice of the answer; a pass too small
+//! to pay for a spawn runs on the caller.  The index is the same bit for
+//! bit on any number of cores and in either kernel form.
+//!
 //! # Freshness under live training
 //!
 //! The index is built from one published snapshot and patched forward
@@ -119,9 +142,13 @@ use crate::snapshot::{ranks_higher, ModelSnapshot, Recommendation, TopK, Weakest
 const KMEANS_ITERS: usize = 4;
 
 /// A [`IvfIndex::refresh`] whose changed set exceeds this fraction of
-/// the catalog rebuilds from scratch instead of patching: past this
-/// point, patching costs as much as rebuilding and leaves drifted
-/// centroids behind.
+/// the catalog rebuilds from scratch instead of patching, which leaves
+/// drifted centroids behind.  On cost alone patching wins further out:
+/// on `serve-static`'s catalog (65,536 × 32, 256 lists, 2 cores) a
+/// rebuild costs 4.5 µs a row (0.30 s) and a patch 2.5 µs a changed row
+/// (15.8 ms for 9.5% of the rows), so patching the whole catalog would
+/// still cost 0.6 of a rebuild.  ROADMAP item 13 chooses the fraction on
+/// a training workload's churn.
 const REBUILD_FRACTION: f64 = 0.5;
 
 /// Norm past which a row gets `ρ = +∞` and a user filters nothing: below
@@ -204,9 +231,27 @@ pub struct IvfIndex {
 
 impl IvfIndex {
     /// Builds the index from a published snapshot's item rows with a
-    /// seeded k-means (deterministic for a given snapshot + params).  An
-    /// empty catalog gets no centroids, so k-means has nothing to move.
+    /// seeded k-means (deterministic for a given snapshot + params, and
+    /// bit for bit the same on any number of cores).  Each assignment
+    /// pass runs in the widest kernel form this CPU has, split over every
+    /// core (module docs, "Building the index").  An empty catalog gets no
+    /// centroids, so k-means has nothing to move.
     pub fn build(snap: &ModelSnapshot, params: IvfParams) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(avx2) = Avx2::detect() {
+            return Self::build_on(avx2, snap, params, cores());
+        }
+        Self::build_on(Portable, snap, params, cores())
+    }
+
+    /// [`Self::build`] with its assignment passes in the kernel form
+    /// `kernels`, on at most `threads` threads.
+    fn build_on<K: AssignForm>(
+        kernels: K,
+        snap: &ModelSnapshot,
+        params: IvfParams,
+        threads: usize,
+    ) -> Self {
         let items = snap.num_items();
         let k = snap.k();
         let n = params.centroids_for(items);
@@ -239,10 +284,10 @@ impl IvfIndex {
             stamp: (snap.epoch(), snap.updates_at()),
         };
         for _ in 0..KMEANS_ITERS {
-            index.assign_items(snap, 0..items as Idx);
+            index.assign_rows(kernels, snap, None, threads);
             index.refit_centroids(snap);
         }
-        index.assign_items(snap, 0..items as Idx);
+        index.assign_rows(kernels, snap, None, threads);
         index.rebuild_postings(snap);
         index
     }
@@ -270,6 +315,9 @@ impl IvfIndex {
     /// with its code and `ρ_j`, re-encoded on its new list's grid, and
     /// raising its list's radius to cover it.  `changed` must name
     /// every row that differs from the snapshot the index describes.
+    /// The changed rows go through a build's assignment routine
+    /// (`assign_rows`, on every core), so each lands on the
+    /// centroid a build's last pass over these centroids would give it.
     /// Falls back to a full rebuild when the dimensions changed, the
     /// churn exceeds `REBUILD_FRACTION` (half the catalog), or `snap` is
     /// older than that snapshot (a change set only runs forward).
@@ -568,61 +616,53 @@ impl IvfIndex {
     }
 
     /// The k-means assignment step: `assign[j] ←` the centroid nearest to
-    /// item `j`'s row, for each `j` of `items`.  Postings are the caller's
-    /// to bring in line.
-    fn assign_items(&mut self, snap: &ModelSnapshot, items: impl Iterator<Item = Idx>) {
+    /// item `j`'s row, for each `j` of `items`, in the widest kernel form
+    /// this CPU has, on every core.  Postings are the caller's to bring in
+    /// line.
+    fn assign_items(&mut self, snap: &ModelSnapshot, items: impl IntoIterator<Item = Idx>) {
         #[cfg(target_arch = "x86_64")]
         if let Some(avx2) = Avx2::detect() {
-            // SAFETY: `avx2` is the proof that this CPU has the feature.
-            return unsafe { self.assign_items_avx2(avx2, snap, items) };
+            return self.assign_items_on(avx2, snap, items);
         }
         self.assign_items_on(Portable, snap, items)
     }
 
-    /// [`Self::assign_items_on`] compiled with AVX2 enabled, so the wide
-    /// `dot` inlines into the items × centroids loop.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn assign_items_avx2(
-        &mut self,
-        avx2: Avx2,
-        snap: &ModelSnapshot,
-        items: impl Iterator<Item = Idx>,
-    ) {
-        self.assign_items_on(avx2, snap, items)
-    }
-
-    /// The loop behind [`Self::assign_items`], over the kernel form
-    /// `kernels`.  Nearest in L2, ties to the lowest index:
-    /// `argmin ‖row − c‖²` = `argmin ‖c‖² − 2⟨row, c⟩` (the `‖row‖²` term
-    /// is constant across centroids), with each `‖c‖²` computed once for
-    /// the whole batch — the centroids do not move during an assignment.
-    #[inline(always)]
-    fn assign_items_on<K: Kernels>(
+    /// [`Self::assign_items`] in the kernel form `kernels`.
+    fn assign_items_on<K: AssignForm>(
         &mut self,
         kernels: K,
         snap: &ModelSnapshot,
-        items: impl Iterator<Item = Idx>,
+        items: impl IntoIterator<Item = Idx>,
     ) {
-        let n = self.n_centroids();
-        let mut norms = Vec::with_capacity(n);
-        for c in 0..n {
-            let cent = self.centroid(c);
-            norms.push(kernels.dot(cent, cent));
-        }
-        for j in items {
-            let row = snap.item_factor(j);
-            let mut best = 0usize;
-            let mut best_d = f64::INFINITY;
-            for (c, norm) in norms.iter().enumerate() {
-                let cent = self.centroid(c);
-                let d = norm - 2.0 * kernels.dot(row, cent);
-                if d.total_cmp(&best_d) == std::cmp::Ordering::Less {
-                    best_d = d;
-                    best = c;
-                }
-            }
-            self.assign[j as usize] = best as u32;
+        let rows: Vec<Idx> = items.into_iter().collect();
+        self.assign_rows(kernels, snap, Some(&rows), cores());
+    }
+
+    /// The one assignment routine behind [`Self::build`] and
+    /// [`Self::refresh`]: `assign[j] ←` the centroid nearest to item `j`'s
+    /// row for each `j` of `rows`, or of every item if `rows` is `None`, in
+    /// the kernel form `kernels` on at most `threads` threads
+    /// ([`nearest_split`]).  Nearest in L2, ties to the lowest index:
+    /// `argmin ‖row − c‖²` = `argmin ‖c‖² − 2⟨row, c⟩` (the `‖row‖²` term
+    /// is constant across centroids), each `‖c‖²` computed once per call —
+    /// the centroids do not move during an assignment.  Over every item the
+    /// threads write `assign` itself; over a subset, a scratch copied in.
+    fn assign_rows<K: AssignForm>(
+        &mut self,
+        kernels: K,
+        snap: &ModelSnapshot,
+        rows: Option<&[Idx]>,
+        threads: usize,
+    ) {
+        let table = CentroidBlocks::new(kernels, &self.centroids, self.n_centroids(), self.k);
+        let Some(rows) = rows else {
+            let every = |i: usize| i as Idx;
+            return nearest_split(kernels, &table, snap, &every, &mut self.assign, threads);
+        };
+        let mut nearest = vec![0; rows.len()];
+        nearest_split(kernels, &table, snap, &|i| rows[i], &mut nearest, threads);
+        for (&j, c) in rows.iter().zip(nearest) {
+            self.assign[j as usize] = c;
         }
     }
 
@@ -766,6 +806,257 @@ impl IvfIndex {
     fn centroid(&self, c: usize) -> &[f64] {
         &self.centroids[c * self.k..(c + 1) * self.k]
     }
+}
+
+/// Rows an assignment scores against one block of four centroids before
+/// moving to the next: the block (`4·k` `f64`s, 1 KiB at k = 32) is
+/// loaded once a tile and stays in L1 while the tile's rows (8 KiB at
+/// k = 32) do too, where a row at a time streams every centroid from L2.
+const TILE: usize = 32;
+
+/// Least assignment work a thread takes (rows × centroids × k
+/// multiplies), as for `QueryEngine::batch_top_k`: below it a spawn and
+/// join costs more than the thread saves.
+const SPAWN_WORK: usize = 1 << 18;
+
+/// The cores this process may run on, at least 1.
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The centroids as an assignment pass reads them: in blocks of four,
+/// each block transposed so that a coordinate of its four centroids is
+/// four adjacent `f64`s (`blocks[4·(b·k + d) + l]` is coordinate `d` of
+/// centroid `4b + l`), plus every centroid's `‖c‖²` through `dot`.  The
+/// `n % 4` centroids past the last block are read from `centroids`.
+struct CentroidBlocks<'a> {
+    k: usize,
+    centroids: &'a [f64],
+    blocks: Vec<f64>,
+    norms: Vec<f64>,
+}
+
+impl<'a> CentroidBlocks<'a> {
+    fn new(kernels: impl Kernels, centroids: &'a [f64], n: usize, k: usize) -> Self {
+        let mut blocks = vec![0.0; 4 * k * (n / 4)];
+        for (b, block) in blocks.chunks_exact_mut(4 * k.max(1)).enumerate() {
+            for l in 0..4 {
+                let c = &centroids[(4 * b + l) * k..(4 * b + l + 1) * k];
+                for (d, &v) in c.iter().enumerate() {
+                    block[4 * d + l] = v;
+                }
+            }
+        }
+        let norms = (0..n)
+            .map(|c| {
+                let c = &centroids[c * k..(c + 1) * k];
+                kernels.dot(c, c)
+            })
+            .collect();
+        Self {
+            k,
+            centroids,
+            blocks,
+            norms,
+        }
+    }
+}
+
+/// Which item an assignment pass scores at a position of its answer.
+type RowOf<'a> = dyn Fn(usize) -> Idx + Sync + 'a;
+
+/// `out[i] ←` the centroid nearest to row `item(i)`, in the kernel form
+/// `kernels`.  A row's nearest centroid depends on that row alone, so
+/// `out` is cut into contiguous chunks, one a thread of at most `threads`
+/// scoped threads, each writing its own slice; a pass with under
+/// `SPAWN_WORK` multiplies a thread runs on the caller.
+fn nearest_split<K: AssignForm>(
+    kernels: K,
+    table: &CentroidBlocks,
+    snap: &ModelSnapshot,
+    item: &RowOf,
+    out: &mut [u32],
+    threads: usize,
+) {
+    let work = out.len() * table.norms.len() * table.k;
+    let threads = threads.min(out.len()).min((work / SPAWN_WORK).max(1));
+    if threads <= 1 {
+        return kernels.nearest(table, snap, item, 0, out);
+    }
+    let chunk = out.len().div_ceil(threads);
+    std::thread::scope(|scope| {
+        for (c, out) in out.chunks_mut(chunk).enumerate() {
+            scope.spawn(move || kernels.nearest(table, snap, item, c * chunk, out));
+        }
+    });
+}
+
+/// A kernel form that runs its share of an assignment pass compiled for
+/// itself: [`Portable`] as written, [`Avx2`] inside a wrapper that enables
+/// the feature, where the blocked loops of [`nearest_on`] compile to
+/// four-lane vectors and the wide `dot` inlines.
+trait AssignForm: Kernels + Send + Sync {
+    /// `out[i] ←` the centroid nearest to row `item(first + i)`
+    /// ([`nearest_on`]).
+    fn nearest(
+        self,
+        table: &CentroidBlocks,
+        snap: &ModelSnapshot,
+        item: &RowOf,
+        first: usize,
+        out: &mut [u32],
+    );
+}
+
+impl AssignForm for Portable {
+    fn nearest(
+        self,
+        table: &CentroidBlocks,
+        snap: &ModelSnapshot,
+        item: &RowOf,
+        first: usize,
+        out: &mut [u32],
+    ) {
+        nearest_on(self, table, snap, item, first, out);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl AssignForm for Avx2 {
+    fn nearest(
+        self,
+        table: &CentroidBlocks,
+        snap: &ModelSnapshot,
+        item: &RowOf,
+        first: usize,
+        out: &mut [u32],
+    ) {
+        // SAFETY: `self` is the proof that this CPU has the feature.
+        unsafe { nearest_avx2(self, table, snap, item, first, out) }
+    }
+}
+
+/// [`nearest_on`] compiled with AVX2 enabled.
+///
+/// # Safety
+/// The CPU must support AVX2 — `avx2` is the proof.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn nearest_avx2(
+    avx2: Avx2,
+    table: &CentroidBlocks,
+    snap: &ModelSnapshot,
+    item: &RowOf,
+    first: usize,
+    out: &mut [u32],
+) {
+    nearest_on(avx2, table, snap, item, first, out);
+}
+
+/// `out[i] ←` the centroid nearest to row `item(first + i)`, over the
+/// kernel form `kernels`.  Tile by tile of `TILE` rows, each block of four
+/// centroids scores every row of the tile ([`block_dots`]), then the
+/// centroids past the last block score them through `kernels.dot`.  A row
+/// still meets the centroids in ascending order and keeps the first whose
+/// `‖c‖² − 2⟨row, c⟩` is strictly least under `total_cmp`, with every dot
+/// the bits `dot` returns, so the answer is the per-row scan's, bit for
+/// bit.
+#[inline(always)]
+fn nearest_on<K: Kernels>(
+    kernels: K,
+    table: &CentroidBlocks,
+    snap: &ModelSnapshot,
+    item: &RowOf,
+    first: usize,
+    out: &mut [u32],
+) {
+    let k = table.k;
+    let n = table.norms.len();
+    for (t, out) in out.chunks_mut(TILE).enumerate() {
+        let mut tile_rows: [&[f64]; TILE] = [&[]; TILE];
+        let tile_rows = &mut tile_rows[..out.len()];
+        for (i, row) in tile_rows.iter_mut().enumerate() {
+            *row = snap.item_factor(item(first + t * TILE + i));
+        }
+        let mut best = [(f64::INFINITY, 0u32); TILE];
+        let best = &mut best[..out.len()];
+        let blocks = table.blocks.chunks_exact(4 * k.max(1));
+        for (b, (block, norms)) in blocks.zip(table.norms.chunks_exact(4)).enumerate() {
+            // Two rows at a time share each load of the block.
+            let mut pairs = tile_rows.chunks_exact(2);
+            let mut bests = best.chunks_exact_mut(2);
+            for (pair, best) in (&mut pairs).zip(&mut bests) {
+                let [dots0, dots1] = block_dots([pair[0], pair[1]], block);
+                offer(&mut best[0], 4 * b, norms, dots0);
+                offer(&mut best[1], 4 * b, norms, dots1);
+            }
+            if let ([row], [best]) = (pairs.remainder(), bests.into_remainder()) {
+                let [dots] = block_dots([*row], block);
+                offer(best, 4 * b, norms, dots);
+            }
+        }
+        for c in 4 * (n / 4)..n {
+            let cent = &table.centroids[c * k..(c + 1) * k];
+            for (&row, best) in tile_rows.iter().zip(best.iter_mut()) {
+                offer(best, c, &table.norms[c..=c], [kernels.dot(row, cent)]);
+            }
+        }
+        for (o, &(_, c)) in out.iter_mut().zip(&*best) {
+            *o = c;
+        }
+    }
+}
+
+/// Offers a row the centroids `first, first + 1, …` in order, at the
+/// squared norms `norms` and the dots `dots`: each becomes the row's
+/// `best` if its `‖c‖² − 2⟨row, c⟩` is strictly below the best distance so
+/// far under `total_cmp`, so ties go to the lowest index.
+#[inline(always)]
+fn offer<const L: usize>(best: &mut (f64, u32), first: usize, norms: &[f64], dots: [f64; L]) {
+    for (l, (&norm, dot)) in norms.iter().zip(dots).enumerate() {
+        let d = norm - 2.0 * dot;
+        if d.total_cmp(&best.0) == std::cmp::Ordering::Less {
+            *best = (d, (first + l) as u32);
+        }
+    }
+}
+
+/// `dot(row, c)` for each row of `rows` and each of the four centroids `c`
+/// of one transposed block, each lane the bits [`nomad_linalg::dot`]
+/// returns: the vector `s[r][l]` holds partial sum `s_l` of row `r` and all
+/// four centroids, so each lane adds `row[4i + l]·c[4i + l]` chunk by chunk
+/// in order, the lanes reduce as `(s0 + s1) + (s2 + s3)` and the `k % 4`
+/// tail coordinates are added one at a time after — `dot`'s association,
+/// and a multiply then an add (never fused) at every step.  Two rows at a
+/// time share each load of the block and keep eight sums in flight.
+#[inline(always)]
+fn block_dots<const R: usize>(rows: [&[f64]; R], block: &[f64]) -> [[f64; 4]; R] {
+    debug_assert!(rows.iter().all(|row| 4 * row.len() == block.len()));
+    let mut s = [[[0.0f64; 4]; 4]; R];
+    let mut ts = block.chunks_exact(16);
+    let mut xs = rows.map(|row| row.chunks_exact(4));
+    for t in &mut ts {
+        for (s, xs) in s.iter_mut().zip(&mut xs) {
+            let x = xs.next().expect("a row chunk per block chunk");
+            for (l, s) in s.iter_mut().enumerate() {
+                for (m, s) in s.iter_mut().enumerate() {
+                    *s += x[l] * t[4 * l + m];
+                }
+            }
+        }
+    }
+    let mut acc = [[0.0f64; 4]; R];
+    for ((acc, s), xs) in acc.iter_mut().zip(&s).zip(&xs) {
+        for (m, acc) in acc.iter_mut().enumerate() {
+            *acc = (s[0][m] + s[1][m]) + (s[2][m] + s[3][m]);
+        }
+        for (&x, t) in xs.remainder().iter().zip(ts.remainder().chunks_exact(4)) {
+            for (acc, &t) in acc.iter_mut().zip(t) {
+                *acc += x * t;
+            }
+        }
+    }
+    acc
 }
 
 /// Whether a row whose score is at most `ub` cannot reach the top `k`
@@ -1447,5 +1738,148 @@ mod tests {
         assert_eq!(p.centroids_for(16384), 128);
         assert_eq!(params(9).centroids_for(4), 4, "clamped to the catalog");
         assert_eq!(p.centroids_for(0), 0, "an empty catalog has no centroids");
+    }
+
+    /// FNV-1a over the bits of every field of `idx`, list lengths
+    /// included, so two indexes hash equal only if they are equal bit for
+    /// bit.
+    fn index_hash(idx: &IvfIndex) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |v: u64| {
+            for b in v.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        eat(idx.k as u64);
+        eat(idx.items as u64);
+        idx.assign.iter().for_each(|&a| eat(a.into()));
+        for p in &idx.postings {
+            eat(p.len() as u64);
+            p.iter().for_each(|&j| eat(j.into()));
+        }
+        for field in [
+            &idx.centroids,
+            &idx.centroid_norms,
+            &idx.radii,
+            &idx.lo,
+            &idx.steps,
+            &idx.lo_norms,
+        ] {
+            field.iter().for_each(|v| eat(v.to_bits()));
+        }
+        for (codes, rho) in idx.codes.iter().zip(&idx.row_radii) {
+            eat(codes.len() as u64);
+            codes.iter().for_each(|&q| eat(q.into()));
+            rho.iter().for_each(|r| eat(r.to_bits().into()));
+        }
+        eat(idx.stamp.0);
+        eat(idx.stamp.1);
+        h
+    }
+
+    /// The catalogs the build pins cover, as `(n_centroids, k, model)`:
+    /// k ∈ {7, 30, 32, 100}; centroid counts that leave 2, 3, 2, 2 and 0
+    /// centroids past a multiple of 4, one centroid, and one per item;
+    /// item counts off the 32-row tile and off every thread split; two
+    /// catalogs whose assignment work sits below the spawn threshold (`n =
+    /// 1` and `n = items`); one with NaN rows, which sort above every
+    /// distance; and one with ±∞ rows, whose sums make the negative NaN
+    /// x86 produces for `∞ − ∞`, which sorts below every distance (both
+    /// through `total_cmp`, and both turn centroids non-finite).  Every
+    /// NaN of a catalog has one sign, so no sum of two NaNs leaves the
+    /// compiler a choice of bits.
+    fn pinned_catalogs() -> Vec<(usize, usize, FactorModel)> {
+        let mut nan = clustered(2, 1_500, 32, 10, 41);
+        nan.h.set_row(5, &[f64::NAN; 32]);
+        nan.h.row_mut(17)[3] = f64::NAN;
+        nan.h.row_mut(1_499)[31] = f64::NAN;
+        let mut inf = clustered(2, 1_203, 32, 10, 43);
+        inf.h.row_mut(40)[0] = f64::INFINITY;
+        inf.h.set_row(41, &[f64::NEG_INFINITY; 32]);
+        inf.h.row_mut(99)[7] = f64::INFINITY;
+        inf.h.row_mut(99)[8] = f64::NEG_INFINITY;
+        inf.h.row_mut(300)[2] = -f64::NAN;
+        vec![
+            (30, 7, FactorModel::init(2, 3_001, 7, 1)),
+            (0, 30, clustered(2, 1_200, 30, 12, 2)),
+            (1, 32, FactorModel::init(2, 3_001, 32, 3)),
+            (45, 100, FactorModel::init(2, 45, 100, 4)),
+            (26, 32, nan),
+            (22, 32, inf),
+            (64, 32, clustered(2, 1_031, 32, 24, 6)),
+        ]
+    }
+
+    /// `m` with every 20th item row (5% of the catalog) moved to the
+    /// midpoint of two of `idx`'s centroids, where the two distances
+    /// differ by rounding alone, and the `changed` set a refresh of it
+    /// takes.  Which of the two a row joins turns on the last bits of its
+    /// dots.
+    fn perturbed(m: &FactorModel, idx: &IvfIndex) -> (FactorModel, Vec<Idx>) {
+        let mut m = m.clone();
+        let n = idx.n_centroids();
+        let changed: Vec<Idx> = (7..m.h.rows() as Idx).step_by(20).collect();
+        for (i, &j) in changed.iter().enumerate() {
+            let (a, b) = (idx.centroid(i % n), idx.centroid((7 * i + 1) % n));
+            for ((v, &a), &b) in m.h.row_mut(j as usize).iter_mut().zip(a).zip(b) {
+                *v = 0.5 * (a + b);
+            }
+        }
+        (m, changed)
+    }
+
+    #[test]
+    fn builds_and_refreshes_hash_to_their_pins() {
+        // Recorded before the assignment was tiled and split over
+        // threads: the index of every catalog, then the same index
+        // patched by one refresh, is the one the per-row loop built.
+        const PINS: [(u64, u64); 7] = [
+            (0xbafe_829c_23dc_609b, 0x33e2_6221_e083_58e3),
+            (0x08b1_5d88_ca70_0263, 0x8903_05d7_3a52_8854),
+            (0xeeff_bffe_549c_b204, 0x8ce9_3e90_508a_e289),
+            (0x38c4_c781_3d5a_ae71, 0xf8c3_d3d2_361e_f2fe),
+            (0xf820_54da_c1fa_0ca6, 0x0bd1_7ab3_6800_e2cd),
+            (0x0b7a_475b_0a90_f9fa, 0x6138_344d_6dd5_7515),
+            (0x4d0d_35a5_c00a_9bca, 0xae71_8332_6b7b_da9b),
+        ];
+        let mut got = Vec::new();
+        for (n, _, m) in pinned_catalogs() {
+            let s = ModelSnapshot::from_model(&m, 1, 100);
+            let mut idx = IvfIndex::build(&s, params(n));
+            let built = index_hash(&idx);
+            let (m2, changed) = perturbed(&m, &idx);
+            let s2 = ModelSnapshot::from_model(&m2, 2, 200);
+            assert!(!idx.refresh(&s2, &changed), "5% churn patches");
+            got.push((built, index_hash(&idx)));
+        }
+        let shown: Vec<String> = got
+            .iter()
+            .map(|(b, r)| format!("(0x{b:016x}, 0x{r:016x})"))
+            .collect();
+        assert_eq!(got, PINS, "{}", shown.join(",\n"));
+    }
+
+    #[test]
+    fn both_kernel_forms_build_the_same_index_on_any_number_of_threads() {
+        // Each form on one thread, and on three (chunks of uneven length,
+        // and more threads than this box may have cores), builds the index
+        // the portable form builds on one, bit for bit.
+        for (i, (n, _, m)) in pinned_catalogs().into_iter().enumerate() {
+            let s = ModelSnapshot::from_model(&m, 1, 100);
+            let want = index_hash(&IvfIndex::build_on(Portable, &s, params(n), 1));
+            let portable = IvfIndex::build_on(Portable, &s, params(n), 3);
+            assert_eq!(index_hash(&portable), want, "catalog {i}, 3 threads");
+            #[cfg(target_arch = "x86_64")]
+            if let Some(avx2) = Avx2::detect() {
+                for threads in [1, 3] {
+                    let wide = IvfIndex::build_on(avx2, &s, params(n), threads);
+                    assert_eq!(
+                        index_hash(&wide),
+                        want,
+                        "catalog {i}, {threads} threads, AVX2"
+                    );
+                }
+            }
+        }
     }
 }
