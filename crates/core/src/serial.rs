@@ -20,7 +20,7 @@ use nomad_sgd::{FactorModel, HyperParams};
 
 use nomad_telemetry::Registry;
 
-use crate::config::{NomadConfig, StopCondition};
+use crate::config::NomadConfig;
 use crate::hop::sweep;
 use crate::online::{sample_rmse, OnlineData, OnlineOutput};
 use crate::routing::Router;
@@ -334,15 +334,10 @@ pub fn replay_schedule(
     model
 }
 
-/// Convenience: the stop condition used by quick tests — a small number of
-/// updates.
-pub fn quick_stop(updates: u64) -> StopCondition {
-    StopCondition::Updates(updates)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::StopCondition;
     use nomad_data::{named_dataset, SizeTier};
     use nomad_matrix::PartitionStrategy;
 
@@ -427,11 +422,6 @@ mod tests {
         let replayed = replay_schedule(&data, &partition, params, 9, &[]);
         let fresh = FactorModel::init(data.nrows(), data.ncols(), 4, 9);
         assert_eq!(replayed, fresh);
-    }
-
-    #[test]
-    fn quick_stop_builds_update_budget() {
-        assert_eq!(quick_stop(7).updates(), Some(7));
     }
 
     #[test]

@@ -59,13 +59,14 @@
 //!   the corpse's user segments and synthesizes them as fresh rows
 //!   (zero tickets, zero passes) at gather, which keeps both the
 //!   exactly-once assertion and the debt equation intact.
-//! * **Join** — a [`Message::Join`] (or a TCP `Hello` the transport
-//!   surfaces as one) admits a new rank mid-run: the driver ships it an
-//!   empty-shard `Setup`, broadcasts [`Message::AddRank`] (no barrier —
-//!   adding a routing destination is always safe), and rebalances half of
-//!   the largest segment of the most-loaded rank to it via
-//!   [`Message::Rebalance`].  Joins after drain are rejected with a
-//!   best-effort `Evict` so the newcomer exits cleanly.
+//! * **Join** — a [`Message::Join`] admits a new rank mid-run (over
+//!   [`crate::Loopback`]; a TCP mesh is fixed at its handshake): the
+//!   driver ships it an empty-shard `Setup`, broadcasts
+//!   [`Message::AddRank`] (no barrier — adding a routing destination is
+//!   always safe), and rebalances half of the largest segment of the
+//!   most-loaded rank to it via [`Message::Rebalance`].  Joins after
+//!   drain are rejected with a best-effort `Evict` so the newcomer exits
+//!   cleanly.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -138,9 +139,6 @@ pub struct NetConfig {
     /// update budget; wall-clock budgets are not reproducible across
     /// machines.
     pub nomad: NomadConfig,
-    /// Updates between a rank's progress reports to the driver; `0`
-    /// derives a default from the budget (~64 reports per rank per run).
-    pub progress_every: u64,
     /// Peer-silence threshold in milliseconds before the driver evicts a
     /// rank; `0` disables failure detection entirely (pre-elastic
     /// behavior: a dead rank hangs the run until the driver deadline).
@@ -173,21 +171,12 @@ impl NetConfig {
     pub fn new(nomad: NomadConfig) -> Self {
         Self {
             nomad,
-            progress_every: 0,
             heartbeat_timeout_ms: DEFAULT_HEARTBEAT_TIMEOUT_MS,
             initial_ranks: 0,
             abort_rank: None,
             abort_after_updates: 0,
             serve_publish_every: 0,
             serve_nprobe: 0,
-        }
-    }
-
-    fn effective_progress_every(&self, budget: u64) -> u64 {
-        if self.progress_every > 0 {
-            self.progress_every
-        } else {
-            (budget / 64).max(1024)
         }
     }
 }
@@ -1120,7 +1109,8 @@ fn make_setup(
         routing: nomad.routing,
         budget,
         message_batch: nomad.message_batch as u32,
-        progress_every: cfg.effective_progress_every(budget),
+        // ~64 progress reports per rank per run.
+        progress_every: (budget / 64).max(1024),
         heartbeat_timeout_ms: cfg.heartbeat_timeout_ms,
         abort_after_updates: abort_after,
         serve_publish_every: cfg.serve_publish_every,
@@ -1631,12 +1621,6 @@ impl DistributedNomad {
             cfg,
             ranks: capacity,
         }
-    }
-
-    /// Overrides the progress-report cadence.
-    pub fn with_progress_every(mut self, every: u64) -> Self {
-        self.cfg.progress_every = every;
-        self
     }
 
     /// The configuration in use.

@@ -454,6 +454,35 @@ impl Shape {
     }
 }
 
+/// The membership a `Setup` for endpoint `rank` of a `capacity`-rank mesh
+/// starts from, or its refusal: the frame must be addressed to this rank
+/// and this mesh, and its active ranks must lie inside the mesh and
+/// include this one.  With [`Shape::adopt`] for its segment, this is the
+/// whole check a `Setup` gets.
+fn setup_members(setup: &SetupPayload, rank: usize, capacity: usize) -> Result<u64, NetError> {
+    let refuse = |why: String| Err(NetError::Protocol(format!("Setup refused: {why}")));
+    if setup.rank as usize != rank {
+        return refuse(format!("addressed to rank {}, not {rank}", setup.rank));
+    }
+    if setup.ranks as usize != capacity {
+        return refuse(format!("a {}-rank mesh, not {capacity}", setup.ranks));
+    }
+    if capacity > MAX_CAPACITY {
+        return refuse(format!("{capacity} ranks exceed {MAX_CAPACITY}"));
+    }
+    let mut members = 0;
+    for &r in &setup.active_ranks {
+        if r as usize >= capacity {
+            return refuse(format!("active rank {r} outside the mesh"));
+        }
+        members |= bit(r as usize);
+    }
+    if members & bit(rank) == 0 {
+        return refuse(format!("rank {rank} is not active"));
+    }
+    Ok(members)
+}
+
 /// The worker's mutable model state, lockable so the comm thread can
 /// finish pending segment transfers after the worker has exited.
 /// During the run the worker holds the lock for the whole loop — the
@@ -592,22 +621,10 @@ fn run_rank_inner<T: Transport>(
 ) -> Result<(), NetError> {
     // `Setup` just came off the inbox: the rank's fixed cost starts here.
     let setup_taken = Instant::now();
-    let rank = setup.rank as usize;
-    let capacity = setup.ranks as usize;
-    let driver = transport.ranks();
-    assert_eq!(rank, transport.id(), "setup addressed to the wrong rank");
-    assert_eq!(capacity, transport.ranks(), "mesh capacity mismatch");
-    assert_capacity(capacity);
+    let (rank, capacity) = (transport.id(), transport.ranks());
+    let driver = capacity;
+    let members = setup_members(&setup, rank, capacity)?;
     let k = setup.k as usize;
-    let members = if setup.active_ranks.is_empty() {
-        // Pre-elastic setups: everyone is active.
-        (0..capacity).map(bit).fold(0, |a, b| a | b)
-    } else {
-        setup
-            .active_ranks
-            .iter()
-            .fold(0, |a, &r| a | bit(r as usize))
-    };
     let mut comm = CommState::new(rank, capacity, driver, members, &setup);
     // The shard is checked before anything is built on it; the rank keeps
     // the shipped vectors rather than a copy.

@@ -472,7 +472,7 @@ pub enum Message {
         epoch: u64,
     },
     /// Newcomer → driver: request to join the mesh as `rank` (loopback
-    /// meshes; the TCP path re-runs the `Hello` handshake instead).
+    /// meshes only; a TCP mesh is fixed at its `Hello` handshake).
     Join {
         /// The joining rank's pre-provisioned slot.
         rank: u32,

@@ -6,7 +6,13 @@
 //! loopback mesh on a frame that differs from a well-formed one in one
 //! flaw and checks that `run_rank` returns `NetError::Protocol`.  A
 //! `Drain` follows every frame, so a rank that wrongly accepts one ends
-//! its run and fails the assertion instead of training forever.
+//! its run and fails the assertion instead of training forever.  A rank
+//! that accepted a membership naming a rank that never runs would wait
+//! for it forever instead, so the addressing cases (rank, mesh,
+//! membership) run under a watchdog.
+
+use std::sync::mpsc::{channel, RecvTimeoutError};
+use std::time::Duration;
 
 use nomad_core::RoutingPolicy;
 use nomad_net::{
@@ -65,6 +71,23 @@ fn assert_refused(frames: Vec<Message>) {
 
 fn refused_setup(setup: SetupPayload) {
     assert_refused(vec![Message::Setup(Box::new(setup))]);
+}
+
+/// [`refused_setup`] on its own thread, failing if the rank is still
+/// running after ten seconds.
+fn refused_setup_in_time(setup: SetupPayload) {
+    let limit = Duration::from_secs(10);
+    let (done, finished) = channel();
+    let handle = std::thread::spawn(move || {
+        refused_setup(setup);
+        let _ = done.send(());
+    });
+    if finished.recv_timeout(limit) == Err(RecvTimeoutError::Timeout) {
+        panic!("the rank still runs on the setup after {limit:?}");
+    }
+    handle
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
 }
 
 fn with_cols(counts: Vec<u32>, rows: Vec<u32>) -> SetupPayload {
@@ -147,4 +170,41 @@ fn malformed_shard_transfer_is_refused() {
     ] {
         assert_refused(vec![Message::Setup(Box::new(setup())), bad]);
     }
+}
+
+#[test]
+fn malformed_setup_for_another_rank_is_refused() {
+    refused_setup_in_time(SetupPayload { rank: 1, ..setup() });
+}
+
+#[test]
+fn malformed_setup_for_another_mesh_is_refused() {
+    refused_setup_in_time(SetupPayload {
+        ranks: 2,
+        ..setup()
+    });
+}
+
+#[test]
+fn malformed_setup_active_rank_past_the_bitmap_is_refused() {
+    refused_setup_in_time(SetupPayload {
+        active_ranks: vec![0, 70],
+        ..setup()
+    });
+}
+
+#[test]
+fn malformed_setup_active_rank_outside_the_mesh_is_refused() {
+    refused_setup_in_time(SetupPayload {
+        active_ranks: vec![0, 3],
+        ..setup()
+    });
+}
+
+#[test]
+fn malformed_setup_without_this_rank_active_is_refused() {
+    refused_setup_in_time(SetupPayload {
+        active_ranks: vec![],
+        ..setup()
+    });
 }
