@@ -160,7 +160,7 @@ pub struct NetConfig {
     pub serve_publish_every: u64,
     /// Serving: answer rank-side queries through the approximate IVF
     /// shortlist index, probing this many centroid posting lists per
-    /// query; `0` keeps the exact brute-force scan.  Clamped to the
+    /// query; `0` keeps the exact scan.  Clamped to the
     /// index's centroid count (where the answer is bit-identical to the
     /// scan), so any large value degrades gracefully to exact.
     pub serve_nprobe: u32,

@@ -928,7 +928,7 @@ struct CommState {
     /// [`DELTA_RESYNC_EVERY`]).
     replicas_since_full: u32,
     /// Serving knob from setup: probe this many IVF posting lists per
-    /// query; `0` answers with the exact brute-force scan.
+    /// query; `0` answers with the exact scan.
     serve_nprobe: u32,
     remote_sends: u64,
     /// Active-membership bitmap (authoritative copy; mirrored into
@@ -1388,7 +1388,7 @@ impl CommState {
     /// Answers a routed top-k query from the latest published snapshot
     /// through a [`QueryEngine`] — its IVF path (the index the publisher
     /// keeps with each snapshot) when the setup enabled it
-    /// (`serve_nprobe > 0`), the exact brute-force scan otherwise.
+    /// (`serve_nprobe > 0`), the exact scan otherwise.
     /// Every path produces a reply — the router's deadline accounting
     /// depends on a quiesced or not-yet-published rank *saying so*
     /// rather than going silent — and every IVF answer is exactly
@@ -1571,6 +1571,20 @@ impl CommState {
         self.post_ctrl(t, self.driver, &msg)
     }
 
+    /// A frame's `rank` field as an index, or `Protocol` when it names no
+    /// rank of this mesh: its `bit` would overflow the membership bitmaps
+    /// or alias another rank.
+    fn mesh_rank(&self, what: &str, rank: u32) -> Result<usize, NetError> {
+        let r = rank as usize;
+        if r >= self.capacity {
+            return Err(NetError::Protocol(format!(
+                "{what} names rank {rank}, outside the {}-rank mesh",
+                self.capacity
+            )));
+        }
+        Ok(r)
+    }
+
     fn handle<T: Transport>(
         &mut self,
         t: &T,
@@ -1594,7 +1608,7 @@ impl CommState {
             }
             Message::Drain => shared.stop_worker(),
             Message::Fin { rank } => {
-                let r = rank as usize;
+                let r = self.mesh_rank("Fin", rank)?;
                 self.fins_from |= bit(r);
                 // Mid-census, a Fin doubles as the peer's census mark: it
                 // has quiesced, all its traffic to us is already in, and
@@ -1606,7 +1620,7 @@ impl CommState {
             }
             Message::Ping { .. } => {}
             Message::Evict { epoch, rank } => {
-                let dead = rank as usize;
+                let dead = self.mesh_rank("Evict", rank)?;
                 if dead == self.rank {
                     self.evicted_self = true;
                 } else if self.members & bit(dead) != 0 {
@@ -1614,7 +1628,7 @@ impl CommState {
                 }
             }
             Message::CensusMark { epoch, rank } => {
-                let r = rank as usize;
+                let r = self.mesh_rank("CensusMark", rank)?;
                 match &mut self.census {
                     Some(wait) if wait.epoch == epoch => {
                         wait.need &= !bit(r);
@@ -1630,7 +1644,7 @@ impl CommState {
                 self.awaiting_reconfigure = false;
             }
             Message::AddRank { epoch, rank } => {
-                let r = rank as usize;
+                let r = self.mesh_rank("AddRank", rank)?;
                 self.epoch = self.epoch.max(epoch);
                 self.members |= bit(r);
                 shared.members.store(self.members, Ordering::Release);

@@ -199,7 +199,7 @@ pub struct SetupPayload {
     pub serve_publish_every: u64,
     /// Serving knob: answer queries through the approximate IVF
     /// shortlist index, probing this many centroid posting lists per
-    /// query (`0` = exact brute-force scan).  Clamped to the index's
+    /// query (`0` = exact scan).  Clamped to the index's
     /// centroid count, where the answer is bit-identical to the scan.
     pub serve_nprobe: u32,
     /// Membership epoch this setup belongs to (bumped by every eviction

@@ -9,7 +9,8 @@
 //! its run and fails the assertion instead of training forever.  A rank
 //! that accepted a membership naming a rank that never runs would wait
 //! for it forever instead, so the addressing cases (rank, mesh,
-//! membership) run under a watchdog.
+//! membership, and a control frame naming a rank outside the mesh) run
+//! under a watchdog.
 
 use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::time::Duration;
@@ -76,14 +77,27 @@ fn refused_setup(setup: SetupPayload) {
 /// [`refused_setup`] on its own thread, failing if the rank is still
 /// running after ten seconds.
 fn refused_setup_in_time(setup: SetupPayload) {
+    refused_in_time(vec![Message::Setup(Box::new(setup))]);
+}
+
+/// A well-formed setup and then `frame`, refused on its own thread within
+/// ten seconds: a rank past the membership bitmaps (70) once panicked the
+/// comm thread, which left `run_rank` waiting forever, or aliased rank 6.
+fn refused_after_setup_in_time(frame: Message) {
+    refused_in_time(vec![Message::Setup(Box::new(setup())), frame]);
+}
+
+/// [`assert_refused`] on its own thread, failing if the rank is still
+/// running after ten seconds.
+fn refused_in_time(frames: Vec<Message>) {
     let limit = Duration::from_secs(10);
     let (done, finished) = channel();
     let handle = std::thread::spawn(move || {
-        refused_setup(setup);
+        assert_refused(frames);
         let _ = done.send(());
     });
     if finished.recv_timeout(limit) == Err(RecvTimeoutError::Timeout) {
-        panic!("the rank still runs on the setup after {limit:?}");
+        panic!("the rank still runs on the frames after {limit:?}");
     }
     handle
         .join()
@@ -207,4 +221,24 @@ fn malformed_setup_without_this_rank_active_is_refused() {
         active_ranks: vec![],
         ..setup()
     });
+}
+
+#[test]
+fn malformed_fin_from_a_rank_outside_the_mesh_is_refused() {
+    refused_after_setup_in_time(Message::Fin { rank: 70 });
+}
+
+#[test]
+fn malformed_census_mark_from_a_rank_outside_the_mesh_is_refused() {
+    refused_after_setup_in_time(Message::CensusMark { epoch: 1, rank: 70 });
+}
+
+#[test]
+fn malformed_evict_of_a_rank_outside_the_mesh_is_refused() {
+    refused_after_setup_in_time(Message::Evict { epoch: 1, rank: 70 });
+}
+
+#[test]
+fn malformed_add_rank_outside_the_mesh_is_refused() {
+    refused_after_setup_in_time(Message::AddRank { epoch: 1, rank: 70 });
 }

@@ -25,42 +25,9 @@
 //!
 //! # Filtering rows by their codes
 //!
-//! Inside a scanned list the same argument runs per row, from a
-//! one-byte-per-coordinate code (the scalar-quantised "refine" step of
-//! IVF-SQ indexes, Jégou, Douze & Schmid, TPAMI 2011).  Each list keeps a
-//! per-coordinate offset `lo_c` and step `s_c = (max − min)/255` over its
-//! rows' residuals `h_j − c`; each row keeps its code `q_j` (`k` bytes,
-//! stored a coordinate at a time across the list, so the code pass below
-//! is element-wise) and a radius `ρ_j ≥ ‖h_j − ĥ_j‖`, `ĥ_j = c + lo_c +
-//! s_c ⊙ q_j`, rounded up to an `f32`.  Since `⟨w, h_j⟩ = ⟨w, c⟩ + ⟨w, lo_c⟩ +
-//! Σ_d w_d·s_c[d]·q_jd + ⟨w, h_j − ĥ_j⟩`, the estimate
-//!
-//! ```text
-//! est_j = (proxy + ⟨w, lo_c⟩)  +  Σ_d f32(w_d·s_c[d])·q_jd     (f64 + f32)
-//! ```
-//!
-//! is within `‖w‖·ρ_j` of the computed score, because `ρ_j` also carries
-//! every rounding term that scales with `‖w‖`: `(k + 4)·ε_f32·‖s_c ⊙ q_j‖`
-//! for the `f32` products and sum (any summation order), and `(2k +
-//! 16)·ε_f64·(‖h_j‖ + ‖c‖ + ‖lo_c‖ + ‖s_c ⊙ q_j‖)` for the three `f64` dots,
-//! the sums and the residual itself; a relative `2⁻²⁰` on top covers the
-//! product `‖w‖·ρ_j` and `‖w‖`'s own rounding, and an absolute `(k +
-//! 1)·f32::MIN_POSITIVE` any underflow.  A row is scored only if `ub_j =
-//! est_j + ‖w‖·ρ_j` (rounded up) is not strictly below the bar: the k-th
-//! score once the heap is full, and before that the k-th largest `lb_j =
-//! est_j − ‖w‖·ρ_j` over the list's unseen rows (`k` rows score at least
-//! that).  A NaN never skips; a row that is not finite, or whose norm
-//! passes `FILTER_CAP`, gets `ρ_j = +∞`; a query or list whose terms
-//! could leave the `f32` range (`‖w‖` past the cap, `proxy + ⟨w, lo_c⟩`
-//! past a quarter of `f32::MAX` or an `f32` product sum past half of
-//! it) filters nothing, so every estimate stays inside the `f32` range.
-//! The survivors are prefetched together, then scored with the same `dot` and heap, so after every
-//! list the heap is the top `k` of all rows of the lists visited so far,
-//! as before.  The codes cost `items·k` bytes plus 4 bytes a row, and
-//! `2·n_centroids·k` `f64`s for the grids.  Scored work drops from
-//! `items·k` `f64` products to `n_centroids·k` of them for the probe,
-//! `scanned·k` one-byte products for the codes (`scanned` being the
-//! rows of the probed lists not skipped), and `k` per surviving row.
+//! Inside a scanned list the same argument runs per row: each list is a
+//! coded run around its centroid (the bound is in `filter.rs`), whose
+//! grid, codes and `ρ_j` are rebuilt and patched with the postings.
 //!
 //! The bounds describe the rows of one snapshot.  The index records that
 //! snapshot's `(epoch, updates_at)` stamp, and a query against any other
@@ -127,15 +94,14 @@
 //! every list scores each item once, the exact scan's work.  An empty
 //! catalog has no centroids, and every query answers it with no items.
 
-use std::collections::BinaryHeap;
-
 #[cfg(target_arch = "x86_64")]
 use nomad_linalg::vec_ops::Avx2;
-use nomad_linalg::vec_ops::{prefetch_row, Kernels, Portable};
+use nomad_linalg::vec_ops::{Kernels, Portable};
 use nomad_linalg::SmallRng64;
 use nomad_matrix::Idx;
 
-use crate::snapshot::{ranks_higher, ModelSnapshot, Recommendation, TopK, Weakest};
+use crate::filter::{fit, widen, CodedRun, Grid, Rerank};
+use crate::snapshot::{ModelSnapshot, TopK};
 
 /// Lloyd iterations for a (re)build.  k-means quality saturates fast on
 /// factor rows, and the index only needs *locality*, not optimality.
@@ -150,15 +116,6 @@ const KMEANS_ITERS: usize = 4;
 /// still cost 0.6 of a rebuild.  ROADMAP item 13 chooses the fraction on
 /// a training workload's churn.
 const REBUILD_FRACTION: f64 = 0.5;
-
-/// Norm past which a row gets `ρ = +∞` and a user filters nothing: below
-/// it every product `‖w‖·‖h‖` and every sum of the bound stays far from
-/// overflow, which the rounding analysis needs.
-const FILTER_CAP: f64 = 1e90;
-
-/// Relative slack on `ρ_j`: covers `‖w‖`'s rounding and the product
-/// `‖w‖·ρ_j` (a few `f64` ulps), with room to spare.
-const RHO_SLACK: f64 = 1.0 / (1u64 << 20) as f64;
 
 /// Build parameters for the IVF index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -347,7 +304,7 @@ impl IvfIndex {
                     self.row_radii[old_c].remove(pos);
                 }
             }
-            let rho = self.encode_row(new_c, row, &mut code);
+            let rho = self.run(new_c).grid.encode(row, &mut code, 1);
             let len = self.postings[new_c].len();
             match self.postings[new_c].binary_search(&j) {
                 Ok(pos) => {
@@ -432,162 +389,36 @@ impl IvfIndex {
             "index bounds over snapshot (epoch, updates_at) {:?} queried against another",
             self.stamp
         );
-        assert!(
-            seen.windows(2).all(|w| w[0] < w[1]),
-            "seen must be sorted ascending without duplicates"
-        );
         let wu = snap.user_factor(user);
         let probes = self.probe_order(kernels, wu, nprobe);
-        let mut heap: BinaryHeap<Weakest> = BinaryHeap::with_capacity(k.min(self.items) + 1);
-        // `‖w‖`, rounded up past the underflow of the squares; the skip
-        // test's relative slack, in units of `‖w‖·(‖c‖ + r_c)` (see the
-        // module docs).
-        let w_norm = (kernels.dot(wu, wu) + f64::MIN_POSITIVE).sqrt();
-        let slack = (2 * self.k + 8) as f64 * f64::EPSILON;
-        // The query's one scratch buffer: the scanned list's `f32(w_d·s_d)`,
-        // then an upper and a lower bound per row of the longest list.
         let longest = probes
             .iter()
             .map(|&(_, c)| self.postings[c].len())
             .max()
             .unwrap_or(0);
-        let mut scratch = vec![0.0f32; self.k + 2 * longest];
-        let (wq, bounds) = scratch.split_at_mut(self.k);
-        let (ubs, lbs) = bounds.split_at_mut(longest);
+        let mut rerank = Rerank::new(kernels, wu, k, seen, self.items, longest);
+        // The skip test's relative slack, in units of `‖w‖·(‖c‖ + r_c)`
+        // (see the module docs).
+        let slack = (2 * self.k + 8) as f64 * f64::EPSILON;
         for &(proxy, c) in &probes {
-            if heap.len() == k {
-                let Some(kth) = heap.peek() else { break };
-                let (norm, r) = (self.centroid_norms[c], self.radii[c]);
+            if let Some(kth) = rerank.kth() {
+                let (norm, r, w_norm) = (self.centroid_norms[c], self.radii[c], rerank.w_norm);
                 // Past `f64::MAX / 4` a dot over this list could overflow,
                 // and a NaN or ∞ fails the first test: scan the list.
                 let scale = w_norm * (norm + r);
                 if scale < f64::MAX / 4.0
-                    && proxy + w_norm * r + scale * slack + f64::MIN_POSITIVE < kth.0.score
+                    && proxy + w_norm * r + scale * slack + f64::MIN_POSITIVE < kth
                 {
                     continue;
                 }
             }
-            let posting = &self.postings[c];
-            let (ubs, lbs) = (&mut ubs[..posting.len()], &mut lbs[..posting.len()]);
-            self.bound_rows(kernels, c, wu, w_norm, proxy, wq, ubs, lbs);
-            // A row whose upper bound is strictly below `bar` cannot reach
-            // the top `k` (module docs): the k-th score, or until the heap
-            // is full, the k-th largest lower bound of the list's unseen
-            // rows.
-            let mut bar = f64::NEG_INFINITY;
-            match heap.peek() {
-                Some(kth) if heap.len() == k => bar = kth.0.score,
-                _ if k > 0 && posting.len() >= k => {
-                    if !seen.is_empty() {
-                        for (lb, item) in lbs.iter_mut().zip(posting) {
-                            if seen.binary_search(item).is_ok() {
-                                *lb = f32::NEG_INFINITY;
-                            }
-                        }
-                    }
-                    let (_, kth, _) = lbs.select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a));
-                    bar = f64::from(*kth);
-                }
-                _ => {}
-            }
-            // A posting lists items in index order, so scoring it is a
-            // gather over `H`: ask for every surviving row before the first
-            // is needed.
-            for (&item, &ub) in posting.iter().zip(&*ubs) {
-                if !skips(ub, bar) {
-                    prefetch_row(snap.item_factor(item));
-                }
-            }
-            for (&item, &ub) in posting.iter().zip(&*ubs) {
-                if skips(ub, bar) || (!seen.is_empty() && seen.binary_search(&item).is_ok()) {
-                    continue;
-                }
-                #[cfg(test)]
-                tests::ROWS_SCORED.with(|n| n.set(n.get() + 1));
-                let score = kernels.dot(wu, snap.item_factor(item));
-                let cand = Recommendation { item, score };
-                if heap.len() < k {
-                    heap.push(Weakest(cand));
-                } else if k > 0 && ranks_higher(&cand, &heap.peek().expect("k > 0").0) {
-                    heap.pop();
-                    heap.push(Weakest(cand));
-                } else {
-                    continue;
-                }
-                if let Some(kth) = heap.peek().filter(|_| heap.len() == k) {
-                    // Both bars hold for the rest of the list; a NaN k-th
-                    // leaves the other.
-                    bar = bar.max(kth.0.score);
-                }
-            }
+            let posting = self.postings[c].iter().copied();
+            rerank.scan(kernels, snap, &self.run(c), proxy, posting);
         }
-        let recs = heap.into_sorted_vec().into_iter().map(|w| w.0).collect();
         TopK {
             epoch: snap.epoch(),
             updates_at: snap.updates_at(),
-            recs,
-        }
-    }
-
-    /// Fills `ubs[i]` and `lbs[i]` with an upper and a lower bound on the
-    /// computed score of row `i` of list `c`, from its code alone: `est_i
-    /// ± ‖w‖·ρ_i`, rounded outwards to `f32` (module docs).  A lower
-    /// bound that is NaN is `−∞`.  Where the analysis does not
-    /// hold (`‖w‖` past `FILTER_CAP`, an `f32` sum that could overflow, a
-    /// base past a quarter of `f32::MAX` or not finite), every row is
-    /// `±∞`: nothing is filtered.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn bound_rows<K: Kernels>(
-        &self,
-        kernels: K,
-        c: usize,
-        wu: &[f64],
-        w_norm: f64,
-        proxy: f64,
-        wq: &mut [f32],
-        ubs: &mut [f32],
-        lbs: &mut [f32],
-    ) {
-        let k = self.k;
-        let base = proxy + kernels.dot(wu, &self.lo[c * k..(c + 1) * k]);
-        let mut mass = 0.0;
-        for ((q, &w), &s) in wq.iter_mut().zip(wu).zip(&self.steps[c * k..(c + 1) * k]) {
-            *q = (w * s) as f32;
-            mass += f64::from(q.abs());
-        }
-        // With `|base|` under a quarter of `f32::MAX` and the code sum under
-        // half of it, `est` stays inside the `f32` range: an upper bound can
-        // round to `+∞` and a lower one to `−∞`, never the other way.
-        if !(k > 0
-            && !ubs.is_empty()
-            && w_norm <= FILTER_CAP
-            && base.abs() <= f64::from(f32::MAX) / 4.0
-            && mass * 255.0 <= f64::from(f32::MAX) / 2.0)
-        {
-            ubs.fill(f32::INFINITY);
-            lbs.fill(f32::NEG_INFINITY);
-            return;
-        }
-        let tiny = (k + 1) as f64 * f64::from(f32::MIN_POSITIVE);
-        // The code sums first, one coordinate at a time across the list's
-        // rows (the codes are stored that way), then the bounds: two loops
-        // of element-wise arithmetic, which the compiler vectorises in the
-        // query's kernel form.  Each row's sum runs in coordinate order,
-        // one of the orders `ρ_j` allows for.
-        ubs.fill(0.0);
-        for (&w, column) in wq.iter().zip(self.codes[c].chunks_exact(ubs.len())) {
-            for (sum, &q) in ubs.iter_mut().zip(column) {
-                *sum += w * f32::from(q);
-            }
-        }
-        let rho = &self.row_radii[c][..ubs.len()];
-        for ((ub, lb), &r) in ubs.iter_mut().zip(lbs.iter_mut()).zip(rho) {
-            let est = base + f64::from(*ub);
-            let reach = w_norm * f64::from(r) + tiny;
-            *ub = round_up(est + reach);
-            let low = -round_up(reach - est);
-            *lb = if low.is_nan() { f32::NEG_INFINITY } else { low };
+            recs: rerank.into_recs(),
         }
     }
 
@@ -707,7 +538,7 @@ impl IvfIndex {
         }
         self.radii.fill(0.0);
         // Each list's least and (in `steps`, until the steps are fitted)
-        // greatest residual per coordinate, over the rows `codable` keeps.
+        // greatest residual per coordinate.
         self.lo.fill(f64::INFINITY);
         self.steps.fill(f64::NEG_INFINITY);
         for j in 0..self.items {
@@ -716,28 +547,9 @@ impl IvfIndex {
             let span = c * k..(c + 1) * k;
             let (row, cent) = (snap.item_factor(j as Idx), &self.centroids[span.clone()]);
             self.radii[c] = self.radii[c].max(radius_bound(row, cent));
-            if codable(row, cent) {
-                for (((lo, hi), &h), &m) in self.lo[span.clone()]
-                    .iter_mut()
-                    .zip(&mut self.steps[span])
-                    .zip(row)
-                    .zip(cent)
-                {
-                    *lo = lo.min(h - m);
-                    *hi = hi.max(h - m);
-                }
-            }
+            widen(&mut self.lo[span.clone()], &mut self.steps[span], row, cent);
         }
-        // Fit the grids: the step is the range over 255, and a coordinate
-        // with no codable row, or a range that overflows, is all code 0.
-        for (lo, step) in self.lo.iter_mut().zip(&mut self.steps) {
-            let fit = (*step - *lo) / 255.0;
-            (*lo, *step) = if fit.is_finite() {
-                (*lo, fit)
-            } else {
-                (0.0, 0.0)
-            };
-        }
+        fit(&mut self.lo, &mut self.steps);
         for c in 0..self.n_centroids() {
             let (cent, lo) = (self.centroid(c), &self.lo[c * k..(c + 1) * k]);
             self.centroid_norms[c] = nomad_linalg::dot(cent, cent).sqrt();
@@ -749,57 +561,28 @@ impl IvfIndex {
             .iter()
             .map(|p| Vec::with_capacity(p.len()))
             .collect();
-        let mut code = vec![0; k];
         for j in 0..self.items {
-            let c = self.assign[j] as usize;
-            let i = row_radii[c].len();
-            let rho = self.encode_row(c, snap.item_factor(j as Idx), &mut code);
-            set_code(&mut codes[c], self.postings[c].len(), i, &code);
-            row_radii[c].push(rho);
+            let (c, row) = (self.assign[j] as usize, snap.item_factor(j as Idx));
+            let (i, len) = (row_radii[c].len(), self.postings[c].len());
+            row_radii[c].push(self.run(c).grid.encode(row, &mut codes[c][i..], len));
         }
         self.codes = codes;
         self.row_radii = row_radii;
         self.stamp = (snap.epoch(), snap.updates_at());
     }
 
-    /// Writes `row`'s code on list `c`'s grid (the nearest grid point,
-    /// clamped to it) into `code`, and returns its `ρ`: `‖row − ĥ‖` and
-    /// the rounding allowances of the module docs, rounded up, or `+∞`
-    /// where a residual is not finite or `‖row‖` passes `FILTER_CAP`.
-    fn encode_row(&self, c: usize, row: &[f64], code: &mut [u8]) -> f32 {
-        let k = self.k;
-        let (cent, lo, step) = (
-            self.centroid(c),
-            &self.lo[c * k..(c + 1) * k],
-            &self.steps[c * k..(c + 1) * k],
-        );
-        let (mut off2, mut grid2) = (0.0, 0.0);
-        for d in 0..k {
-            let r = row[d] - cent[d];
-            // Nearest grid point, clamped: `+ 0.5` then the cast's
-            // truncation (no `round`, a library call on baseline x86_64).
-            // A NaN residual casts to code 0, and `ρ` is ∞ then.
-            code[d] = if step[d] > 0.0 {
-                ((r - lo[d]) / step[d] + 0.5).clamp(0.0, 255.0) as u8
-            } else {
-                0
-            };
-            let g = step[d] * f64::from(code[d]);
-            let e = r - (lo[d] + g);
-            off2 += e * e;
-            grid2 += g * g;
-        }
-        let h_norm = nomad_linalg::dot(row, row).sqrt();
-        if !(off2.is_finite() && h_norm <= FILTER_CAP) {
-            return f32::INFINITY;
-        }
-        let up = 1.0 + (k + 4) as f64 * f64::EPSILON;
-        let off = (off2 * up + f64::MIN_POSITIVE).sqrt() * up;
-        let grid = grid2.sqrt();
-        let norms = h_norm + self.centroid_norms[c] + self.lo_norms[c] + grid;
-        let rounding = (2 * k + 16) as f64 * f64::EPSILON * norms
-            + (k + 4) as f64 * f64::from(f32::EPSILON) * grid;
-        round_up((off + rounding) * (1.0 + RHO_SLACK))
+    /// List `c` as a coded run: its centroid, grid, codes and `ρ_j`.
+    fn run(&self, c: usize) -> CodedRun<'_> {
+        let span = c * self.k..(c + 1) * self.k;
+        let grid = Grid {
+            offset: self.centroid(c),
+            offset_norm: self.centroid_norms[c],
+            lo: &self.lo[span.clone()],
+            step: &self.steps[span],
+            lo_norm: self.lo_norms[c],
+        };
+        let (codes, rho) = (&self.codes[c], &self.row_radii[c]);
+        CodedRun { grid, codes, rho }
     }
 
     /// Centroid `c`'s row.
@@ -1059,32 +842,6 @@ fn block_dots<const R: usize>(rows: [&[f64]; R], block: &[f64]) -> [[f64; 4]; R]
     acc
 }
 
-/// Whether a row whose score is at most `ub` cannot reach the top `k`
-/// once `bar` is known to be reachable: `ub < bar` strictly, so a tie is
-/// scored and a NaN on either side never skips.
-#[inline(always)]
-fn skips(ub: f32, bar: f64) -> bool {
-    f64::from(ub) < bar
-}
-
-/// Whether `row` has a say in the grid around `cent`: every residual
-/// finite and `‖row‖ ≤ FILTER_CAP`.  Other rows get `ρ = +∞`.
-fn codable(row: &[f64], cent: &[f64]) -> bool {
-    row.iter().zip(cent).all(|(h, c)| (h - c).is_finite())
-        && nomad_linalg::dot(row, row).sqrt() <= FILTER_CAP
-}
-
-/// An `f32` at or above `x`: `x` widened by one `f32` ulp of itself and
-/// the least normal `f32`, then rounded to nearest, which moves it by at
-/// most half that.  `+∞` past `f32::MAX`; NaN for a NaN or `−∞` `x`, which
-/// as an upper bound never skips.  Branch-free: a hot loop rounds two
-/// bounds a row, and a data-dependent branch there mispredicts half the
-/// time.
-#[inline(always)]
-fn round_up(x: f64) -> f32 {
-    (x + x.abs() * f64::from(f32::EPSILON) + f64::from(f32::MIN_POSITIVE)) as f32
-}
-
 /// Writes `code` as row `pos` of a list's codes, stored coordinate-major
 /// (see [`IvfIndex`]'s `codes`) for `len` rows.
 fn set_code(codes: &mut [u8], len: usize, pos: usize, code: &[u8]) {
@@ -1126,16 +883,13 @@ fn radius_bound(row: &[f64], c: &[f64]) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::filter::ROWS_SCORED;
+    use crate::snapshot::{Recommendation, Weakest};
     use nomad_sgd::{FactorMatrix, FactorModel};
     use proptest::prelude::*;
     use std::cell::Cell;
-
-    thread_local! {
-        /// Rows the reranks on this thread scored, summed.
-        pub(super) static ROWS_SCORED: Cell<usize> = const { Cell::new(0) };
-    }
 
     fn snap(users: usize, items: usize, k: usize, seed: u64) -> ModelSnapshot {
         ModelSnapshot::from_model(&FactorModel::init(users, items, k, seed), 1, 100)
@@ -1143,7 +897,13 @@ mod tests {
 
     /// Users and items scattered around `clusters` shared Gaussian centres:
     /// the catalogs on which whole lists fall below a user's top-k.
-    fn clustered(users: usize, items: usize, k: usize, clusters: usize, seed: u64) -> FactorModel {
+    pub(crate) fn clustered(
+        users: usize,
+        items: usize,
+        k: usize,
+        clusters: usize,
+        seed: u64,
+    ) -> FactorModel {
         let mut rng = SmallRng64::new(seed);
         let centres: Vec<f64> = (0..clusters * k)
             .map(|_| 2.0 * rng.next_gaussian())
@@ -1427,7 +1187,7 @@ mod tests {
             assert_eq!(idx.codes[c].len(), posting.len() * k, "list {c}");
             assert_eq!(idx.row_radii[c].len(), posting.len(), "list {c}");
             for (i, &j) in posting.iter().enumerate() {
-                let rho = idx.encode_row(c, s.item_factor(j), &mut code);
+                let rho = idx.run(c).grid.encode(s.item_factor(j), &mut code, 1);
                 assert_eq!(code_of(idx, c, i), code, "list {c} row {j}");
                 assert_eq!(
                     idx.row_radii[c][i].to_bits(),

@@ -19,7 +19,7 @@
 //!   workers themselves, reusing NOMAD's token-ownership argument so no
 //!   locks, stalls, or data races are introduced — see [`publisher`] for
 //!   the protocol.
-//! * [`QueryEngine`] — exact brute-force top-k (reusing the 4-accumulator
+//! * [`QueryEngine`] — exact top-k, code-filtered (reusing the 4-accumulator
 //!   `nomad_linalg::dot` kernel), single or batched across scoped worker
 //!   threads (small batches answer inline rather than paying a spawn),
 //!   with per-query user-factor lookup and seen-item filtering.  A batch
@@ -49,6 +49,7 @@
 
 #![warn(missing_docs)]
 
+mod filter;
 pub mod ivf;
 pub mod publisher;
 pub mod query;

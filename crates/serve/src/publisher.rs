@@ -46,6 +46,9 @@
 //! Publishing does no index work: an epoch's first approximate query
 //! patches the run's newest index with the rows changed since (first in a
 //! run, it builds one), and later queries of the epoch only read it.
+//!
+//! It does code the rows for the exact scan before the epoch is reachable;
+//! a recycled buffer drops its codes, whose storage the next publish uses.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -55,7 +58,7 @@ use nomad_matrix::Idx;
 use nomad_sgd::FactorModel;
 
 use crate::ivf::{IvfIndex, IvfParams};
-use crate::snapshot::ModelSnapshot;
+use crate::snapshot::{ModelSnapshot, ScanCodes};
 
 /// Ring capacity.  Readers may lag the publisher by up to `SLOTS - 2`
 /// epochs before they are forced to retry; old snapshots stay alive beyond
@@ -201,6 +204,9 @@ struct PubShared {
     /// A displaced, unshared snapshot whose allocation the next publish
     /// reuses.
     spare: Option<Arc<ModelSnapshot>>,
+    /// The scan codes a recycled snapshot dropped, whose storage the next
+    /// publish codes its rows in.
+    spare_codes: Option<ScanCodes>,
     /// The newest IVF index derived this run: the next queried epoch's
     /// base, whose params are the run's.
     ivf: Option<Arc<IvfIndex>>,
@@ -255,6 +261,7 @@ impl SnapshotPublisher {
             shared: Mutex::new(PubShared {
                 dims: None,
                 spare: None,
+                spare_codes: None,
                 ivf: None,
                 run_epoch: 0,
             }),
@@ -703,6 +710,9 @@ impl SnapshotPublisher {
         }
         let epoch = self.ring.epoch.load(Ordering::SeqCst) + 1;
         buf.stamp(epoch, updates);
+        // The exact scan's codes, before any reader can reach the rows.
+        let spare = self.shared.lock().map(|mut s| s.spare_codes.take());
+        buf.fill_codes(spare.expect("publisher state poisoned"));
         let displaced = self.ring.publish(buf);
         let prev = self.last_updates_at.swap(updates, Ordering::SeqCst);
         if self.published.fetch_add(1, Ordering::SeqCst) > 0 {
@@ -719,14 +729,19 @@ impl SnapshotPublisher {
         self.publishing.store(false, Ordering::SeqCst);
     }
 
-    /// Keeps a displaced snapshot, index dropped, as the spare build buffer
-    /// when nobody else references it (otherwise its readers' `Arc`s reclaim it).
+    /// Keeps a displaced snapshot, index and codes dropped, as the spare
+    /// build buffer when nobody else references it (otherwise its readers'
+    /// `Arc`s reclaim it); its codes' storage goes to the next publish.
     fn recycle(&self, mut old: Arc<ModelSnapshot>) {
         if let Some(snap) = Arc::get_mut(&mut old) {
             snap.ivf.take();
+            let codes = snap.codes.take();
             let mut shared = self.shared.lock().expect("publisher state poisoned");
             if shared.spare.is_none() {
                 shared.spare = Some(old);
+            }
+            if shared.spare_codes.is_none() {
+                shared.spare_codes = codes;
             }
         }
     }
@@ -789,6 +804,25 @@ mod tests {
         assert_eq!(p.snapshots_published(), 10);
         // Every gap was exactly 10 updates.
         assert_eq!(p.max_publish_gap(), 10);
+    }
+
+    #[test]
+    fn a_recycled_buffer_answers_from_its_own_codes() {
+        // A new model each epoch and no reader keeps one: from epoch 6 on
+        // a publish fills a recycled buffer, which must filter on its new
+        // rows' codes.
+        let p = SnapshotPublisher::new(10);
+        for e in 1..=9u64 {
+            let m = model(4, 600, 6, e);
+            p.publish_model(&m, e * 10);
+            let snap = p.latest().expect("published");
+            assert!(snap.codes.get().is_some(), "epoch {e} coded when published");
+            let fresh = ModelSnapshot::from_model(&m, e, e * 10);
+            for user in 0..4 {
+                let want = fresh.top_k(user, 10, &[]);
+                assert_eq!(snap.top_k(user, 10, &[]), want, "epoch {e}");
+            }
+        }
     }
 
     #[test]
@@ -855,6 +889,7 @@ mod tests {
         assert_eq!(snap.epoch(), 1);
         assert_eq!(snap.updates_at(), 55, "stamped at initiation");
         assert_eq!(snap.to_model(), m);
+        assert!(snap.codes.get().is_some(), "coded before it was published");
     }
 
     #[test]

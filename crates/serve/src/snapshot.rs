@@ -5,9 +5,8 @@
 //! flat `rows × k` `f64` buffers with **no** per-row cache-line padding —
 //! the opposite trade-off from the training-side
 //! `nomad_core::FactorSlab`, whose padding exists to keep concurrent
-//! *writers* off each other's cache lines.  A top-k query touches one user
-//! row and then streams every item row exactly once, so the read path wants
-//! maximum density, not isolation.
+//! *writers* off each other's cache lines.  The read path wants maximum
+//! density, not isolation.
 //!
 //! Scoring reuses the 4-accumulator [`nomad_linalg::dot`] kernel with its
 //! pinned `(s0 + s1) + (s2 + s3)` association — the scan in whichever of
@@ -15,6 +14,14 @@
 //! which is what makes the workspace-wide bit-identity checks possible: a
 //! quiesced snapshot scores every `(user, item)` pair to exactly the same
 //! bits as [`FactorModel::predict`] on the assembled model.
+//!
+//! # The exact scan reads one byte a coordinate
+//!
+//! Streaming every `f64` item row per query is bound by the bytes, so a
+//! snapshot also codes its item rows in one byte a coordinate: blocks of
+//! `BLOCK` rows, each a coded run around zero (see `filter.rs`).  A query
+//! scores only the rows their codes cannot rule out of the top `k`, and
+//! answers as the full scan does, bit for bit.
 //!
 //! # Interior mutability and the publish contract
 //!
@@ -31,12 +38,12 @@
 //!   (the NOMAD token/ownership argument, re-used verbatim);
 //! * once published, a snapshot's rows are never written again.
 //!
-//! Beside its rows a snapshot holds at most one [`IvfIndex`], set once by
-//! the epoch's first approximate reader; a recycled buffer drops it.
+//! Beside its rows a snapshot holds its codes, set before it is published,
+//! and at most one [`IvfIndex`], set once by the epoch's first approximate
+//! reader; a recycled buffer drops both.
 
 use std::cell::UnsafeCell;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
@@ -47,7 +54,11 @@ use nomad_linalg::vec_ops::{Kernels, Portable};
 use nomad_matrix::Idx;
 use nomad_sgd::{FactorMatrix, FactorModel};
 
+use crate::filter::{fit, widen, CodedRun, Grid, Rerank};
 use crate::ivf::IvfIndex;
+
+/// Rows a block of the exact scan's codes holds ([`ScanCodes`]).
+const BLOCK: usize = 1024;
 
 /// One recommended item with its predicted score `⟨w_user, h_item⟩`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -143,6 +154,8 @@ pub struct ModelSnapshot {
     /// The IVF index over these rows, stamped with this snapshot (shared
     /// with the publisher, which patches the next epoch's from it).
     pub(crate) ivf: OnceLock<Arc<IvfIndex>>,
+    /// The exact scan's codes of these rows (module docs).
+    pub(crate) codes: OnceLock<ScanCodes>,
 }
 
 impl ModelSnapshot {
@@ -159,6 +172,7 @@ impl ModelSnapshot {
             w: FrozenBuf::zeroed(users * k),
             h: FrozenBuf::zeroed(items * k),
             ivf: OnceLock::new(),
+            codes: OnceLock::new(),
         }
     }
 
@@ -169,6 +183,7 @@ impl ModelSnapshot {
         // SAFETY: `snap` is local — unreachable by any reader.
         unsafe { snap.fill_from_model(model) };
         snap.stamp(epoch, updates_at);
+        snap.fill_codes(None);
         snap
     }
 
@@ -241,10 +256,10 @@ impl ModelSnapshot {
         nomad_linalg::dot(self.user_factor(user), self.item_factor(item))
     }
 
-    /// Exact brute-force top-k: scores every item the user has not seen and
-    /// returns the `k` best, highest score first, ties broken by ascending
-    /// item index (via `f64::total_cmp`, so the order is total and
-    /// deterministic even for pathological floats).
+    /// Exact top-k: the `k` best items the user has not seen, highest score
+    /// first, ties broken by ascending item index (via `f64::total_cmp`, so
+    /// the order is total and deterministic even for pathological floats),
+    /// scoring only the items their codes cannot rule out (module docs).
     ///
     /// `seen` must be sorted ascending with no duplicates
     /// ([`crate::UserQuery::with_seen`] produces exactly that); items it
@@ -256,7 +271,7 @@ impl ModelSnapshot {
     /// Panics if `user` is out of bounds or `seen` is not sorted — an
     /// unsorted filter would *silently* leak already-rated items (binary
     /// search misses them), so the O(len) precondition check is enforced
-    /// in release builds too; it is noise next to the O(items·k) scan.
+    /// in release builds too.
     pub fn top_k(&self, user: Idx, k: usize, seen: &[Idx]) -> TopK {
         #[cfg(target_arch = "x86_64")]
         if let Some(avx2) = Avx2::detect() {
@@ -267,48 +282,36 @@ impl ModelSnapshot {
     }
 
     /// [`Self::top_k_on`] compiled with AVX2 enabled, so the wide `dot`
-    /// inlines into the scan.
+    /// inlines into the scan and the code pass vectorises eight wide.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn top_k_avx2(&self, avx2: Avx2, user: Idx, k: usize, seen: &[Idx]) -> TopK {
         self.top_k_on(avx2, user, k, seen)
     }
 
-    /// The scan behind [`Self::top_k`], over the kernel form `kernels`.
+    /// The scan behind [`Self::top_k`], over the kernel form `kernels`: the
+    /// blocks in item order, each a coded run around zero (`proxy` 0).
     #[inline(always)]
     fn top_k_on<K: Kernels>(&self, kernels: K, user: Idx, k: usize, seen: &[Idx]) -> TopK {
-        assert!(
-            seen.windows(2).all(|w| w[0] < w[1]),
-            "seen must be sorted ascending without duplicates"
-        );
         let wu = self.user_factor(user);
-        let h = self.h.read();
-        // Bounded selection via a std BinaryHeap whose `Ord` is the
-        // *reverse* rank ([`Weakest`]): the peek is the weakest kept
-        // candidate, and a scanned item replaces it only if it ranks
-        // higher.
-        let mut heap: BinaryHeap<Weakest> = BinaryHeap::with_capacity(k.min(self.items) + 1);
-        for j in 0..self.items {
-            let item = j as Idx;
-            if !seen.is_empty() && seen.binary_search(&item).is_ok() {
-                continue;
-            }
-            let score = kernels.dot(wu, &h[j * self.k..(j + 1) * self.k]);
-            let cand = Recommendation { item, score };
-            if heap.len() < k {
-                heap.push(Weakest(cand));
-            } else if k > 0 && ranks_higher(&cand, &heap.peek().expect("k > 0").0) {
-                heap.pop();
-                heap.push(Weakest(cand));
-            }
+        let codes = self.codes.get().expect("coded before it is reachable");
+        let mut rerank = Rerank::new(kernels, wu, k, seen, self.items, BLOCK.min(self.items));
+        for b in 0..codes.lo_norms.len() {
+            rerank.scan(kernels, self, &codes.run(b), 0.0, (b * BLOCK) as Idx..);
         }
-        // Ascending `Weakest` order is exactly rank order, best first.
-        let recs = heap.into_sorted_vec().into_iter().map(|w| w.0).collect();
         TopK {
             epoch: self.epoch(),
             updates_at: self.updates_at(),
-            recs,
+            recs: rerank.into_recs(),
         }
+    }
+
+    /// Codes the rows for the exact scan, in `spare`'s storage where given:
+    /// the publisher and [`Self::from_model`] do before a snapshot is
+    /// reachable, so a query only reads the codes.
+    pub(crate) fn fill_codes(&self, spare: Option<ScanCodes>) {
+        self.codes
+            .get_or_init(|| ScanCodes::encode(self.h.read(), self.k, spare));
     }
 
     /// Copies the snapshot back into a dense [`FactorModel`] (bit-identity
@@ -377,6 +380,79 @@ impl ModelSnapshot {
     }
 }
 
+/// The exact scan's one-byte codes of every item row: the catalog in
+/// blocks of `BLOCK` contiguous rows (the last one shorter), each a coded
+/// run around zero ([`crate::filter`]).
+#[derive(Default)]
+pub(crate) struct ScanCodes {
+    /// `k` zeros (every block's offset); per block the grid's `lo` and step
+    /// (`k` each) and `‖lo‖`; block `b`'s codes from byte `b·BLOCK·k`,
+    /// coordinate-major within the block; every row's `ρ`.
+    zero: Vec<f64>,
+    lo: Vec<f64>,
+    steps: Vec<f64>,
+    lo_norms: Vec<f64>,
+    codes: Vec<u8>,
+    rho: Vec<f32>,
+}
+
+impl ScanCodes {
+    /// Codes the `k`-wide rows of `h` a block at a time, grid then rows, in
+    /// `old`'s storage where given: a steady-state publish allocates nothing.
+    fn encode(h: &[f64], k: usize, old: Option<Self>) -> Self {
+        let mut s = old.unwrap_or_default();
+        for v in [&mut s.zero, &mut s.lo, &mut s.steps, &mut s.lo_norms] {
+            v.clear();
+        }
+        s.codes.clear();
+        s.rho.clear();
+        s.rho.reserve(h.len() / k);
+        s.zero.resize(k, 0.0);
+        s.codes.resize(h.len(), 0);
+        for (rows, codes) in h.chunks(BLOCK * k).zip(s.codes.chunks_mut(BLOCK * k)) {
+            let (at, len) = (s.lo.len(), rows.len() / k);
+            s.lo.resize(at + k, f64::INFINITY);
+            s.steps.resize(at + k, f64::NEG_INFINITY);
+            let (lo, step) = (&mut s.lo[at..], &mut s.steps[at..]);
+            for row in rows.chunks_exact(k) {
+                widen(lo, step, row, &s.zero);
+            }
+            fit(lo, step);
+            let lo_norm = nomad_linalg::dot(lo, lo).sqrt();
+            s.lo_norms.push(lo_norm);
+            let (offset, lo, step) = (&s.zero[..], &*lo, &*step);
+            let grid = Grid {
+                offset,
+                offset_norm: 0.0,
+                lo,
+                step,
+                lo_norm,
+            };
+            for (i, row) in rows.chunks_exact(k).enumerate() {
+                s.rho.push(grid.encode(row, &mut codes[i..], len));
+            }
+        }
+        s
+    }
+
+    /// Block `b` as a coded run.
+    fn run(&self, b: usize) -> CodedRun<'_> {
+        let k = self.zero.len();
+        let rows = b * BLOCK..(b * BLOCK + BLOCK).min(self.rho.len());
+        CodedRun {
+            grid: Grid {
+                offset: &self.zero,
+                offset_norm: 0.0,
+                lo: &self.lo[b * k..(b + 1) * k],
+                step: &self.steps[b * k..(b + 1) * k],
+                lo_norm: self.lo_norms[b],
+            },
+            codes: &self.codes[rows.start * k..rows.end * k],
+            rho: &self.rho[rows],
+        }
+    }
+}
+
 impl fmt::Debug for ModelSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ModelSnapshot")
@@ -440,7 +516,11 @@ impl Eq for Weakest {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filter::ROWS_SCORED;
+    use crate::ivf::tests::clustered;
+    use nomad_linalg::SmallRng64;
     use nomad_sgd::InitStrategy;
+    use std::cell::Cell;
 
     fn model(users: usize, items: usize, k: usize, seed: u64) -> FactorModel {
         FactorModel::init(users, items, k, seed)
@@ -482,13 +562,11 @@ mod tests {
 
     #[test]
     fn top_k_matches_the_naive_reference() {
-        let m = model(6, 40, 8, 7);
-        let snap = ModelSnapshot::from_model(&m, 1, 0);
-        for user in 0..6 {
-            for k in [0, 1, 3, 8, 40, 100] {
-                let got = snap.top_k(user, k, &[]).recs;
-                assert_eq!(got, naive_top_k(&m, user, k, &[]), "user {user} k {k}");
-            }
+        // Under one block, one block, and two blocks and a row (the last a
+        // run of its own), `k` from 0 past the catalog.  k = 6 is one chunk
+        // of the dot and a tail, k = 32 chunks only.
+        for (items, k) in [(1, 6), (5, 32), (BLOCK, 6), (2 * BLOCK + 1, 32)] {
+            assert_scans_like_the_full_sort(&model(3, items, k, 4), &[0, 1, 10, items, items + 3]);
         }
     }
 
@@ -503,45 +581,113 @@ mod tests {
     }
 
     #[test]
-    fn top_k_filters_seen_items() {
-        let m = model(3, 12, 4, 9);
-        let snap = ModelSnapshot::from_model(&m, 1, 0);
-        let unfiltered = snap.top_k(1, 12, &[]).recs;
-        let seen: Vec<Idx> = vec![unfiltered[0].item, unfiltered[2].item];
-        let mut seen_sorted = seen.clone();
-        seen_sorted.sort_unstable();
-        let filtered = snap.top_k(1, 12, &seen_sorted);
-        assert_eq!(filtered.recs.len(), 10);
-        assert!(filtered.recs.iter().all(|r| !seen.contains(&r.item)));
-        assert_eq!(filtered.recs, naive_top_k(&m, 1, 12, &seen_sorted));
-    }
-
-    #[test]
-    fn both_kernel_forms_scan_to_the_same_answer() {
-        // `top_k` runs the widest form this CPU has; `top_k_on(Portable)`
-        // keeps the other instantiation tested there.  k = 6 is one chunk
-        // and a tail, k = 32 chunks only.
-        for k in [6, 32] {
-            let m = model(3, 50, k, 21);
-            let snap = ModelSnapshot::from_model(&m, 1, 0);
-            let seen = [2, 17, 49];
-            for user in 0..3 {
-                let top = snap.top_k(user, 10, &seen);
-                assert_eq!(top, snap.top_k_on(Portable, user, 10, &seen));
-                assert_eq!(top.recs, naive_top_k(&m, user, 10, &seen));
-                for r in &top.recs {
-                    assert_eq!(r.score.to_bits(), m.predict(user, r.item).to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
     fn top_k_returns_fewer_when_items_run_out() {
         let m = model(2, 3, 4, 1);
         let snap = ModelSnapshot::from_model(&m, 1, 0);
         assert_eq!(snap.top_k(0, 10, &[]).recs.len(), 3);
         assert_eq!(snap.top_k(0, 10, &[0, 1, 2]).recs.len(), 0);
+    }
+
+    fn bits(recs: &[Recommendation]) -> Vec<(Idx, u64)> {
+        recs.iter().map(|r| (r.item, r.score.to_bits())).collect()
+    }
+
+    /// Every user's top `k` for each of `ks`, with no `seen` list and a long
+    /// one, is the full sort's bit for bit, in both kernel forms: `top_k`
+    /// runs the widest this CPU has, `top_k_on(Portable)` the other.
+    fn assert_scans_like_the_full_sort(m: &FactorModel, ks: &[usize]) {
+        let snap = ModelSnapshot::from_model(m, 1, 0);
+        let seen: Vec<Idx> = (0..m.num_items() as Idx).filter(|j| j % 3 == 1).collect();
+        for user in 0..m.num_users() as Idx {
+            for (&k, seen) in ks.iter().flat_map(|k| [(k, &[][..]), (k, &seen[..])]) {
+                let (want, at) = (bits(&naive_top_k(m, user, k, seen)), (user, k, seen.len()));
+                assert_eq!(bits(&snap.top_k(user, k, seen).recs), want, "{at:?}");
+                let portable = snap.top_k_on(Portable, user, k, seen).recs;
+                assert_eq!(bits(&portable), want, "{at:?}, portable");
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_rows_and_rows_past_the_cap_scan_like_the_full_sort() {
+        // Seven +∞ rows make the k-th score +∞ for a positive user, and a
+        // later +NaN row, its upper bound +∞ too, ranks above it: only a
+        // strict skip test keeps it.  Beside them −∞, −NaN and all-NaN
+        // rows, rows past `FILTER_CAP`, a user past it and a mixed one.
+        let mut m = model(5, 2 * BLOCK + 1, 8, 5);
+        for j in [3, 40, 41, 42, 43, 900, BLOCK + 7] {
+            m.h.row_mut(j)[j % 8] = f64::INFINITY;
+        }
+        m.h.row_mut(BLOCK + 600)[2] = f64::NAN;
+        m.h.row_mut(700)[1] = -f64::NAN;
+        m.h.row_mut(5)[0] = f64::NEG_INFINITY;
+        m.h.set_row(2 * BLOCK, &[f64::NAN; 8]);
+        m.h.set_row(10, &[2e90; 8]);
+        m.h.set_row(BLOCK + 1, &[-3e90; 8]);
+        m.w.set_row(3, &[1e91; 8]);
+        m.w.set_row(4, &[1.0, -0.5, 1.0, -0.5, 1.0, -0.5, 1.0, -0.5]);
+        assert_scans_like_the_full_sort(&m, &[1, 3, 10]);
+    }
+
+    #[test]
+    fn near_ties_below_one_quantisation_step_scan_like_the_full_sort() {
+        // Two anchor rows a block pin its grid to `lo = −1/2`, step `1/128`,
+        // and the rest come from a palette on it: residuals 0, and ties at
+        // every rank.  In the second block each row sits 1 ulp off its
+        // palette row, so a row just above the k-th comes after it, and
+        // only `ρ`'s rounding allowance keeps one whose estimate rounds
+        // below.  Beside them ±0.0 rows and a −0.0 user; 11 coordinates.
+        let (dim, items) = (11, 2 * BLOCK + 1);
+        let on_grid = |p: usize| -0.5 + p as f64 / 128.0;
+        for seed in 0..4 {
+            let mut rng = SmallRng64::new(seed);
+            let mut m = FactorModel::init(6, items, dim, seed);
+            let palette: Vec<Vec<f64>> = (0..5)
+                .map(|_| (0..dim).map(|_| on_grid(1 + rng.next_below(254))).collect())
+                .collect();
+            for j in 0..items {
+                let mut row = match j % BLOCK {
+                    0 | 1 => vec![on_grid(255 * (j % BLOCK)); dim],
+                    _ => palette[rng.next_below(palette.len())].clone(),
+                };
+                if j / BLOCK == 1 && j % BLOCK > 1 {
+                    let v = &mut row[j % dim];
+                    *v = [v.next_up(), v.next_down()][j % 2];
+                }
+                m.h.set_row(j, &row);
+            }
+            m.h.set_row(12, &vec![0.0; dim]);
+            m.h.set_row(13, &vec![-0.0; dim]);
+            m.w.set_row(5, &vec![-0.0; dim]);
+            let snap = ModelSnapshot::from_model(&m, 1, 0);
+            let codes = snap.codes.get().expect("coded");
+            let grids = codes.lo[..2 * dim].iter().zip(&codes.steps);
+            assert!(grids.into_iter().all(|g| g == (&-0.5, &(1.0 / 128.0))));
+            assert!(codes.rho[14..BLOCK]
+                .iter()
+                .all(|&r| f64::from(r) < 0.01 / 128.0));
+            assert_scans_like_the_full_sort(&m, &[1, 2, 5, 10, 41]);
+        }
+    }
+
+    #[test]
+    fn the_exact_scan_scores_a_sliver_of_the_catalog() {
+        // A clustered catalog like `serve-static`'s, then an unclustered
+        // one: under 1% of the rows are scored (84 and 53 a query when
+        // this was written).
+        let items = 65_536;
+        for m in [
+            clustered(16, items, 32, 64, 9),
+            FactorModel::init(16, items, 32, 9),
+        ] {
+            let snap = ModelSnapshot::from_model(&m, 1, 0);
+            let before = ROWS_SCORED.with(Cell::get);
+            for user in 0..16 {
+                assert_eq!(snap.top_k(user, 10, &[]).recs.len(), 10);
+            }
+            let scored = (ROWS_SCORED.with(Cell::get) - before) / 16;
+            assert!(scored < items / 100, "{scored} rows a query of {items}");
+        }
     }
 
     #[test]
