@@ -10,28 +10,34 @@
 //! effect — a heavy-tailed degree distribution over both users and items —
 //! is preserved, and the rest of the pipeline follows the paper.
 //!
-//! # Two passes, one stream
+//! # Two passes over a counter
 //!
 //! Every value comes from one seeded [`StdRng`] stream, and the benchmark
 //! and the golden hashes depend on each draw landing where it always has.
-//! [`generate_triplets`] therefore splits the work by whether it draws:
+//! The workspace's `StdRng` is splitmix64, whose state is a counter: the
+//! generator `n` draws into the stream is `stream_at(seed, n)`, so every
+//! draw has an address and can be made on any thread.  [`generate_triplets`]
+//! keeps on one thread only what decides an address:
 //!
-//! 1. **In stream order, on one thread:** the marginals' shuffles, the
-//!    ground-truth factors, then per attempt a user and an item, a dedup
-//!    check (the first hit on a position wins), and for each new position
-//!    its own draw — the Gaussian noise, or the whole value for
-//!    [`ValueModel::UniformNoise`] — parked in the entry's value slot.
-//!    These are exactly the draws, in exactly the order, of a loop that
-//!    scores each position as it finds it.
-//! 2. **Off the stream, on every core:** each entry's score
-//!    `⟨w*_i, h*_j⟩` against the ground truth, combined with its parked
-//!    draw by the same expression on the same operands, so each rating has
-//!    the bits it would have had in one loop.  No entry reads another's
-//!    result, so the chunking cannot move a bit either.
+//! 1. **In stream order, on one thread:** the marginals' shuffles (`n − 1`
+//!    draws each), then per attempt a user and an item and a dedup check
+//!    (the first hit on a position wins).  A new position parks the stream
+//!    position of its own draw — two draws of Gaussian noise, or one for
+//!    the whole value under [`ValueModel::UniformNoise`] — in its value
+//!    slot, and the loop skips past it.
+//! 2. **Off the serial pass, on every core:** the ground-truth factors,
+//!    whose two draws per entry start right after the shuffles, filled in
+//!    one contiguous chunk per core that jumps to its first draw; then each
+//!    entry's own draw, made at its parked position, combined with its
+//!    score `⟨w*_i, h*_j⟩` by the same expression on the same operands.
+//!    Each value is a function of its address alone, so the chunking
+//!    cannot move a bit.
 //!
-//! The scoring gathers ground-truth rows in data-dependent order (13.8 MB
-//! of them on `netflix-sim` Medium); pass 2 keeps those cache misses out of
-//! the serial loop and splits them over the cores.
+//! The marginal search answers through a guide table (`CumulativeSampler`)
+//! with the index a `partition_point` over the whole table returns, in a
+//! probe or two instead of ~17.  The data are those of one loop that makes
+//! every draw in stream order; `crates/data/tests/medium_goldens.rs` pins
+//! them.
 
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -203,12 +209,81 @@ fn skewed_cumulative(n: usize, skew: f64, rng: &mut StdRng) -> Vec<f64> {
     cum
 }
 
-/// Samples an index from a cumulative weight vector: the first index whose
-/// cumulative weight reaches the draw.
-fn sample_cumulative(cum: &[f64], rng: &mut StdRng) -> usize {
-    let total = *cum.last().expect("non-empty cumulative weights");
-    let x = rng.gen_range(0.0..total);
-    cum.partition_point(|&c| c < x).min(cum.len() - 1)
+/// The generator `n` draws into the stream that `seed` starts.
+///
+/// `StdRng` is splitmix64 (Steele, Lea & Flood, OOPSLA 2014): each draw adds
+/// γ = `0x9E37_79B9_7F4A_7C15` to a 64-bit state and mixes the sum into its
+/// output, and `seed_from_u64(s)` sets the state to `s`.  After `n` draws the
+/// state is `s + n·γ` (mod 2⁶⁴), which is `seed_from_u64(s + n·γ)`.  Here a
+/// draw is one 64-bit output: a `gen_range` or a `gen::<f64>()` each.
+fn stream_at(seed: u64, n: u64) -> StdRng {
+    StdRng::seed_from_u64(seed.wrapping_add(n.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+}
+
+/// Draws an index from a cumulative weight table: the first index whose
+/// cumulative weight reaches a uniform draw in `[0, total)`, found through a
+/// guide table (Chen & Asau's indexed search) over `G = len` buckets.
+///
+/// `bucket(c) = min(G − 1, ⌊c · (G / total)⌋)` is monotone in `c`: a
+/// rounded product by a positive constant, a floor and a `min` each are.
+/// `guide[b]` is the first index whose bucket is at least `b`.  For a draw
+/// `x` in bucket `b`, every index before `guide[b]` has a smaller bucket,
+/// so a weight below `x`, and the index `guide[b + 1]` a larger one, so a
+/// weight at or above `x`: the answer lies in `guide[b]..=guide[b + 1]`,
+/// and a `partition_point` over that slice returns the index one over the
+/// whole table does.  Skewed marginals put a few indexes in a bucket.
+struct CumulativeSampler {
+    cum: Vec<f64>,
+    total: f64,
+    /// `G / total`.
+    scale: f64,
+    /// `G + 1` entries; `guide[G] = len`.
+    guide: Vec<u32>,
+}
+
+impl CumulativeSampler {
+    fn new(cum: Vec<f64>) -> Self {
+        let total = *cum.last().expect("non-empty cumulative weights");
+        let len = u32::try_from(cum.len()).expect("indexes fit the u32 coordinates");
+        let mut sampler = Self {
+            scale: cum.len() as f64 / total,
+            guide: Vec::with_capacity(cum.len() + 1),
+            cum,
+            total,
+        };
+        // `bucket(total)` is `G − 1`, so the scan stops inside the table.
+        let mut first = 0;
+        for b in 0..sampler.cum.len() {
+            while sampler.bucket(sampler.cum[first]) < b {
+                first += 1;
+            }
+            sampler.guide.push(first as u32);
+        }
+        sampler.guide.push(len);
+        sampler
+    }
+
+    fn bucket(&self, c: f64) -> usize {
+        ((c * self.scale) as usize).min(self.cum.len() - 1)
+    }
+
+    /// The first index whose cumulative weight reaches `x`, or the last.
+    fn index(&self, x: f64) -> usize {
+        let b = self.bucket(x);
+        let (lo, hi) = (self.guide[b] as usize, self.guide[b + 1] as usize);
+        (lo + self.cum[lo..hi].partition_point(|&c| c < x)).min(self.cum.len() - 1)
+    }
+
+    fn sample(&self, rng: &mut StdRng) -> usize {
+        self.index(rng.gen_range(0.0..self.total))
+    }
+}
+
+/// A standard Gaussian by Box–Muller, from two uniform draws.
+fn gaussian(rng: &mut StdRng) -> f64 {
+    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+    let u2: f64 = rng.gen();
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 /// Hashes the dedup set's packed `(i, j)` keys: one 64 × 64 → 128-bit
@@ -242,10 +317,20 @@ pub fn generate_triplets(config: &SyntheticConfig) -> TripletMatrix {
         config.target_nnz <= config.num_users * config.num_items,
         "target_nnz exceeds the matrix capacity"
     );
-    let mut rng = StdRng::seed_from_u64(config.seed);
-
-    let user_cum = skewed_cumulative(config.num_users, config.user_skew, &mut rng);
-    let item_cum = skewed_cumulative(config.num_items, config.item_skew, &mut rng);
+    let seed = config.seed;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let users = CumulativeSampler::new(skewed_cumulative(
+        config.num_users,
+        config.user_skew,
+        &mut rng,
+    ));
+    let items = CumulativeSampler::new(skewed_cumulative(
+        config.num_items,
+        config.item_skew,
+        &mut rng,
+    ));
+    // The shuffles made `n − 1` draws each; `at` addresses the next one.
+    let mut at = (config.num_users - 1 + config.num_items - 1) as u64;
 
     // Ground-truth factors for the value model (lazily sized).
     let (rank, factor_scale): (usize, f64) = match config.value_model {
@@ -255,18 +340,21 @@ pub fn generate_triplets(config: &SyntheticConfig) -> TripletMatrix {
         ValueModel::ScaledLowRank { rank, .. } => (rank, 1.0),
         ValueModel::UniformNoise { .. } => (0, 0.0),
     };
-    let gaussian = |rng: &mut StdRng| -> f64 {
-        // Box–Muller using two uniform draws from the caller's RNG.
-        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = rng.gen();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+    // Two draws per factor entry, `w_true` first; a chunk jumps to its own.
+    let mut ground_truth = |len: usize| {
+        let mut factors = vec![0.0f64; len];
+        let first = at;
+        on_every_core(&mut factors, |start, chunk| {
+            let mut rng = stream_at(seed, first + 2 * start as u64);
+            for x in chunk {
+                *x = gaussian(&mut rng) * factor_scale;
+            }
+        });
+        at += 2 * len as u64;
+        factors
     };
-    let w_true: Vec<f64> = (0..config.num_users * rank)
-        .map(|_| gaussian(&mut rng) * factor_scale)
-        .collect();
-    let h_true: Vec<f64> = (0..config.num_items * rank)
-        .map(|_| gaussian(&mut rng) * factor_scale)
-        .collect();
+    let w_true = ground_truth(config.num_users * rank);
+    let h_true = ground_truth(config.num_items * rank);
 
     // For the scaled model, map scores so that ±2σ of the score distribution
     // spans the rating range.
@@ -276,8 +364,13 @@ pub fn generate_triplets(config: &SyntheticConfig) -> TripletMatrix {
         1.0
     };
 
-    // Pass 1, in stream order: positions, and each new position's own draw
-    // (its noise, or its whole value for uniform noise) in its value slot.
+    // Pass 1, in stream order: positions, and each new position's stream
+    // address of its own draw (its noise, or its whole value for uniform
+    // noise) parked in its value slot, the draw itself skipped.
+    let own_draws = match config.value_model {
+        ValueModel::UniformNoise { .. } => 1,
+        ValueModel::LowRank { .. } | ValueModel::ScaledLowRank { .. } => 2,
+    };
     let mut seen = HashSet::<u64, BuildHasherDefault<FoldHasher>>::with_capacity_and_hasher(
         config.target_nnz * 2,
         Default::default(),
@@ -288,19 +381,24 @@ pub fn generate_triplets(config: &SyntheticConfig) -> TripletMatrix {
     let mut attempts = 0usize;
     while entries.len() < config.target_nnz && attempts < attempt_cap {
         attempts += 1;
-        let i = sample_cumulative(&user_cum, &mut rng);
-        let j = sample_cumulative(&item_cum, &mut rng);
+        let mut rng = stream_at(seed, at);
+        let i = users.sample(&mut rng);
+        let j = items.sample(&mut rng);
+        at += 2;
         if !seen.insert(((i as u64) << 32) | j as u64) {
             continue;
         }
-        let draw = match config.value_model {
-            ValueModel::UniformNoise { min, max } => rng.gen_range(min..max),
-            ValueModel::LowRank { .. } | ValueModel::ScaledLowRank { .. } => gaussian(&mut rng),
-        };
-        entries.push(Entry::new(i as Idx, j as Idx, draw));
+        entries.push(Entry::new(i as Idx, j as Idx, at as f64));
+        at += own_draws;
     }
+    assert!(
+        at < 1 << 53,
+        "stream addresses past 2^53 do not park exactly"
+    );
 
-    // Pass 2, off the stream: score each position against the ground truth.
+    // Pass 2, off the serial pass: each entry's own draw at its parked
+    // address, combined with its score against the ground truth.
+    let own_rng = |e: &Entry| stream_at(seed, e.value as u64);
     let score = |e: &Entry| {
         let (i, j) = (e.row as usize, e.col as usize);
         nomad_linalg_dot(
@@ -309,9 +407,13 @@ pub fn generate_triplets(config: &SyntheticConfig) -> TripletMatrix {
         )
     };
     match config.value_model {
-        ValueModel::UniformNoise { .. } => {}
+        ValueModel::UniformNoise { min, max } => {
+            finish_values(&mut entries, |e| own_rng(e).gen_range(min..max));
+        }
         ValueModel::LowRank { noise_std, .. } => {
-            finish_values(&mut entries, |e| score(e) + e.value * noise_std);
+            finish_values(&mut entries, |e| {
+                score(e) + gaussian(&mut own_rng(e)) * noise_std
+            });
         }
         ValueModel::ScaledLowRank {
             noise_std,
@@ -323,31 +425,38 @@ pub fn generate_triplets(config: &SyntheticConfig) -> TripletMatrix {
             let half = 0.5 * (max - min);
             finish_values(&mut entries, |e| {
                 let scaled = mid + score(e) / (2.0 * score_sigma) * half;
-                (scaled + e.value * noise_std).clamp(min, max)
+                (scaled + gaussian(&mut own_rng(e)) * noise_std).clamp(min, max)
             });
         }
     }
     TripletMatrix::from_entries(config.num_users, config.num_items, entries)
 }
 
-/// Replaces each entry's value with `finish(entry)`, in one contiguous
-/// chunk per core.  A value depends only on its own entry and read-only
-/// data, so how the entries are chunked cannot move a bit.
+/// Replaces each entry's value with `finish(entry)` on every core.
 fn finish_values(entries: &mut [Entry], finish: impl Fn(&Entry) -> f64 + Sync) {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let finish_all = |chunk: &mut [Entry]| {
+    on_every_core(entries, |_, chunk| {
         for e in chunk {
             e.value = finish(e);
         }
-    };
-    let mut chunks = entries.chunks_mut(entries.len().div_ceil(cores).max(1));
+    });
+}
+
+/// Runs `work(start, chunk)` over `items` in one contiguous chunk per core,
+/// `start` being the index of the chunk's first item.  When an item's
+/// result depends only on its index and read-only data, how the items are
+/// chunked cannot move a bit.
+fn on_every_core<T: Send>(items: &mut [T], work: impl Fn(usize, &mut [T]) + Sync) {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let size = items.len().div_ceil(cores).max(1);
+    let mut chunks = items.chunks_mut(size).enumerate();
+    let work = &work;
     std::thread::scope(|scope| {
         let first = chunks.next();
-        for chunk in chunks {
-            scope.spawn(|| finish_all(chunk));
+        for (c, chunk) in chunks {
+            scope.spawn(move || work(c * size, chunk));
         }
-        if let Some(chunk) = first {
-            finish_all(chunk);
+        if let Some((_, chunk)) = first {
+            work(0, chunk);
         }
     });
 }
@@ -520,6 +629,166 @@ mod tests {
                 assert_eq!(noise_std, 0.1);
             }
             other => panic!("unexpected value model {other:?}"),
+        }
+    }
+
+    /// Splitmix64's state is a counter; nothing else ties the generator's
+    /// jumps to the vendored `StdRng`, so a stream that is not one fails
+    /// here before it moves a golden hash.  `2·γ` already wraps past 2⁶⁴,
+    /// and the seed `u64::MAX` wraps the sum at the first draw.
+    #[test]
+    fn stream_at_equals_serial_draws() {
+        for seed in [0, 202, u64::MAX] {
+            for n in [0u64, 1, 2, 1_000] {
+                let mut serial = StdRng::seed_from_u64(seed);
+                for _ in 0..n {
+                    serial.gen::<u64>();
+                }
+                let mut jumped = stream_at(seed, n);
+                for _ in 0..4 {
+                    assert_eq!(
+                        jumped.gen::<u64>(),
+                        serial.gen::<u64>(),
+                        "seed {seed}, n {n}"
+                    );
+                }
+            }
+        }
+    }
+
+    fn cumulate(weights: &[f64]) -> Vec<f64> {
+        weights
+            .iter()
+            .scan(0.0, |acc, w| {
+                *acc += w;
+                Some(*acc)
+            })
+            .collect()
+    }
+
+    /// The guide table answers what a `partition_point` over the whole
+    /// table answers, at 0, at each cumulative weight and its neighbours on
+    /// either side, just below the total, and on 10,000 random draws.
+    fn assert_guide_matches_partition_point(cum: &[f64]) {
+        let sampler = CumulativeSampler::new(cum.to_vec());
+        let total = *cum.last().unwrap();
+        let mut rng = StdRng::seed_from_u64(cum.len() as u64);
+        let mut draws = vec![0.0, total.next_down()];
+        draws.extend(cum.iter().flat_map(|&c| [c.next_down(), c, c.next_up()]));
+        draws.extend((0..10_000).map(|_| rng.gen_range(0.0..total)));
+        for x in draws {
+            let want = cum.partition_point(|&c| c < x).min(cum.len() - 1);
+            assert_eq!(
+                sampler.index(x),
+                want,
+                "draw {x:e} of {total:e}, {} entries",
+                cum.len()
+            );
+        }
+    }
+
+    #[test]
+    fn guide_sampler_matches_partition_point() {
+        for weights in [&[2.5][..], &[1.0, 3.0], &[0.1, 0.7, 0.2]] {
+            assert_guide_matches_partition_point(&cumulate(weights));
+        }
+        // Weights under half an ulp of the running sum repeat it.
+        let repeats = cumulate(&[1.0, 1e-17, 1e-17, 0.5, 1e-300, 1.0, 1e-17]);
+        assert_eq!((repeats[0], repeats[4]), (repeats[2], repeats[3]));
+        assert_guide_matches_partition_point(&repeats);
+        for name in crate::registry_names() {
+            let config = crate::named_dataset(name, crate::SizeTier::Medium)
+                .unwrap()
+                .config;
+            let mut rng = StdRng::seed_from_u64(config.seed);
+            let users = skewed_cumulative(config.num_users, config.user_skew, &mut rng);
+            let items = skewed_cumulative(config.num_items, config.item_skew, &mut rng);
+            assert_guide_matches_partition_point(&users);
+            assert_guide_matches_partition_point(&items);
+        }
+    }
+
+    /// The generator as one loop over one stream: every draw in stream
+    /// order, each rating scored as its position is found.
+    fn one_loop(config: &SyntheticConfig) -> TripletMatrix {
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let user_cum = skewed_cumulative(config.num_users, config.user_skew, &mut rng);
+        let item_cum = skewed_cumulative(config.num_items, config.item_skew, &mut rng);
+        let sample = |cum: &[f64], rng: &mut StdRng| {
+            let x = rng.gen_range(0.0..*cum.last().unwrap());
+            cum.partition_point(|&c| c < x).min(cum.len() - 1)
+        };
+        let (rank, factor_scale) = match config.value_model {
+            ValueModel::LowRank {
+                rank, factor_scale, ..
+            } => (rank, factor_scale),
+            ValueModel::ScaledLowRank { rank, .. } => (rank, 1.0),
+            ValueModel::UniformNoise { .. } => (0, 0.0),
+        };
+        let mut truth = |rows: usize| -> Vec<f64> {
+            (0..rows * rank)
+                .map(|_| gaussian(&mut rng) * factor_scale)
+                .collect()
+        };
+        let (w_true, h_true) = (truth(config.num_users), truth(config.num_items));
+        let mut seen = HashSet::new();
+        let mut entries = Vec::new();
+        let mut attempts = 0;
+        while entries.len() < config.target_nnz && attempts < config.target_nnz * 20 {
+            attempts += 1;
+            let i = sample(&user_cum, &mut rng);
+            let j = sample(&item_cum, &mut rng);
+            if !seen.insert((i, j)) {
+                continue;
+            }
+            let score = nomad_linalg_dot(
+                &w_true[i * rank..(i + 1) * rank],
+                &h_true[j * rank..(j + 1) * rank],
+            );
+            let value = match config.value_model {
+                ValueModel::UniformNoise { min, max } => rng.gen_range(min..max),
+                ValueModel::LowRank { noise_std, .. } => score + gaussian(&mut rng) * noise_std,
+                ValueModel::ScaledLowRank {
+                    noise_std,
+                    min,
+                    max,
+                    ..
+                } => {
+                    let sigma = (rank as f64).sqrt();
+                    let scaled = 0.5 * (min + max) + score / (2.0 * sigma) * (0.5 * (max - min));
+                    (scaled + gaussian(&mut rng) * noise_std).clamp(min, max)
+                }
+            };
+            entries.push(Entry::new(i as Idx, j as Idx, value));
+        }
+        TripletMatrix::from_entries(config.num_users, config.num_items, entries)
+    }
+
+    #[test]
+    fn every_value_model_equals_one_loop_over_the_stream() {
+        let models = [
+            small_config().value_model,
+            ValueModel::ScaledLowRank {
+                rank: 8,
+                noise_std: 0.3,
+                min: 1.0,
+                max: 5.0,
+            },
+            ValueModel::UniformNoise {
+                min: -1.0,
+                max: 1.0,
+            },
+        ];
+        for value_model in models {
+            let config = SyntheticConfig {
+                value_model,
+                ..small_config()
+            };
+            assert_eq!(
+                generate_triplets(&config),
+                one_loop(&config),
+                "{value_model:?}"
+            );
         }
     }
 
