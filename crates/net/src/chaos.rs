@@ -33,7 +33,7 @@
 //! interaction with the mesh regardless of wall-clock timing.
 //!
 //! A scripted plan can also make the endpoint a deterministic
-//! **straggler**: [`ChaosPlan::send_delay`] is slept before every send,
+//! **straggler**: [`ChaosPlan::send_delay()`] is slept before every send,
 //! holding up each token batch, progress report and `Fin` — a *slow*
 //! rank must never be taken for a dead one, nor wedge quiesce.
 
@@ -58,6 +58,43 @@ pub struct ChaosPlan {
 }
 
 impl ChaosPlan {
+    /// Kills the endpoint at operation `op`.
+    pub fn kill_at(op: u64) -> Self {
+        Self {
+            kill_at: Some(op),
+            ..Self::default()
+        }
+    }
+
+    /// Partitions the endpoint for ops in `[start, start + len)`.
+    pub fn partition(start: u64, len: u64) -> Self {
+        Self {
+            partition: Some((start, len)),
+            ..Self::default()
+        }
+    }
+
+    /// Sleeps `delay` before every send of the live endpoint.
+    pub fn send_delay(delay: Duration) -> Self {
+        Self {
+            send_delay: delay,
+            ..Self::default()
+        }
+    }
+
+    /// A [`crate::launch()`] `wrap` that scripts this plan on endpoint
+    /// `slot` alone and leaves every other endpoint transparent.
+    pub fn on<T: Transport>(self, slot: usize) -> impl Fn(T) -> ChaosTransport<T> + Sync {
+        move |ep| {
+            let plan = if ep.id() == slot {
+                self
+            } else {
+                Self::default()
+            };
+            ChaosTransport::scripted(ep, plan)
+        }
+    }
+
     fn fault(&self, op: u64) -> TransportFault {
         if let Some(at) = self.kill_at {
             if op >= at {
@@ -118,12 +155,6 @@ impl<T: Transport> ChaosTransport<T> {
     /// Whether the kill fault has fired.
     pub fn is_killed(&self) -> bool {
         self.killed.load(Ordering::Relaxed)
-    }
-
-    /// Transport operations drawn so far (sends, deliveries and empty
-    /// receives) — the clock fault scripts are written against.
-    pub fn ops(&self) -> u64 {
-        self.ops.load(Ordering::Relaxed)
     }
 
     /// Draws the fault for the next operation and advances the counter.
@@ -232,6 +263,14 @@ impl<T: Transport> Transport for ChaosTransport<T> {
     fn close_peer(&self, peer: usize) {
         self.inner.close_peer(peer);
     }
+
+    fn close(&self) {
+        self.inner.close();
+    }
+
+    fn linger(&self) {
+        self.inner.linger();
+    }
 }
 
 #[cfg(test)]
@@ -242,13 +281,7 @@ mod tests {
     #[test]
     fn scripted_kill_drops_sends_and_fails_receives() {
         let (driver, mut ranks) = Loopback::mesh(1);
-        let chaotic = ChaosTransport::scripted(
-            ranks.remove(0),
-            ChaosPlan {
-                kill_at: Some(1),
-                ..ChaosPlan::default()
-            },
-        );
+        let chaotic = ChaosTransport::scripted(ranks.remove(0), ChaosPlan::kill_at(1));
         // Op 0: delivered.  Op 1+: dead.
         chaotic.send(1, &Message::Ping { rank: 0 }).unwrap();
         chaotic.send(1, &Message::Ping { rank: 0 }).unwrap();
@@ -266,13 +299,7 @@ mod tests {
     #[test]
     fn scripted_partition_holds_traffic_until_heal() {
         let (driver, mut ranks) = Loopback::mesh(1);
-        let chaotic = ChaosTransport::scripted(
-            ranks.remove(0),
-            ChaosPlan {
-                partition: Some((0, 2)),
-                ..ChaosPlan::default()
-            },
-        );
+        let chaotic = ChaosTransport::scripted(ranks.remove(0), ChaosPlan::partition(0, 2));
         // Ops 0 and 1 are partitioned: both sends are held.
         chaotic
             .send(
@@ -329,13 +356,7 @@ mod tests {
     #[test]
     fn partitioned_receives_are_released_on_heal() {
         let (driver, mut ranks) = Loopback::mesh(1);
-        let chaotic = ChaosTransport::scripted(
-            ranks.remove(0),
-            ChaosPlan {
-                partition: Some((0, 1)),
-                ..ChaosPlan::default()
-            },
-        );
+        let chaotic = ChaosTransport::scripted(ranks.remove(0), ChaosPlan::partition(0, 1));
         driver.send(0, &Message::Drain).unwrap();
         // Op 0 is partitioned: the message is held, not delivered.
         assert!(chaotic
@@ -352,10 +373,7 @@ mod tests {
         let (driver, mut ranks) = Loopback::mesh(1);
         let slow = ChaosTransport::scripted(
             ranks.remove(0),
-            ChaosPlan {
-                send_delay: Duration::from_millis(2),
-                ..ChaosPlan::default()
-            },
+            ChaosPlan::send_delay(Duration::from_millis(2)),
         );
         let before = std::time::Instant::now();
         slow.send(1, &Message::Fin { rank: 0 }).unwrap();

@@ -1,6 +1,9 @@
-//! The driver: partitions the data, launches the ranks, coordinates the
-//! stop/drain protocol, and gathers the shards back into one
-//! [`FactorModel`].
+//! The driver: partitions the data, coordinates the stop/drain protocol,
+//! and gathers the shards back into one [`FactorModel`]; and
+//! [`DistributedNomad`], whose one [`run`](DistributedNomad::run) starts a
+//! run in a [`Deployment`] — rank threads through [`crate::launch()`], or
+//! re-exec'd rank processes through [`crate::process`] — and drives it
+//! with [`run_driver`].
 //!
 //! The driver is *not* on the training path — tokens only ever move
 //! between ranks.  It does exactly four things:
@@ -81,8 +84,10 @@ use nomad_telemetry::{
     names, CounterHandle, EventKind, EventRing, HistogramHandle, Registry, TelemetrySnapshot,
 };
 
+use crate::launch::launch;
 use crate::rank::{assert_capacity, bit};
 use crate::serve_router::{Route, RouterBackend, ServeRouter};
+use crate::tcp::TcpTransport;
 use crate::transport::{Loopback, NetError, Transport};
 use crate::wire::{
     Message, ReplicaDeltaPayload, ReplicaPayload, SetupPayload, ShardPayload, ShardTransferPayload,
@@ -178,6 +183,23 @@ impl NetConfig {
             serve_publish_every: 0,
             serve_nprobe: 0,
         }
+    }
+
+    /// The slots of a `capacity`-slot mesh active at startup:
+    /// `initial_ranks`, or every slot when that is `0`.
+    ///
+    /// # Panics
+    /// Panics if `initial_ranks` exceeds `capacity`.
+    pub(crate) fn initial_ranks_of(&self, capacity: usize) -> usize {
+        let initial = match self.initial_ranks {
+            0 => capacity,
+            n => n,
+        };
+        assert!(
+            initial <= capacity,
+            "initial_ranks {initial} exceeds mesh capacity {capacity}"
+        );
+        initial
     }
 }
 
@@ -607,6 +629,14 @@ impl RouterBackend for DriverBackend<'_> {
 /// endpoint; the mesh capacity is `transport.ranks()` and
 /// `cfg.initial_ranks` of those slots start active.
 ///
+/// With a `router`, the driver also serves: it pumps `router` at the top
+/// of every loop iteration — and `router` wakes the driver's endpoint on
+/// every submission, so a query is routed when it arrives, not at the
+/// next tick — answers [`Message::QueryReply`] traffic, and maintains the
+/// stale failover replica from [`Message::Replica`] frames.  Once the run
+/// is over, cleanly or not, everything in flight or submitted later
+/// resolves as `RunOver`.
+///
 /// # Errors
 /// Fails on transport errors, protocol violations, the census deadline,
 /// or the global deadline.
@@ -617,27 +647,6 @@ impl RouterBackend for DriverBackend<'_> {
 /// gather detects a token-conservation violation (an engine bug, not an
 /// input error).
 pub fn run_driver<T: Transport>(
-    transport: &T,
-    data: &RatingMatrix,
-    cfg: &NetConfig,
-) -> Result<DistOutput, NetError> {
-    run_driver_serving(transport, data, cfg, None)
-}
-
-/// [`run_driver`] plus a serving front-end: the driver pumps `router`
-/// at the top of every loop iteration — and `router` wakes the driver's
-/// endpoint on every submission, so a query is routed when it arrives,
-/// not at the next tick — answers [`Message::QueryReply`] traffic, and
-/// maintains the stale failover replica from [`Message::Replica`] frames.
-/// With `router = None` (or `cfg.serve_publish_every == 0`) this is
-/// exactly [`run_driver`].
-///
-/// # Errors
-/// Same failure modes as [`run_driver`].
-///
-/// # Panics
-/// Same panics as [`run_driver`].
-pub fn run_driver_serving<T: Transport>(
     transport: &T,
     data: &RatingMatrix,
     cfg: &NetConfig,
@@ -670,15 +679,7 @@ fn run_driver_impl<T: Transport>(
         "run_driver needs the driver endpoint"
     );
     assert_capacity(capacity);
-    let initial = if cfg.initial_ranks == 0 {
-        capacity
-    } else {
-        cfg.initial_ranks
-    };
-    assert!(
-        initial <= capacity,
-        "initial_ranks {initial} exceeds mesh capacity {capacity}"
-    );
+    let initial = cfg.initial_ranks_of(capacity);
     let nomad = &cfg.nomad;
     let budget = nomad.stop.updates().expect(NO_UPDATE_BUDGET);
     let params = nomad.params;
@@ -974,20 +975,6 @@ fn run_driver_impl<T: Transport>(
     // here on resolve immediately as `RunOver`.
     if let Some(router) = router {
         router.finish();
-    }
-
-    // Farewell to slots that never joined: a joiner waking up after the
-    // run is over finds a rejection waiting instead of 30s of silence.
-    for r in 0..capacity {
-        if !st.is_active(r) && st.evicted & bit(r) == 0 {
-            let _ = transport.send(
-                r,
-                &Message::Evict {
-                    epoch: st.epoch,
-                    rank: r as u32,
-                },
-            );
-        }
     }
 
     let mut gathered: Vec<ShardPayload> = Vec::new();
@@ -1583,6 +1570,25 @@ fn assemble_model(
     model
 }
 
+/// Where the ranks of a [`DistributedNomad::run`] live.
+#[derive(Debug, Clone, Copy)]
+pub enum Deployment<'a> {
+    /// Every rank on a thread of this process over the in-memory
+    /// [`Loopback`] — no sockets, same engine.  Each `(slot, delay)`
+    /// joiner sleeps `delay`, then joins the running mesh in `slot` (one
+    /// of `initial_ranks..capacity`) via [`crate::rank::join_rank`].
+    Loopback(&'a [(usize, Duration)]),
+    /// Every rank on a thread of this process over real localhost TCP
+    /// sockets — the full wire path without process spawning.
+    TcpThreads,
+    /// Every rank in its **own re-exec'd process** over localhost TCP —
+    /// real address-space separation.  The current executable is
+    /// re-spawned once per rank; the binary's `main` must call
+    /// [`crate::process::child_entry`] before anything else, which
+    /// diverts the child into the rank loop.
+    Processes,
+}
+
 /// The distributed NOMAD engine: one driver plus up to `capacity` ranks,
 /// each with a worker thread and a communication thread, connected by a
 /// pluggable transport.
@@ -1612,10 +1618,7 @@ impl DistributedNomad {
     pub fn with_config(cfg: NetConfig, capacity: usize) -> Self {
         assert!(capacity > 0, "need at least one rank");
         assert_capacity(capacity);
-        assert!(
-            cfg.initial_ranks <= capacity,
-            "initial_ranks exceeds capacity"
-        );
+        cfg.initial_ranks_of(capacity);
         assert!(cfg.nomad.stop.updates().is_some(), "{NO_UPDATE_BUDGET}");
         Self {
             cfg,
@@ -1623,174 +1626,61 @@ impl DistributedNomad {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &NetConfig {
-        &self.cfg
-    }
-
-    /// Number of mesh slots.
-    pub fn ranks(&self) -> usize {
-        self.ranks
-    }
-
-    /// Runs the engine with every rank on a thread of this process and
-    /// the in-memory [`Loopback`] transport — no sockets, same engine.
-    ///
-    /// # Errors
-    /// Propagates transport/protocol failures from any endpoint.
-    pub fn run_loopback(&self, data: &RatingMatrix) -> Result<DistOutput, NetError> {
-        self.run_loopback_elastic(data, &[])
-    }
-
-    /// Runs the engine on the loopback transport with scripted joiners:
-    /// each `(rank, delay)` pair spawns a thread that sleeps `delay`,
-    /// then joins the running mesh as `rank` via [`crate::rank::join_rank`].
-    /// The joined slots must lie in `initial_ranks..capacity`.
-    ///
-    /// # Errors
-    /// Propagates transport/protocol failures from any endpoint.
-    pub fn run_loopback_elastic(
-        &self,
-        data: &RatingMatrix,
-        joiners: &[(usize, Duration)],
-    ) -> Result<DistOutput, NetError> {
-        self.run_loopback_inner(data, joiners, None)
-    }
-
-    /// Runs the loopback engine while serving top-k queries through
-    /// `router`: query threads block in [`ServeRouter::query`] and the
-    /// driver answers them concurrently with training.  Joiners behave
-    /// as in [`Self::run_loopback_elastic`].  The configuration should
-    /// set [`NetConfig::serve_publish_every`], or every query will be a
+    /// Runs the engine in `deployment`, serving top-k queries through
+    /// `router` when one is given: query threads block in
+    /// [`ServeRouter::query`] and the driver answers them concurrently
+    /// with training ([`run_driver`]).  A serving run should set
+    /// [`NetConfig::serve_publish_every`], or every query will be a
     /// stale-replica answer.
     ///
     /// # Errors
-    /// Propagates transport/protocol failures from any endpoint.
-    pub fn run_loopback_serving(
+    /// The driver's error if it failed, else the first rank's.  A rank
+    /// child exiting non-zero is a protocol error unless that child was
+    /// evicted mid-run (a killed child cannot exit cleanly).
+    ///
+    /// # Panics
+    /// Panics if a joiner's slot is not one of `initial_ranks..capacity`.
+    pub fn run(
         &self,
         data: &RatingMatrix,
-        joiners: &[(usize, Duration)],
-        router: &ServeRouter,
-    ) -> Result<DistOutput, NetError> {
-        self.run_loopback_inner(data, joiners, Some(router))
-    }
-
-    fn run_loopback_inner(
-        &self,
-        data: &RatingMatrix,
-        joiners: &[(usize, Duration)],
+        deployment: Deployment<'_>,
         router: Option<&ServeRouter>,
     ) -> Result<DistOutput, NetError> {
-        let initial = if self.cfg.initial_ranks == 0 {
-            self.ranks
-        } else {
-            self.cfg.initial_ranks
+        let (cfg, ranks) = (&self.cfg, self.ranks);
+        let (driver, ranks) = match deployment {
+            Deployment::Loopback(joiners) => {
+                launch(Loopback::mesh(ranks), joiners, data, cfg, router, |ep| ep)
+            }
+            Deployment::TcpThreads => {
+                launch(TcpTransport::mesh(ranks)?, &[], data, cfg, router, |ep| ep)
+            }
+            Deployment::Processes => {
+                return crate::process::run_processes(cfg, data, ranks, router)
+            }
         };
-        let (driver, mut endpoints) = Loopback::mesh(self.ranks);
-        // Claim the join endpoints before the initial ones consume the vec.
-        let mut join_eps: Vec<(Loopback, Duration)> = Vec::new();
-        for &(rank, delay) in joiners {
-            assert!(
-                rank >= initial && rank < self.ranks,
-                "joiner slot {rank} must be an initially-empty mesh slot"
-            );
-            join_eps.push((
-                std::mem::replace(&mut endpoints[rank], Loopback::mesh(1).0),
-                delay,
-            ));
-        }
-        endpoints.truncate(initial);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = endpoints
-                .into_iter()
-                .map(|ep| {
-                    scope.spawn(move || {
-                        let ep = ep;
-                        crate::rank::run_rank(&ep)
-                    })
-                })
-                .collect();
-            let join_handles: Vec<_> = join_eps
-                .into_iter()
-                .map(|(ep, delay)| {
-                    scope.spawn(move || {
-                        let ep = ep;
-                        std::thread::sleep(delay);
-                        // A turned-away joiner (the run drained or even
-                        // finished first) is a clean outcome; the caller
-                        // reads `stats.joined` for who actually made it.
-                        crate::rank::join_rank(&ep).map(|_| ())
-                    })
-                })
-                .collect();
-            let out = run_driver_serving(&driver, data, &self.cfg, router);
-            for handle in handles.into_iter().chain(join_handles) {
-                handle.join().expect("rank thread panicked")?;
-            }
-            out
-        })
+        let out = driver?;
+        ranks.into_iter().collect::<Result<(), _>>()?;
+        Ok(out)
     }
 
-    /// Runs the engine with every rank on a thread of this process but
-    /// over real localhost TCP sockets — the full wire path without
-    /// process spawning.
-    ///
-    /// # Errors
-    /// Propagates socket/protocol failures from any endpoint.
-    pub fn run_tcp_threads(&self, data: &RatingMatrix) -> Result<DistOutput, NetError> {
-        let listener = std::net::TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
-        let ranks = self.ranks;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..ranks)
-                .map(|r| {
-                    scope.spawn(move || -> Result<(), NetError> {
-                        let ep = crate::tcp::TcpTransport::connect_rank(&addr, r)?;
-                        let run = crate::rank::run_rank(&ep);
-                        ep.linger();
-                        run
-                    })
-                })
-                .collect();
-            let driver = crate::tcp::TcpTransport::accept_ranks(listener, ranks)?;
-            let out = run_driver(&driver, data, &self.cfg);
-            // Closing the driver's side ends the ranks' linger.
-            drop(driver);
-            for handle in handles {
-                handle.join().expect("rank thread panicked")?;
-            }
-            out
-        })
+    /// [`Self::run`] on [`Deployment::Loopback`] without joiners (this and
+    /// the next two are the benchmark package's names for it).
+    pub fn run_loopback(&self, data: &RatingMatrix) -> Result<DistOutput, NetError> {
+        self.run(data, Deployment::Loopback(&[]), None)
     }
 
-    /// Runs the engine with every rank in its **own re-exec'd process**
-    /// over localhost TCP — real address-space separation.
-    ///
-    /// The current executable is re-spawned once per rank; the binary's
-    /// `main` must call [`crate::process::child_entry`] before anything
-    /// else, which diverts the child into the rank loop.
-    ///
-    /// # Errors
-    /// Propagates spawn/socket/protocol failures; a child exiting
-    /// non-zero is reported as a protocol error unless that child was
-    /// evicted mid-run (a killed child cannot exit cleanly).
+    /// [`Self::run`] on [`Deployment::Processes`].
     pub fn run_processes(&self, data: &RatingMatrix) -> Result<DistOutput, NetError> {
-        crate::process::run_processes(&self.cfg, data, self.ranks, None)
+        self.run(data, Deployment::Processes, None)
     }
 
-    /// [`Self::run_processes`] with a serving front-end: the parent
-    /// process drives `router` while the re-exec'd rank children answer
-    /// queries — the full kill-a-serving-rank path with real address
-    /// spaces.
-    ///
-    /// # Errors
-    /// Same failure modes as [`Self::run_processes`].
+    /// [`Self::run`] on [`Deployment::Processes`], serving through `router`.
     pub fn run_processes_serving(
         &self,
         data: &RatingMatrix,
         router: &ServeRouter,
     ) -> Result<DistOutput, NetError> {
-        crate::process::run_processes(&self.cfg, data, self.ranks, Some(router))
+        self.run(data, Deployment::Processes, Some(router))
     }
 }
 

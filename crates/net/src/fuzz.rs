@@ -3,7 +3,7 @@
 //!
 //! The counterpart of `nomad_core::sched::fuzz_threaded` for real
 //! multi-rank runs: install the seeded [`FuzzController`] for a
-//! [`FuzzCase`], run [`DistributedNomad::run_loopback`] under it, and
+//! [`FuzzCase`], run a [`Deployment::Loopback`] under it, and
 //! convert every violated invariant into a replayable
 //! [`FuzzFailure`].  The oracles:
 //!
@@ -36,9 +36,10 @@ use nomad_matrix::{RatingMatrix, TripletMatrix};
 use nomad_telemetry::{names, TelemetrySnapshot};
 
 use crate::chaos::ChaosTransport;
-use crate::driver::{run_driver, run_driver_serving, DistributedNomad, NetConfig};
+use crate::driver::{Deployment, DistOutput, DistributedNomad, NetConfig};
+use crate::launch::launch;
 use crate::serve_router::{Answer, RouterConfig, RouterStats, ServeError, ServeRouter};
-use crate::transport::{Loopback, NetError};
+use crate::transport::Loopback;
 
 /// What a surviving distributed schedule looked like.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,21 +68,13 @@ pub fn fuzz_loopback(
     let controller = Arc::new(FuzzController::new(case, fault));
     let installed = install(controller.clone());
     let run = catch_unwind(AssertUnwindSafe(|| {
-        DistributedNomad::new(cfg, ranks).run_loopback(data)
+        DistributedNomad::new(cfg, ranks).run(data, Deployment::Loopback(&[]), None)
     }));
     drop(installed);
     let fail = |reason: String| FuzzFailure::new(FuzzTest::NetSchedule, case, reason);
-    let out = match run {
-        Ok(Ok(out)) => out,
-        Ok(Err(e)) => return Err(fail(format!("distributed run failed: {e}"))),
-        Err(payload) => {
-            return Err(FuzzFailure::from_panic(
-                FuzzTest::NetSchedule,
-                case,
-                payload,
-            ))
-        }
-    };
+    let out = run
+        .map_err(|payload| FuzzFailure::from_panic(FuzzTest::NetSchedule, case, payload))?
+        .map_err(|e| fail(format!("distributed run failed: {e}")))?;
 
     if ranks == 1 {
         let (serial, _) = SerialNomad::new(cfg).run(data, test, 1, &ComputeModel::hpc_core());
@@ -133,69 +126,9 @@ pub fn fuzz_loopback_chaos(
     ranks: usize,
     case: FuzzCase,
 ) -> Result<NetChaosStats, FuzzFailure> {
-    assert!(ranks >= 2, "chaos needs at least one survivor");
-    let victim = (case.seed % ranks as u64) as usize;
-    let controller =
-        Arc::new(FuzzController::new(case, FaultPlan::default()).with_chaos(victim, 0));
-    let installed = install(controller.clone());
-    let budget = cfg
-        .nomad
-        .stop
-        .updates()
-        .expect("chaos harness requires an update budget");
-    type RankResults = Vec<Result<(), NetError>>;
-    let run = catch_unwind(AssertUnwindSafe(
-        || -> Result<(crate::driver::DistOutput, RankResults), NetError> {
-            let (driver, endpoints) = Loopback::mesh(ranks);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = endpoints
-                    .into_iter()
-                    .map(|ep| {
-                        scope.spawn(move || {
-                            let chaotic = ChaosTransport::hooked(ep);
-                            crate::rank::run_rank(&chaotic)
-                        })
-                    })
-                    .collect();
-                let out = run_driver(&driver, data, cfg)?;
-                let results = handles
-                    .into_iter()
-                    .map(|h| h.join().expect("rank thread panicked"))
-                    .collect();
-                Ok((out, results))
-            })
-        },
-    ));
-    drop(installed);
-    let fail = |reason: String| FuzzFailure::new(FuzzTest::Chaos, case, reason);
-    let (out, rank_results) = match run {
-        Ok(Ok(pair)) => pair,
-        Ok(Err(e)) => return Err(fail(format!("chaos run failed: {e}"))),
-        Err(payload) => return Err(FuzzFailure::from_panic(FuzzTest::Chaos, case, payload)),
-    };
-
-    // A killed victim's endpoint fails with Closed — expected.  Every
-    // other rank must exit cleanly.
-    for (r, result) in rank_results.iter().enumerate() {
-        if let Err(e) = result {
-            if r != victim {
-                return Err(fail(format!("non-victim rank {r} failed: {e}")));
-            }
-        }
-    }
-    if matches!(case.strategy, Strategy::Crash(_)) && !out.stats.evicted.contains(&(victim as u32))
-    {
-        return Err(fail(format!(
-            "crashed rank {victim} was never evicted (evicted: {:?})",
-            out.stats.evicted
-        )));
-    }
-    if out.stats.updates < budget {
-        return Err(fail(format!(
-            "survivors stopped at {} updates, below the {budget} budget",
-            out.stats.updates
-        )));
-    }
+    let test = FuzzTest::Chaos;
+    let (out, _) = chaos_launch(test, data, cfg, ranks, case, None, 0, |_| ())?;
+    let fail = |reason: String| FuzzFailure::new(test, case, reason);
     // Telemetry fold oracle: the fleet snapshot counts every rank's
     // last-reported updates **exactly once**.  Survivors' final frames
     // ride the same FIFO edge just ahead of their gather shards, so
@@ -233,6 +166,80 @@ pub fn fuzz_loopback_chaos(
         evicted: out.stats.evicted,
         fleet,
     })
+}
+
+/// The run both chaos families share: `threads` calls of `load` on
+/// threads of their own beside a `ranks`-rank loopback mesh whose victim
+/// (`seed % ranks`) the controller for `case` crashes or partitions, and
+/// the oracles they share — the run completes, every other rank exits
+/// cleanly, a crashed victim is evicted, the survivors reach the budget.
+#[allow(clippy::too_many_arguments)]
+fn chaos_launch<L: Send>(
+    test: FuzzTest,
+    data: &RatingMatrix,
+    cfg: &NetConfig,
+    ranks: usize,
+    case: FuzzCase,
+    router: Option<&ServeRouter>,
+    threads: usize,
+    load: impl Fn(usize) -> L + Sync,
+) -> Result<(DistOutput, Vec<L>), FuzzFailure> {
+    assert!(ranks >= 2, "chaos needs at least one survivor");
+    let budget = cfg
+        .nomad
+        .stop
+        .updates()
+        .expect("chaos requires an update budget");
+    let victim = (case.seed % ranks as u64) as usize;
+    let controller = FuzzController::new(case, FaultPlan::default()).with_chaos(victim, 0);
+    let installed = install(Arc::new(controller));
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        std::thread::scope(|scope| {
+            let load = &load;
+            let loads: Vec<_> = (0..threads).map(|t| scope.spawn(move || load(t))).collect();
+            // Every endpoint is hooked; the controller faults only the
+            // victim's.  Even on a driver error the router has been
+            // finished, so the loads are guaranteed to wind down.
+            let launched = launch(
+                Loopback::mesh(ranks),
+                &[],
+                data,
+                cfg,
+                router,
+                ChaosTransport::hooked,
+            );
+            let loads: Vec<L> = loads
+                .into_iter()
+                .map(|h| h.join().expect("load thread panicked"))
+                .collect();
+            (launched, loads)
+        })
+    }));
+    drop(installed);
+    let fail = |reason: String| FuzzFailure::new(test, case, reason);
+    let ((driver, ranks), loads) =
+        run.map_err(|payload| FuzzFailure::from_panic(test, case, payload))?;
+    let out = driver.map_err(|e| fail(format!("chaos run failed: {e}")))?;
+    // A killed victim's endpoint fails with Closed — expected.
+    for (r, result) in ranks.iter().enumerate().filter(|&(r, _)| r != victim) {
+        if let Err(e) = result {
+            return Err(fail(format!("non-victim rank {r} failed: {e}")));
+        }
+    }
+    if matches!(case.strategy, Strategy::Crash(_)) && !out.stats.evicted.contains(&(victim as u32))
+    {
+        return Err(fail(format!(
+            "crashed rank {victim} was never evicted (evicted: {:?})",
+            out.stats.evicted
+        )));
+    }
+    if out.stats.updates < budget {
+        return Err(fail(format!(
+            "survivors stopped at {} updates, below the {budget} budget",
+            out.stats.updates
+        )));
+    }
+    Ok((out, loads))
 }
 
 /// What a surviving serving-chaos schedule looked like.
@@ -281,154 +288,73 @@ pub fn fuzz_loopback_serving(
     threads: usize,
     case: FuzzCase,
 ) -> Result<ServeChaosStats, FuzzFailure> {
-    assert!(ranks >= 2, "serving chaos needs at least one survivor");
     assert!(threads >= 1, "need at least one query thread");
     assert!(
         cfg.serve_publish_every > 0,
         "serving chaos requires serve_publish_every > 0"
     );
-    let victim = (case.seed % ranks as u64) as usize;
-    let controller =
-        Arc::new(FuzzController::new(case, FaultPlan::default()).with_chaos(victim, 0));
-    let installed = install(controller.clone());
-    let budget = cfg
-        .nomad
-        .stop
-        .updates()
-        .expect("serving chaos requires an update budget");
     let router = ServeRouter::new(RouterConfig {
         deadline: SERVE_FUZZ_DEADLINE,
         capacity: 64,
     });
-    let nrows = data.nrows() as u32;
-    let ncols = data.ncols() as u32;
-
-    /// One query thread's verdict: queries issued, first oracle violation
-    /// (if any).
-    struct QueryLog {
-        issued: u64,
-        violation: Option<String>,
-    }
-
-    type RankResults = Vec<Result<(), NetError>>;
-    let run = catch_unwind(AssertUnwindSafe(
-        || -> Result<(crate::driver::DistOutput, RankResults, Vec<QueryLog>), NetError> {
-            let (driver, endpoints) = Loopback::mesh(ranks);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = endpoints
-                    .into_iter()
-                    .map(|ep| {
-                        scope.spawn(move || {
-                            let chaotic = ChaosTransport::hooked(ep);
-                            crate::rank::run_rank(&chaotic)
-                        })
-                    })
-                    .collect();
-                let query_handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        let router = &router;
-                        scope.spawn(move || {
-                            let mut log = QueryLog {
-                                issued: 0,
-                                violation: None,
-                            };
-                            // Stagger the threads across the user space.
-                            let mut user = (t as u32 * 7919) % nrows;
-                            loop {
-                                let seen = if log.issued.is_multiple_of(3) {
-                                    vec![user % ncols, user % ncols] // dup ok
-                                } else {
-                                    Vec::new()
-                                };
-                                let asked = Instant::now();
-                                let res = router.query(user, 5, seen);
-                                let took = asked.elapsed();
-                                log.issued += 1;
-                                if took > SERVE_FUZZ_DEADLINE + SERVE_FUZZ_SLACK
-                                    && log.violation.is_none()
-                                {
-                                    log.violation = Some(format!(
-                                        "query for user {user} took {took:?}, past \
-                                         deadline {SERVE_FUZZ_DEADLINE:?} + slack"
-                                    ));
-                                }
-                                match res {
-                                    Ok(Answer::RunOver) => return log,
-                                    Ok(Answer::Fresh { recs, .. })
-                                    | Ok(Answer::Stale { recs, .. }) => {
-                                        if recs.is_empty() && log.violation.is_none() {
-                                            log.violation = Some(format!(
-                                                "answer for user {user} carried no \
-                                                 recommendations"
-                                            ));
-                                        }
-                                    }
-                                    Err(ServeError::Shed { .. }) => {
-                                        // Explicit overload refusal: legal.
-                                        // Back off harder than the usual gap.
-                                        std::thread::sleep(Duration::from_millis(5));
-                                    }
-                                    Err(e) => {
-                                        if log.violation.is_none() {
-                                            log.violation =
-                                                Some(format!("query for user {user} failed: {e}"));
-                                        }
-                                    }
-                                }
-                                user = (user + 1) % nrows;
-                                std::thread::sleep(Duration::from_millis(1));
-                            }
-                        })
-                    })
-                    .collect();
-                let out = run_driver_serving(&driver, data, cfg, Some(&router));
-                // Even on a driver error the router has been finished, so
-                // the query threads are guaranteed to wind down.
-                let logs = query_handles
-                    .into_iter()
-                    .map(|h| h.join().expect("query thread panicked"))
-                    .collect();
-                let results = handles
-                    .into_iter()
-                    .map(|h| h.join().expect("rank thread panicked"))
-                    .collect();
-                Ok((out?, results, logs))
-            })
-        },
-    ));
-    drop(installed);
-    let fail = |reason: String| FuzzFailure::new(FuzzTest::ServeChaos, case, reason);
-    let (out, rank_results, logs) = match run {
-        Ok(Ok(triple)) => triple,
-        Ok(Err(e)) => return Err(fail(format!("serving chaos run failed: {e}"))),
-        Err(payload) => return Err(FuzzFailure::from_panic(FuzzTest::ServeChaos, case, payload)),
-    };
-
-    for (r, result) in rank_results.iter().enumerate() {
-        if let Err(e) = result {
-            if r != victim {
-                return Err(fail(format!("non-victim rank {r} failed: {e}")));
+    let (nrows, ncols) = (data.nrows() as u32, data.ncols() as u32);
+    // One query thread: queries issued, and the first oracle violation.
+    let query_load = |t: usize| {
+        let (mut issued, mut violation) = (0u64, None);
+        let mut note = |v: String| {
+            violation.get_or_insert(v);
+        };
+        // Stagger the threads across the user space.
+        let mut user = (t as u32 * 7919) % nrows;
+        loop {
+            let seen = if issued.is_multiple_of(3) {
+                vec![user % ncols, user % ncols] // dup ok
+            } else {
+                Vec::new()
+            };
+            let asked = Instant::now();
+            let res = router.query(user, 5, seen);
+            let took = asked.elapsed();
+            issued += 1;
+            if took > SERVE_FUZZ_DEADLINE + SERVE_FUZZ_SLACK {
+                note(format!(
+                    "query for user {user} took {took:?}, past \
+                     deadline {SERVE_FUZZ_DEADLINE:?} + slack"
+                ));
             }
+            match res {
+                Ok(Answer::RunOver) => return (issued, violation),
+                Ok(Answer::Fresh { recs, .. }) | Ok(Answer::Stale { recs, .. }) => {
+                    if recs.is_empty() {
+                        note(format!("answer for user {user} carried no recommendations"));
+                    }
+                }
+                // Explicit overload refusal: legal.  Back off harder than
+                // the usual gap.
+                Err(ServeError::Shed { .. }) => std::thread::sleep(Duration::from_millis(5)),
+                Err(e) => note(format!("query for user {user} failed: {e}")),
+            }
+            user = (user + 1) % nrows;
+            std::thread::sleep(Duration::from_millis(1));
         }
-    }
-    if matches!(case.strategy, Strategy::Crash(_)) && !out.stats.evicted.contains(&(victim as u32))
-    {
-        return Err(fail(format!(
-            "crashed rank {victim} was never evicted (evicted: {:?})",
-            out.stats.evicted
-        )));
-    }
-    if out.stats.updates < budget {
-        return Err(fail(format!(
-            "survivors stopped at {} updates, below the {budget} budget",
-            out.stats.updates
-        )));
-    }
-    for log in &logs {
-        if let Some(violation) = &log.violation {
-            return Err(fail(violation.clone()));
+    };
+    let test = FuzzTest::ServeChaos;
+    let (out, logs) = chaos_launch(
+        test,
+        data,
+        cfg,
+        ranks,
+        case,
+        Some(&router),
+        threads,
+        query_load,
+    )?;
+    let fail = |reason: String| FuzzFailure::new(test, case, reason);
+    for (issued, violation) in logs {
+        if let Some(violation) = violation {
+            return Err(fail(violation));
         }
-        if log.issued == 0 {
+        if issued == 0 {
             return Err(fail("a query thread never resolved".into()));
         }
     }

@@ -27,8 +27,12 @@
 //!   progress, quiesce).
 //! * [`driver`] — scatter (shards + initial tokens via
 //!   [`nomad_core::online::token_home`]), the drain clock, gather, and the
-//!   token-conservation assertion; [`DistributedNomad`] ties a transport
-//!   choice to a run.
+//!   token-conservation assertion ([`driver::run_driver`]); [`DistributedNomad`]'s
+//!   one [`run`](DistributedNomad::run) starts a run in a [`Deployment`].
+//! * [`launch`](mod@launch) — the one in-process launcher: rank threads
+//!   (and mid-run joiners) over [`Loopback`] or TCP, the driver on the
+//!   caller's thread, and a mesh that closes when the driver is done, so
+//!   a failed driver releases its ranks at once.
 //! * [`process`] — re-exec'd rank children ([`child_entry`]) for true
 //!   address-space separation.
 //! * [`chaos`] — deterministic fault injection ([`ChaosTransport`]):
@@ -54,6 +58,7 @@
 pub mod chaos;
 pub mod driver;
 pub mod fuzz;
+pub mod launch;
 pub mod process;
 pub mod rank;
 pub mod serve_router;
@@ -62,11 +67,14 @@ pub mod transport;
 pub mod wire;
 
 pub use chaos::{ChaosPlan, ChaosTransport};
-pub use driver::{DistOutput, DistributedNomad, NetConfig, NetStats, DEFAULT_HEARTBEAT_TIMEOUT_MS};
+pub use driver::{
+    Deployment, DistOutput, DistributedNomad, NetConfig, NetStats, DEFAULT_HEARTBEAT_TIMEOUT_MS,
+};
 pub use fuzz::{
     fuzz_loopback, fuzz_loopback_chaos, fuzz_loopback_serving, NetChaosStats, NetFuzzStats,
     ServeChaosStats,
 };
+pub use launch::launch;
 pub use process::{child_entry, CHILD_FAILURE_EXIT, DRIVER_ENV, RANK_ENV};
 pub use rank::{join_rank, run_rank};
 pub use serve_router::{Answer, RouterConfig, RouterStats, ServeError, ServeRouter};

@@ -15,10 +15,10 @@ use std::process::{Command, Stdio};
 
 use nomad_matrix::RatingMatrix;
 
-use crate::driver::{run_driver_serving, DistOutput, NetConfig};
+use crate::driver::{run_driver, DistOutput, NetConfig};
 use crate::serve_router::ServeRouter;
 use crate::tcp::TcpTransport;
-use crate::transport::NetError;
+use crate::transport::{NetError, Transport};
 
 /// Environment variable carrying the child's rank index.
 pub const RANK_ENV: &str = "NOMAD_NET_RANK";
@@ -30,7 +30,7 @@ pub const DRIVER_ENV: &str = "NOMAD_NET_DRIVER";
 pub const CHILD_FAILURE_EXIT: i32 = 70;
 
 /// Rank-child entry hook.  **Must be the first call in `main`** of any
-/// binary that uses [`crate::DistributedNomad::run_processes`].
+/// binary that runs [`crate::Deployment::Processes`].
 ///
 /// In the parent (no [`RANK_ENV`] set) this is a no-op.  In a child it
 /// connects to the driver, runs the rank to quiescence and **exits the
@@ -86,7 +86,7 @@ pub(crate) fn run_processes(
     }
     let run = (|| {
         let transport = TcpTransport::accept_ranks(listener, ranks)?;
-        run_driver_serving(&transport, data, cfg, router)
+        run_driver(&transport, data, cfg, router)
     })();
     // Reap the children whatever happened; on driver failure the dropped
     // transport shuts the sockets, so children cannot outlive this loop.

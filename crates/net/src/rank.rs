@@ -239,23 +239,20 @@ pub(crate) fn bit(r: usize) -> u64 {
 type SetupOutcome = Option<(SetupPayload, Vec<(usize, Message)>)>;
 
 /// Waits for the driver's `Setup`, stashing any messages (tokens from
-/// faster ranks) that race ahead of it.
+/// faster ranks) that race ahead of it.  There is no deadline: a live
+/// driver answers with `Setup` or `Evict`, and one that is gone has closed
+/// the mesh ([`crate::launch()`]) or its stream, which ends the wait with
+/// [`NetError::Closed`].
 fn wait_for_setup<T: Transport>(transport: &T) -> Result<SetupOutcome, NetError> {
-    // `recv_timeout` returns early on a wake, so the 30s budget is a
-    // deadline, not a per-call timeout.
-    let deadline = Instant::now() + Duration::from_secs(30);
+    let driver = transport.ranks();
     let mut stashed: Vec<(usize, Message)> = Vec::new();
     loop {
-        match transport.recv_timeout(deadline.saturating_duration_since(Instant::now()))? {
+        match transport.recv_timeout(Duration::MAX)? {
             Some((_, Message::Setup(setup))) => return Ok(Some((*setup, stashed))),
             // The driver turned us away (e.g. a join after drain).
             Some((_, Message::Evict { .. })) => return Ok(None),
             Some(other) => stashed.push(other),
-            None if Instant::now() >= deadline => {
-                return Err(NetError::Protocol(
-                    "no Setup within 30s of joining the mesh".into(),
-                ))
-            }
+            None if transport.peer_down(driver) => return Err(NetError::Closed),
             None => {}
         }
     }
@@ -268,7 +265,8 @@ fn wait_for_setup<T: Transport>(transport: &T) -> Result<SetupOutcome, NetError>
 ///
 /// # Errors
 /// Fails on transport errors or protocol violations (e.g. a second
-/// `Setup`, or a run that never receives one).
+/// `Setup`), and with [`NetError::Closed`] if the mesh closes before its
+/// `Setup` arrives.
 pub fn run_rank<T: Transport>(transport: &T) -> Result<(), NetError> {
     let Some((setup, stashed)) = wait_for_setup(transport)? else {
         // Evicted before ever receiving a Setup: nothing to tear down.
@@ -282,9 +280,9 @@ pub fn run_rank<T: Transport>(transport: &T) -> Result<(), NetError> {
 /// rows arrive later via rebalance), then runs the normal rank loop.
 ///
 /// Returns `Ok(true)` if the rank was admitted and ran to completion,
-/// `Ok(false)` if the driver turned the join away (run already draining
-/// or finished) — being told "too late" is a normal outcome of elastic
-/// membership, not a failure.
+/// `Ok(false)` if the driver turned the join away (run already draining)
+/// or the mesh closed first (run finished) — being told "too late" is a
+/// normal outcome of elastic membership, not a failure.
 ///
 /// # Errors
 /// Fails on transport errors or protocol violations.
@@ -295,7 +293,11 @@ pub fn join_rank<T: Transport>(transport: &T) -> Result<bool, NetError> {
             rank: transport.id() as u32,
         },
     )?;
-    let Some((setup, stashed)) = wait_for_setup(transport)? else {
+    let admitted = match wait_for_setup(transport) {
+        Err(NetError::Closed) => None,
+        waited => waited?,
+    };
+    let Some((setup, stashed)) = admitted else {
         return Ok(false);
     };
     run_rank_inner(transport, setup, stashed)?;

@@ -282,6 +282,29 @@ impl TcpTransport {
         Self::start(rank, streams)
     }
 
+    /// Builds a whole `ranks`-rank mesh inside this process: each rank's
+    /// side of the handshake on a thread of its own, the driver's on the
+    /// caller's.  Returns `(driver, rank_endpoints)`, as
+    /// [`crate::Loopback::mesh`] does.
+    ///
+    /// # Errors
+    /// Fails as [`Self::accept_ranks`] and [`Self::connect_rank`] do.
+    pub fn mesh(ranks: usize) -> Result<(TcpTransport, Vec<TcpTransport>), NetError> {
+        let listener = TcpListener::bind(("127.0.0.1", 0))?;
+        let addr = listener.local_addr()?;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..ranks)
+                .map(|r| scope.spawn(move || Self::connect_rank(&addr, r)))
+                .collect();
+            let driver = Self::accept_ranks(listener, ranks);
+            let endpoints: Result<Vec<_>, _> = handles
+                .into_iter()
+                .map(|h| h.join().expect("rank handshake panicked"))
+                .collect();
+            Ok((driver?, endpoints?))
+        })
+    }
+
     /// Ends the handshake of endpoint `id`: `streams` holds one stream per
     /// endpoint id (`None` for `id` itself).  Steady-state reads block
     /// until EOF, each writing half goes into its slot, and each reading
@@ -313,33 +336,6 @@ impl TcpTransport {
             ranks: shared.writers.len() - 1,
             shared,
         })
-    }
-
-    /// Ends a rank's part in the mesh without resetting a stream: each one
-    /// is half-closed — the peer reads everything sent, then end of
-    /// stream — and the reader threads go on draining until every peer has
-    /// closed its side as well, or five seconds have passed.  A socket closed
-    /// with bytes still unread in it (a late query, a ping) is reset, and
-    /// the reset can discard this side's last frames, such as the rank's
-    /// `Shard`, before the peer has read them.  The driver closes its side
-    /// once it has gathered, so a rank calls this when it is done.
-    pub fn linger(&self) {
-        let open: Vec<usize> = (0..self.shared.writers.len())
-            .filter(|&peer| {
-                let slot = self.shared.writers[peer].lock().expect("writer poisoned");
-                slot.as_ref()
-                    .is_some_and(|w| w.get_ref().shutdown(Shutdown::Write).is_ok())
-            })
-            .collect();
-        let deadline = std::time::Instant::now() + LINGER;
-        while open.iter().any(|&peer| !self.peer_down(peer)) {
-            let Some(left) = deadline.checked_duration_since(std::time::Instant::now()) else {
-                break;
-            };
-            // Every reader wakes the inbox as it ends; whatever still
-            // arrives is dropped.
-            self.shared.inbox.pop_timeout(left);
-        }
     }
 }
 
@@ -400,12 +396,37 @@ impl Transport for TcpTransport {
             shut(writer);
         }
     }
-}
 
-impl Drop for TcpTransport {
-    fn drop(&mut self) {
-        // Shut the sockets down so the detached reader threads see EOF and
-        // exit instead of blocking forever on a half-open stream.
+    /// Ends a rank's part in the mesh without resetting a stream: each one
+    /// is half-closed — the peer reads everything sent, then end of
+    /// stream — and the reader threads go on draining until every peer has
+    /// closed its side as well, or five seconds have passed.  A socket closed
+    /// with bytes still unread in it (a late query, a ping) is reset, and
+    /// the reset can discard this side's last frames, such as the rank's
+    /// `Shard`, before the peer has read them.  The driver closes its side
+    /// once it has gathered, so a rank calls this when it is done.
+    fn linger(&self) {
+        let open: Vec<usize> = (0..self.shared.writers.len())
+            .filter(|&peer| {
+                let slot = self.shared.writers[peer].lock().expect("writer poisoned");
+                slot.as_ref()
+                    .is_some_and(|w| w.get_ref().shutdown(Shutdown::Write).is_ok())
+            })
+            .collect();
+        let deadline = std::time::Instant::now() + LINGER;
+        while open.iter().any(|&peer| !self.peer_down(peer)) {
+            let Some(left) = deadline.checked_duration_since(std::time::Instant::now()) else {
+                break;
+            };
+            // Every reader wakes the inbox as it ends; whatever still
+            // arrives is dropped.
+            self.shared.inbox.pop_timeout(left);
+        }
+    }
+
+    /// Shuts every stream of this endpoint down: each peer reads what was
+    /// sent, then end of stream, and marks this endpoint down.
+    fn close(&self) {
         for writer in &self.shared.writers {
             if let Ok(mut slot) = writer.lock() {
                 if let Some(writer) = slot.take() {
@@ -416,27 +437,21 @@ impl Drop for TcpTransport {
     }
 }
 
+impl Drop for TcpTransport {
+    fn drop(&mut self) {
+        // The detached reader threads see EOF and exit instead of blocking
+        // forever on a half-open stream.
+        self.close();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Builds a full in-process TCP mesh: the driver on the caller thread,
-    /// every rank endpoint created on its own thread, then all endpoints
-    /// returned for the test body to script.
-    fn tcp_mesh(ranks: usize) -> (TcpTransport, Vec<TcpTransport>) {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let handles: Vec<_> = (0..ranks)
-            .map(|r| std::thread::spawn(move || TcpTransport::connect_rank(&addr, r).unwrap()))
-            .collect();
-        let driver = TcpTransport::accept_ranks(listener, ranks).unwrap();
-        let endpoints = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        (driver, endpoints)
-    }
-
     #[test]
     fn handshake_builds_a_full_mesh_and_routes_messages() {
-        let (driver, ranks) = tcp_mesh(3);
+        let (driver, ranks) = TcpTransport::mesh(3).unwrap();
         // Driver → every rank.
         for (r, _) in ranks.iter().enumerate() {
             driver.send(r, &Message::Drain).unwrap();
@@ -494,7 +509,7 @@ mod tests {
 
     #[test]
     fn streams_preserve_per_edge_fifo_order() {
-        let (driver, ranks) = tcp_mesh(1);
+        let (driver, ranks) = TcpTransport::mesh(1).unwrap();
         for u in 0..100u64 {
             ranks[0]
                 .send(
@@ -527,7 +542,7 @@ mod tests {
 
     #[test]
     fn an_oversized_message_is_refused_and_the_writer_survives() {
-        let (driver, ranks) = tcp_mesh(1);
+        let (driver, ranks) = TcpTransport::mesh(1).unwrap();
         // Not taken for a dead stream: the writer slot outlives the refusal
         // (the follow-up send is delivered) and no down-evidence is raised.
         crate::transport::tests::assert_oversized_is_refused(&ranks[0], &driver);
@@ -536,7 +551,7 @@ mod tests {
 
     #[test]
     fn a_refused_metric_name_writes_nothing_and_the_edge_survives() {
-        let (driver, ranks) = tcp_mesh(1);
+        let (driver, ranks) = TcpTransport::mesh(1).unwrap();
         // Had any byte of the refused frame reached the buffer, the `Fin`
         // behind it would arrive garbled and the driver's reader would
         // mark the edge down.
@@ -578,7 +593,7 @@ mod tests {
         // can discard the frame's tail.  Five tries, since an unguarded
         // close loses the frame only most of the time.
         for _ in 0..5 {
-            let (driver, mut ranks) = tcp_mesh(1);
+            let (driver, mut ranks) = TcpTransport::mesh(1).unwrap();
             let rank = ranks.pop().unwrap();
             let last = Message::ShardTransfer(Box::new(ShardTransferPayload {
                 row_start: 0,
@@ -616,7 +631,7 @@ mod tests {
 
     #[test]
     fn tcp_honours_the_wake_contract() {
-        let (driver, ranks) = tcp_mesh(1);
+        let (driver, ranks) = TcpTransport::mesh(1).unwrap();
         // A frame is in the inbox once the reader thread has queued it.
         crate::transport::tests::assert_wake_contract(&driver, &ranks[0], || {
             let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -629,7 +644,7 @@ mod tests {
 
     #[test]
     fn a_dropped_peer_surfaces_as_down_and_peer_gone() {
-        let (driver, mut ranks) = tcp_mesh(2);
+        let (driver, mut ranks) = TcpTransport::mesh(2).unwrap();
         let dead = ranks.remove(1);
         drop(dead); // rank 1's sockets close → EOF everywhere
         let deadline = std::time::Instant::now() + Duration::from_secs(5);

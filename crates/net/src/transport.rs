@@ -20,6 +20,7 @@
 //! [`Waker`] cut a blocked [`Transport::recv_timeout`] short from another
 //! thread without a lost wake-up and without touching the queue.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -121,6 +122,17 @@ pub trait Transport: Send {
     fn close_peer(&self, peer: usize) {
         let _ = peer;
     }
+
+    /// Closes the mesh from this endpoint, as the driver does when its run
+    /// is over ([`crate::launch()`]): every peer first reads what was sent
+    /// to it, and a rank still waiting for its `Setup` then fails with
+    /// [`NetError::Closed`].
+    fn close(&self);
+
+    /// Ends this endpoint's part in a finished run without cutting off
+    /// the last frames it sent (see [`crate::TcpTransport`]).  Default:
+    /// nothing to wait for.
+    fn linger(&self) {}
 }
 
 /// Cuts a blocked [`Transport::recv_timeout`] short from another thread.
@@ -158,6 +170,8 @@ pub struct Loopback {
     ranks: usize,
     /// One inbox per endpoint.
     boxes: Arc<Vec<Inbox<SentFrame>>>,
+    /// Raised once by [`Transport::close`], for the whole mesh.
+    closed: Arc<AtomicBool>,
 }
 
 /// An encoded frame tagged with its sender.
@@ -175,19 +189,14 @@ impl Loopback {
     pub fn mesh(ranks: usize) -> (Loopback, Vec<Loopback>) {
         assert!(ranks > 0, "need at least one rank");
         let boxes = Arc::new((0..=ranks).map(|_| Inbox::new()).collect());
-        let driver = Loopback {
-            id: ranks,
+        let closed = Arc::new(AtomicBool::new(false));
+        let endpoint = |id| Loopback {
+            id,
             ranks,
             boxes: Arc::clone(&boxes),
+            closed: Arc::clone(&closed),
         };
-        let endpoints = (0..ranks)
-            .map(|id| Loopback {
-                id,
-                ranks,
-                boxes: Arc::clone(&boxes),
-            })
-            .collect();
-        (driver, endpoints)
+        (endpoint(ranks), (0..ranks).map(endpoint).collect())
     }
 }
 
@@ -210,8 +219,16 @@ impl Transport for Loopback {
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<(usize, Message)>, NetError> {
-        match self.boxes[self.id].pop_timeout(timeout) {
+        let closed = || self.closed.load(Ordering::Acquire);
+        let inbox = &self.boxes[self.id];
+        let got = if closed() {
+            inbox.pop()
+        } else {
+            inbox.pop_timeout(timeout)
+        };
+        match got {
             Some((src, bytes)) => Ok(Some((src, Message::decode(&bytes)?))),
+            None if closed() => Err(NetError::Closed),
             None => Ok(None),
         }
     }
@@ -219,6 +236,15 @@ impl Transport for Loopback {
     fn waker(&self) -> Waker {
         let (boxes, id) = (Arc::clone(&self.boxes), self.id);
         Waker::new(move || boxes[id].wake())
+    }
+
+    /// Closes the whole mesh, from any endpoint: every receive delivers
+    /// what is queued and then fails, a blocked one at once.
+    fn close(&self) {
+        self.closed.store(true, Ordering::Release);
+        for inbox in self.boxes.iter() {
+            inbox.wake();
+        }
     }
 }
 
@@ -393,6 +419,30 @@ pub(crate) mod tests {
         }
         assert_eq!(from_zero, vec![1, 2, 3], "per-edge FIFO violated");
         assert!(fin_seen);
+    }
+
+    /// A rank blocked in a receive returns at once when the mesh closes,
+    /// and a frame queued before the close is still delivered first.
+    #[test]
+    fn closing_the_mesh_releases_a_blocked_receive() {
+        let (driver, ranks) = Loopback::mesh(2);
+        driver.send(0, &Message::Drain).unwrap();
+        std::thread::scope(|scope| {
+            let blocked = scope.spawn(|| {
+                let before = std::time::Instant::now();
+                (ranks[1].recv_timeout(LONG), before.elapsed())
+            });
+            std::thread::sleep(Duration::from_millis(20));
+            driver.close();
+            let (got, took) = blocked.join().unwrap();
+            assert!(matches!(got, Err(NetError::Closed)), "got {got:?}");
+            assert!(took < PROMPT, "a closed mesh held its rank for {took:?}");
+        });
+        assert_eq!(
+            ranks[0].recv_timeout(LONG).unwrap(),
+            Some((2, Message::Drain))
+        );
+        assert!(matches!(ranks[0].recv_timeout(LONG), Err(NetError::Closed)));
     }
 
     #[test]

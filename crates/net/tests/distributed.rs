@@ -14,7 +14,7 @@ use nomad_core::{NomadConfig, RoutingPolicy, SerialNomad, StopCondition};
 use nomad_data::{named_dataset, SizeTier};
 use nomad_matrix::{RatingMatrix, TripletMatrix};
 use nomad_net::driver::run_driver;
-use nomad_net::{DistributedNomad, Loopback, NetConfig};
+use nomad_net::{Deployment, DistributedNomad, Loopback, NetConfig};
 use nomad_sgd::HyperParams;
 use nomad_telemetry::{names, TelemetrySnapshot};
 
@@ -39,7 +39,7 @@ fn single_rank_loopback_is_bit_identical_to_serial() {
     let cfg = quick_config(8, 30_000);
     let (serial_model, _) = SerialNomad::new(cfg).run(&data, &test, 1, &ComputeModel::hpc_core());
     let out = DistributedNomad::new(cfg, 1)
-        .run_loopback(&data)
+        .run(&data, Deployment::Loopback(&[]), None)
         .expect("loopback run");
     assert_eq!(
         out.model, serial_model,
@@ -57,7 +57,7 @@ fn single_rank_tcp_is_bit_identical_to_serial() {
     let cfg = quick_config(8, 20_000);
     let (serial_model, _) = SerialNomad::new(cfg).run(&data, &test, 1, &ComputeModel::hpc_core());
     let out = DistributedNomad::new(cfg, 1)
-        .run_tcp_threads(&data)
+        .run(&data, Deployment::TcpThreads, None)
         .expect("tcp run");
     assert_eq!(out.model, serial_model);
 }
@@ -72,7 +72,7 @@ fn single_rank_identity_holds_across_k() {
         let (serial_model, _) =
             SerialNomad::new(cfg).run(&data, &test, 1, &ComputeModel::hpc_core());
         let out = DistributedNomad::new(cfg, 1)
-            .run_loopback(&data)
+            .run(&data, Deployment::Loopback(&[]), None)
             .expect("loopback run");
         assert_eq!(out.model, serial_model, "p=1 identity broken at k={k}");
     }
@@ -87,7 +87,7 @@ fn two_and_four_ranks_complete_the_budget_over_loopback() {
     for ranks in [2, 4] {
         let cfg = quick_config(8, 40_000);
         let out = DistributedNomad::new(cfg, ranks)
-            .run_loopback(&data)
+            .run(&data, Deployment::Loopback(&[]), None)
             .unwrap_or_else(|e| panic!("{ranks}-rank loopback run failed: {e}"));
         assert!(
             out.stats.updates >= 40_000,
@@ -117,7 +117,7 @@ fn setup_and_scatter_are_each_timed_once() {
     let (data, _) = tiny();
     let ranks = 3;
     let out = DistributedNomad::new(quick_config(8, 5_000), ranks)
-        .run_loopback(&data)
+        .run(&data, Deployment::Loopback(&[]), None)
         .expect("loopback run");
     let count = |snap: &TelemetrySnapshot, name| snap.histogram(name).map_or(0, |h| h.count);
     for (r, snap) in out.stats.rank_telemetry.iter().enumerate() {
@@ -139,7 +139,7 @@ fn two_ranks_complete_the_budget_over_tcp() {
     let (data, test) = tiny();
     let cfg = quick_config(8, 30_000);
     let out = DistributedNomad::new(cfg, 2)
-        .run_tcp_threads(&data)
+        .run(&data, Deployment::TcpThreads, None)
         .expect("tcp run");
     assert!(out.stats.updates >= 30_000);
     assert!(out.stats.remote_sends > 0);
@@ -159,7 +159,7 @@ fn all_routing_policies_quiesce_over_loopback() {
     ] {
         let cfg = quick_config(8, 15_000).with_routing(routing);
         let out = DistributedNomad::new(cfg, 3)
-            .run_loopback(&data)
+            .run(&data, Deployment::Loopback(&[]), None)
             .unwrap_or_else(|e| panic!("{routing:?} failed: {e}"));
         assert!(out.stats.updates >= 15_000, "{routing:?} under budget");
     }
@@ -171,7 +171,9 @@ fn all_routing_policies_quiesce_over_loopback() {
 fn small_message_batches_still_quiesce() {
     let (data, _) = tiny();
     let cfg = quick_config(8, 10_000).with_message_batch(1);
-    let out = DistributedNomad::new(cfg, 2).run_loopback(&data).unwrap();
+    let out = DistributedNomad::new(cfg, 2)
+        .run(&data, Deployment::Loopback(&[]), None)
+        .unwrap();
     assert!(out.stats.updates >= 10_000);
 }
 
@@ -181,7 +183,9 @@ fn small_message_batches_still_quiesce() {
 fn many_ranks_with_sparse_shards_quiesce() {
     let (data, _) = tiny();
     let cfg = quick_config(8, 8_000);
-    let out = DistributedNomad::new(cfg, 6).run_loopback(&data).unwrap();
+    let out = DistributedNomad::new(cfg, 6)
+        .run(&data, Deployment::Loopback(&[]), None)
+        .unwrap();
     assert!(out.stats.updates >= 8_000);
     assert_eq!(out.model.num_items(), data.ncols());
 }
@@ -225,5 +229,5 @@ fn sixty_five_ranks_rejected_at_construction() {
 fn run_driver_rejects_a_sixty_five_rank_mesh() {
     let (data, _) = tiny();
     let (driver, _ranks) = Loopback::mesh(65);
-    let _ = run_driver(&driver, &data, &NetConfig::new(quick_config(4, 10)));
+    let _ = run_driver(&driver, &data, &NetConfig::new(quick_config(4, 10)), None);
 }

@@ -14,9 +14,7 @@ use std::time::Duration;
 use nomad_core::{NomadConfig, StopCondition};
 use nomad_data::{named_dataset, SizeTier};
 use nomad_matrix::{RatingMatrix, TripletMatrix};
-use nomad_net::driver::run_driver;
-use nomad_net::rank::run_rank;
-use nomad_net::{ChaosPlan, ChaosTransport, DistributedNomad, Loopback, NetConfig};
+use nomad_net::{launch, ChaosPlan, Deployment, DistributedNomad, Loopback, NetConfig};
 use nomad_sgd::HyperParams;
 
 /// Serializes the tests whose assertions depend on wall-clock margins.
@@ -51,7 +49,11 @@ fn a_rank_joining_mid_run_is_rebalanced_into_the_flow() {
         let mut cfg = NetConfig::new(quick_config(8, budget));
         cfg.initial_ranks = 2;
         let out = DistributedNomad::with_config(cfg, 3)
-            .run_loopback_elastic(&data, &[(2, Duration::from_millis(20))])
+            .run(
+                &data,
+                Deployment::Loopback(&[(2, Duration::from_millis(20))]),
+                None,
+            )
             .expect("2-rank mesh must absorb a third rank mid-run");
         if !out.stats.joined.is_empty() {
             break out;
@@ -86,7 +88,7 @@ fn a_rank_joining_mid_run_is_rebalanced_into_the_flow() {
     // Convergence parity with fixed membership: joining mid-run must not
     // cost model quality (the rebalanced rows carry their live factors).
     let fixed = DistributedNomad::new(quick_config(8, budget), 3)
-        .run_loopback(&data)
+        .run(&data, Deployment::Loopback(&[]), None)
         .expect("fixed 3-rank baseline");
     let rmse_join = nomad_sgd::rmse(&out.model, &test);
     let rmse_fixed = nomad_sgd::rmse(&fixed.model, &test);
@@ -107,23 +109,12 @@ fn a_slow_rank_under_the_heartbeat_timeout_is_not_evicted() {
     // 2ms per send vs a 500ms silence threshold: the idle-edge pings
     // (sent every timeout/4) alone keep the rank comfortably audible.
     cfg.heartbeat_timeout_ms = 500;
-    let (driver, mut endpoints) = Loopback::mesh(2);
-    let slow = ChaosTransport::scripted(
-        endpoints.pop().unwrap(),
-        ChaosPlan {
-            send_delay: Duration::from_millis(2),
-            ..ChaosPlan::default()
-        },
-    );
-    let fast = endpoints.pop().unwrap();
-    let out = std::thread::scope(|scope| {
-        let s = scope.spawn(|| run_rank(&slow));
-        let f = scope.spawn(|| run_rank(&fast));
-        let out = run_driver(&driver, &data, &cfg).expect("driver tolerates a slow rank");
-        s.join().unwrap().expect("slow rank exits cleanly");
-        f.join().unwrap().expect("fast rank exits cleanly");
-        out
-    });
+    let slow = ChaosPlan::send_delay(Duration::from_millis(2));
+    let (driver, ranks) = launch(Loopback::mesh(2), &[], &data, &cfg, None, slow.on(1));
+    let out = driver.expect("driver tolerates a slow rank");
+    let [s, f] = <[_; 2]>::try_from(ranks).unwrap();
+    s.expect("slow rank exits cleanly");
+    f.expect("fast rank exits cleanly");
     assert!(
         out.stats.evicted.is_empty(),
         "a rank under the heartbeat timeout was falsely evicted: {:?}",
@@ -146,25 +137,12 @@ fn a_rank_over_the_heartbeat_timeout_is_evicted_and_survivors_finish() {
     // 800ms per send vs a 200ms threshold: the driver deterministically
     // declares rank 1 dead before its first frame ever lands.
     cfg.heartbeat_timeout_ms = 200;
-    let (driver, mut endpoints) = Loopback::mesh(2);
-    let slow = ChaosTransport::scripted(
-        endpoints.pop().unwrap(),
-        ChaosPlan {
-            send_delay: Duration::from_millis(800),
-            ..ChaosPlan::default()
-        },
-    );
-    let fast = endpoints.pop().unwrap();
-    let out = std::thread::scope(|scope| {
-        let s = scope.spawn(|| run_rank(&slow));
-        let f = scope.spawn(|| run_rank(&fast));
-        let out = run_driver(&driver, &data, &cfg).expect("driver completes with the survivor");
-        s.join()
-            .unwrap()
-            .expect("the evicted rank exits cleanly on its eviction notice");
-        f.join().unwrap().expect("survivor exits cleanly");
-        out
-    });
+    let slow = ChaosPlan::send_delay(Duration::from_millis(800));
+    let (driver, ranks) = launch(Loopback::mesh(2), &[], &data, &cfg, None, slow.on(1));
+    let out = driver.expect("driver completes with the survivor");
+    let [f, s] = <[_; 2]>::try_from(ranks).unwrap();
+    s.expect("the evicted rank exits cleanly on its eviction notice");
+    f.expect("survivor exits cleanly");
     assert_eq!(
         out.stats.evicted,
         vec![1],
@@ -208,30 +186,14 @@ fn a_scripted_transport_kill_is_detected_and_survived() {
     // on the order of a hundred ops per endpoint — flushes coalesce).
     let mut cfg = NetConfig::new(quick_config(8, budget).with_message_batch(4));
     cfg.heartbeat_timeout_ms = 300;
-    let (driver, mut endpoints) = Loopback::mesh(3);
-    let ep2 = endpoints.pop().unwrap();
-    let ep1 = endpoints.pop().unwrap();
-    let ep0 = endpoints.pop().unwrap();
-    let victim = ChaosTransport::scripted(
-        ep1,
-        ChaosPlan {
-            kill_at: Some(40),
-            ..ChaosPlan::default()
-        },
-    );
-    let out = std::thread::scope(|scope| {
-        let v = scope.spawn(|| run_rank(&victim));
-        let a = scope.spawn(|| run_rank(&ep0));
-        let b = scope.spawn(|| run_rank(&ep2));
-        let out = run_driver(&driver, &data, &cfg).expect("driver survives the scripted kill");
-        // The victim's endpoint reports Closed once killed — expected.
-        v.join()
-            .unwrap()
-            .expect_err("a killed endpoint cannot exit cleanly");
-        a.join().unwrap().expect("rank 0 exits cleanly");
-        b.join().unwrap().expect("rank 2 exits cleanly");
-        out
-    });
+    let victim = ChaosPlan::kill_at(40);
+    let (driver, ranks) = launch(Loopback::mesh(3), &[], &data, &cfg, None, victim.on(1));
+    let out = driver.expect("driver survives the scripted kill");
+    let [a, v, b] = <[_; 3]>::try_from(ranks).unwrap();
+    // The victim's endpoint reports Closed once killed — expected.
+    v.expect_err("a killed endpoint cannot exit cleanly");
+    a.expect("rank 0 exits cleanly");
+    b.expect("rank 2 exits cleanly");
     assert_eq!(
         out.stats.evicted,
         vec![1],
@@ -267,14 +229,17 @@ fn a_scripted_transport_kill_is_detected_and_survived() {
     assert_eq!(out.model.num_items(), data.ncols());
 }
 
-/// A join request for a slot outside the mesh capacity is a construction
-/// error in the loopback runner (the driver itself rejects unknown slots
-/// over the wire).
+/// A join request for a slot that is not initially empty is a
+/// construction error in the launcher (the driver itself rejects unknown
+/// slots over the wire).
 #[test]
 #[should_panic(expected = "initially-empty mesh slot")]
 fn joining_an_active_slot_is_rejected() {
     let (data, _test) = tiny();
     let cfg = NetConfig::new(quick_config(4, 1_000));
-    let _ = DistributedNomad::with_config(cfg, 2)
-        .run_loopback_elastic(&data, &[(0, Duration::from_millis(1))]);
+    let _ = DistributedNomad::with_config(cfg, 2).run(
+        &data,
+        Deployment::Loopback(&[(0, Duration::from_millis(1))]),
+        None,
+    );
 }

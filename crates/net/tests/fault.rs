@@ -2,7 +2,7 @@
 //! surviving ranks finish the job.
 //!
 //! `harness = false`: [`nomad_net::child_entry`] must be the first call
-//! in `main`, because [`DistributedNomad::run_processes`] re-execs
+//! in `main`, because [`Deployment::Processes`] re-execs
 //! *this* test binary once per rank.  The doomed rank's `Setup` carries
 //! `abort_after_updates`, so after that many local updates the child
 //! calls `std::process::abort()` — no `Drop`s, no socket shutdown
@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use nomad_core::{NomadConfig, StopCondition};
 use nomad_data::{named_dataset, SizeTier};
-use nomad_net::{DistributedNomad, NetConfig};
+use nomad_net::{Deployment, DistributedNomad, NetConfig};
 use nomad_sgd::HyperParams;
 
 fn main() {
@@ -49,7 +49,7 @@ fn main() {
 
     let started = Instant::now();
     let out = DistributedNomad::with_config(cfg, 4)
-        .run_processes(&ds.matrix)
+        .run(&ds.matrix, Deployment::Processes, None)
         .expect("4-rank run must survive one rank dying mid-epoch");
 
     assert_eq!(

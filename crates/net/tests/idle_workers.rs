@@ -1,6 +1,7 @@
 //! Idle-worker regressions.  A worker with no token waits on its queue, so
 //! every event that needs it — the end of a threaded round, a rank's
-//! drain, a census park — must wake it.  A lost wake leaves a thread
+//! drain, a census park — must wake it, and a rank waiting for the `Setup`
+//! of a driver that failed must be released.  A lost wake leaves a thread
 //! waiting forever; each run here is watched, so that shows up as a
 //! failure instead of a hung suite.
 //!
@@ -8,13 +9,13 @@
 //! holds no token.
 
 use std::sync::mpsc::{channel, RecvTimeoutError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use nomad_core::{NomadConfig, StopCondition, ThreadedNomad};
 use nomad_matrix::{RatingMatrix, TripletMatrix};
-use nomad_net::driver::run_driver;
-use nomad_net::rank::run_rank;
-use nomad_net::{ChaosPlan, ChaosTransport, DistributedNomad, Loopback, NetConfig};
+use nomad_net::{
+    launch, ChaosPlan, Deployment, DistributedNomad, Loopback, NetConfig, NetError, TcpTransport,
+};
 use nomad_sgd::HyperParams;
 use nomad_telemetry::names;
 
@@ -73,8 +74,10 @@ fn idle_workers_are_woken_when_a_round_ends() {
 fn a_rank_without_tokens_is_woken_to_drain() {
     for seed in 0..3 {
         let data = RatingMatrix::from_triplets(&two_items(30));
-        let out = watched(move || DistributedNomad::new(config(seed), 3).run_loopback(&data))
-            .expect("drains and gathers");
+        let out = watched(move || {
+            DistributedNomad::new(config(seed), 3).run(&data, Deployment::Loopback(&[]), None)
+        })
+        .expect("drains and gathers");
         assert!(out.stats.updates >= 6_000);
         assert_eq!(out.model.num_items(), 2);
         // The rank-side counter of batches re-injected after a failed send
@@ -98,26 +101,10 @@ fn a_survivor_parked_idle_completes_its_census() {
     let (out, [first, victim, last]) = watched(|| {
         let mut cfg = NetConfig::new(config(5));
         cfg.heartbeat_timeout_ms = 300;
-        let (driver, mut endpoints) = Loopback::mesh(3);
-        let ep2 = endpoints.pop().expect("rank 2");
-        let plan = ChaosPlan {
-            kill_at: Some(0),
-            ..ChaosPlan::default()
-        };
-        let victim = ChaosTransport::scripted(endpoints.pop().expect("rank 1"), plan);
-        let ep0 = endpoints.pop().expect("rank 0");
-        std::thread::scope(|scope| {
-            let ranks = [
-                scope.spawn(|| run_rank(&ep0)),
-                scope.spawn(|| run_rank(&victim)),
-                scope.spawn(|| run_rank(&ep2)),
-            ];
-            let out = run_driver(&driver, &RatingMatrix::from_triplets(&two_items(30)), &cfg);
-            (
-                out,
-                ranks.map(|rank| rank.join().expect("rank thread panicked")),
-            )
-        })
+        let plan = ChaosPlan::kill_at(0);
+        let data = RatingMatrix::from_triplets(&two_items(30));
+        let (driver, ranks) = launch(Loopback::mesh(3), &[], &data, &cfg, None, plan.on(1));
+        (driver, <[_; 3]>::try_from(ranks).unwrap())
     });
     let out = out.expect("the survivors finish the run");
     assert!(victim.is_err(), "a killed endpoint cannot exit cleanly");
@@ -126,4 +113,33 @@ fn a_survivor_parked_idle_completes_its_census() {
     assert_eq!(out.stats.evicted, vec![1]);
     assert!(out.stats.reminted > 0, "the corpse's tokens are re-minted");
     assert!(out.stats.updates >= 6_000);
+}
+
+/// A driver that dies at its first operation, before any rank has its
+/// `Setup`, releases its ranks at once, over Loopback and over TCP: the
+/// launcher closes the mesh, and each rank leaves its wait for `Setup`
+/// with `Closed`.
+#[test]
+fn a_driver_failing_before_setup_releases_its_ranks_at_once() {
+    let runs = watched(|| {
+        let cfg = NetConfig::new(config(7));
+        let data = RatingMatrix::from_triplets(&two_items(30));
+        // The driver is endpoint 2 of a 2-rank mesh.
+        let dead = ChaosPlan::kill_at(0);
+        let started = Instant::now();
+        let loopback = launch(Loopback::mesh(2), &[], &data, &cfg, None, dead.on(2));
+        let loopback = ("loopback", started.elapsed(), loopback);
+        let mesh = TcpTransport::mesh(2).expect("TCP handshake");
+        let started = Instant::now();
+        let tcp = launch(mesh, &[], &data, &cfg, None, dead.on(2));
+        [loopback, ("tcp", started.elapsed(), tcp)]
+    });
+    for (mesh, took, (driver, ranks)) in runs {
+        assert!(driver.is_err(), "{mesh}: the dead driver cannot succeed");
+        assert_eq!(ranks.len(), 2, "{mesh}");
+        for rank in ranks {
+            assert!(matches!(rank, Err(NetError::Closed)), "{mesh}: {rank:?}");
+        }
+        assert!(took < Duration::from_secs(1), "{mesh}: ranks held {took:?}");
+    }
 }

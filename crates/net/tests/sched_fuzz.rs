@@ -21,10 +21,8 @@ use nomad_core::sched::{FaultPlan, FuzzCase, FuzzTest, Strategy};
 use nomad_core::{NomadConfig, StopCondition};
 use nomad_data::{named_dataset, SizeTier};
 use nomad_matrix::{RatingMatrix, TripletMatrix};
-use nomad_net::driver::run_driver;
 use nomad_net::fuzz::fuzz_loopback;
-use nomad_net::rank::run_rank;
-use nomad_net::{ChaosPlan, ChaosTransport, Loopback, NetConfig};
+use nomad_net::{launch, ChaosPlan, Loopback, NetConfig};
 use nomad_sgd::HyperParams;
 
 fn tiny() -> (RatingMatrix, TripletMatrix) {
@@ -74,26 +72,15 @@ fn fuzzed_seeds_conserve_and_match_serial() {
 fn drain_barrier_completes_with_a_maximally_delayed_comm_thread() {
     let (data, _test) = tiny();
     let cfg = NetConfig::new(quick_config(8, 5_000));
-    let (driver, mut endpoints) = Loopback::mesh(2);
     // A 2ms send delay makes rank 1's comm thread the straggler on every
     // token batch, progress report and Fin.
-    let slow = ChaosTransport::scripted(
-        endpoints.pop().expect("rank 1"),
-        ChaosPlan {
-            send_delay: Duration::from_millis(2),
-            ..ChaosPlan::default()
-        },
-    );
-    let fast = endpoints.pop().expect("rank 0");
+    let slow = ChaosPlan::send_delay(Duration::from_millis(2));
     let started = std::time::Instant::now();
-    let out = std::thread::scope(|scope| {
-        let slow_rank = scope.spawn(|| run_rank(&slow));
-        let fast_rank = scope.spawn(|| run_rank(&fast));
-        let out = run_driver(&driver, &data, &cfg).expect("driver survives a straggler");
-        slow_rank.join().expect("slow rank").expect("slow rank run");
-        fast_rank.join().expect("fast rank").expect("fast rank run");
-        out
-    });
+    let (driver, ranks) = launch(Loopback::mesh(2), &[], &data, &cfg, None, slow.on(1));
+    let out = driver.expect("driver survives a straggler");
+    let [fast_rank, slow_rank] = <[_; 2]>::try_from(ranks).unwrap();
+    slow_rank.expect("slow rank run");
+    fast_rank.expect("fast rank run");
     assert!(
         out.stats.updates >= 5_000,
         "straggler run must still complete the budget (got {})",

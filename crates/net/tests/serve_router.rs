@@ -14,10 +14,8 @@ use std::time::{Duration, Instant};
 use nomad_core::{NomadConfig, StopCondition};
 use nomad_data::{named_dataset, SizeTier};
 use nomad_matrix::RatingMatrix;
-use nomad_net::driver::run_driver_serving;
-use nomad_net::rank::run_rank;
 use nomad_net::{
-    Answer, ChaosPlan, ChaosTransport, DistributedNomad, Loopback, NetConfig, RouterConfig,
+    launch, Answer, ChaosPlan, Deployment, DistributedNomad, Loopback, NetConfig, RouterConfig,
     ServeError, ServeRouter,
 };
 use nomad_sgd::HyperParams;
@@ -74,7 +72,7 @@ fn a_generous_deadline_never_times_out_and_goes_fresh() {
             }
         });
         let out = engine
-            .run_loopback_serving(&data, &[], &router)
+            .run(&data, Deployment::Loopback(&[]), Some(&router))
             .expect("serving run completes");
         let answers = handle.join().expect("query thread");
         assert!(answers > 0, "the query thread must get real answers");
@@ -140,16 +138,8 @@ fn an_undersized_deadline_times_out_promptly_instead_of_hanging() {
     });
     let cfg = serving_config(20_000, 200);
     let nrows = data.nrows() as u32;
-    let (driver, mut endpoints) = Loopback::mesh(1);
-    let slow = ChaosTransport::scripted(
-        endpoints.pop().unwrap(),
-        ChaosPlan {
-            send_delay: Duration::from_millis(60),
-            ..ChaosPlan::default()
-        },
-    );
+    let slow = ChaosPlan::send_delay(Duration::from_millis(60));
     std::thread::scope(|scope| {
-        let rank = scope.spawn(|| run_rank(&slow));
         let queries = scope.spawn(|| {
             let mut slowest = Duration::ZERO;
             let mut timeouts = 0u64;
@@ -169,8 +159,17 @@ fn an_undersized_deadline_times_out_promptly_instead_of_hanging() {
                 std::thread::sleep(Duration::from_millis(1));
             }
         });
-        run_driver_serving(&driver, &data, &cfg, Some(&router)).expect("driver completes");
-        rank.join().unwrap().expect("rank exits cleanly");
+        let (driver, ranks) = launch(
+            Loopback::mesh(1),
+            &[],
+            &data,
+            &cfg,
+            Some(&router),
+            slow.on(0),
+        );
+        driver.expect("driver completes");
+        let [rank] = <[_; 1]>::try_from(ranks).unwrap();
+        rank.expect("rank exits cleanly");
         let (slowest, timeouts) = queries.join().expect("query thread");
         assert!(
             timeouts > 0,
@@ -220,7 +219,11 @@ fn a_mid_run_joiner_enters_serving_without_disturbing_queries() {
         // (and a turned-away joiner is a clean outcome); the assertion
         // here is purely that queries never degrade to errors.
         engine
-            .run_loopback_serving(&data, &[(2, Duration::from_millis(20))], &router)
+            .run(
+                &data,
+                Deployment::Loopback(&[(2, Duration::from_millis(20))]),
+                Some(&router),
+            )
             .expect("serving run with a joiner completes");
         handle.join().expect("query thread");
     });

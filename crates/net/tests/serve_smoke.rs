@@ -4,7 +4,7 @@
 //!
 //! `harness = false` for the same reason as `fault.rs`:
 //! [`nomad_net::child_entry`] must be the first call in `main`, because
-//! [`DistributedNomad::run_processes_serving`] re-execs *this* binary
+//! [`Deployment::Processes`] re-execs *this* binary
 //! once per rank.
 //!
 //! The contract under test is the router's no-hang guarantee over real
@@ -19,7 +19,9 @@ use std::time::{Duration, Instant};
 
 use nomad_core::{NomadConfig, StopCondition};
 use nomad_data::{named_dataset, SizeTier};
-use nomad_net::{Answer, DistributedNomad, NetConfig, RouterConfig, ServeError, ServeRouter};
+use nomad_net::{
+    Answer, Deployment, DistributedNomad, NetConfig, RouterConfig, ServeError, ServeRouter,
+};
 use nomad_sgd::HyperParams;
 
 fn main() {
@@ -74,7 +76,7 @@ fn main() {
             });
         }
         DistributedNomad::with_config(cfg, 2)
-            .run_processes_serving(&ds.matrix, &router)
+            .run(&ds.matrix, Deployment::Processes, Some(&router))
             .expect("2-rank serving run must survive one child dying mid-queries")
         // Scope exit joins the query threads: they terminate on the
         // RunOver the driver's finish() broadcast.

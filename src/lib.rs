@@ -166,17 +166,18 @@
 //! ```
 //! use nomad::core::{NomadConfig, StopCondition};
 //! use nomad::data::{named_dataset, SizeTier};
-//! use nomad::net::DistributedNomad;
+//! use nomad::net::{Deployment, DistributedNomad};
 //! use nomad::sgd::HyperParams;
 //!
 //! let dataset = named_dataset("netflix-sim", SizeTier::Tiny).unwrap().build();
 //! let config = NomadConfig::new(HyperParams::netflix().with_k(8))
 //!     .with_stop(StopCondition::Updates(40_000));
 //! // Loopback transport: same engine, no sockets — ideal for tests.  Use
-//! // `run_tcp_threads` for real sockets, or `run_processes` from a binary
-//! // that calls `nomad::net::child_entry()` first (as `benchmark/src/main.rs`
-//! // does) for true multi-process ranks.
-//! let out = DistributedNomad::new(config, 2).run_loopback(&dataset.matrix).unwrap();
+//! // `Deployment::TcpThreads` for real sockets, or `Deployment::Processes`
+//! // from a binary that calls `nomad::net::child_entry()` first (as
+//! // `benchmark/src/main.rs` does) for true multi-process ranks.
+//! let engine = DistributedNomad::new(config, 2);
+//! let out = engine.run(&dataset.matrix, Deployment::Loopback(&[]), None).unwrap();
 //! assert!(out.stats.updates >= 40_000);
 //! ```
 //!
@@ -202,7 +203,9 @@
 //! use std::time::Duration;
 //! use nomad::core::{NomadConfig, StopCondition};
 //! use nomad::data::{named_dataset, SizeTier};
-//! use nomad::net::{Answer, DistributedNomad, NetConfig, RouterConfig, ServeError, ServeRouter};
+//! use nomad::net::{
+//!     Answer, Deployment, DistributedNomad, NetConfig, RouterConfig, ServeError, ServeRouter,
+//! };
 //! use nomad::sgd::HyperParams;
 //!
 //! let dataset = named_dataset("netflix-sim", SizeTier::Tiny).unwrap().build();
@@ -225,14 +228,14 @@
 //!             Err(e) => panic!("{e}"),
 //!         }
 //!     });
-//!     engine.run_loopback_serving(&dataset.matrix, &[], &router).unwrap();
+//!     engine.run(&dataset.matrix, Deployment::Loopback(&[]), Some(&router)).unwrap();
 //! });
 //! let stats = router.stats();
 //! assert_eq!(stats.resolved(), stats.submitted, "zero hung queries");
 //! assert!(stats.successes() > 0);
 //! ```
 //!
-//! `run_processes_serving` does the same over re-exec'd rank processes;
+//! `Deployment::Processes` does the same over re-exec'd rank processes;
 //! the chaos suite kills the rank being queried mid-run and asserts every
 //! in-flight query still resolves within its deadline.
 //!

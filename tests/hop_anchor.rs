@@ -15,7 +15,7 @@ use nomad::core::{
     NomadConfig, RoutingPolicy, SerialNomad, SimNomad, StopCondition, ThreadedNomad,
 };
 use nomad::data::{named_dataset, stream_split, GeneratedDataset, SizeTier, StreamSplit};
-use nomad::net::DistributedNomad;
+use nomad::net::{Deployment, DistributedNomad};
 use nomad::sgd::{FactorModel, HyperParams};
 
 const POLICIES: [RoutingPolicy; 3] = [
@@ -95,7 +95,8 @@ fn golden_pins_hold_bit_for_bit() {
     check("serial online p=3", &online.model);
     let threaded = ThreadedNomad::new(uniform).run(&ds.matrix, &ds.test, 1, 2);
     check("threaded p=1", &threaded.model);
-    let loopback = DistributedNomad::new(uniform, 1).run_loopback(&ds.matrix);
+    let loopback =
+        DistributedNomad::new(uniform, 1).run(&ds.matrix, Deployment::Loopback(&[]), None);
     check("loopback 1 rank", &loopback.expect("loopback run").model);
     assert!(pins.next().is_none(), "a pinned run was skipped");
 }
@@ -110,7 +111,7 @@ fn one_worker_same_seed_same_bits_across_all_four_engines() {
     let (serial, _) = SerialNomad::new(cfg).run(&ds.matrix, &ds.test, 1, &ComputeModel::hpc_core());
     let threaded = ThreadedNomad::new(cfg).run(&ds.matrix, &ds.test, 1, 1);
     let simulated = sim(cfg, ClusterTopology::single_machine(1)).run(&ds.matrix, &ds.test);
-    let loopback = DistributedNomad::new(cfg, 1).run_loopback(&ds.matrix);
+    let loopback = DistributedNomad::new(cfg, 1).run(&ds.matrix, Deployment::Loopback(&[]), None);
     let engines = [
         ("threaded(1)", threaded.model),
         ("sim(1x1)", simulated.model),
