@@ -25,8 +25,11 @@
 //! any underflow.  A row is scored only if `ub_j = est_j + ‖w‖·ρ_j`
 //! (rounded up) is not strictly below the bar: the k-th score once the
 //! heap is full, before that the k-th largest `lb_j = est_j − ‖w‖·ρ_j` of
-//! the run's unseen rows.  A NaN never skips; a row that is not finite or
-//! past `FILTER_CAP` gets `ρ_j = +∞`; a query or run whose terms could
+//! the run's unseen rows, formed only then: while the heap is not full, in
+//! a run of at least `k` rows.  A run's rows are read a tile of `TILE` at
+//! a time, each tile only if a branch-free test finds one of its upper
+//! bounds reaching the bar.  A NaN never skips; a row that is not finite
+//! or past `FILTER_CAP` gets `ρ_j = +∞`; a query or run whose terms could
 //! leave the `f32` range filters nothing.  The survivors alone are checked
 //! against `seen`, then scored with the pinned `dot` into the heap under
 //! `ranks_higher`: after every run the heap is the top `k` of the rows of
@@ -46,6 +49,9 @@ pub(crate) const FILTER_CAP: f64 = 1e90;
 
 /// Relative slack on `ρ_j` for `‖w‖`'s rounding and the product `‖w‖·ρ_j`.
 const RHO_SLACK: f64 = 1.0 / (1u64 << 20) as f64;
+
+/// Rows whose upper bounds are tested against the bar at once.
+const TILE: usize = 32;
 
 #[cfg(test)]
 thread_local! {
@@ -193,7 +199,7 @@ impl<'a> Rerank<'a> {
         proxy: f64,
         items: impl Iterator<Item = Idx> + Clone,
     ) {
-        let (k, len, full) = (self.k, run.rho.len(), self.kth());
+        let (k, len, full, seen) = (self.k, run.rho.len(), self.kth(), self.seen);
         if k == 0 || len == 0 {
             return;
         }
@@ -210,10 +216,12 @@ impl<'a> Rerank<'a> {
         // With `|base|` under a quarter of `f32::MAX` and the code sum under
         // half of it, `est` stays inside the `f32` range: an upper bound can
         // round to `+∞` and a lower one to `−∞`, never the other way.
-        if self.w_norm <= FILTER_CAP
+        let bounded = self.w_norm <= FILTER_CAP
             && base.abs() <= f64::from(f32::MAX) / 4.0
-            && mass * 255.0 <= f64::from(f32::MAX) / 2.0
-        {
+            && mass * 255.0 <= f64::from(f32::MAX) / 2.0;
+        // Lower bounds are formed only where they set the bar (module docs).
+        let lower = bounded && full.is_none() && len >= k;
+        if bounded {
             let tiny = (wq.len() + 1) as f64 * f64::from(f32::MIN_POSITIVE);
             // Element-wise loops, vectorised in the query's kernel form.
             ubs.fill(0.0);
@@ -222,59 +230,69 @@ impl<'a> Rerank<'a> {
                     *sum += w * f32::from(q);
                 }
             }
-            for ((ub, lb), &r) in ubs.iter_mut().zip(lbs.iter_mut()).zip(run.rho) {
+            if lower {
+                for ((lb, &sum), &r) in lbs.iter_mut().zip(&*ubs).zip(run.rho) {
+                    let est = base + f64::from(sum);
+                    let low = -round_up(self.w_norm * f64::from(r) + tiny - est);
+                    *lb = if low.is_nan() { f32::NEG_INFINITY } else { low };
+                }
+            }
+            for (ub, &r) in ubs.iter_mut().zip(run.rho) {
                 let est = base + f64::from(*ub);
-                let reach = self.w_norm * f64::from(r) + tiny;
-                *ub = round_up(est + reach);
-                let low = -round_up(reach - est);
-                *lb = if low.is_nan() { f32::NEG_INFINITY } else { low };
+                *ub = round_up(est + (self.w_norm * f64::from(r) + tiny));
             }
         } else {
             ubs.fill(f32::INFINITY);
-            lbs.fill(f32::NEG_INFINITY);
         }
-        let mut bar = f64::NEG_INFINITY;
-        match full {
-            Some(kth) => bar = kth,
-            None if len >= k => {
-                if !self.seen.is_empty() {
+        let mut bar = match full {
+            Some(kth) => kth,
+            None if lower => {
+                if !seen.is_empty() {
                     for (lb, item) in lbs.iter_mut().zip(items.clone()) {
-                        if self.seen.binary_search(&item).is_ok() {
+                        if seen.binary_search(&item).is_ok() {
                             *lb = f32::NEG_INFINITY;
                         }
                     }
                 }
                 let (_, kth, _) = lbs.select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a));
-                bar = f64::from(*kth);
+                f64::from(*kth)
             }
-            None => {}
-        }
-        // The survivors are a gather over `H`: ask for all of them first.
-        for (&ub, item) in ubs.iter().zip(items.clone()) {
-            if !skips(ub, bar) {
-                prefetch_row(snap.item_factor(item));
-            }
-        }
-        for (&ub, item) in ubs.iter().zip(items) {
-            if skips(ub, bar) || (!self.seen.is_empty() && self.seen.binary_search(&item).is_ok()) {
+            None => f64::NEG_INFINITY,
+        };
+        // A tile is read only if one of its rows reaches the bar, a
+        // branch-free test; its survivors are a gather over `H`, all asked
+        // for before the first is scored.
+        for (t, tile) in ubs.chunks(TILE).enumerate() {
+            if !tile.iter().fold(false, |any, &ub| any | !skips(ub, bar)) {
                 continue;
             }
-            #[cfg(test)]
-            ROWS_SCORED.with(|n| n.set(n.get() + 1));
-            let score = kernels.dot(self.wu, snap.item_factor(item));
-            let cand = Recommendation { item, score };
-            if self.heap.len() < k {
-                self.heap.push(Weakest(cand));
-            } else if ranks_higher(&cand, &self.heap.peek().expect("k > 0").0) {
-                self.heap.pop();
-                self.heap.push(Weakest(cand));
-            } else {
-                continue;
+            let rows = items.clone().skip(t * TILE);
+            for (&ub, item) in tile.iter().zip(rows.clone()) {
+                if !skips(ub, bar) {
+                    prefetch_row(snap.item_factor(item));
+                }
             }
-            if self.heap.len() == k {
-                // Both bars hold for the rest of the run; a NaN k-th
-                // leaves the other.
-                bar = bar.max(self.heap.peek().expect("k > 0").0.score);
+            for (&ub, item) in tile.iter().zip(rows) {
+                if skips(ub, bar) || (!seen.is_empty() && seen.binary_search(&item).is_ok()) {
+                    continue;
+                }
+                #[cfg(test)]
+                ROWS_SCORED.with(|n| n.set(n.get() + 1));
+                let score = kernels.dot(self.wu, snap.item_factor(item));
+                let cand = Recommendation { item, score };
+                if self.heap.len() < k {
+                    self.heap.push(Weakest(cand));
+                } else if ranks_higher(&cand, &self.heap.peek().expect("k > 0").0) {
+                    self.heap.pop();
+                    self.heap.push(Weakest(cand));
+                } else {
+                    continue;
+                }
+                if self.heap.len() == k {
+                    // Both bars hold for the rest of the run; a NaN k-th
+                    // leaves the other.
+                    bar = bar.max(self.heap.peek().expect("k > 0").0.score);
+                }
             }
         }
     }

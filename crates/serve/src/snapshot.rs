@@ -630,6 +630,34 @@ mod tests {
     }
 
     #[test]
+    fn tile_edges_scan_like_the_full_sort() {
+        // Hot rows `c·1`, `c` rising with the item, on a positive catalog:
+        // every one reaches the bar.  They sit at tiles' and blocks' first
+        // and last rows, beside +∞ rows, a +NaN row and a copy of row
+        // 1,023 (the 10th with no `seen`); the last block is 21 rows.
+        let tile = |t: usize, row: usize| BLOCK + 32 * t + row;
+        let hot = [0, 31, 32, 63, BLOCK - 1, BLOCK, tile(7, 0), tile(7, 31)];
+        let hot = [&hot[..], &[2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 20]].concat();
+        let mut m = model(4, 2 * BLOCK + 21, 8, 6);
+        for (i, &j) in hot.iter().enumerate() {
+            m.h.set_row(j, &[2.0 + 0.5 * i as f64; 8]);
+        }
+        m.h.row_mut(tile(0, 31))[3] = f64::INFINITY;
+        m.h.row_mut(tile(10, 0))[5] = f64::INFINITY;
+        m.h.row_mut(tile(3, 0))[1] = f64::NAN;
+        m.h.set_row(tile(13, 31), &[2.0 + 0.5 * 4.0; 8]);
+        let ks = [1, 10, BLOCK + 5];
+        assert_scans_like_the_full_sort(&m, &ks);
+        // With every other row of the first block −NaN, its five hot rows
+        // leave a −NaN k-th for k = 10: the next block starts under a NaN
+        // bar, which must rule nothing out.
+        for j in (0..BLOCK).filter(|j| !hot.contains(j)) {
+            m.h.set_row(j, &[-f64::NAN; 8]);
+        }
+        assert_scans_like_the_full_sort(&m, &ks);
+    }
+
+    #[test]
     fn near_ties_below_one_quantisation_step_scan_like_the_full_sort() {
         // Two anchor rows a block pin its grid to `lo = −1/2`, step `1/128`,
         // and the rest come from a palette on it: residuals 0, and ties at
